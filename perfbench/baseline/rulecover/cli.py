@@ -1,0 +1,257 @@
+"""Command-line front end.
+
+    cover {construct|optimize|search|verify|render|reproduce-smooth} [flags]
+
+Numeric output is printed at 15 significant digits in native mode and at
+(digits - 2) in high-precision mode; JSON goes to --out (stdout default).
+Exit codes: 0 success, 1 domain error (including a failed verification),
+2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+from . import constructions, search, smooth, svg, verify
+from .involute import GeneratingChain, chain_from_params, involute_cover
+
+REF_THREE_ANGLES = (0.575939, 0.519805)
+REF_FOUR_ANGLES = (0.488669, 0.423144, 0.189158)
+SMOOTH_RENDER_EDGES = 512
+
+
+def _fmt(x, digits=None) -> str:
+    if digits is None:
+        return f"{float(x):.15g}"
+    from .highprec import truncate_digits
+
+    return truncate_digits(x, max(digits - 2, 4))
+
+
+def _emit_json(doc: dict, out):
+    text = json.dumps(doc, indent=2)
+    if out in (None, "-"):
+        print(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+
+
+def _cover_doc(bundle, kind: str, angles, closed_form_area=None) -> dict:
+    doc = bundle.region.to_json()
+    doc["params"] = {
+        "kind": kind,
+        "angles": list(angles),
+        "lengths": list(bundle.chain.edge_lengths),
+        "area": closed_form_area if closed_form_area is not None else bundle.area,
+    }
+    doc["chain"] = bundle.chain.to_json()
+    return doc
+
+
+def _construct_bundle(kind: str, angles, edges: int):
+    if kind in ("r2", "one"):
+        return involute_cover(chain_from_params("one")), (), None
+    if kind == "two":
+        a = angles[0] if angles else math.acos(0.75)
+        params = constructions.solve_two_edge(a)
+        bundle = involute_cover(chain_from_params("two", params))
+        return bundle, (params.a,), constructions.two_edge_area(params)
+    if kind == "three":
+        a, b = angles if angles else REF_THREE_ANGLES
+        params = constructions.solve_three_edge(a, b)
+        bundle = involute_cover(chain_from_params("three", params))
+        return bundle, (a, b), constructions.three_edge_area(a, b)
+    if kind == "four":
+        a, b, c = angles if angles else REF_FOUR_ANGLES
+        params = constructions.solve_four_edge(a, b, c)
+        bundle = involute_cover(chain_from_params("four", params))
+        return bundle, (a, b, c), constructions.four_edge_area(a, b, c)
+    if kind == "smooth":
+        a, co, area = smooth.optimize_smooth(tol=1e-12)
+        if angles:
+            a = angles[0]
+            co = smooth.solve_coefficients(a)
+            area = smooth.smooth_area(co)
+        chain = smooth.discretize_smooth(co, edges)
+        bundle = involute_cover(chain)
+        print(f"a  = {_fmt(a)}")
+        print(f"b0 = {_fmt(co.b0)}")
+        print(f"b1 = {_fmt(co.b1)}")
+        print(f"b2 = {_fmt(co.b2)}")
+        return bundle, (a,), area
+    raise ValueError(f"unknown construction kind {kind!r}")
+
+
+def cmd_construct(args) -> int:
+    angles = tuple(float(x) for x in args.angles.split(",")) if args.angles else ()
+    bundle, used_angles, closed_area = _construct_bundle(
+        args.kind, angles, args.edges)
+    shown = closed_area if closed_area is not None else bundle.area
+    print(f"area = {_fmt(shown)}")
+    _emit_json(_cover_doc(bundle, args.kind, used_angles, closed_area), args.out)
+    return 0
+
+
+def cmd_optimize(args) -> int:
+    if args.kind == "smooth":
+        if args.digits:
+            from decimal import Decimal
+
+            from .highprec import DecimalBackend
+
+            backend = DecimalBackend(args.digits)
+            tol = Decimal(10) ** (2 - args.digits)
+            a, co, area = smooth.optimize_smooth(tol=tol, backend=backend)
+            print(f"a    = {_fmt(a, args.digits)}")
+            print(f"area = {_fmt(area, args.digits)}")
+            return 0
+        a, co, area = smooth.optimize_smooth(tol=1e-12)
+        print(f"a    = {_fmt(a)}")
+        print(f"area = {_fmt(area)}")
+        chain = smooth.discretize_smooth(co, args.edges)
+        bundle = involute_cover(chain)
+        _emit_json(_cover_doc(bundle, "smooth", (a,), area), args.out)
+        return 0
+    params, area, region = constructions.optimize_construction(args.kind)
+    angles = {
+        "two": lambda p: (p.a,),
+        "three": lambda p: (p.a, p.b),
+        "four": lambda p: (p.a, p.b, p.c),
+    }[args.kind](params)
+    print("angles = " + ", ".join(_fmt(x) for x in angles))
+    print(f"area = {_fmt(area)}")
+    bundle = involute_cover(chain_from_params(args.kind, params))
+    _emit_json(_cover_doc(bundle, args.kind, angles, area), args.out)
+    return 0
+
+
+def cmd_search(args) -> int:
+    cfg = search.SearchConfig(edges=args.edges, iterations=args.iterations,
+                              seed=args.seed, initial_step=args.step,
+                              step_decay=args.decay, restarts=args.restarts)
+    trace = search.local_search(cfg)
+    print(f"best area = {_fmt(trace.best_area)}")
+    if args.trace:
+        search.write_trace_csv(trace, args.trace)
+    if args.out:
+        _emit_json(trace.best_chain.to_json(), args.out)
+    return 0
+
+
+def cmd_verify(args) -> int:
+    with open(args.infile) as fh:
+        doc = json.load(fh)
+    if "chain" not in doc:
+        raise ValueError("cover JSON lacks a chain block; cannot rebuild")
+    chain = GeneratingChain.from_json(doc["chain"])
+    bundle = involute_cover(chain)
+    stored = doc.get("area")
+    if stored is not None and abs(stored - bundle.area) > 1e-12:
+        raise ValueError(
+            f"stored area {stored!r} drifts from recomputed {bundle.area!r}")
+    report = verify.verify_reachability(
+        bundle, n_points=args.points, n_lengths=args.lengths, eps=args.eps)
+    print(f"points   = {report.points}")
+    print(f"lengths  = {report.lengths}")
+    print(f"failures = {len(report.failures)}")
+    print(f"diameter = {_fmt(report.diameter)}")
+    print(f"passed   = {report.passed}")
+    if args.out:
+        _emit_json(report.to_json(), args.out)
+    return 0 if report.passed else 1
+
+
+def cmd_render(args) -> int:
+    with open(args.infile) as fh:
+        doc = json.load(fh)
+    svg.render_svg(doc, args.out, size=args.size, stroke=args.stroke)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def cmd_reproduce(args) -> int:
+    report = smooth.reproduce_appendix(args.digits)
+    text = report.as_text()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    print(text, end="")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cover",
+        description="construct, optimize, search, verify, and render "
+                    "universal covers for carpenter's rule folding")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("construct", help="build a cover from a known cut")
+    p.add_argument("--kind", required=True,
+                   choices=["r2", "one", "two", "three", "four", "smooth"])
+    p.add_argument("--angles", help="comma-separated angle overrides")
+    p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES,
+                   help="discretization edges for the smooth cut")
+    p.add_argument("--out", help="cover JSON path (stdout default)")
+    p.set_defaults(func=cmd_construct)
+
+    p = sub.add_parser("optimize", help="minimize cover area over the angles")
+    p.add_argument("--kind", required=True,
+                   choices=["two", "three", "four", "smooth"])
+    p.add_argument("--digits", type=int,
+                   help="switch to decimal arithmetic at this precision")
+    p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES)
+    p.add_argument("--out", help="cover JSON path (stdout default)")
+    p.set_defaults(func=cmd_optimize)
+
+    p = sub.add_parser("search", help="local search over n-edge chains")
+    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--iterations", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--decay", type=float, default=0.999)
+    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--trace", help="CSV trace path")
+    p.add_argument("--out", help="best chain JSON path")
+    p.set_defaults(func=cmd_search)
+
+    p = sub.add_parser("verify", help="check the cover property numerically")
+    p.add_argument("--in", dest="infile", required=True, help="cover JSON")
+    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--lengths", type=int, default=256)
+    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--out", help="report JSON path")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("render", help="render a cover JSON to SVG")
+    p.add_argument("--in", dest="infile", required=True, help="cover JSON")
+    p.add_argument("--out", required=True, help="SVG path")
+    p.add_argument("--size", type=int, default=640)
+    p.add_argument("--stroke", type=float, default=2.0)
+    p.set_defaults(func=cmd_render)
+
+    p = sub.add_parser("reproduce-smooth",
+                       help="re-run the smooth cut at high precision")
+    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--out", help="plain-text report path")
+    p.set_defaults(func=cmd_reproduce)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

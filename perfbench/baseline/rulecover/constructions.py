@@ -1,0 +1,216 @@
+"""Closed-form covers: the convex baseline and the 2/3/4-edge cuts.
+
+Each k-edge construction fixes its free angles, solves the stated length
+constraints in closed form, and has a closed-form area; the assembled
+region (via the generic involute construction) must agree with that area
+to 1e-10, which the test suite enforces as an oracle.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from . import numerics
+from .geometry import Arc, ArcPath, Region, Seg
+from .involute import chain_from_params, involute_cover
+
+FEASIBLE_MARGIN = 1e-4
+ANGLE_BOX_HI = 1.2
+
+
+class InfeasibleParamsError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class TwoEdgeParams:
+    a: float
+    c: float
+    x0: float
+
+
+@dataclass(frozen=True)
+class ThreeEdgeParams:
+    a: float
+    b: float
+    x0: float
+    x1: float
+    x2: float
+
+
+@dataclass(frozen=True)
+class FourEdgeParams:
+    a: float
+    b: float
+    c: float
+    x0: float
+    x1: float
+    x2: float
+    x3: float
+
+
+def r2_cover() -> Region:
+    """Convex baseline: equilateral uvw fattened by two unit 60-degree arcs."""
+    u, v = (-0.5, 0.0), (0.5, 0.0)
+    w = (0.0, math.sqrt(3.0) / 2.0)
+    base = Seg(u[0], u[1], v[0], v[1])
+    arc_vw = Arc(u[0], u[1], 1.0, 0.0, math.pi / 3)          # v up to w
+    arc_wu = Arc(v[0], v[1], 1.0, 2 * math.pi / 3, math.pi)  # w down to u
+    return Region.from_path(ArcPath([base, arc_vw, arc_wu]))
+
+
+R2_AREA = math.pi / 3 - math.sqrt(3.0) / 4.0
+
+
+# --------------------------------------------------------------------------
+# two-edge cut
+
+def solve_two_edge(a: float) -> TwoEdgeParams:
+    """Solve 2cos(a + c) = cos c for c on (0, pi/2 - a) by bisection."""
+    if not 0.0 < a < math.pi / 2:
+        raise InfeasibleParamsError(f"angle a={a!r} outside (0, pi/2)")
+    # the residual 2cos(a+c) - cos c decreases strictly in c; a root exists
+    # iff it starts positive, i.e. cos a > 1/2
+    if 2 * math.cos(a) - 1 <= 0:
+        raise InfeasibleParamsError(
+            f"no root for a={a!r}: 2cos(a+c)=cos c needs a < pi/3")
+    lo, hi = 0.0, math.pi / 2 - a
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2 * math.cos(a + mid) - math.cos(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    c = 0.5 * (lo + hi)
+    return TwoEdgeParams(a=a, c=c, x0=math.cos(c))
+
+
+def two_edge_area(p: TwoEdgeParams) -> float:
+    return (p.a + p.c / 2 - 0.5 * math.sin(2 * p.a + 2 * p.c)
+            + 0.125 * math.sin(2 * p.c))
+
+
+def two_edge_cover(a: float):
+    """(params, region) for the two-edge cut at angle a."""
+    params = solve_two_edge(a)
+    region = involute_cover(chain_from_params("two", params)).region
+    return params, region
+
+
+# --------------------------------------------------------------------------
+# three-edge cut
+
+def solve_three_edge(a: float, b: float) -> ThreeEdgeParams:
+    if a < 0 or b <= 0 or a + b >= math.pi / 2:
+        raise InfeasibleParamsError(
+            f"angles (a={a!r}, b={b!r}) outside the feasible wedge")
+    x0 = 2 * math.cos(a + b)
+    x1 = (1 - x0) / (2 * (1 - math.cos(b)))
+    x2 = 1 - 2 * x1
+    if not (0 < x1 < 0.5) or not (0 < x2 < 1) or not (0 < x0 < 1):
+        raise InfeasibleParamsError(
+            f"derived lengths infeasible: x0={x0!r} x1={x1!r} x2={x2!r}")
+    return ThreeEdgeParams(a=a, b=b, x0=x0, x1=x1, x2=x2)
+
+
+def three_edge_area(a: float, b: float) -> float:
+    p = solve_three_edge(a, b)
+    return (b * (p.x1 ** 2 + (1 - p.x1) ** 2) + a
+            - p.x0 / 2 * math.sin(a + b)
+            + (p.x0 + p.x2) / 2 * p.x1 * math.sin(b))
+
+
+def three_edge_cover(a: float, b: float):
+    params = solve_three_edge(a, b)
+    region = involute_cover(chain_from_params("three", params)).region
+    return params, region
+
+
+# --------------------------------------------------------------------------
+# four-edge cut
+
+def solve_four_edge(a: float, b: float, c: float) -> FourEdgeParams:
+    if a <= 0 or b <= 0 or c <= 0 or a + b + c >= math.pi / 2:
+        raise InfeasibleParamsError(
+            f"angles (a={a!r}, b={b!r}, c={c!r}) outside the feasible wedge")
+    x0 = 2 * math.cos(a + b + c)
+    denom = 2 * math.cos(c) - 2 * math.cos(b + c)
+    if abs(denom) < 1e-15:
+        raise InfeasibleParamsError("degenerate trapezoid angles")
+    x1 = (math.cos(c) - x0) / denom
+    x2 = (1 - 2 * x1) * math.cos(c)
+    x3 = 0.5 - x1
+    if not (0 < x1 < 0.5) or x3 <= 0 or not (0 < x2 < 1) or not (0 < x0 < 1):
+        raise InfeasibleParamsError(
+            f"derived lengths infeasible: x0={x0!r} x1={x1!r} "
+            f"x2={x2!r} x3={x3!r}")
+    return FourEdgeParams(a=a, b=b, c=c, x0=x0, x1=x1, x2=x2, x3=x3)
+
+
+def four_edge_area(a: float, b: float, c: float) -> float:
+    p = solve_four_edge(a, b, c)
+    return (b * (p.x1 ** 2 + (1 - p.x1) ** 2) + c / 2 + a
+            - p.x0 / 2 * math.sin(a + b + c)
+            + (p.x0 + p.x2) / 2 * p.x1 * math.sin(b + c)
+            + p.x2 / 2 * p.x3 * math.sin(c))
+
+
+def four_edge_cover(a: float, b: float, c: float):
+    params = solve_four_edge(a, b, c)
+    region = involute_cover(chain_from_params("four", params)).region
+    return params, region
+
+
+# --------------------------------------------------------------------------
+# optimization
+
+def _penalized(area_fn, angles):
+    """Graded penalty steering infeasible iterates back into the wedge."""
+    lo, hi = FEASIBLE_MARGIN, ANGLE_BOX_HI
+    violation = 0.0
+    for x in angles:
+        if x < lo:
+            violation += lo - x
+        if x > hi:
+            violation += x - hi
+    s = sum(angles)
+    if s > math.pi / 2 - FEASIBLE_MARGIN:
+        violation += s - (math.pi / 2 - FEASIBLE_MARGIN)
+    if violation > 0:
+        return 0.7 + violation
+    try:
+        return area_fn(*angles)
+    except InfeasibleParamsError:
+        # inside the wedge but with infeasible derived lengths: grade by
+        # how badly the base constraint 2cos(sum) < 1 is missed
+        return 0.7 + max(0.0, 2 * math.cos(s) - 1.0) + 1e-3
+
+
+def optimize_construction(kind: str):
+    """Minimize the closed-form area; returns (params, area, region)."""
+    if kind == "two":
+        res = numerics.minimize_1d(
+            lambda a: two_edge_area(solve_two_edge(a)),
+            FEASIBLE_MARGIN, math.pi / 3 - FEASIBLE_MARGIN, tol=1e-12)
+        params, region = two_edge_cover(res.argmin)
+        return params, res.value, region
+    if kind == "three":
+        res = numerics.minimize_nd(
+            lambda v: _penalized(three_edge_area, v), (0.5, 0.5), tol=1e-12)
+        if not res.converged:
+            raise numerics.ConvergenceError(
+                f"three-edge optimizer did not converge: {res}")
+        a, b = res.argmin
+        params, region = three_edge_cover(a, b)
+        return params, res.value, region
+    if kind == "four":
+        res = numerics.minimize_nd(
+            lambda v: _penalized(four_edge_area, v), (0.5, 0.4, 0.2), tol=1e-12)
+        if not res.converged:
+            raise numerics.ConvergenceError(
+                f"four-edge optimizer did not converge: {res}")
+        a, b, c = res.argmin
+        params, region = four_edge_cover(a, b, c)
+        return params, res.value, region
+    raise ValueError(f"unknown construction kind {kind!r}")

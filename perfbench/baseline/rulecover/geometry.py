@@ -1,0 +1,777 @@
+"""Exact circular-arc path geometry.
+
+Boundaries are ordered paths of two piece kinds: straight segments and
+circular arcs.  Points are plain ``(x, y)`` float tuples.  Areas come from
+the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); containment is
+a winding number computed from exact ray crossings against arcs and
+segments (with direction retries around degeneracies); intersections with
+circles are quadratic solves, never boundary scans.
+
+Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9,
+default boundary classification eps 1e-9.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+STITCH_TOL = 1e-9
+DEDUP_TOL = 1e-9
+BOUNDARY_EPS = 1e-9
+TWO_PI = 2.0 * math.pi
+
+INSIDE = "inside"
+OUTSIDE = "outside"
+BOUNDARY = "boundary"
+
+
+class GeometryError(ValueError):
+    pass
+
+
+class OpenPathError(GeometryError):
+    pass
+
+
+class SelfIntersectingPathError(GeometryError):
+    pass
+
+
+@dataclass(frozen=True)
+class Seg:
+    """Directed straight piece from (x0, y0) to (x1, y1)."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    @property
+    def start(self):
+        return (self.x0, self.y0)
+
+    @property
+    def end(self):
+        return (self.x1, self.y1)
+
+    def length(self) -> float:
+        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
+
+    def point_at(self, s: float):
+        return (self.x0 + s * (self.x1 - self.x0),
+                self.y0 + s * (self.y1 - self.y0))
+
+    def reversed(self) -> "Seg":
+        return Seg(self.x1, self.y1, self.x0, self.y0)
+
+    def mirrored_x(self) -> "Seg":
+        return Seg(-self.x0, self.y0, -self.x1, self.y1)
+
+    def to_json(self) -> dict:
+        return {"kind": "seg", "x0": self.x0, "y0": self.y0,
+                "x1": self.x1, "y1": self.y1}
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Circular arc traced from angle t0 to t1 about (cx, cy).
+
+    Counterclockwise iff t1 > t0; |t1 - t0| <= 2*pi.  radius = 0 is a
+    degenerate marker only and never appears on boundary paths.
+    """
+
+    cx: float
+    cy: float
+    r: float
+    t0: float
+    t1: float
+
+    def __post_init__(self):
+        if self.r < 0:
+            raise GeometryError(f"negative radius {self.r}")
+        if abs(self.t1 - self.t0) > TWO_PI + 1e-9:
+            raise GeometryError("arc sweep exceeds full turn")
+
+    @property
+    def sweep(self) -> float:
+        return self.t1 - self.t0
+
+    @property
+    def ccw(self) -> bool:
+        return self.t1 >= self.t0
+
+    @property
+    def start(self):
+        return (self.cx + self.r * math.cos(self.t0),
+                self.cy + self.r * math.sin(self.t0))
+
+    @property
+    def end(self):
+        return (self.cx + self.r * math.cos(self.t1),
+                self.cy + self.r * math.sin(self.t1))
+
+    def length(self) -> float:
+        return self.r * abs(self.sweep)
+
+    def point_at(self, s: float):
+        t = self.t0 + s * (self.t1 - self.t0)
+        return (self.cx + self.r * math.cos(t),
+                self.cy + self.r * math.sin(t))
+
+    def angle_in_span(self, phi: float, slack: float = 0.0) -> bool:
+        d = self.sweep
+        if d >= 0:
+            rel = (phi - self.t0) % TWO_PI
+            return rel <= d + slack or rel >= TWO_PI - slack
+        rel = (self.t0 - phi) % TWO_PI
+        return rel <= -d + slack or rel >= TWO_PI - slack
+
+    def reversed(self) -> "Arc":
+        return Arc(self.cx, self.cy, self.r, self.t1, self.t0)
+
+    def mirrored_x(self) -> "Arc":
+        # reflection about the y axis maps angle t to pi - t
+        return Arc(-self.cx, self.cy, self.r,
+                   math.pi - self.t0, math.pi - self.t1)
+
+    def to_json(self) -> dict:
+        return {"kind": "arc", "cx": self.cx, "cy": self.cy, "r": self.r,
+                "a0": self.t0, "a1": self.t1, "ccw": self.ccw}
+
+
+def piece_from_json(d: dict):
+    kind = d.get("kind")
+    if kind == "seg":
+        return Seg(d["x0"], d["y0"], d["x1"], d["y1"])
+    if kind == "arc":
+        return Arc(d["cx"], d["cy"], d["r"], d["a0"], d["a1"])
+    raise GeometryError(f"unknown piece kind {kind!r}")
+
+
+class ArcPath:
+    """Ordered run of Seg/Arc pieces; consecutive endpoints must stitch."""
+
+    __slots__ = ("pieces", "_compiled")
+
+    def __init__(self, pieces):
+        self.pieces = tuple(pieces)
+        self._compiled = None
+
+    def __repr__(self):
+        return f"ArcPath({len(self.pieces)} pieces)"
+
+    def __len__(self):
+        return len(self.pieces)
+
+    def __iter__(self):
+        return iter(self.pieces)
+
+    def stitch_gap(self) -> float:
+        """Largest endpoint mismatch between consecutive pieces."""
+        worst = 0.0
+        ps = self.pieces
+        for i in range(len(ps) - 1):
+            worst = max(worst, math.dist(ps[i].end, ps[i + 1].start))
+        return worst
+
+    def closure_gap(self) -> float:
+        return math.dist(self.pieces[-1].end, self.pieces[0].start)
+
+    def is_closed(self, tol: float = STITCH_TOL) -> bool:
+        return (len(self.pieces) > 0 and self.stitch_gap() <= tol
+                and self.closure_gap() <= tol)
+
+    def length(self) -> float:
+        return sum(p.length() for p in self.pieces)
+
+    def vertices(self):
+        return [p.start for p in self.pieces] + [self.pieces[-1].end]
+
+    def sample(self, n: int):
+        """~n points spread by arc length, always keeping piece endpoints."""
+        total = self.length()
+        pts = []
+        for p in self.pieces:
+            k = max(1, round(n * p.length() / total)) if total > 0 else 1
+            for j in range(k):
+                pts.append(p.point_at(j / k))
+        pts.append(self.pieces[-1].end)
+        return pts
+
+    def polygonize(self, max_arc_step: float = TWO_PI / 64):
+        """Chords approximating the path: list of (x0, y0, x1, y1, piece_idx)."""
+        chords = []
+        for idx, p in enumerate(self.pieces):
+            if isinstance(p, Seg):
+                chords.append((p.x0, p.y0, p.x1, p.y1, idx))
+            else:
+                k = max(2, math.ceil(abs(p.sweep) / max_arc_step))
+                prev = p.start
+                for j in range(1, k + 1):
+                    cur = p.point_at(j / k)
+                    chords.append((prev[0], prev[1], cur[0], cur[1], idx))
+                    prev = cur
+        return chords
+
+    def to_json(self) -> dict:
+        return {"pieces": [p.to_json() for p in self.pieces]}
+
+    @staticmethod
+    def from_json(d: dict) -> "ArcPath":
+        return ArcPath([piece_from_json(p) for p in d["pieces"]])
+
+
+# --------------------------------------------------------------------------
+# area
+
+def _seg_area(p: Seg) -> float:
+    return 0.5 * (p.x0 * p.y1 - p.x1 * p.y0)
+
+
+def _arc_area(p: Arc) -> float:
+    # (1/2)∫(x dy - y dx) over x = cx + r cos t, y = cy + r sin t
+    r, t0, t1 = p.r, p.t0, p.t1
+    return 0.5 * (r * r * (t1 - t0)
+                  + r * (p.cx * (math.sin(t1) - math.sin(t0))
+                         + p.cy * (math.cos(t0) - math.cos(t1))))
+
+
+def arc_path_area(path: ArcPath, check: bool = True) -> float:
+    """Signed area of a closed simple path; counterclockwise is positive."""
+    if check:
+        if not path.is_closed():
+            raise OpenPathError(
+                f"path not closed (stitch gap {path.stitch_gap():.2e}, "
+                f"closure gap {path.closure_gap():.2e})")
+        if path_self_intersects(path):
+            raise SelfIntersectingPathError(
+                "path self-intersects at polygonization resolution")
+    total = 0.0
+    for p in path.pieces:
+        total += _seg_area(p) if isinstance(p, Seg) else _arc_area(p)
+    return total
+
+
+# --------------------------------------------------------------------------
+# simplicity (checked on a chord approximation, non-adjacent pairs only)
+
+def _orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _chords_cross(c1, c2) -> bool:
+    ax, ay, bx, by = c1[0], c1[1], c1[2], c1[3]
+    cx, cy, dx, dy = c2[0], c2[1], c2[2], c2[3]
+    scale = (abs(bx - ax) + abs(by - ay)) * (abs(dx - cx) + abs(dy - cy))
+    eps = 1e-13 * max(scale, 1e-13)
+    d1 = _orient(cx, cy, dx, dy, ax, ay)
+    d2 = _orient(cx, cy, dx, dy, bx, by)
+    d3 = _orient(ax, ay, bx, by, cx, cy)
+    d4 = _orient(ax, ay, bx, by, dx, dy)
+    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
+       ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)):
+        return True
+    return False
+
+
+def _share_endpoint(c1, c2, tol: float) -> bool:
+    for (x, y) in ((c1[0], c1[1]), (c1[2], c1[3])):
+        for (u, v) in ((c2[0], c2[1]), (c2[2], c2[3])):
+            if abs(x - u) <= tol and abs(y - v) <= tol:
+                return True
+    return False
+
+
+def path_self_intersects(path: ArcPath) -> bool:
+    """Grid-accelerated chord crossing test at polygonization resolution."""
+    chords = path.polygonize()
+    if len(chords) < 2:
+        return False
+    xs = [c[0] for c in chords] + [chords[-1][2]]
+    ys = [c[1] for c in chords] + [chords[-1][3]]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    longest = max(math.hypot(c[2] - c[0], c[3] - c[1]) for c in chords)
+    cell = max(span / 128, longest + 1e-12)
+    x0g, y0g = min(xs), min(ys)
+    grid = {}
+    for i, c in enumerate(chords):
+        gx0 = int((min(c[0], c[2]) - x0g) / cell)
+        gx1 = int((max(c[0], c[2]) - x0g) / cell)
+        gy0 = int((min(c[1], c[3]) - y0g) / cell)
+        gy1 = int((max(c[1], c[3]) - y0g) / cell)
+        for gx in range(gx0, gx1 + 1):
+            for gy in range(gy0, gy1 + 1):
+                grid.setdefault((gx, gy), []).append(i)
+    checked = set()
+    adj_tol = 1e-8
+    for bucket in grid.values():
+        for ii in range(len(bucket)):
+            for jj in range(ii + 1, len(bucket)):
+                i, j = bucket[ii], bucket[jj]
+                key = (i, j) if i < j else (j, i)
+                if key in checked:
+                    continue
+                checked.add(key)
+                if _share_endpoint(chords[i], chords[j], adj_tol):
+                    continue
+                if _chords_cross(chords[i], chords[j]):
+                    return True
+    return False
+
+
+# --------------------------------------------------------------------------
+# Region
+
+@dataclass
+class Region:
+    """Closed, simple, counterclockwise boundary with cached positive area."""
+
+    boundary: ArcPath
+    area: float
+
+    @staticmethod
+    def from_path(path: ArcPath, check: bool = True) -> "Region":
+        area = arc_path_area(path, check=check)
+        if area <= 0:
+            raise GeometryError(
+                f"boundary must be counterclockwise (signed area {area:.3e})")
+        return Region(boundary=path, area=area)
+
+    def to_json(self) -> dict:
+        d = self.boundary.to_json()
+        d["area"] = self.area
+        return d
+
+    @staticmethod
+    def from_json(d: dict, check: bool = True) -> "Region":
+        return Region.from_path(ArcPath.from_json(d), check=check)
+
+
+# --------------------------------------------------------------------------
+# compiled piece tables for the hot paths
+#
+# seg rows: (0, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad)
+# arc rows: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
+# where (bcx, bcy, brad) is a bounding circle; an arc's own circle bounds it.
+
+def _compiled(path: ArcPath):
+    table = path._compiled
+    if table is None:
+        table = []
+        for p in path.pieces:
+            if isinstance(p, Seg):
+                ex, ey = p.x1 - p.x0, p.y1 - p.y0
+                elen = math.hypot(ex, ey)
+                table.append((0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen,
+                              0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1),
+                              0.5 * elen))
+            else:
+                sx, sy = p.start
+                endx, endy = p.end
+                table.append((1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep,
+                              sx, sy, endx, endy))
+        path._compiled = table
+    return table
+
+
+def _arc_angle_in(t0, sweep, phi, slack):
+    if sweep >= 0:
+        rel = (phi - t0) % TWO_PI
+        return rel <= sweep + slack or rel >= TWO_PI - slack
+    rel = (t0 - phi) % TWO_PI
+    return rel <= -sweep + slack or rel >= TWO_PI - slack
+
+
+# --------------------------------------------------------------------------
+# distances
+
+def _point_seg_distance(px, py, p: Seg) -> float:
+    ex, ey = p.x1 - p.x0, p.y1 - p.y0
+    L2 = ex * ex + ey * ey
+    if L2 <= 0:
+        return math.hypot(px - p.x0, py - p.y0)
+    s = ((px - p.x0) * ex + (py - p.y0) * ey) / L2
+    s = 0.0 if s < 0 else (1.0 if s > 1 else s)
+    return math.hypot(px - (p.x0 + s * ex), py - (p.y0 + s * ey))
+
+
+def _point_arc_distance(px, py, p: Arc) -> float:
+    dx, dy = px - p.cx, py - p.cy
+    d = math.hypot(dx, dy)
+    if d > 1e-15:
+        phi = math.atan2(dy, dx)
+        if p.angle_in_span(phi):
+            return abs(d - p.r)
+    return min(math.dist((px, py), p.start), math.dist((px, py), p.end))
+
+
+def boundary_distance(path: ArcPath, point) -> float:
+    px, py = point
+    best = math.inf
+    for row in _compiled(path):
+        if row[0] == 0:
+            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+            if math.hypot(px - bcx, py - bcy) - brad >= best:
+                continue
+            if elen <= 0:
+                d = math.hypot(px - x0, py - y0)
+            else:
+                s = ((px - x0) * ex + (py - y0) * ey) / (elen * elen)
+                s = 0.0 if s < 0 else (1.0 if s > 1 else s)
+                d = math.hypot(px - (x0 + s * ex), py - (y0 + s * ey))
+        else:
+            (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
+            dc = math.hypot(px - cx, py - cy)
+            if abs(dc - r) >= best:
+                continue
+            if dc > 1e-15 and _arc_angle_in(t0, sweep,
+                                            math.atan2(py - cy, px - cx), 0.0):
+                d = abs(dc - r)
+            else:
+                d = min(math.hypot(px - sx, py - sy),
+                        math.hypot(px - endx, py - endy))
+        if d < best:
+            best = d
+    return best
+
+
+# --------------------------------------------------------------------------
+# winding / containment
+
+# fixed fan of ray directions; later entries are fallbacks around degeneracies
+_RAY_DIRECTIONS = tuple(
+    (math.cos(0.12345 + 2.39996322972865332 * k),
+     math.sin(0.12345 + 2.39996322972865332 * k))
+    for k in range(16))
+
+def _winding_number(path: ArcPath, point) -> int:
+    """Signed ray crossings, retrying other ray directions on degeneracies."""
+    px, py = point
+    table = _compiled(path)
+    atan2, sqrt = math.atan2, math.sqrt
+    for dx, dy in _RAY_DIRECTIONS:
+        total = 0
+        ok = True
+        for row in table:
+            if row[0] == 0:
+                (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+                # prune pieces whose bounding circle misses the forward ray
+                rx, ry = bcx - px, bcy - py
+                if abs(dx * ry - dy * rx) > brad or rx * dx + ry * dy < -brad:
+                    continue
+                denom = dx * ey - dy * ex
+                wx, wy = x0 - px, y0 - py
+                if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
+                    if abs(wx * dy - wy * dx) <= 1e-9:
+                        ok = False  # ray grazes along the piece
+                        break
+                    continue
+                u = (wx * ey - wy * ex) / denom
+                if u <= 1e-12:
+                    continue
+                s = (wx * dy - wy * dx) / denom
+                end_tol = 1e-9 / (elen if elen > 1e-9 else 1e-9)
+                if -end_tol < s < end_tol or 1 - end_tol < s < 1 + end_tol:
+                    ok = False  # hit lands on a piece endpoint
+                    break
+                if 0.0 < s < 1.0:
+                    total += 1 if denom > 0 else -1
+            else:
+                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
+                fx, fy = px - cx, py - cy
+                if abs(dx * fy - dy * fx) > r:
+                    continue  # ray line misses the whole circle
+                b = dx * fx + dy * fy
+                if b > r:
+                    continue  # whole circle behind the ray origin
+                disc = b * b - (fx * fx + fy * fy - r * r)
+                if disc < 1e-18:
+                    if disc > -1e-18:
+                        ok = False  # grazing tangency
+                        break
+                    continue
+                root = sqrt(disc)
+                slack = 1e-9 / (r if r > 1e-9 else 1e-9)
+                orient = 1.0 if sweep >= 0 else -1.0
+                for u in (-b - root, -b + root):
+                    if u <= 1e-12:
+                        continue
+                    phi = atan2(py + u * dy - cy, px + u * dx - cx)
+                    strict_in = _arc_angle_in(t0, sweep, phi, -slack)
+                    if _arc_angle_in(t0, sweep, phi, slack) != strict_in:
+                        ok = False  # hit at an arc endpoint
+                        break
+                    if not strict_in:
+                        continue
+                    cross = (dx * math.cos(phi) + dy * math.sin(phi)) * orient
+                    if abs(cross) <= 1e-9:
+                        ok = False
+                        break
+                    total += 1 if cross > 0 else -1
+                if not ok:
+                    break
+        if ok:
+            return total
+    # last resort: angle-sum winding on a dense polygonization
+    chords = path.polygonize(max_arc_step=TWO_PI / 512)
+    total_angle = 0.0
+    for (x0, y0, x1, y1, _) in chords:
+        a0 = math.atan2(y0 - py, x0 - px)
+        a1 = math.atan2(y1 - py, x1 - px)
+        d = (a1 - a0 + math.pi) % TWO_PI - math.pi
+        total_angle += d
+    return round(total_angle / TWO_PI)
+
+
+def contains_point(region: Region, point, eps: float = BOUNDARY_EPS) -> str:
+    """Classify a point as inside / outside / boundary (within eps)."""
+    if boundary_distance(region.boundary, point) <= eps:
+        return BOUNDARY
+    return INSIDE if _winding_number(region.boundary, point) != 0 else OUTSIDE
+
+
+# --------------------------------------------------------------------------
+# segment containment
+
+def _probe_outside(region: Region, point, eps: float) -> bool:
+    """Outside test ordered for speed: winding first, eps dilation second."""
+    if _winding_number(region.boundary, point) != 0:
+        return False
+    return boundary_distance(region.boundary, point) > eps
+
+
+def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
+    """True iff the segment pq stays inside the region dilated by eps.
+
+    Exact boundary crossings split pq into gaps of constant status; each
+    gap midpoint (plus quarter points of the whole segment) is classified
+    by winding number.  Endpoints may sit on the boundary, and stretches
+    running along a collinear boundary segment count as contained.
+    """
+    px, py = p
+    qx, qy = q
+    seg_len = math.hypot(qx - px, qy - py)
+    if seg_len <= max(eps, 1e-15):
+        return contains_point(region, p, eps) != OUTSIDE
+    dx, dy = (qx - px) / seg_len, (qy - py) / seg_len
+
+    cuts = [0.0, seg_len]
+    overlaps = []
+    sqrt, atan2 = math.sqrt, math.atan2
+    for row in _compiled(region.boundary):
+        if row[0] == 0:
+            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+            rx, ry = bcx - px, bcy - py
+            if abs(dx * ry - dy * rx) > brad + eps:
+                continue  # piece entirely off the segment's line corridor
+            proj = rx * dx + ry * dy
+            if proj < -brad - eps or proj > seg_len + brad + eps:
+                continue
+            denom = dx * ey - dy * ex
+            wx, wy = x0 - px, y0 - py
+            if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
+                # parallel: collinear within eps -> boundary overlap stretch
+                if abs(wx * dy - wy * dx) <= eps:
+                    ta = wx * dx + wy * dy
+                    tb = (x1 - px) * dx + (y1 - py) * dy
+                    lo, hi = (ta, tb) if ta < tb else (tb, ta)
+                    lo, hi = max(lo, 0.0), min(hi, seg_len)
+                    if hi > lo:
+                        overlaps.append((lo, hi))
+                continue
+            u = (wx * ey - wy * ex) / denom
+            s = (wx * dy - wy * dx) / denom
+            end_slack = 1e-9 / (elen if elen > 1e-9 else 1e-9)
+            if -end_slack <= s <= 1 + end_slack and eps < u < seg_len - eps:
+                cuts.append(u)
+        else:
+            (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
+            fx, fy = px - cx, py - cy
+            if abs(dx * fy - dy * fx) > r + eps:
+                continue
+            b = dx * fx + dy * fy
+            disc = b * b - (fx * fx + fy * fy - r * r)
+            if disc <= 0:
+                continue  # miss or tangent touch: no status change
+            root = sqrt(disc)
+            slack = 1e-9 / (r if r > 1e-9 else 1e-9)
+            for u in (-b - root, -b + root):
+                if not (eps < u < seg_len - eps):
+                    continue
+                phi = atan2(py + u * dy - cy, px + u * dx - cx)
+                if _arc_angle_in(t0, sweep, phi, slack):
+                    cuts.append(u)
+    cuts.sort()
+
+    probes = []
+    for i in range(len(cuts) - 1):
+        if cuts[i + 1] - cuts[i] > 1e-12:
+            probes.append(0.5 * (cuts[i] + cuts[i + 1]))
+    probes.append(0.5 * seg_len)
+
+    for t in probes:
+        if any(lo - eps <= t <= hi + eps for lo, hi in overlaps):
+            continue  # running along the boundary counts as contained
+        if _probe_outside(region, (px + t * dx, py + t * dy), eps):
+            return False
+    return True
+
+
+# --------------------------------------------------------------------------
+# circle intersections
+
+def circle_path_intersections(center, r, path: ArcPath):
+    """All (piece_index, piece_param, point) hits, deduped, in path order."""
+    qx, qy = center
+    raw = []
+    hypot, sqrt, atan2, cos, sin = (math.hypot, math.sqrt, math.atan2,
+                                    math.cos, math.sin)
+    for idx, row in enumerate(_compiled(path)):
+        if row[0] == 0:
+            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+            dbc = hypot(qx - bcx, qy - bcy)
+            if dbc - brad > r + DEDUP_TOL or dbc + brad < r - DEDUP_TOL:
+                continue
+            if elen <= 0:
+                continue
+            wx, wy = x0 - qx, y0 - qy
+            a = elen * elen
+            b = 2 * (wx * ex + wy * ey)
+            c = wx * wx + wy * wy - r * r
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            root = sqrt(disc)
+            slack = 1e-9 / elen
+            for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
+                if -slack <= s <= 1 + slack:
+                    sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
+                    raw.append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
+        else:
+            (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = row
+            dxc, dyc = cx - qx, cy - qy
+            d = hypot(dxc, dyc)
+            if d - ar > r + DEDUP_TOL or d + ar < r - DEDUP_TOL:
+                continue
+            if d <= DEDUP_TOL and abs(r - ar) <= DEDUP_TOL:
+                # coincident circles: arc endpoints stand in for the continuum
+                raw.append((idx, 0.0, (sx, sy)))
+                raw.append((idx, 1.0, (endx, endy)))
+                continue
+            if d <= 1e-15:
+                continue
+            x = (d * d + r * r - ar * ar) / (2 * d)
+            h2 = r * r - x * x
+            if h2 < -1e-15:
+                continue
+            h = sqrt(h2) if h2 > 0 else 0.0
+            ux, uy = dxc / d, dyc / d
+            bx, by = qx + x * ux, qy + x * uy
+            cands = ((bx - h * uy, by + h * ux),)
+            if h > 1e-12:
+                cands = ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux))
+            slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
+            for (hx, hy) in cands:
+                phi = atan2(hy - cy, hx - cx)
+                if not _arc_angle_in(t0, sweep, phi, slack):
+                    continue
+                if abs(sweep) > 1e-15:
+                    if sweep >= 0:
+                        rel = (phi - t0) % TWO_PI
+                        if rel > sweep:
+                            rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+                    else:
+                        rel = -((t0 - phi) % TWO_PI)
+                        if rel < sweep:
+                            rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
+                    s = min(max(rel / sweep, 0.0), 1.0)
+                else:
+                    s = 0.0
+                raw.append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
+    raw.sort(key=lambda t: (t[0], t[1]))
+    out = []
+    for item in raw:
+        if all(math.dist(item[2], o[2]) > DEDUP_TOL for o in out):
+            out.append(item)
+    return out
+
+
+def circle_boundary_intersections(center, r, path: ArcPath):
+    """Intersection points of a circle with the path, deterministic order."""
+    return [pt for (_, _, pt) in circle_path_intersections(center, r, path)]
+
+
+# --------------------------------------------------------------------------
+# diameter (boundary samples -> convex hull -> rotating calipers)
+
+def _convex_hull(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts, pts
+    upper, lower = [], []
+    for p in pts:
+        while len(upper) > 1 and _orient(*upper[-2], *upper[-1], *p) <= 0:
+            upper.pop()
+        while len(lower) > 1 and _orient(*lower[-2], *lower[-1], *p) >= 0:
+            lower.pop()
+        upper.append(p)
+        lower.append(p)
+    return upper, lower
+
+
+def _antipodal_pairs(points):
+    upper, lower = _convex_hull(points)
+    i, j = 0, len(lower) - 1
+    while i < len(upper) - 1 or j > 0:
+        yield upper[i], lower[j]
+        if i == len(upper) - 1:
+            j -= 1
+        elif j == 0:
+            i += 1
+        elif ((upper[i + 1][1] - upper[i][1]) * (lower[j][0] - lower[j - 1][0])
+              > (lower[j][1] - lower[j - 1][1]) * (upper[i + 1][0] - upper[i][0])):
+            i += 1
+        else:
+            j -= 1
+    yield upper[-1], lower[0]
+
+
+def region_diameter(region: Region, n: int = 4096) -> float:
+    """Max pairwise distance over ~n boundary samples plus path vertices."""
+    if n < 64:
+        raise ValueError("need at least 64 samples")
+    pts = region.boundary.sample(n)
+    pts.extend(region.boundary.vertices())
+    best = 0.0
+    for a, b in _antipodal_pairs(pts):
+        d = math.dist(a, b)
+        if d > best:
+            best = d
+    return best
+
+
+# --------------------------------------------------------------------------
+# transforms shared by covers and mutants
+
+def scale_piece(piece, factor: float, about):
+    ox, oy = about
+    if isinstance(piece, Seg):
+        return Seg(ox + factor * (piece.x0 - ox), oy + factor * (piece.y0 - oy),
+                   ox + factor * (piece.x1 - ox), oy + factor * (piece.y1 - oy))
+    return Arc(ox + factor * (piece.cx - ox), oy + factor * (piece.cy - oy),
+               factor * piece.r, piece.t0, piece.t1)
+
+
+def polygon_centroid(path: ArcPath):
+    """Area centroid of the region, from a dense chord approximation."""
+    chords = path.polygonize(max_arc_step=TWO_PI / 512)
+    a2 = cx = cy = 0.0
+    for (x0, y0, x1, y1, _) in chords:
+        w = x0 * y1 - x1 * y0
+        a2 += w
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    if abs(a2) < 1e-15:
+        raise GeometryError("degenerate path: zero area")
+    return (cx / (3 * a2), cy / (3 * a2))

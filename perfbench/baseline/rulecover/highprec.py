@@ -1,0 +1,174 @@
+"""Precision-parameterized real arithmetic.
+
+Two interchangeable scalar backends drive every formula in this package:
+the native backend works on floats (~15-16 significant digits) and the
+decimal backend works on ``decimal.Decimal`` at a configurable number of
+significant digits (default 40).  The decimal trig evaluates Taylor series
+after argument reduction modulo 2*pi, carrying a few guard digits so results
+are good to 1 ulp at the configured precision.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager, nullcontext
+from decimal import Decimal, localcontext
+from functools import lru_cache
+
+DEFAULT_DIGITS = 40
+_GUARD = 6  # extra digits carried inside the series loops
+
+
+@lru_cache(maxsize=None)
+def pi_decimal(digits: int) -> Decimal:
+    """pi to `digits` significant digits (Newton-like series on Decimal)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + _GUARD
+        lasts, t, s = Decimal(0), Decimal(3), Decimal(3)
+        n, na, d, da = 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +s
+
+
+def _reduce(x: Decimal, digits: int) -> Decimal:
+    """Reduce x into (-pi, pi] for fast Taylor convergence."""
+    two_pi = 2 * pi_decimal(digits + _GUARD)
+    x = x % two_pi
+    if x > two_pi / 2:
+        x -= two_pi
+    return x
+
+
+def sin_decimal(x: Decimal, digits: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = digits + _GUARD
+        x = _reduce(Decimal(x), digits)
+        i, lasts, s, fact, num, sign = 1, Decimal(0), x, 1, x, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign = -sign
+            s += sign * num / fact
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +s
+
+
+def cos_decimal(x: Decimal, digits: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = digits + _GUARD
+        x = _reduce(Decimal(x), digits)
+        i, lasts, s, fact, num, sign = 0, Decimal(0), Decimal(1), 1, Decimal(1), 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign = -sign
+            s += sign * num / fact
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +s
+
+
+def truncate_digits(x, digits: int) -> str:
+    """Plain-decimal string of x truncated (not rounded) to significant digits.
+
+    Matches the truncating output convention of arbitrary-precision
+    calculators, so reproduced values can be compared digit for digit.
+    """
+    d = Decimal(x) if not isinstance(x, Decimal) else x
+    if d == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = digits + 8
+        shift = digits - 1 - d.adjusted()
+        scaled = d.scaleb(shift).to_integral_value(rounding="ROUND_DOWN")
+        out = scaled.scaleb(-shift)
+    return format(out, "f")
+
+
+class NativeBackend:
+    """Float arithmetic: math-module trig, ~15-16 significant digits."""
+
+    digits = None
+    name = "native"
+
+    @staticmethod
+    def num(x):
+        return float(x)
+
+    sin = staticmethod(math.sin)
+    cos = staticmethod(math.cos)
+    acos = staticmethod(math.acos)
+    sqrt = staticmethod(math.sqrt)
+
+    @staticmethod
+    def pi():
+        return math.pi
+
+    @staticmethod
+    def context():
+        return nullcontext()
+
+    def tolerance(self):
+        return 1e-12
+
+
+class DecimalBackend:
+    """Decimal arithmetic at a configurable number of significant digits."""
+
+    name = "decimal"
+
+    def __init__(self, digits: int = DEFAULT_DIGITS, guard: int = 0):
+        if digits < 4:
+            raise ValueError("need at least 4 significant digits")
+        self.digits = digits + guard
+        self.nominal_digits = digits
+
+    def num(self, x):
+        if isinstance(x, float):
+            # exact binary-to-decimal conversion, then round to context
+            with localcontext() as ctx:
+                ctx.prec = self.digits
+                return +Decimal(x)
+        return Decimal(x)
+
+    def sin(self, x):
+        return sin_decimal(x, self.digits)
+
+    def cos(self, x):
+        return cos_decimal(x, self.digits)
+
+    def sqrt(self, x):
+        with localcontext() as ctx:
+            ctx.prec = self.digits
+            return Decimal(x).sqrt()
+
+    def pi(self):
+        return pi_decimal(self.digits)
+
+    @contextmanager
+    def context(self):
+        with localcontext() as ctx:
+            ctx.prec = self.digits
+            yield ctx
+
+    def with_guard(self, extra: int) -> "DecimalBackend":
+        return DecimalBackend(self.nominal_digits, guard=extra)
+
+    def tolerance(self):
+        # one-in-the-last-two-digits default, per precision configuration
+        return Decimal(10) ** (2 - self.nominal_digits)
+
+
+NATIVE = NativeBackend()

@@ -1,0 +1,185 @@
+"""Hill-climbing local search over symmetric n-edge generating chains.
+
+The half chain is the search space: n//2 (length fraction, turn angle)
+pairs, with the middle edge implied for odd n and mirror symmetry always
+enforced by construction.  Moves perturb one coordinate, renormalize the
+fractions, clamp turns nonnegative, and are accepted only on strict area
+improvement; inadmissible candidates are rejected outright.  Runs are
+bit-reproducible for a fixed seed.
+"""
+
+from __future__ import annotations
+
+import csv
+import random
+from dataclasses import dataclass, field
+
+from . import smooth
+from .involute import GeneratingChain, InadmissibleChainError, involute_cover
+
+MIN_FRACTION = 1e-6
+
+
+class SearchConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    edges: int
+    iterations: int
+    seed: int
+    initial_step: float = 0.05
+    step_decay: float = 0.999
+    restarts: int = 1
+
+    def __post_init__(self):
+        if self.edges < 1:
+            raise SearchConfigError("edges must be >= 1")
+        if self.iterations < 1:
+            raise SearchConfigError("iterations must be >= 1")
+        if not self.initial_step > 0:
+            raise SearchConfigError("initial step must be positive")
+        if not 0 < self.step_decay <= 1:
+            raise SearchConfigError("step decay must be in (0, 1]")
+        if self.restarts < 1:
+            raise SearchConfigError("restarts must be >= 1")
+
+
+@dataclass(frozen=True)
+class ChainParams:
+    """Half-chain coordinates: one (fraction, turn) pair per half edge."""
+
+    edges: int
+    fracs: tuple
+    turns: tuple
+
+    def to_chain(self) -> GeneratingChain:
+        return GeneratingChain.from_half_params(self.edges, self.fracs, self.turns)
+
+    @staticmethod
+    def from_chain(chain: GeneratingChain) -> "ChainParams":
+        fracs, turns = chain.half_params()
+        return ChainParams(edges=chain.n_edges, fracs=fracs, turns=turns)
+
+
+@dataclass
+class SearchTrace:
+    best_areas: list = field(default_factory=list)
+    best_chain: GeneratingChain = None
+    best_area: float = float("inf")
+
+
+def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:
+    """Move one coordinate by uniform(+-step); renormalize and clamp."""
+    if step < 0:
+        raise ValueError("step must be nonnegative")
+    fracs = list(params.fracs)
+    turns = list(params.turns)
+    k = rng.randrange(len(fracs) + len(turns))
+    delta = (2 * rng.random() - 1) * step
+    if delta == 0.0:
+        return params
+    if k < len(fracs):
+        fracs[k] = max(MIN_FRACTION, fracs[k] + delta)
+        if params.edges % 2 == 0:
+            total = sum(fracs)
+            fracs = [f * 0.5 / total for f in fracs]
+        else:
+            # keep room for the implied middle edge
+            total = sum(fracs)
+            limit = (1.0 - MIN_FRACTION) / 2
+            if total > limit:
+                fracs = [f * limit / total for f in fracs]
+    else:
+        j = k - len(fracs)
+        turns[j] = max(0.0, turns[j] + delta)
+    return ChainParams(edges=params.edges, fracs=tuple(fracs), turns=tuple(turns))
+
+
+def _cover_area(params: ChainParams):
+    """Area of the induced cover, or None when inadmissible.
+
+    The boundary audit is skipped inside the loop; the winning chain is
+    rebuilt with full checks before it leaves local_search.
+    """
+    try:
+        chain = params.to_chain()
+        return involute_cover(chain, check_boundary=False).area, chain
+    except (InadmissibleChainError, ValueError):
+        return None, None
+
+
+def initial_params(n: int) -> ChainParams:
+    """Feasible warm start: the discretized smooth optimum for n >= 4,
+    else a flat chain with small uniform turns."""
+    m = n // 2
+    if n >= 4:
+        _, co, _ = _smooth_optimum()
+        chain = smooth.discretize_smooth(co, n)
+        return ChainParams.from_chain(chain)
+    if n % 2 == 0:
+        fracs = tuple(0.5 / m for _ in range(m))
+        turns = tuple(0.2 / m for _ in range(m))
+    else:
+        fracs = tuple(1.0 / n for _ in range(m))
+        turns = tuple(0.2 / n for _ in range(m))
+    return ChainParams(edges=n, fracs=fracs, turns=turns)
+
+
+_SMOOTH_CACHE = None
+
+
+def _smooth_optimum():
+    global _SMOOTH_CACHE
+    if _SMOOTH_CACHE is None:
+        _SMOOTH_CACHE = smooth.optimize_smooth(tol=1e-10)
+    return _SMOOTH_CACHE
+
+
+def local_search(cfg: SearchConfig) -> SearchTrace:
+    """Strict-improvement hill climbing with decaying step and restarts."""
+    trace = SearchTrace()
+    if cfg.edges == 1:
+        chain = GeneratingChain.from_half_params(1, (), ())
+        area = involute_cover(chain).area
+        trace.best_areas = [area]
+        trace.best_chain = chain
+        trace.best_area = area
+        return trace
+
+    rng = random.Random(cfg.seed)
+    params = initial_params(cfg.edges)
+    best_area, best_chain = _cover_area(params)
+    if best_area is None:
+        raise SearchConfigError(
+            f"no admissible initial chain with {cfg.edges} edges")
+    best_params = params
+    trace.best_areas.append(best_area)
+
+    per_restart = cfg.iterations // cfg.restarts
+    leftovers = cfg.iterations - per_restart * cfg.restarts
+    for r in range(cfg.restarts):
+        step = cfg.initial_step
+        budget = per_restart + (leftovers if r == 0 else 0)
+        for _ in range(budget):
+            cand = perturb(best_params, step, rng)
+            area, chain = _cover_area(cand)
+            if area is not None and area < best_area:
+                best_area, best_chain, best_params = area, chain, cand
+                step *= cfg.step_decay
+            trace.best_areas.append(best_area)
+
+    # full-checked rebuild of the winner (the loop skipped the boundary audit)
+    final = involute_cover(best_chain)
+    trace.best_chain = final.chain
+    trace.best_area = final.area
+    return trace
+
+
+def write_trace_csv(trace: SearchTrace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "best_area"])
+        for i, area in enumerate(trace.best_areas):
+            writer.writerow([i, repr(area)])

@@ -1,0 +1,322 @@
+"""The smooth generating curve and its cover.
+
+The curve through the origin has speed g(t) = b0 + b1 cos t + b2 cos 2t and
+tangent direction (cos t, -sin t) for t in [-a, a].  Three conditions pin
+the coefficients for a given half-angle a: unit arc length, tangency of the
+curve to the unit segments at its endpoints, and zero curvature radius at
+the endpoints.  The cover area has a closed form assembled from the
+integral of the unwrapped string length squared, the apex triangle, and
+the cap between curve and chord; every formula here runs unchanged on
+floats or Decimals via the precision backends.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from decimal import Decimal
+
+from . import numerics
+from .highprec import NATIVE, DecimalBackend, truncate_digits
+from .involute import GeneratingChain
+
+SMOOTH_BRACKET = (0.8, 1.4)
+
+
+class SingularParameterError(ValueError):
+    pass
+
+
+class SpeedPositivityError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SmoothCoefficients:
+    """Half-angle a, speed coefficients (b0, b1, b2), and b = h(a)."""
+
+    a: object
+    b0: object
+    b1: object
+    b2: object
+    b: object
+
+
+def solve_coefficients(a, backend=NATIVE, check: bool = False) -> SmoothCoefficients:
+    """Coefficients enforcing unit length, endpoint tangency, zero curvature.
+
+    Evaluates the closed forms in dependency order (b2, then b1, then b0)
+    and b = h(a).  The constraints hold for any a in (0, pi/2), but the
+    result describes an actual curve only where the speed g stays positive
+    strictly inside [-a, a] (a window around the optimal a); pass check=True
+    or call check_speed_positivity to enforce that.
+    """
+    with backend.context():
+        a = backend.num(a)
+        sin, cos = backend.sin, backend.cos
+        s, c = sin(a), cos(a)
+        s2, c2 = sin(2 * a), cos(2 * a)
+        den = (12 * a * a * c2 - 2 * a * s2 * (7 - c2)
+               + (1 - c2) * (11 - 5 * c2))
+        if abs(float(den)) < 1e-14:
+            raise SingularParameterError(
+                f"coefficient denominator vanishes near a={a}")
+        b2 = (15 * s2 - 6 * a * (2 * c2 + 3)) / den
+        b1 = (1 - b2 * (s2 - 2 * a * c2)) / (2 * (s - a * c))
+        b0 = -b1 * c - b2 * c2
+        b = b0 * a + b1 * s + b2 * s2 / 2
+        co = SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
+    if check:
+        check_speed_positivity(co)
+    return co
+
+
+def check_speed_positivity(co: SmoothCoefficients, grid: int = 1000):
+    """Raise unless g > 0 strictly inside (-a, a): g(0) plus a float grid."""
+    a = float(co.a)
+    b0, b1, b2 = float(co.b0), float(co.b1), float(co.b2)
+    if b0 + b1 + b2 <= 0:
+        raise SpeedPositivityError(f"curve speed not positive at t=0 for a={a!r}")
+    lo = -a * (1 - 1e-6)
+    for k in range(grid + 1):
+        t = lo + (2 * a * (1 - 1e-6)) * k / grid
+        g = b0 + b1 * math.cos(t) + b2 * math.cos(2 * t)
+        if g <= 0 and abs(t) < a * (1 - 1e-3):
+            raise SpeedPositivityError(
+                f"curve speed not positive at t={t!r} (g={g!r}) for a={a!r}")
+
+
+def _domain_check(co: SmoothCoefficients, t):
+    if abs(float(t)) > float(co.a) * (1 + 1e-12) + 1e-15:
+        raise ValueError(f"parameter t={t!r} outside [-a, a], a={co.a!r}")
+
+
+def curve_speed(co: SmoothCoefficients, t, backend=NATIVE):
+    """|c0'(t)| = g(t)."""
+    with backend.context():
+        t = backend.num(t)
+        return co.b0 + co.b1 * backend.cos(t) + co.b2 * backend.cos(2 * t)
+
+
+def curve_point(co: SmoothCoefficients, t, backend=NATIVE):
+    """Point on the generating curve; the curve passes through the origin."""
+    _domain_check(co, t)
+    with backend.context():
+        t = backend.num(t)
+        sin, cos = backend.sin, backend.cos
+        b0, b1, b2 = co.b0, co.b1, co.b2
+        x = (6 * b1 * t + 6 * (2 * b0 + b2) * sin(t) + 3 * b1 * sin(2 * t)
+             + 2 * b2 * sin(3 * t)) / 12
+        y = (6 * (2 * b0 - b2) * cos(t) + 3 * b1 * cos(2 * t)
+             + 2 * b2 * cos(3 * t) - 12 * b0 - 3 * b1 + 4 * b2) / 12
+        return (x, y)
+
+
+def h_value(co: SmoothCoefficients, t, backend=NATIVE):
+    """Antiderivative of the speed: h(t) = b0 t + b1 sin t + (b2/2) sin 2t."""
+    with backend.context():
+        t = backend.num(t)
+        return co.b0 * t + co.b1 * backend.sin(t) + co.b2 * backend.sin(2 * t) / 2
+
+
+def unwrapped_length(co: SmoothCoefficients, t, backend=NATIVE):
+    """String length unwrapped from the left end up to parameter t."""
+    return h_value(co, t, backend) + co.b
+
+
+def involute_points(co: SmoothCoefficients, t, backend=NATIVE):
+    """(left involute point, right involute point) at parameter t.
+
+    The two points differ by exactly the unit vector (cos t, -sin t): the
+    two string pieces they mark always add up to the full unit string.
+    """
+    _domain_check(co, t)
+    with backend.context():
+        t = backend.num(t)
+        x0, y0 = curve_point(co, t, backend)
+        ell = unwrapped_length(co, t, backend)
+        ct, st = backend.cos(t), backend.sin(t)
+        c1 = (x0 - ell * ct, y0 + ell * st)
+        c2 = (c1[0] + ct, c1[1] - st)
+        return c1, c2
+
+
+def ell_squared_antiderivative(co: SmoothCoefficients, t, backend=NATIVE):
+    """Indefinite integral of the squared unwrapped length."""
+    with backend.context():
+        t = backend.num(t)
+        sin, cos = backend.sin, backend.cos
+        b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
+        return (32 * b0 ** 2 * t ** 3 + 96 * b0 * b * t ** 2
+                + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * t
+                + 48 * b1 * (4 * b0 + b2) * sin(t)
+                + 24 * (b0 * b2 - b1 ** 2) * sin(2 * t)
+                - 16 * b1 * b2 * sin(3 * t)
+                - 3 * b2 ** 2 * sin(4 * t)
+                - 48 * (b0 * t + b) * (4 * b1 * cos(t) + b2 * cos(2 * t))) / 96
+
+
+def cap_antiderivative_288(co: SmoothCoefficients, t, backend=NATIVE):
+    """288 times the antiderivative of -2 x0(t) y0'(t); exactly 0 at t = 0."""
+    with backend.context():
+        t = backend.num(t)
+        sin, cos = backend.sin, backend.cos
+        b0, b1, b2 = co.b0, co.b1, co.b2
+        return (12 * (24 * b0 ** 2 - 4 * b2 ** 2 + 3 * b1 ** 2) * t
+                + 24 * b1 * (21 * b0 - 2 * b2) * sin(t)
+                - 12 * (12 * b0 ** 2 - 8 * b0 * b2 - 5 * b2 ** 2
+                        - 3 * b1 ** 2) * sin(2 * t)
+                - 4 * b1 * (18 * b0 - b2) * sin(3 * t)
+                - 3 * (16 * b0 * b2 + 4 * b2 ** 2 + 3 * b1 ** 2) * sin(4 * t)
+                - 12 * b1 * b2 * sin(5 * t)
+                - 4 * b2 ** 2 * sin(6 * t)
+                - 24 * b1 * t * (6 * (2 * b0 - b2) * cos(t)
+                                 + 3 * b1 * cos(2 * t) + 2 * b2 * cos(3 * t)))
+
+
+def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE):
+    """(integral of ell^2, apex triangle area, cap area) in closed form."""
+    with backend.context():
+        a = co.a
+        sin, cos = backend.sin, backend.cos
+        b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
+        int_l2 = (32 * b0 ** 2 * a ** 3
+                  + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * a
+                  + 48 * b1 * (4 * b0 + b2) * sin(a)
+                  + 24 * (b0 * b2 - b1 ** 2) * sin(2 * a)
+                  - 16 * b1 * b2 * sin(3 * a)
+                  - 3 * b2 ** 2 * sin(4 * a)
+                  - 48 * b0 * a * (4 * b1 * cos(a) + b2 * cos(2 * a))) / 48
+        a_uvw = cos(a) * sin(a)
+        a_uv = cap_antiderivative_288(co, a, backend) / 288
+        return int_l2, a_uvw, a_uv
+
+
+def smooth_area(co: SmoothCoefficients, backend=NATIVE):
+    int_l2, a_uvw, a_uv = smooth_area_parts(co, backend)
+    with backend.context():
+        return int_l2 - a_uvw + a_uv
+
+
+def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
+    """Minimize the cover area over the half-angle a.
+
+    Native mode localizes a to ~1e-10.  In decimal mode the objective is
+    evaluated with extra guard digits so parabolic refinement stays
+    meaningful all the way down to tol; results are reported at the
+    backend's nominal precision.
+    """
+    if backend is NATIVE or getattr(backend, "digits", None) is None:
+        tol = 1e-12 if tol is None else tol
+        res = numerics.minimize_1d(
+            lambda a: smooth_area(solve_coefficients(a)),
+            float(bracket[0]), float(bracket[1]), tol=tol)
+        a = res.argmin
+        co = solve_coefficients(a, check=True)
+        return a, co, smooth_area(co)
+
+    digits = backend.nominal_digits
+    if tol is None:
+        tol = backend.tolerance()
+    # the area is quadratic around the optimum, so pinning the argmin to
+    # ~`digits` digits needs ~2x digits in the objective: the comparison
+    # plateau has width ~sqrt(quantum / A'')
+    guard = backend.with_guard(digits + 12)
+    with guard.context():
+        lo, hi = guard.num(bracket[0]), guard.num(bracket[1])
+        res = numerics.minimize_1d(
+            lambda a: smooth_area(solve_coefficients(a, guard),
+                                  guard),
+            lo, hi, tol=Decimal(tol))
+    with backend.context():
+        a = +res.argmin  # round to nominal precision
+    co = solve_coefficients(a, backend)
+    check_speed_positivity(co)
+    return a, co, smooth_area(co, backend)
+
+
+def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:
+    """Chain through n+1 curve points at equal unwrapped-length spacing.
+
+    Chord lengths are rescaled so the chain has total length exactly 1;
+    coordinates are mirror-averaged so the chain is symmetric to the last
+    bit, which the involute construction requires.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 edges")
+    check_speed_positivity(co)
+    a = float(co.a)
+    b0, b1, b2, b = float(co.b0), float(co.b1), float(co.b2), float(co.b)
+
+    def ell(t):
+        return b0 * t + b1 * math.sin(t) + b2 * math.sin(2 * t) / 2 + b
+
+    co_f = SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
+    ts = []
+    for k in range(n + 1):
+        target = k / n
+        lo, hi = -a, a
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if ell(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        ts.append(0.5 * (lo + hi))
+    pts = [curve_point(co_f, t) for t in ts]
+    sym = []
+    for k in range(n + 1):
+        x1, y1 = pts[k]
+        x2, y2 = pts[n - k]
+        sym.append(((x1 - x2) / 2, (y1 + y2) / 2))
+    total = sum(math.dist(sym[i], sym[i + 1]) for i in range(n))
+    return GeneratingChain(tuple((x / total, y / total) for (x, y) in sym))
+
+
+@dataclass(frozen=True)
+class AppendixReport:
+    """High-precision pipeline output, truncated like calculator output."""
+
+    digits: int
+    a: str
+    b0: str
+    b1: str
+    b2: str
+    area: str
+
+    def as_text(self) -> str:
+        return (f"digits = {self.digits}\n"
+                f"a  = {self.a}\n"
+                f"b0 = {self.b0}\n"
+                f"b1 = {self.b1}\n"
+                f"b2 = {self.b2}\n"
+                f"A  = {self.area}\n")
+
+
+def reproduce_appendix(digits: int = 30) -> AppendixReport:
+    """Re-run the whole pipeline at the requested decimal precision.
+
+    All values are computed with guard digits beyond the request and then
+    truncated (not rounded) to `digits` significant digits, so the output
+    lines up digit for digit with truncating-calculator output.
+    """
+    if digits < 20:
+        raise ValueError("need at least 20 digits for a faithful reproduction")
+    guard = DecimalBackend(digits, guard=digits + 12)  # see optimize_smooth
+    tol = Decimal(10) ** (-digits - 6)
+    with guard.context():
+        lo, hi = guard.num(SMOOTH_BRACKET[0]), guard.num(SMOOTH_BRACKET[1])
+        res = numerics.minimize_1d(
+            lambda a: smooth_area(solve_coefficients(a, guard),
+                                  guard),
+            lo, hi, tol=tol)
+        co = solve_coefficients(res.argmin, guard)
+        area = smooth_area(co, guard)
+    return AppendixReport(
+        digits=digits,
+        a=truncate_digits(res.argmin, digits),
+        b0=truncate_digits(co.b0, digits),
+        b1=truncate_digits(co.b1, digits),
+        b2=truncate_digits(co.b2, digits),
+        area=truncate_digits(area, digits),
+    )

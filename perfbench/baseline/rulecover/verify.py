@@ -1,0 +1,245 @@
+"""Numerical verification of the cover property and the folding strategy.
+
+A cover is exercised, never proved: sample points p on the two upper arcs
+and lengths l in (0, 1], and demand some other upper-arc point q with
+|pq| = l whose segment stays inside the region (boundary contact counts
+as inside, matching the use of the corner points in the constructions).
+The online folding strategy places each next joint greedily at such a q.
+Failures are data, not errors; they feed the report.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import warnings
+from dataclasses import dataclass
+
+from .geometry import (
+    ArcPath,
+    Region,
+    Seg,
+    _point_arc_distance,
+    _point_seg_distance,
+    arc_path_area,
+    circle_path_intersections,
+    polygon_centroid,
+    region_diameter,
+    scale_piece,
+    segment_inside,
+)
+from .involute import CoverBundle, GeneratingChain
+
+DEFAULT_EPS = 1e-9
+
+
+class FoldFailureError(RuntimeError):
+    """No admissible next joint; carries the segment index and point."""
+
+    def __init__(self, index: int, point, length: float):
+        super().__init__(
+            f"no admissible joint for segment {index} of length {length!r} "
+            f"from point {point!r}")
+        self.index = index
+        self.point = point
+        self.length = length
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A carpenter's rule: the sequence of its segment lengths."""
+
+    lengths: tuple
+
+    def __post_init__(self):
+        ls = tuple(float(x) for x in self.lengths)
+        if not ls:
+            raise ValueError("rule needs at least one segment")
+        if any(not 0.0 < x <= 1.0 for x in ls):
+            raise ValueError("every segment length must be in (0, 1]")
+        object.__setattr__(self, "lengths", ls)
+
+
+@dataclass(frozen=True)
+class Fold:
+    """Joint positions realizing a rule inside a cover (one more than segments)."""
+
+    joints: tuple
+
+
+@dataclass
+class VerificationReport:
+    points: int
+    lengths: int
+    failures: list
+    diameter: float
+    eps: float
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "points": self.points,
+            "lengths": self.lengths,
+            "failures": [{"p": [p[0], p[1]], "l": l} for (p, l) in self.failures],
+            "diameter": self.diameter,
+            "passed": self.passed,
+        }
+
+
+def random_rule(n: int, seed: int, max_len: float = 1.0) -> Rule:
+    """n segment lengths drawn uniformly from (0, max_len]."""
+    rng = random.Random(seed)
+    return Rule(tuple(max_len * (1.0 - rng.random()) for _ in range(n)))
+
+
+def _upper_samples(upper, n_right: int, n: int):
+    """(point, side) samples on the upper arcs, endpoints always included."""
+    total = upper.length()
+    samples = []
+    for idx, piece in enumerate(upper.pieces):
+        side = 0 if idx < n_right else 1
+        k = max(1, round(n * piece.length() / total)) if total > 0 else 1
+        for j in range(k):
+            samples.append((piece.point_at(j / k), side))
+    last = upper.pieces[-1]
+    samples.append((last.end, 1 if len(upper.pieces) > n_right else 0))
+    return samples
+
+
+def _candidates(upper, n_right: int, p, side, length: float):
+    """Upper-arc points at distance `length` from p, opposite side first."""
+    hits = circle_path_intersections(p, length, upper)
+    keyed = []
+    for (idx, s, pt) in hits:
+        q_side = 0 if idx < n_right else 1
+        keyed.append(((q_side == side, idx, s), pt))
+    keyed.sort(key=lambda h: h[0])
+    return [pt for (_, pt) in keyed]
+
+
+def verify_reachability(cover: CoverBundle, n_points: int = 256,
+                        n_lengths: int = 256, eps: float = DEFAULT_EPS,
+                        diameter_samples: int = 4096) -> VerificationReport:
+    """Sampled test of the boundary reachability property.
+
+    For every sampled p on the upper arcs and every length l = i/n_lengths
+    (so l = 1 is always exercised), search the exact circle intersections
+    with the upper arcs for a q whose segment pq stays inside.
+    """
+    if n_points < 16 or n_lengths < 16:
+        raise ValueError("need at least 16 point and 16 length samples")
+    region = cover.region
+    upper = cover.upper_path
+    n_right = cover.n_right_upper
+    samples = _upper_samples(upper, n_right, n_points)
+    failures = []
+    for (p, side) in samples:
+        for i in range(1, n_lengths + 1):
+            length = i / n_lengths
+            found = False
+            for q in _candidates(upper, n_right, p, side, length):
+                if math.dist(p, q) <= eps:
+                    continue  # the trivial point q = p does not count
+                if segment_inside(region, p, q, eps):
+                    found = True
+                    break
+            if not found:
+                failures.append((p, length))
+    diameter = region_diameter(region, diameter_samples)
+    passed = not failures and diameter <= 1.0 + eps
+    return VerificationReport(points=len(samples), lengths=n_lengths,
+                              failures=failures, diameter=diameter,
+                              eps=eps, passed=passed)
+
+
+def verify_diameter(cover: CoverBundle, n: int = 4096,
+                    eps: float = DEFAULT_EPS) -> float:
+    """Sampled diameter of the cover; warns when it exceeds 1 + eps."""
+    diameter = region_diameter(cover.region, n)
+    if diameter > 1.0 + eps:
+        warnings.warn(f"cover diameter {diameter!r} exceeds 1 + {eps!r}",
+                      stacklevel=2)
+    return diameter
+
+
+def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
+    """Greedy online folding: every joint lands on the upper arcs.
+
+    The first joint sits at u.  With seed None each step takes the first
+    admissible candidate (opposite arc preferred, then path order); with an
+    integer seed the step picks uniformly among all admissible candidates,
+    deterministically for that seed.
+    """
+    rng = random.Random(seed) if seed is not None else None
+    region = cover.region
+    upper = cover.upper_path
+    n_right = cover.n_right_upper
+    joints = [cover.chain.u]
+    side = 1  # u terminates the left involute
+    for index, length in enumerate(rule.lengths):
+        p = joints[-1]
+        admissible = []
+        for q in _candidates(upper, n_right, p, side, length):
+            if math.dist(p, q) <= 1e-12:
+                continue
+            if abs(math.dist(p, q) - length) > 1e-9:
+                continue
+            if segment_inside(region, p, q, DEFAULT_EPS):
+                if rng is None:
+                    admissible = [q]
+                    break
+                admissible.append(q)
+        if not admissible:
+            raise FoldFailureError(index, p, length)
+        q = admissible[0] if rng is None else admissible[rng.randrange(len(admissible))]
+        joints.append(q)
+        side = _side_of_point(upper, n_right, q)
+    return Fold(joints=tuple(joints))
+
+
+def _side_of_point(upper, n_right: int, q) -> int:
+    """0 if q sits on the right upper arcs, else 1."""
+    best_idx, best_d = 0, math.inf
+    for idx, piece in enumerate(upper.pieces):
+        d = (_point_seg_distance(q[0], q[1], piece) if isinstance(piece, Seg)
+             else _point_arc_distance(q[0], q[1], piece))
+        if d < best_d:
+            best_idx, best_d = idx, d
+    return 0 if best_idx < n_right else 1
+
+
+def check_fold(cover: CoverBundle, rule: Rule, fold: Fold,
+               eps: float = DEFAULT_EPS):
+    """Assert the Fold invariants independently of how it was produced."""
+    if len(fold.joints) != len(rule.lengths) + 1:
+        raise AssertionError("joint count does not match rule")
+    for i, length in enumerate(rule.lengths):
+        d = math.dist(fold.joints[i], fold.joints[i + 1])
+        if abs(d - length) > 1e-9:
+            raise AssertionError(
+                f"segment {i} has length {d!r}, expected {length!r}")
+        if not segment_inside(cover.region, fold.joints[i],
+                              fold.joints[i + 1], eps):
+            raise AssertionError(f"segment {i} leaves the cover")
+    return True
+
+
+def shrink_cover(cover: CoverBundle, factor: float = 0.95) -> CoverBundle:
+    """Adversarial control: the cover scaled about its area centroid.
+
+    The result is not a valid cover (its chain is shorter than the unit
+    string), which is the point: the verifier must reject it.
+    """
+    center = polygon_centroid(cover.region.boundary)
+    pieces = [scale_piece(p, factor, center) for p in cover.region.boundary.pieces]
+    path = ArcPath(pieces)
+    region = Region(boundary=path, area=arc_path_area(path, check=False))
+    cx, cy = center
+    verts = tuple((cx + factor * (x - cx), cy + factor * (y - cy))
+                  for (x, y) in cover.chain.vertices)
+    apex = (cx + factor * (cover.apex[0] - cx), cy + factor * (cover.apex[1] - cy))
+    return CoverBundle(
+        chain=GeneratingChain(verts), region=region, apex=apex,
+        left_arcs=tuple(scale_piece(a, factor, center) for a in cover.left_arcs),
+        right_arcs=tuple(scale_piece(a, factor, center) for a in cover.right_arcs),
+        area=region.area, final_pivot=cover.final_pivot)
