@@ -120,12 +120,7 @@ class Arc:
                 self.cy + self.r * math.sin(t))
 
     def angle_in_span(self, phi: float, slack: float = 0.0) -> bool:
-        d = self.sweep
-        if d >= 0:
-            rel = (phi - self.t0) % TWO_PI
-            return rel <= d + slack or rel >= TWO_PI - slack
-        rel = (self.t0 - phi) % TWO_PI
-        return rel <= -d + slack or rel >= TWO_PI - slack
+        return _arc_angle_in(self.t0, self.sweep, phi, slack)
 
     def reversed(self) -> "Arc":
         return Arc(self.cx, self.cy, self.r, self.t1, self.t0)
@@ -351,26 +346,58 @@ class Region:
 # --------------------------------------------------------------------------
 # compiled piece tables for the hot paths
 #
-# seg rows: (0, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad)
-# arc rows: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
-# where (bcx, bcy, brad) is a bounding circle; an arc's own circle bounds it.
+# The table is a list of blocks (gx, gy, grad, rows): up to BLOCK_SIZE
+# consecutive rows (bcx, bcy, brad, idx, piece) in path order, where idx is
+# the piece's index on the path and
+#   seg pieces: (0, x0, y0, x1, y1, ex, ey, elen)
+#   arc pieces: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
+# Every point a scan may count on a piece lies in the row's circle
+# (bcx, bcy, brad), and every row circle padded by BOUND_PAD lies in its
+# block's circle (gx, gy, grad), so the scans skip a block or a row whose
+# circle misses the query before any per-piece math.  A segment's circle is
+# the one on its midpoint, unpadded, as the scans have always pruned it.
+# An arc of |sweep| <= pi gets the circle on its chord as diameter (its
+# farthest points from the chord midpoint are its endpoints), a longer arc
+# its own circle; both padded by BOUND_PAD, which covers the 1e-9
+# arc-length endpoint slack the scans accept plus rounding.  The query's
+# own tolerance (eps, DEDUP_TOL) is added by each scan.
+
+BLOCK_SIZE = 16
+BOUND_PAD = 1e-8
+
+
+def _row(idx, p):
+    if isinstance(p, Seg):
+        ex, ey = p.x1 - p.x0, p.y1 - p.y0
+        elen = math.hypot(ex, ey)
+        return (0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1), 0.5 * elen, idx,
+                (0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen))
+    sx, sy = p.start
+    endx, endy = p.end
+    if abs(p.sweep) <= math.pi:
+        bcx, bcy = 0.5 * (sx + endx), 0.5 * (sy + endy)
+        brad = 0.5 * math.hypot(endx - sx, endy - sy) + BOUND_PAD
+    else:
+        bcx, bcy, brad = p.cx, p.cy, p.r + BOUND_PAD
+    return (bcx, bcy, brad, idx,
+            (1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep, sx, sy, endx, endy))
+
+
+def _block(rows):
+    # centre of the box around the padded row circles; not the smallest circle
+    pads = [(x, y, r + BOUND_PAD) for (x, y, r, _, _) in rows]
+    gx = 0.5 * (min(x - r for x, _, r in pads) + max(x + r for x, _, r in pads))
+    gy = 0.5 * (min(y - r for _, y, r in pads) + max(y + r for _, y, r in pads))
+    grad = max(math.hypot(x - gx, y - gy) + r for x, y, r in pads)
+    return (gx, gy, grad, tuple(rows))
+
 
 def _compiled(path: ArcPath):
     table = path._compiled
     if table is None:
-        table = []
-        for p in path.pieces:
-            if isinstance(p, Seg):
-                ex, ey = p.x1 - p.x0, p.y1 - p.y0
-                elen = math.hypot(ex, ey)
-                table.append((0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen,
-                              0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1),
-                              0.5 * elen))
-            else:
-                sx, sy = p.start
-                endx, endy = p.end
-                table.append((1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep,
-                              sx, sy, endx, endy))
+        rows = [_row(idx, p) for idx, p in enumerate(path.pieces)]
+        table = [_block(rows[k:k + BLOCK_SIZE])
+                 for k in range(0, len(rows), BLOCK_SIZE)]
         path._compiled = table
     return table
 
@@ -386,53 +413,36 @@ def _arc_angle_in(t0, sweep, phi, slack):
 # --------------------------------------------------------------------------
 # distances
 
-def _point_seg_distance(px, py, p: Seg) -> float:
-    ex, ey = p.x1 - p.x0, p.y1 - p.y0
-    L2 = ex * ex + ey * ey
-    if L2 <= 0:
-        return math.hypot(px - p.x0, py - p.y0)
-    s = ((px - p.x0) * ex + (py - p.y0) * ey) / L2
-    s = 0.0 if s < 0 else (1.0 if s > 1 else s)
-    return math.hypot(px - (p.x0 + s * ex), py - (p.y0 + s * ey))
-
-
-def _point_arc_distance(px, py, p: Arc) -> float:
-    dx, dy = px - p.cx, py - p.cy
-    d = math.hypot(dx, dy)
-    if d > 1e-15:
-        phi = math.atan2(dy, dx)
-        if p.angle_in_span(phi):
-            return abs(d - p.r)
-    return min(math.dist((px, py), p.start), math.dist((px, py), p.end))
-
-
 def boundary_distance(path: ArcPath, point) -> float:
     px, py = point
     best = math.inf
-    for row in _compiled(path):
-        if row[0] == 0:
-            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+    for (gx, gy, grad, rows) in _compiled(path):
+        if math.hypot(px - gx, py - gy) - grad >= best:
+            continue
+        for (bcx, bcy, brad, _, piece) in rows:
             if math.hypot(px - bcx, py - bcy) - brad >= best:
                 continue
-            if elen <= 0:
-                d = math.hypot(px - x0, py - y0)
+            if piece[0] == 0:
+                (_, x0, y0, x1, y1, ex, ey, elen) = piece
+                if elen <= 0:
+                    d = math.hypot(px - x0, py - y0)
+                else:
+                    s = ((px - x0) * ex + (py - y0) * ey) / (elen * elen)
+                    s = 0.0 if s < 0 else (1.0 if s > 1 else s)
+                    d = math.hypot(px - (x0 + s * ex), py - (y0 + s * ey))
             else:
-                s = ((px - x0) * ex + (py - y0) * ey) / (elen * elen)
-                s = 0.0 if s < 0 else (1.0 if s > 1 else s)
-                d = math.hypot(px - (x0 + s * ex), py - (y0 + s * ey))
-        else:
-            (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
-            dc = math.hypot(px - cx, py - cy)
-            if abs(dc - r) >= best:
-                continue
-            if dc > 1e-15 and _arc_angle_in(t0, sweep,
-                                            math.atan2(py - cy, px - cx), 0.0):
-                d = abs(dc - r)
-            else:
-                d = min(math.hypot(px - sx, py - sy),
-                        math.hypot(px - endx, py - endy))
-        if d < best:
-            best = d
+                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
+                dc = math.hypot(px - cx, py - cy)
+                if abs(dc - r) >= best:
+                    continue
+                if dc > 1e-15 and _arc_angle_in(t0, sweep,
+                                                math.atan2(py - cy, px - cx), 0.0):
+                    d = abs(dc - r)
+                else:
+                    d = min(math.hypot(px - sx, py - sy),
+                            math.hypot(px - endx, py - endy))
+            if d < best:
+                best = d
     return best
 
 
@@ -453,64 +463,70 @@ def _winding_number(path: ArcPath, point) -> int:
     for dx, dy in _RAY_DIRECTIONS:
         total = 0
         ok = True
-        for row in table:
-            if row[0] == 0:
-                (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
-                # prune pieces whose bounding circle misses the forward ray
+        for (gx, gy, grad, rows) in table:
+            # prune blocks, then pieces, whose bounding circle misses the ray
+            rx, ry = gx - px, gy - py
+            if abs(dx * ry - dy * rx) > grad or rx * dx + ry * dy < -grad:
+                continue
+            for (bcx, bcy, brad, _, piece) in rows:
                 rx, ry = bcx - px, bcy - py
                 if abs(dx * ry - dy * rx) > brad or rx * dx + ry * dy < -brad:
                     continue
-                denom = dx * ey - dy * ex
-                wx, wy = x0 - px, y0 - py
-                if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
-                    if abs(wx * dy - wy * dx) <= 1e-9:
-                        ok = False  # ray grazes along the piece
-                        break
-                    continue
-                u = (wx * ey - wy * ex) / denom
-                if u <= 1e-12:
-                    continue
-                s = (wx * dy - wy * dx) / denom
-                end_tol = 1e-9 / (elen if elen > 1e-9 else 1e-9)
-                if -end_tol < s < end_tol or 1 - end_tol < s < 1 + end_tol:
-                    ok = False  # hit lands on a piece endpoint
-                    break
-                if 0.0 < s < 1.0:
-                    total += 1 if denom > 0 else -1
-            else:
-                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
-                fx, fy = px - cx, py - cy
-                if abs(dx * fy - dy * fx) > r:
-                    continue  # ray line misses the whole circle
-                b = dx * fx + dy * fy
-                if b > r:
-                    continue  # whole circle behind the ray origin
-                disc = b * b - (fx * fx + fy * fy - r * r)
-                if disc < 1e-18:
-                    if disc > -1e-18:
-                        ok = False  # grazing tangency
-                        break
-                    continue
-                root = sqrt(disc)
-                slack = 1e-9 / (r if r > 1e-9 else 1e-9)
-                orient = 1.0 if sweep >= 0 else -1.0
-                for u in (-b - root, -b + root):
+                if piece[0] == 0:
+                    (_, x0, y0, x1, y1, ex, ey, elen) = piece
+                    denom = dx * ey - dy * ex
+                    wx, wy = x0 - px, y0 - py
+                    if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
+                        if abs(wx * dy - wy * dx) <= 1e-9:
+                            ok = False  # ray grazes along the piece
+                            break
+                        continue
+                    u = (wx * ey - wy * ex) / denom
                     if u <= 1e-12:
                         continue
-                    phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                    strict_in = _arc_angle_in(t0, sweep, phi, -slack)
-                    if _arc_angle_in(t0, sweep, phi, slack) != strict_in:
-                        ok = False  # hit at an arc endpoint
+                    s = (wx * dy - wy * dx) / denom
+                    end_tol = 1e-9 / (elen if elen > 1e-9 else 1e-9)
+                    if -end_tol < s < end_tol or 1 - end_tol < s < 1 + end_tol:
+                        ok = False  # hit lands on a piece endpoint
                         break
-                    if not strict_in:
+                    if 0.0 < s < 1.0:
+                        total += 1 if denom > 0 else -1
+                else:
+                    (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
+                    fx, fy = px - cx, py - cy
+                    if abs(dx * fy - dy * fx) > r:
+                        continue  # ray line misses the whole circle
+                    b = dx * fx + dy * fy
+                    if b > r:
+                        continue  # whole circle behind the ray origin
+                    disc = b * b - (fx * fx + fy * fy - r * r)
+                    if disc < 1e-18:
+                        if disc > -1e-18:
+                            ok = False  # grazing tangency
+                            break
                         continue
-                    cross = (dx * math.cos(phi) + dy * math.sin(phi)) * orient
-                    if abs(cross) <= 1e-9:
-                        ok = False
+                    root = sqrt(disc)
+                    slack = 1e-9 / (r if r > 1e-9 else 1e-9)
+                    orient = 1.0 if sweep >= 0 else -1.0
+                    for u in (-b - root, -b + root):
+                        if u <= 1e-12:
+                            continue
+                        phi = atan2(py + u * dy - cy, px + u * dx - cx)
+                        strict_in = _arc_angle_in(t0, sweep, phi, -slack)
+                        if _arc_angle_in(t0, sweep, phi, slack) != strict_in:
+                            ok = False  # hit at an arc endpoint
+                            break
+                        if not strict_in:
+                            continue
+                        cross = (dx * math.cos(phi) + dy * math.sin(phi)) * orient
+                        if abs(cross) <= 1e-9:
+                            ok = False
+                            break
+                        total += 1 if cross > 0 else -1
+                    if not ok:
                         break
-                    total += 1 if cross > 0 else -1
-                if not ok:
-                    break
+            if not ok:
+                break
         if ok:
             return total
     # last resort: angle-sum winding on a dense polygonization
@@ -559,49 +575,56 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
     cuts = [0.0, seg_len]
     overlaps = []
     sqrt, atan2 = math.sqrt, math.atan2
-    for row in _compiled(region.boundary):
-        if row[0] == 0:
-            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+    for (gx, gy, grad, rows) in _compiled(region.boundary):
+        rx, ry = gx - px, gy - py
+        if abs(dx * ry - dy * rx) > grad + eps:
+            continue  # block entirely off the segment's line corridor
+        proj = rx * dx + ry * dy
+        if proj < -grad - eps or proj > seg_len + grad + eps:
+            continue
+        for (bcx, bcy, brad, _, piece) in rows:
             rx, ry = bcx - px, bcy - py
             if abs(dx * ry - dy * rx) > brad + eps:
                 continue  # piece entirely off the segment's line corridor
             proj = rx * dx + ry * dy
             if proj < -brad - eps or proj > seg_len + brad + eps:
                 continue
-            denom = dx * ey - dy * ex
-            wx, wy = x0 - px, y0 - py
-            if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
-                # parallel: collinear within eps -> boundary overlap stretch
-                if abs(wx * dy - wy * dx) <= eps:
-                    ta = wx * dx + wy * dy
-                    tb = (x1 - px) * dx + (y1 - py) * dy
-                    lo, hi = (ta, tb) if ta < tb else (tb, ta)
-                    lo, hi = max(lo, 0.0), min(hi, seg_len)
-                    if hi > lo:
-                        overlaps.append((lo, hi))
-                continue
-            u = (wx * ey - wy * ex) / denom
-            s = (wx * dy - wy * dx) / denom
-            end_slack = 1e-9 / (elen if elen > 1e-9 else 1e-9)
-            if -end_slack <= s <= 1 + end_slack and eps < u < seg_len - eps:
-                cuts.append(u)
-        else:
-            (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = row
-            fx, fy = px - cx, py - cy
-            if abs(dx * fy - dy * fx) > r + eps:
-                continue
-            b = dx * fx + dy * fy
-            disc = b * b - (fx * fx + fy * fy - r * r)
-            if disc <= 0:
-                continue  # miss or tangent touch: no status change
-            root = sqrt(disc)
-            slack = 1e-9 / (r if r > 1e-9 else 1e-9)
-            for u in (-b - root, -b + root):
-                if not (eps < u < seg_len - eps):
+            if piece[0] == 0:
+                (_, x0, y0, x1, y1, ex, ey, elen) = piece
+                denom = dx * ey - dy * ex
+                wx, wy = x0 - px, y0 - py
+                if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
+                    # parallel: collinear within eps -> boundary overlap stretch
+                    if abs(wx * dy - wy * dx) <= eps:
+                        ta = wx * dx + wy * dy
+                        tb = (x1 - px) * dx + (y1 - py) * dy
+                        lo, hi = (ta, tb) if ta < tb else (tb, ta)
+                        lo, hi = max(lo, 0.0), min(hi, seg_len)
+                        if hi > lo:
+                            overlaps.append((lo, hi))
                     continue
-                phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                if _arc_angle_in(t0, sweep, phi, slack):
+                u = (wx * ey - wy * ex) / denom
+                s = (wx * dy - wy * dx) / denom
+                end_slack = 1e-9 / (elen if elen > 1e-9 else 1e-9)
+                if -end_slack <= s <= 1 + end_slack and eps < u < seg_len - eps:
                     cuts.append(u)
+            else:
+                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
+                fx, fy = px - cx, py - cy
+                if abs(dx * fy - dy * fx) > r + eps:
+                    continue
+                b = dx * fx + dy * fy
+                disc = b * b - (fx * fx + fy * fy - r * r)
+                if disc <= 0:
+                    continue  # miss or tangent touch: no status change
+                root = sqrt(disc)
+                slack = 1e-9 / (r if r > 1e-9 else 1e-9)
+                for u in (-b - root, -b + root):
+                    if not (eps < u < seg_len - eps):
+                        continue
+                    phi = atan2(py + u * dy - cy, px + u * dx - cx)
+                    if _arc_angle_in(t0, sweep, phi, slack):
+                        cuts.append(u)
     cuts.sort()
 
     probes = []
@@ -627,68 +650,73 @@ def circle_path_intersections(center, r, path: ArcPath):
     raw = []
     hypot, sqrt, atan2, cos, sin = (math.hypot, math.sqrt, math.atan2,
                                     math.cos, math.sin)
-    for idx, row in enumerate(_compiled(path)):
-        if row[0] == 0:
-            (_, x0, y0, x1, y1, ex, ey, elen, bcx, bcy, brad) = row
+    for (gx, gy, grad, rows) in _compiled(path):
+        # prune blocks, then pieces, whose bounding circle misses the annulus
+        dbc = hypot(qx - gx, qy - gy)
+        if dbc - grad > r + DEDUP_TOL or dbc + grad < r - DEDUP_TOL:
+            continue
+        for (bcx, bcy, brad, idx, piece) in rows:
             dbc = hypot(qx - bcx, qy - bcy)
             if dbc - brad > r + DEDUP_TOL or dbc + brad < r - DEDUP_TOL:
                 continue
-            if elen <= 0:
-                continue
-            wx, wy = x0 - qx, y0 - qy
-            a = elen * elen
-            b = 2 * (wx * ex + wy * ey)
-            c = wx * wx + wy * wy - r * r
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            root = sqrt(disc)
-            slack = 1e-9 / elen
-            for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
-                if -slack <= s <= 1 + slack:
-                    sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
-                    raw.append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
-        else:
-            (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = row
-            dxc, dyc = cx - qx, cy - qy
-            d = hypot(dxc, dyc)
-            if d - ar > r + DEDUP_TOL or d + ar < r - DEDUP_TOL:
-                continue
-            if d <= DEDUP_TOL and abs(r - ar) <= DEDUP_TOL:
-                # coincident circles: arc endpoints stand in for the continuum
-                raw.append((idx, 0.0, (sx, sy)))
-                raw.append((idx, 1.0, (endx, endy)))
-                continue
-            if d <= 1e-15:
-                continue
-            x = (d * d + r * r - ar * ar) / (2 * d)
-            h2 = r * r - x * x
-            if h2 < -1e-15:
-                continue
-            h = sqrt(h2) if h2 > 0 else 0.0
-            ux, uy = dxc / d, dyc / d
-            bx, by = qx + x * ux, qy + x * uy
-            cands = ((bx - h * uy, by + h * ux),)
-            if h > 1e-12:
-                cands = ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux))
-            slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
-            for (hx, hy) in cands:
-                phi = atan2(hy - cy, hx - cx)
-                if not _arc_angle_in(t0, sweep, phi, slack):
+            if piece[0] == 0:
+                (_, x0, y0, x1, y1, ex, ey, elen) = piece
+                if elen <= 0:
                     continue
-                if abs(sweep) > 1e-15:
-                    if sweep >= 0:
-                        rel = (phi - t0) % TWO_PI
-                        if rel > sweep:
-                            rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+                wx, wy = x0 - qx, y0 - qy
+                a = elen * elen
+                b = 2 * (wx * ex + wy * ey)
+                c = wx * wx + wy * wy - r * r
+                disc = b * b - 4 * a * c
+                if disc < 0:
+                    continue
+                root = sqrt(disc)
+                slack = 1e-9 / elen
+                for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
+                    if -slack <= s <= 1 + slack:
+                        sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
+                        raw.append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
+            else:
+                (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = piece
+                dxc, dyc = cx - qx, cy - qy
+                d = hypot(dxc, dyc)
+                if d - ar > r + DEDUP_TOL or d + ar < r - DEDUP_TOL:
+                    continue
+                if d <= DEDUP_TOL and abs(r - ar) <= DEDUP_TOL:
+                    # coincident circles: arc endpoints stand in for the continuum
+                    raw.append((idx, 0.0, (sx, sy)))
+                    raw.append((idx, 1.0, (endx, endy)))
+                    continue
+                if d <= 1e-15:
+                    continue
+                x = (d * d + r * r - ar * ar) / (2 * d)
+                h2 = r * r - x * x
+                if h2 < -1e-15:
+                    continue
+                h = sqrt(h2) if h2 > 0 else 0.0
+                ux, uy = dxc / d, dyc / d
+                bx, by = qx + x * ux, qy + x * uy
+                cands = ((bx - h * uy, by + h * ux),)
+                if h > 1e-12:
+                    cands = ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux))
+                slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
+                for (hx, hy) in cands:
+                    phi = atan2(hy - cy, hx - cx)
+                    if not _arc_angle_in(t0, sweep, phi, slack):
+                        continue
+                    if abs(sweep) > 1e-15:
+                        if sweep >= 0:
+                            rel = (phi - t0) % TWO_PI
+                            if rel > sweep:
+                                rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+                        else:
+                            rel = -((t0 - phi) % TWO_PI)
+                            if rel < sweep:
+                                rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
+                        s = min(max(rel / sweep, 0.0), 1.0)
                     else:
-                        rel = -((t0 - phi) % TWO_PI)
-                        if rel < sweep:
-                            rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
-                    s = min(max(rel / sweep, 0.0), 1.0)
-                else:
-                    s = 0.0
-                raw.append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
+                        s = 0.0
+                    raw.append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
     raw.sort(key=lambda t: (t[0], t[1]))
     out = []
     for item in raw:

@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from .geometry import (
     ArcPath,
     Region,
-    Seg,
-    _point_arc_distance,
-    _point_seg_distance,
     arc_path_area,
     circle_path_intersections,
     polygon_centroid,
@@ -107,14 +104,15 @@ def _upper_samples(upper, n_right: int, n: int):
 
 
 def _candidates(upper, n_right: int, p, side, length: float):
-    """Upper-arc points at distance `length` from p, opposite side first."""
+    """(q, side of q) for upper-arc points q at distance `length` from p.
+
+    Opposite side first, then path order.  A q's side is that of the piece
+    the circle hit (0 right, 1 left).
+    """
     hits = circle_path_intersections(p, length, upper)
-    keyed = []
-    for (idx, s, pt) in hits:
-        q_side = 0 if idx < n_right else 1
-        keyed.append(((q_side == side, idx, s), pt))
-    keyed.sort(key=lambda h: h[0])
-    return [pt for (_, pt) in keyed]
+    cands = [(q, 0 if idx < n_right else 1) for (idx, _, q) in hits]
+    cands.sort(key=lambda c: c[1] == side)  # stable: hits come in path order
+    return cands
 
 
 def verify_reachability(cover: CoverBundle, n_points: int = 256,
@@ -137,7 +135,7 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
         for i in range(1, n_lengths + 1):
             length = i / n_lengths
             found = False
-            for q in _candidates(upper, n_right, p, side, length):
+            for q, _ in _candidates(upper, n_right, p, side, length):
                 if math.dist(p, q) <= eps:
                     continue  # the trivial point q = p does not count
                 if segment_inside(region, p, q, eps):
@@ -179,33 +177,22 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
     for index, length in enumerate(rule.lengths):
         p = joints[-1]
         admissible = []
-        for q in _candidates(upper, n_right, p, side, length):
+        for q, q_side in _candidates(upper, n_right, p, side, length):
             if math.dist(p, q) <= 1e-12:
                 continue
             if abs(math.dist(p, q) - length) > 1e-9:
                 continue
             if segment_inside(region, p, q, DEFAULT_EPS):
                 if rng is None:
-                    admissible = [q]
+                    admissible = [(q, q_side)]
                     break
-                admissible.append(q)
+                admissible.append((q, q_side))
         if not admissible:
             raise FoldFailureError(index, p, length)
-        q = admissible[0] if rng is None else admissible[rng.randrange(len(admissible))]
+        q, side = (admissible[0] if rng is None
+                   else admissible[rng.randrange(len(admissible))])
         joints.append(q)
-        side = _side_of_point(upper, n_right, q)
     return Fold(joints=tuple(joints))
-
-
-def _side_of_point(upper, n_right: int, q) -> int:
-    """0 if q sits on the right upper arcs, else 1."""
-    best_idx, best_d = 0, math.inf
-    for idx, piece in enumerate(upper.pieces):
-        d = (_point_seg_distance(q[0], q[1], piece) if isinstance(piece, Seg)
-             else _point_arc_distance(q[0], q[1], piece))
-        if d < best_d:
-            best_idx, best_d = idx, d
-    return 0 if best_idx < n_right else 1
 
 
 def check_fold(cover: CoverBundle, rule: Rule, fold: Fold,

@@ -4,7 +4,13 @@ import pytest
 
 from rulecover import constructions as cons
 from rulecover import smooth
-from rulecover.involute import chain_from_params, involute_cover
+from rulecover.geometry import Arc, ArcPath, Region, Seg
+from rulecover.involute import (
+    CoverBundle,
+    GeneratingChain,
+    chain_from_params,
+    involute_cover,
+)
 
 # printed reference values from the high-precision reproduction
 A_PRINTED = "1.11073213677147211458454234766"
@@ -54,3 +60,18 @@ def smooth_optimum():
 def smooth48_bundle(smooth_optimum):
     _, co, _ = smooth_optimum
     return involute_cover(smooth.discretize_smooth(co, 48))
+
+
+@pytest.fixture(scope="session")
+def apex_cut_bundle():
+    """Mutant: R2 with the apex neighborhood sliced off by a chord."""
+    cut = 0.8
+    right = Arc(-0.5, 0.0, 1.0, 0.0, cut * math.pi / 3)
+    left = Arc(0.5, 0.0, 1.0, math.pi - cut * math.pi / 3, math.pi)
+    chord = Seg(*right.end, *left.start)
+    base = Seg(-0.5, 0.0, 0.5, 0.0)
+    region = Region.from_path(ArcPath([base, right, chord, left]))
+    chain = GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
+    return CoverBundle(chain=chain, region=region, apex=chord.point_at(0.5),
+                       left_arcs=(left,), right_arcs=(right,),
+                       area=region.area, final_pivot=cut * math.pi / 3)

@@ -1,10 +1,14 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulecover import smooth
 from rulecover.geometry import (
     Arc,
     ArcPath,
@@ -27,6 +31,9 @@ from rulecover.geometry import (
     scale_piece,
     segment_inside,
 )
+from rulecover.involute import InadmissibleChainError, involute_cover
+from rulecover.search import ChainParams, perturb
+from rulecover.verify import shrink_cover
 
 R2_AREA = math.pi / 3 - math.sqrt(3) / 4
 W = (0.0, math.sqrt(3) / 2)
@@ -249,6 +256,113 @@ class TestTransforms:
 
     def test_square_centroid(self):
         assert math.dist(polygon_centroid(square_path()), (0.5, 0.5)) <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# differential test: the block-indexed scans against the pre-index scans
+#
+# The oracle is the frozen copy of the library the benchmark compares with,
+# loaded on its own; its geometry module imports nothing from the package.
+# Every region and path is rebuilt in the oracle from its JSON pieces.
+
+ORACLE_GEOMETRY = (Path(__file__).resolve().parent.parent / "perfbench"
+                   / "baseline" / "rulecover" / "geometry.py")
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    spec = importlib.util.spec_from_file_location("oracle_geometry",
+                                                  ORACLE_GEOMETRY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def perturbed_bundles(base, seed, count=2, moves=6, step=0.02):
+    """Covers of seeded chains of `perturb` moves away from `base`."""
+    rng = random.Random(seed)
+    bundles = []
+    while len(bundles) < count:
+        params = ChainParams.from_chain(base.chain)
+        for _ in range(moves):
+            params = perturb(params, step, rng)
+        try:
+            bundles.append(involute_cover(params.to_chain()))
+        except InadmissibleChainError:
+            continue
+    return bundles
+
+
+@pytest.fixture(scope="module")
+def differential_covers(r2_bundle, two_bundle, three_bundle, four_bundle,
+                        smooth_optimum, apex_cut_bundle):
+    _, co, _ = smooth_optimum
+    smooth32 = involute_cover(smooth.discretize_smooth(co, 32))
+    smooth128 = involute_cover(smooth.discretize_smooth(co, 128))
+    covers = {"r2": r2_bundle, "two": two_bundle, "three": three_bundle,
+              "four": four_bundle, "smooth32": smooth32,
+              "smooth128": smooth128,
+              "r2-shrunk": shrink_cover(r2_bundle, 0.95),
+              "smooth32-shrunk": shrink_cover(smooth32, 0.95),
+              "apex-cut": apex_cut_bundle}
+    for seed in (1, 2, 3):
+        for k, bundle in enumerate(perturbed_bundles(smooth32, seed)):
+            covers[f"perturb{seed}.{k}"] = bundle
+    return covers
+
+
+DIFFERENTIAL_COVERS = (["r2", "two", "three", "four", "smooth32", "smooth128",
+                        "r2-shrunk", "smooth32-shrunk", "apex-cut"]
+                       + [f"perturb{seed}.{k}" for seed in (1, 2, 3)
+                          for k in range(2)])
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_COVERS)
+def test_indexed_scans_match_oracle(name, differential_covers, oracle):
+    bundle = differential_covers[name]
+    region, upper = bundle.region, bundle.upper_path
+    o_region = oracle.Region.from_json(region.to_json(), check=False)
+    o_upper = oracle.ArcPath.from_json(upper.to_json())
+    o_boundary = o_region.boundary
+    rng = random.Random(name)
+    xs, ys = zip(*region.boundary.sample(64))
+
+    def random_point():
+        return (rng.uniform(min(xs) - 0.1, max(xs) + 0.1),
+                rng.uniform(min(ys) - 0.1, max(ys) + 0.1))
+
+    # verifier-shaped queries: circles about upper-arc samples, and the
+    # segments to every point they hit
+    starts = upper.sample(24) + upper.vertices()
+    for p in rng.sample(starts, 24):
+        for length in [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.5, 1.0]:
+            hits = circle_path_intersections(p, length, upper)
+            assert hits == oracle.circle_path_intersections(p, length, o_upper)
+            assert (circle_path_intersections(p, length, region.boundary)
+                    == oracle.circle_path_intersections(p, length, o_boundary))
+            for (_, _, q) in hits:
+                assert (segment_inside(region, p, q)
+                        == oracle.segment_inside(o_region, p, q)), (p, q)
+
+    # random segments, between random points and boundary points
+    boundary_points = region.boundary.sample(48) + region.boundary.vertices()
+    for _ in range(60):
+        p = random_point()
+        q = rng.choice(boundary_points) if rng.random() < 0.5 else random_point()
+        assert segment_inside(region, p, q) == oracle.segment_inside(o_region, p, q)
+
+    # points: random, on the boundary, and just off it
+    points = [random_point() for _ in range(100)] + boundary_points
+    for (x, y) in boundary_points:
+        points.append((x + rng.uniform(-1e-8, 1e-8), y + rng.uniform(-1e-8, 1e-8)))
+    for pt in points:
+        assert contains_point(region, pt) == oracle.contains_point(o_region, pt), pt
+        assert (boundary_distance(region.boundary, pt)
+                == oracle.boundary_distance(o_boundary, pt))
 
 
 @given(cx=st.floats(-2, 2), cy=st.floats(-2, 2), r=st.floats(0.1, 3),

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from rulecover.geometry import Arc, ArcPath, Region, Seg
-from rulecover.involute import CoverBundle, GeneratingChain
+from rulecover import smooth
+from rulecover.involute import involute_cover
 from rulecover.verify import (
     Fold,
     FoldFailureError,
@@ -61,6 +61,15 @@ class TestReachability:
         assert doc["passed"] is True
         assert doc["failures"] == []
 
+    def test_smooth_512_edges_passes(self, smooth_optimum):
+        # a finer discretization than the 48-edge acceptance check; --points
+        # is a floor (one sample per piece), so this verifies 1025 points
+        _, co, _ = smooth_optimum
+        bundle = involute_cover(smooth.discretize_smooth(co, 512))
+        report = verify_reachability(bundle, n_points=32, n_lengths=32)
+        assert report.points == 1025
+        assert report.failures == []
+
     def test_minimum_sampling(self, r2_bundle):
         with pytest.raises(ValueError):
             verify_reachability(r2_bundle, n_points=4, n_lengths=16)
@@ -71,8 +80,8 @@ class TestReachability:
 
         upper = r2_bundle.upper_path
         cands = _candidates(upper, r2_bundle.n_right_upper, W, 1, 1.0)
-        assert any(math.dist(q, (-0.5, 0.0)) <= 1e-9 for q in cands)
-        assert any(math.dist(q, (0.5, 0.0)) <= 1e-9 for q in cands)
+        assert any(math.dist(q, (-0.5, 0.0)) <= 1e-9 for q, _ in cands)
+        assert any(math.dist(q, (0.5, 0.0)) <= 1e-9 for q, _ in cands)
 
     def test_candidate_distances_are_exact(self, three_bundle):
         from rulecover.verify import _candidates, _upper_samples
@@ -81,7 +90,7 @@ class TestReachability:
         n_right = three_bundle.n_right_upper
         for (p, side) in _upper_samples(upper, n_right, 16):
             for length in (0.25, 0.75, 1.0):
-                for q in _candidates(upper, n_right, p, side, length):
+                for q, _ in _candidates(upper, n_right, p, side, length):
                     assert abs(math.dist(p, q) - length) <= 1e-9
 
 
@@ -95,21 +104,10 @@ class TestMutants:
         # the unit length is unreachable everywhere in a diameter-0.95 set
         assert any(length == 1.0 for (_, length) in report.failures)
 
-    def test_apex_cut_fails(self):
-        # R2 with the apex neighborhood sliced off by a chord: points on the
-        # chord see no partner at the full unit distance
-        cut = 0.8
-        right = Arc(-0.5, 0.0, 1.0, 0.0, cut * math.pi / 3)
-        left = Arc(0.5, 0.0, 1.0, math.pi - cut * math.pi / 3, math.pi)
-        chord = Seg(*right.end, *left.start)
-        base = Seg(-0.5, 0.0, 0.5, 0.0)
-        path = ArcPath([base, right, chord, left])
-        region = Region.from_path(path)
-        chain = GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-        mutant = CoverBundle(chain=chain, region=region, apex=chord.point_at(0.5),
-                             left_arcs=(left,), right_arcs=(right,),
-                             area=region.area, final_pivot=cut * math.pi / 3)
-        report = verify_reachability(mutant, n_points=32, n_lengths=32)
+    def test_apex_cut_fails(self, apex_cut_bundle):
+        # points on the chord that cuts off the apex see no partner at the
+        # full unit distance
+        report = verify_reachability(apex_cut_bundle, n_points=32, n_lengths=32)
         assert len(report.failures) >= 1
 
 
