@@ -99,13 +99,11 @@ def cmd_construct(args) -> int:
 def cmd_optimize(args) -> int:
     if args.kind == "smooth":
         if args.digits:
-            from decimal import Decimal
-
             from .highprec import DecimalBackend
 
             backend = DecimalBackend(args.digits)
-            tol = Decimal(10) ** (2 - args.digits)
-            a, co, area = smooth.optimize_smooth(tol=tol, backend=backend)
+            a, co, area = smooth.optimize_smooth(tol=backend.tolerance(),
+                                                 backend=backend)
             print(f"a    = {_fmt(a, args.digits)}")
             print(f"area = {_fmt(area, args.digits)}")
             return 0

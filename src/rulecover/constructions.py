@@ -193,6 +193,9 @@ def optimize_construction(kind: str):
         res = numerics.minimize_1d(
             lambda a: two_edge_area(solve_two_edge(a)),
             FEASIBLE_MARGIN, math.pi / 3 - FEASIBLE_MARGIN, tol=1e-12)
+        if not res.converged:
+            raise numerics.ConvergenceError(
+                f"two-edge optimizer did not converge: {res}")
         params, region = two_edge_cover(res.argmin)
         return params, res.value, region
     if kind == "three":

@@ -6,6 +6,13 @@ decimal backend works on ``decimal.Decimal`` at a configurable number of
 significant digits (default 40).  The decimal trig evaluates Taylor series
 after argument reduction modulo 2*pi, carrying a few guard digits so results
 are good to 1 ulp at the configured precision.
+
+Closed forms that need sin(jt) and cos(jt) for several j ask the backend for
+all of them at once with `multiples(t, k)`.  The decimal backend sums one
+sine and one cosine series, on t alone, and fills j >= 2 by the
+multiple-angle recurrences s_j = 2 cos(t) s_{j-1} - s_{j-2} (same for the
+cosines), carrying two more guard digits for the error the recurrence
+accumulates; the native backend calls the math module for each j.
 """
 
 from __future__ import annotations
@@ -113,6 +120,12 @@ class NativeBackend:
     sqrt = staticmethod(math.sqrt)
 
     @staticmethod
+    def multiples(t, k):
+        """([sin(j t)], [cos(j t)]) for j = 0..k."""
+        return ([math.sin(j * t) for j in range(k + 1)],
+                [math.cos(j * t) for j in range(k + 1)])
+
+    @staticmethod
     def pi():
         return math.pi
 
@@ -149,6 +162,27 @@ class DecimalBackend:
     def cos(self, x):
         return cos_decimal(x, self.digits)
 
+    def multiples(self, t, k):
+        """([sin(j t)], [cos(j t)]) for j = 0..k from one sin/cos pair.
+
+        The recurrence runs two digits above the series' working precision:
+        for j <= 6 its rounding errors and the error of cos t, amplified by
+        at most |d U_{j-1}/dc| <= j^3/3 on [-1, 1], stay under 100 units of
+        that precision's last place, below the final rounding to the
+        backend's precision.
+        """
+        work = self.digits + _GUARD + 2
+        sines = [Decimal(0), sin_decimal(t, work)]
+        cosines = [Decimal(1), cos_decimal(t, work)]
+        with localcontext() as ctx:
+            ctx.prec = work
+            twice_cos = 2 * cosines[1]
+            for _ in range(2, k + 1):
+                sines.append(twice_cos * sines[-1] - sines[-2])
+                cosines.append(twice_cos * cosines[-1] - cosines[-2])
+            ctx.prec = self.digits
+            return [+s for s in sines[:k + 1]], [+c for c in cosines[:k + 1]]
+
     def sqrt(self, x):
         with localcontext() as ctx:
             ctx.prec = self.digits
@@ -162,9 +196,6 @@ class DecimalBackend:
         with localcontext() as ctx:
             ctx.prec = self.digits
             yield ctx
-
-    def with_guard(self, extra: int) -> "DecimalBackend":
-        return DecimalBackend(self.nominal_digits, guard=extra)
 
     def tolerance(self):
         # one-in-the-last-two-digits default, per precision configuration

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import (
     Arc,
@@ -230,9 +231,13 @@ class CoverBundle:
     area: float
     final_pivot: float
 
-    @property
+    @cached_property
     def upper_path(self) -> ArcPath:
-        """Boundary pieces above the chain, traced v -> w -> u."""
+        """Boundary pieces above the chain, traced v -> w -> u.
+
+        Built once per bundle, so the piece table compiled on it is kept
+        across verify and fold calls; nothing reassigns `region`.
+        """
         return ArcPath(self.region.boundary.pieces[self.chain.n_edges:])
 
     @property

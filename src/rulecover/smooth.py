@@ -42,20 +42,21 @@ class SmoothCoefficients:
     b: object
 
 
-def solve_coefficients(a, backend=NATIVE, check: bool = False) -> SmoothCoefficients:
+def solve_coefficients(a, backend=NATIVE, check: bool = False,
+                       trig=None) -> SmoothCoefficients:
     """Coefficients enforcing unit length, endpoint tangency, zero curvature.
 
     Evaluates the closed forms in dependency order (b2, then b1, then b0)
     and b = h(a).  The constraints hold for any a in (0, pi/2), but the
     result describes an actual curve only where the speed g stays positive
     strictly inside [-a, a] (a window around the optimal a); pass check=True
-    or call check_speed_positivity to enforce that.
+    or call check_speed_positivity to enforce that.  `trig` may carry
+    backend.multiples(a, k) for some k >= 2, computed once by the caller.
     """
     with backend.context():
         a = backend.num(a)
-        sin, cos = backend.sin, backend.cos
-        s, c = sin(a), cos(a)
-        s2, c2 = sin(2 * a), cos(2 * a)
+        S, C = trig or backend.multiples(a, 2)
+        s, c, s2, c2 = S[1], C[1], S[2], C[2]
         den = (12 * a * a * c2 - 2 * a * s2 * (7 - c2)
                + (1 - c2) * (11 - 5 * c2))
         if abs(float(den)) < 1e-14:
@@ -95,7 +96,21 @@ def curve_speed(co: SmoothCoefficients, t, backend=NATIVE):
     """|c0'(t)| = g(t)."""
     with backend.context():
         t = backend.num(t)
-        return co.b0 + co.b1 * backend.cos(t) + co.b2 * backend.cos(2 * t)
+        _, C = backend.multiples(t, 2)
+        return co.b0 + co.b1 * C[1] + co.b2 * C[2]
+
+
+def _curve_xy(co: SmoothCoefficients, t, S, C):
+    b0, b1, b2 = co.b0, co.b1, co.b2
+    x = (6 * b1 * t + 6 * (2 * b0 + b2) * S[1] + 3 * b1 * S[2]
+         + 2 * b2 * S[3]) / 12
+    y = (6 * (2 * b0 - b2) * C[1] + 3 * b1 * C[2]
+         + 2 * b2 * C[3] - 12 * b0 - 3 * b1 + 4 * b2) / 12
+    return (x, y)
+
+
+def _h(co: SmoothCoefficients, t, S):
+    return co.b0 * t + co.b1 * S[1] + co.b2 * S[2] / 2
 
 
 def curve_point(co: SmoothCoefficients, t, backend=NATIVE):
@@ -103,20 +118,14 @@ def curve_point(co: SmoothCoefficients, t, backend=NATIVE):
     _domain_check(co, t)
     with backend.context():
         t = backend.num(t)
-        sin, cos = backend.sin, backend.cos
-        b0, b1, b2 = co.b0, co.b1, co.b2
-        x = (6 * b1 * t + 6 * (2 * b0 + b2) * sin(t) + 3 * b1 * sin(2 * t)
-             + 2 * b2 * sin(3 * t)) / 12
-        y = (6 * (2 * b0 - b2) * cos(t) + 3 * b1 * cos(2 * t)
-             + 2 * b2 * cos(3 * t) - 12 * b0 - 3 * b1 + 4 * b2) / 12
-        return (x, y)
+        return _curve_xy(co, t, *backend.multiples(t, 3))
 
 
 def h_value(co: SmoothCoefficients, t, backend=NATIVE):
     """Antiderivative of the speed: h(t) = b0 t + b1 sin t + (b2/2) sin 2t."""
     with backend.context():
         t = backend.num(t)
-        return co.b0 * t + co.b1 * backend.sin(t) + co.b2 * backend.sin(2 * t) / 2
+        return _h(co, t, backend.multiples(t, 2)[0])
 
 
 def unwrapped_length(co: SmoothCoefficients, t, backend=NATIVE):
@@ -133,9 +142,10 @@ def involute_points(co: SmoothCoefficients, t, backend=NATIVE):
     _domain_check(co, t)
     with backend.context():
         t = backend.num(t)
-        x0, y0 = curve_point(co, t, backend)
-        ell = unwrapped_length(co, t, backend)
-        ct, st = backend.cos(t), backend.sin(t)
+        S, C = backend.multiples(t, 3)
+        x0, y0 = _curve_xy(co, t, S, C)
+        ell = _h(co, t, S) + co.b
+        ct, st = C[1], S[1]
         c1 = (x0 - ell * ct, y0 + ell * st)
         c2 = (c1[0] + ct, c1[1] - st)
         return c1, c2
@@ -145,57 +155,99 @@ def ell_squared_antiderivative(co: SmoothCoefficients, t, backend=NATIVE):
     """Indefinite integral of the squared unwrapped length."""
     with backend.context():
         t = backend.num(t)
-        sin, cos = backend.sin, backend.cos
+        S, C = backend.multiples(t, 4)
         b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
         return (32 * b0 ** 2 * t ** 3 + 96 * b0 * b * t ** 2
                 + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * t
-                + 48 * b1 * (4 * b0 + b2) * sin(t)
-                + 24 * (b0 * b2 - b1 ** 2) * sin(2 * t)
-                - 16 * b1 * b2 * sin(3 * t)
-                - 3 * b2 ** 2 * sin(4 * t)
-                - 48 * (b0 * t + b) * (4 * b1 * cos(t) + b2 * cos(2 * t))) / 96
+                + 48 * b1 * (4 * b0 + b2) * S[1]
+                + 24 * (b0 * b2 - b1 ** 2) * S[2]
+                - 16 * b1 * b2 * S[3]
+                - 3 * b2 ** 2 * S[4]
+                - 48 * (b0 * t + b) * (4 * b1 * C[1] + b2 * C[2])) / 96
+
+
+def _cap_288(co: SmoothCoefficients, t, S, C):
+    b0, b1, b2 = co.b0, co.b1, co.b2
+    return (12 * (24 * b0 ** 2 - 4 * b2 ** 2 + 3 * b1 ** 2) * t
+            + 24 * b1 * (21 * b0 - 2 * b2) * S[1]
+            - 12 * (12 * b0 ** 2 - 8 * b0 * b2 - 5 * b2 ** 2
+                    - 3 * b1 ** 2) * S[2]
+            - 4 * b1 * (18 * b0 - b2) * S[3]
+            - 3 * (16 * b0 * b2 + 4 * b2 ** 2 + 3 * b1 ** 2) * S[4]
+            - 12 * b1 * b2 * S[5]
+            - 4 * b2 ** 2 * S[6]
+            - 24 * b1 * t * (6 * (2 * b0 - b2) * C[1]
+                             + 3 * b1 * C[2] + 2 * b2 * C[3]))
 
 
 def cap_antiderivative_288(co: SmoothCoefficients, t, backend=NATIVE):
     """288 times the antiderivative of -2 x0(t) y0'(t); exactly 0 at t = 0."""
     with backend.context():
         t = backend.num(t)
-        sin, cos = backend.sin, backend.cos
-        b0, b1, b2 = co.b0, co.b1, co.b2
-        return (12 * (24 * b0 ** 2 - 4 * b2 ** 2 + 3 * b1 ** 2) * t
-                + 24 * b1 * (21 * b0 - 2 * b2) * sin(t)
-                - 12 * (12 * b0 ** 2 - 8 * b0 * b2 - 5 * b2 ** 2
-                        - 3 * b1 ** 2) * sin(2 * t)
-                - 4 * b1 * (18 * b0 - b2) * sin(3 * t)
-                - 3 * (16 * b0 * b2 + 4 * b2 ** 2 + 3 * b1 ** 2) * sin(4 * t)
-                - 12 * b1 * b2 * sin(5 * t)
-                - 4 * b2 ** 2 * sin(6 * t)
-                - 24 * b1 * t * (6 * (2 * b0 - b2) * cos(t)
-                                 + 3 * b1 * cos(2 * t) + 2 * b2 * cos(3 * t)))
+        return _cap_288(co, t, *backend.multiples(t, 6))
 
 
-def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE):
-    """(integral of ell^2, apex triangle area, cap area) in closed form."""
+def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE, trig=None):
+    """(integral of ell^2, apex triangle area, cap area) in closed form.
+
+    `trig` may carry backend.multiples(co.a, 6), computed once by the caller.
+    """
     with backend.context():
         a = co.a
-        sin, cos = backend.sin, backend.cos
+        S, C = trig or backend.multiples(a, 6)
         b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
         int_l2 = (32 * b0 ** 2 * a ** 3
                   + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * a
-                  + 48 * b1 * (4 * b0 + b2) * sin(a)
-                  + 24 * (b0 * b2 - b1 ** 2) * sin(2 * a)
-                  - 16 * b1 * b2 * sin(3 * a)
-                  - 3 * b2 ** 2 * sin(4 * a)
-                  - 48 * b0 * a * (4 * b1 * cos(a) + b2 * cos(2 * a))) / 48
-        a_uvw = cos(a) * sin(a)
-        a_uv = cap_antiderivative_288(co, a, backend) / 288
+                  + 48 * b1 * (4 * b0 + b2) * S[1]
+                  + 24 * (b0 * b2 - b1 ** 2) * S[2]
+                  - 16 * b1 * b2 * S[3]
+                  - 3 * b2 ** 2 * S[4]
+                  - 48 * b0 * a * (4 * b1 * C[1] + b2 * C[2])) / 48
+        a_uvw = C[1] * S[1]
+        a_uv = _cap_288(co, a, S, C) / 288
         return int_l2, a_uvw, a_uv
 
 
-def smooth_area(co: SmoothCoefficients, backend=NATIVE):
-    int_l2, a_uvw, a_uv = smooth_area_parts(co, backend)
+def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
+    int_l2, a_uvw, a_uv = smooth_area_parts(co, backend, trig)
     with backend.context():
         return int_l2 - a_uvw + a_uv
+
+
+def _minimize_area(backend, lo, hi, tol):
+    """Argmin of the area on [lo, hi]; raise unless it converged inside.
+
+    An argmin within tol of a bracket end means the true minimum may lie
+    outside the bracket.
+    """
+    def area(a):  # one backend.multiples call per evaluation
+        trig = backend.multiples(a, 6)
+        return smooth_area(solve_coefficients(a, backend, trig=trig),
+                           backend, trig)
+
+    res = numerics.minimize_1d(area, lo, hi, tol=tol)
+    if not res.converged:
+        raise numerics.ConvergenceError(
+            f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
+            f"in {res.iterations} iterations")
+    if res.argmin - lo <= tol or hi - res.argmin <= tol:
+        raise numerics.ConvergenceError(
+            f"smooth-cut argmin {res.argmin} sits at an end of [{lo}, {hi}]")
+    return res.argmin
+
+
+def _decimal_argmin(digits: int, tol, bracket=SMOOTH_BRACKET):
+    """(argmin, guard backend) of the area at `digits` nominal digits.
+
+    The area is quadratic around the optimum, so pinning the argmin to
+    ~`digits` digits needs ~2x digits in the objective: the comparison
+    plateau has width ~sqrt(quantum / A'').  The objective therefore runs
+    on a backend with digits + 12 guard digits, which is returned too.
+    """
+    guard = DecimalBackend(digits, guard=digits + 12)
+    with guard.context():
+        lo, hi = guard.num(bracket[0]), guard.num(bracket[1])
+        return _minimize_area(guard, lo, hi, Decimal(tol)), guard
 
 
 def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
@@ -204,32 +256,20 @@ def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
     Native mode localizes a to ~1e-10.  In decimal mode the objective is
     evaluated with extra guard digits so parabolic refinement stays
     meaningful all the way down to tol; results are reported at the
-    backend's nominal precision.
+    backend's nominal precision.  Raises numerics.ConvergenceError when the
+    minimizer stops short of tol or ends at a bracket end.
     """
     if backend is NATIVE or getattr(backend, "digits", None) is None:
         tol = 1e-12 if tol is None else tol
-        res = numerics.minimize_1d(
-            lambda a: smooth_area(solve_coefficients(a)),
-            float(bracket[0]), float(bracket[1]), tol=tol)
-        a = res.argmin
+        a = _minimize_area(NATIVE, float(bracket[0]), float(bracket[1]), tol)
         co = solve_coefficients(a, check=True)
         return a, co, smooth_area(co)
 
-    digits = backend.nominal_digits
     if tol is None:
         tol = backend.tolerance()
-    # the area is quadratic around the optimum, so pinning the argmin to
-    # ~`digits` digits needs ~2x digits in the objective: the comparison
-    # plateau has width ~sqrt(quantum / A'')
-    guard = backend.with_guard(digits + 12)
-    with guard.context():
-        lo, hi = guard.num(bracket[0]), guard.num(bracket[1])
-        res = numerics.minimize_1d(
-            lambda a: smooth_area(solve_coefficients(a, guard),
-                                  guard),
-            lo, hi, tol=Decimal(tol))
+    argmin, _ = _decimal_argmin(backend.nominal_digits, tol, bracket)
     with backend.context():
-        a = +res.argmin  # round to nominal precision
+        a = +argmin  # round to nominal precision
     co = solve_coefficients(a, backend)
     check_speed_positivity(co)
     return a, co, smooth_area(co, backend)
@@ -302,19 +342,13 @@ def reproduce_appendix(digits: int = 30) -> AppendixReport:
     """
     if digits < 20:
         raise ValueError("need at least 20 digits for a faithful reproduction")
-    guard = DecimalBackend(digits, guard=digits + 12)  # see optimize_smooth
-    tol = Decimal(10) ** (-digits - 6)
+    argmin, guard = _decimal_argmin(digits, Decimal(10) ** (-digits - 6))
     with guard.context():
-        lo, hi = guard.num(SMOOTH_BRACKET[0]), guard.num(SMOOTH_BRACKET[1])
-        res = numerics.minimize_1d(
-            lambda a: smooth_area(solve_coefficients(a, guard),
-                                  guard),
-            lo, hi, tol=tol)
-        co = solve_coefficients(res.argmin, guard)
+        co = solve_coefficients(argmin, guard)
         area = smooth_area(co, guard)
     return AppendixReport(
         digits=digits,
-        a=truncate_digits(res.argmin, digits),
+        a=truncate_digits(argmin, digits),
         b0=truncate_digits(co.b0, digits),
         b1=truncate_digits(co.b1, digits),
         b2=truncate_digits(co.b2, digits),

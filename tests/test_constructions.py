@@ -175,6 +175,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_construction("five")
 
+    def test_two_unconverged_raises(self, monkeypatch):
+        real = numerics.minimize_1d
+
+        def stalled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.converged = False
+            return res
+
+        monkeypatch.setattr(numerics, "minimize_1d", stalled)
+        with pytest.raises(numerics.ConvergenceError):
+            optimize_construction("two")
+
     def test_area_ordering(self):
         assert TWO_OPT_AREA > THREE_REF_AREA > FOUR_REF_AREA > 0.5553
 

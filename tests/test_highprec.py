@@ -1,5 +1,6 @@
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -37,6 +38,44 @@ def test_known_sine_value():
     # sin(0.5) to 28 digits, a fixed external reference
     want = Decimal("0.4794255386042030002732879352")
     assert abs(sin_decimal(Decimal("0.5"), 28) - want) <= Decimal("2E-28")
+
+
+def _ulp(x: Decimal, digits: int) -> Decimal:
+    return Decimal(10) ** (x.adjusted() - digits + 1)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 132])
+def test_decimal_multiples_match_direct_series(digits):
+    # the recurrence against one sin/cos series per multiple, as the smooth
+    # closed forms evaluated them before; angles have `digits` digits, so
+    # j * t is exact and both sides see the same argument
+    rng = random.Random(digits)
+    angles = [Decimal("0.8"), Decimal("1.11073213677147211458454234766"),
+              Decimal("1.4")]
+    angles += [Decimal(rng.uniform(-math.pi, math.pi)) for _ in range(20)]
+    be = DecimalBackend(digits)
+    for t in angles:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            t = +t
+        sines, cosines = be.multiples(t, 6)
+        assert len(sines) == len(cosines) == 7
+        for j in range(7):
+            with localcontext() as ctx:
+                ctx.prec = digits + 2
+                jt = j * t
+            want_s, want_c = sin_decimal(jt, digits), cos_decimal(jt, digits)
+            assert abs(sines[j] - want_s) <= _ulp(want_s, digits), (t, j)
+            assert abs(cosines[j] - want_c) <= _ulp(want_c, digits), (t, j)
+
+
+def test_native_multiples_are_math_module_values():
+    rng = random.Random(7)
+    for t in [0.8, 1.1107321367714721, 1.4] + [rng.uniform(-math.pi, math.pi)
+                                               for _ in range(20)]:
+        sines, cosines = NATIVE.multiples(t, 6)
+        assert sines == [math.sin(j * t) for j in range(7)]
+        assert cosines == [math.cos(j * t) for j in range(7)]
 
 
 class TestTruncateDigits:

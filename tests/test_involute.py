@@ -145,6 +145,8 @@ class TestInvoluteCover:
         n_edges = three_bundle.chain.n_edges
         assert len(upper.pieces) == len(three_bundle.region.boundary.pieces) - n_edges
         assert all(isinstance(piece, Arc) for piece in upper.pieces)
+        # built once, so its compiled piece table is shared by every query
+        assert three_bundle.upper_path is upper
 
 
 def _tangent(piece, at_start):

@@ -182,6 +182,25 @@ class TestOptimize:
             a, _, _ = optimize_smooth(tol=1e-12, bracket=bracket)
             assert abs(a - a_ref) <= 1e-8
 
+    @pytest.mark.parametrize("backend", [None, DecimalBackend(20)])
+    def test_argmin_at_bracket_end_raises(self, backend):
+        # the optimum (~1.1107) lies outside, so the argmin ends at 1.0
+        kwargs = {"backend": backend} if backend else {}
+        with pytest.raises(numerics.ConvergenceError):
+            optimize_smooth(bracket=(0.8, 1.0), **kwargs)
+
+    def test_unconverged_decimal_minimizer_raises(self, monkeypatch):
+        def stalled(f, lo, hi, tol, **kwargs):
+            mid = (lo + hi) / 2
+            return numerics.MinimizeResult(argmin=mid, value=f(mid),
+                                           iterations=600, converged=False)
+
+        monkeypatch.setattr(numerics, "minimize_1d", stalled)
+        with pytest.raises(numerics.ConvergenceError):
+            optimize_smooth(backend=DecimalBackend(20))
+        with pytest.raises(numerics.ConvergenceError):
+            reproduce_appendix(20)
+
     def test_area_below_four_edge(self, smooth_optimum):
         from conftest import FOUR_REF_AREA, THREE_REF_AREA, TWO_OPT_AREA
 
@@ -230,6 +249,15 @@ class TestHighPrecision:
         r40 = reproduce_appendix(40)
         assert r40.area.startswith(r20.area[:19])  # 18 digits + the dot
         assert r40.a.startswith(r20.a[:19])
+
+    def test_reproduce_60_digits_pinned(self):
+        assert reproduce_appendix(60).as_text() == (
+            "digits = 60\n"
+            "a  = 1.11073213677147211458454234766063494620119655906995129653636\n"
+            "b0 = -0.310039083801076651082339283741630630524784418132366207004661\n"
+            "b1 = 0.882420100742466054972684952091717670228902429507148197108378\n"
+            "b2 = 0.134980967580652222210035503627755618243413545774327130283430\n"
+            "A  = 0.555360368646626116048170223491013283449047332557401932142234\n")
 
     def test_reproduce_rejects_low_digits(self):
         with pytest.raises(ValueError):
