@@ -5,34 +5,25 @@
 """
 
 import argparse
-import math
 import pathlib
 
-from rulecover import constructions as cons
 from rulecover import smooth, svg
-from rulecover.involute import chain_from_params, involute_cover
-
-REF_THREE_ANGLES = (0.575939, 0.519805)
-REF_FOUR_ANGLES = (0.488669, 0.423144, 0.189158)
+from rulecover.constructions import CONSTRUCTIONS
+from rulecover.involute import involute_cover
 
 
 def bundles():
-    yield "one_edge", involute_cover(chain_from_params("one"))
-    p2 = cons.solve_two_edge(math.acos(0.75))
-    yield "two_edge", involute_cover(chain_from_params("two", p2))
-    p3 = cons.solve_three_edge(*REF_THREE_ANGLES)
-    yield "three_edge", involute_cover(chain_from_params("three", p3))
-    p4 = cons.solve_four_edge(*REF_FOUR_ANGLES)
-    yield "four_edge", involute_cover(chain_from_params("four", p4))
+    for kind, cut in CONSTRUCTIONS.items():
+        yield f"{kind}_edge", cut.build()[1]
     _, co, _ = smooth.optimize_smooth(tol=1e-12)
     yield "smooth", involute_cover(smooth.discretize_smooth(co, 512))
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures")
     parser.add_argument("--size", type=int, default=640)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

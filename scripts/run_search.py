@@ -8,29 +8,23 @@ prints the best area against the closed-form optima where they exist.
 """
 
 import argparse
-
 import pathlib
 import time
 
-from rulecover import constructions as cons
+from rulecover.constructions import CONSTRUCTIONS
 from rulecover.search import SearchConfig, local_search, write_trace_csv
 
-CLOSED_FORM = {
-    1: cons.R2_AREA,
-    2: 0.5726988958836958,
-    3: 0.5635302302808625,
-    4: 0.5600945401134869,
-}
+CLOSED_FORM = {cut.edges: cut.ref_area for cut in CONSTRUCTIONS.values()}
 
 ITERATIONS = {1: 1, 2: 20000, 3: 50000, 4: 20000, 8: 8000, 16: 4000, 32: 4000}
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="search-runs")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--edges", type=int, nargs="*",
                         default=[1, 2, 3, 4, 8, 16, 32])
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,17 +1,16 @@
 """Universal covers for carpenter's rule folding via the involute method."""
 
 from .constructions import (
+    CONSTRUCTIONS,
     FourEdgeParams,
     R2_AREA,
     ThreeEdgeParams,
     TwoEdgeParams,
     four_edge_area,
-    four_edge_cover,
     optimize_construction,
     r2_cover,
     solve_two_edge,
     three_edge_area,
-    three_edge_cover,
     two_edge_area,
 )
 from .geometry import (

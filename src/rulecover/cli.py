@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import astuple
 
 from . import constructions, search, smooth, svg, verify
-from .involute import GeneratingChain, chain_from_params, involute_cover
+from .involute import GeneratingChain, involute_cover
 
-REF_THREE_ANGLES = (0.575939, 0.519805)
-REF_FOUR_ANGLES = (0.488669, 0.423144, 0.189158)
 SMOOTH_RENDER_EDGES = 512
+OPTIMIZABLE = [k for k, cut in constructions.CONSTRUCTIONS.items()
+               if cut.ref_angles]
 
 
 def _fmt(x, digits=None) -> str:
@@ -53,24 +53,9 @@ def _cover_doc(bundle, kind: str, angles, closed_form_area=None) -> dict:
 
 
 def _construct_bundle(kind: str, angles, edges: int):
-    if kind in ("r2", "one"):
-        return involute_cover(chain_from_params("one")), (), None
-    if kind == "two":
-        a = angles[0] if angles else math.acos(0.75)
-        params = constructions.solve_two_edge(a)
-        bundle = involute_cover(chain_from_params("two", params))
-        return bundle, (params.a,), constructions.two_edge_area(params)
-    if kind == "three":
-        a, b = angles if angles else REF_THREE_ANGLES
-        params = constructions.solve_three_edge(a, b)
-        bundle = involute_cover(chain_from_params("three", params))
-        return bundle, (a, b), constructions.three_edge_area(a, b)
-    if kind == "four":
-        a, b, c = angles if angles else REF_FOUR_ANGLES
-        params = constructions.solve_four_edge(a, b, c)
-        bundle = involute_cover(chain_from_params("four", params))
-        return bundle, (a, b, c), constructions.four_edge_area(a, b, c)
     if kind == "smooth":
+        if len(angles) > 1:
+            raise ValueError(f"the smooth cut takes 1 angle, got {len(angles)}")
         a, co, area = smooth.optimize_smooth(tol=1e-12)
         if angles:
             a = angles[0]
@@ -83,7 +68,11 @@ def _construct_bundle(kind: str, angles, edges: int):
         print(f"b1 = {_fmt(co.b1)}")
         print(f"b2 = {_fmt(co.b2)}")
         return bundle, (a,), area
-    raise ValueError(f"unknown construction kind {kind!r}")
+    cut = constructions.construction("one" if kind == "r2" else kind)
+    angles = angles or cut.ref_angles
+    _, bundle = cut.build(angles)
+    # with no angles (r2) the reported area is the involute region's
+    return bundle, angles, cut.area(*angles) if angles else None
 
 
 def cmd_construct(args) -> int:
@@ -114,15 +103,11 @@ def cmd_optimize(args) -> int:
         bundle = involute_cover(chain)
         _emit_json(_cover_doc(bundle, "smooth", (a,), area), args.out)
         return 0
-    params, area, region = constructions.optimize_construction(args.kind)
-    angles = {
-        "two": lambda p: (p.a,),
-        "three": lambda p: (p.a, p.b),
-        "four": lambda p: (p.a, p.b, p.c),
-    }[args.kind](params)
+    params, area, bundle = constructions.optimize_construction(args.kind)
+    n_angles = len(constructions.CONSTRUCTIONS[args.kind].ref_angles)
+    angles = astuple(params)[:n_angles]  # free angles lead every params record
     print("angles = " + ", ".join(_fmt(x) for x in angles))
     print(f"area = {_fmt(area)}")
-    bundle = involute_cover(chain_from_params(args.kind, params))
     _emit_json(_cover_doc(bundle, args.kind, angles, area), args.out)
     return 0
 
@@ -190,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a cover from a known cut")
     p.add_argument("--kind", required=True,
-                   choices=["r2", "one", "two", "three", "four", "smooth"])
+                   choices=["r2", *constructions.CONSTRUCTIONS, "smooth"])
     p.add_argument("--angles", help="comma-separated angle overrides")
     p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES,
                    help="discretization edges for the smooth cut")
@@ -199,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize cover area over the angles")
     p.add_argument("--kind", required=True,
-                   choices=["two", "three", "four", "smooth"])
+                   choices=[*OPTIMIZABLE, "smooth"])
     p.add_argument("--digits", type=int,
                    help="switch to decimal arithmetic at this precision")
     p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES)

@@ -4,16 +4,20 @@ Each k-edge construction fixes its free angles, solves the stated length
 constraints in closed form, and has a closed-form area; the assembled
 region (via the generic involute construction) must agree with that area
 to 1e-10, which the test suite enforces as an oracle.
+
+`CONSTRUCTIONS` holds one `Construction` record per cut, keyed "one" to
+"four"; everything that picks a cut by kind, and every reference angle
+and area, reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from . import numerics
+from . import involute, numerics
 from .geometry import Arc, ArcPath, Region, Seg
-from .involute import chain_from_params, involute_cover
 
 FEASIBLE_MARGIN = 1e-4
 ANGLE_BOX_HI = 1.2
@@ -91,11 +95,10 @@ def two_edge_area(p: TwoEdgeParams) -> float:
             + 0.125 * math.sin(2 * p.c))
 
 
-def two_edge_cover(a: float):
-    """(params, region) for the two-edge cut at angle a."""
-    params = solve_two_edge(a)
-    region = involute_cover(chain_from_params("two", params)).region
-    return params, region
+def _two_edge_chain(p: TwoEdgeParams):
+    d = 0.5 * math.sin(p.c)
+    return involute.GeneratingChain((
+        (-p.x0 / 2, -d), (0.0, 0.0), (p.x0 / 2, -d)))
 
 
 # --------------------------------------------------------------------------
@@ -121,10 +124,10 @@ def three_edge_area(a: float, b: float) -> float:
             + (p.x0 + p.x2) / 2 * p.x1 * math.sin(b))
 
 
-def three_edge_cover(a: float, b: float):
-    params = solve_three_edge(a, b)
-    region = involute_cover(chain_from_params("three", params)).region
-    return params, region
+def _three_edge_chain(p: ThreeEdgeParams):
+    dy = p.x1 * math.sin(p.b)
+    return involute.GeneratingChain((
+        (-p.x0 / 2, -dy), (-p.x2 / 2, 0.0), (p.x2 / 2, 0.0), (p.x0 / 2, -dy)))
 
 
 # --------------------------------------------------------------------------
@@ -156,10 +159,12 @@ def four_edge_area(a: float, b: float, c: float) -> float:
             + p.x2 / 2 * p.x3 * math.sin(c))
 
 
-def four_edge_cover(a: float, b: float, c: float):
-    params = solve_four_edge(a, b, c)
-    region = involute_cover(chain_from_params("four", params)).region
-    return params, region
+def _four_edge_chain(p: FourEdgeParams):
+    yp = p.x3 * math.sin(p.c)
+    yu = yp + p.x1 * math.sin(p.b + p.c)
+    return involute.GeneratingChain((
+        (-p.x0 / 2, -yu), (-p.x2 / 2, -yp), (0.0, 0.0),
+        (p.x2 / 2, -yp), (p.x0 / 2, -yu)))
 
 
 # --------------------------------------------------------------------------
@@ -188,32 +193,83 @@ def _penalized(area_fn, angles):
 
 
 def optimize_construction(kind: str):
-    """Minimize the closed-form area; returns (params, area, region)."""
-    if kind == "two":
-        res = numerics.minimize_1d(
-            lambda a: two_edge_area(solve_two_edge(a)),
-            FEASIBLE_MARGIN, math.pi / 3 - FEASIBLE_MARGIN, tol=1e-12)
-        if not res.converged:
-            raise numerics.ConvergenceError(
-                f"two-edge optimizer did not converge: {res}")
-        params, region = two_edge_cover(res.argmin)
-        return params, res.value, region
-    if kind == "three":
-        res = numerics.minimize_nd(
-            lambda v: _penalized(three_edge_area, v), (0.5, 0.5), tol=1e-12)
-        if not res.converged:
-            raise numerics.ConvergenceError(
-                f"three-edge optimizer did not converge: {res}")
-        a, b = res.argmin
-        params, region = three_edge_cover(a, b)
-        return params, res.value, region
-    if kind == "four":
-        res = numerics.minimize_nd(
-            lambda v: _penalized(four_edge_area, v), (0.5, 0.4, 0.2), tol=1e-12)
-        if not res.converged:
-            raise numerics.ConvergenceError(
-                f"four-edge optimizer did not converge: {res}")
-        a, b, c = res.argmin
-        params, region = four_edge_cover(a, b, c)
-        return params, res.value, region
-    raise ValueError(f"unknown construction kind {kind!r}")
+    """Minimize the closed-form area; returns (params, area, CoverBundle).
+
+    One angle: golden section on the bracket `start`; several: Nelder-Mead
+    from `start` under the wedge penalty.
+    """
+    cut = construction(kind)
+    if len(cut.ref_angles) == 1:
+        res = numerics.minimize_1d(cut.area, *cut.start, tol=1e-12)
+        angles = (res.argmin,)
+    else:
+        res = numerics.minimize_nd(lambda v: _penalized(cut.area, v),
+                                   cut.start, tol=1e-12)
+        angles = tuple(res.argmin)
+    if not res.converged:
+        raise numerics.ConvergenceError(
+            f"{kind}-edge optimizer did not converge: {res}")
+    params, bundle = cut.build(angles)
+    return params, res.value, bundle
+
+
+# --------------------------------------------------------------------------
+# the table
+
+@dataclass(frozen=True)
+class Construction:
+    """One discrete cut: solver, closed-form area, chain, reference values.
+
+    `solve` and `area` take the free angles, `chain` the solved params.
+    `ref_angles` and `ref_area` are the paper's values, frozen as literals
+    so that checks against them test the formulas.  `start` is the
+    optimizer's bracket for one angle, its start point for several.
+    """
+
+    edges: int
+    solve: Callable
+    area: Callable
+    chain: Callable
+    ref_angles: tuple
+    ref_area: float
+    start: tuple = ()
+
+    def build(self, angles=None):
+        """(params, CoverBundle) at `angles`, the reference angles by default."""
+        angles = self.ref_angles if angles is None else tuple(angles)
+        if len(angles) != len(self.ref_angles):
+            raise ValueError(
+                f"the {self.edges}-edge cut takes {len(self.ref_angles)} "
+                f"angle(s), got {len(angles)}")
+        params = self.solve(*angles)
+        return params, involute.involute_cover(self.chain(params))
+
+
+CONSTRUCTIONS = {
+    "one": Construction(
+        edges=1, solve=lambda: None, area=lambda: R2_AREA,
+        chain=lambda _: involute.GeneratingChain(((-0.5, 0.0), (0.5, 0.0))),
+        ref_angles=(), ref_area=R2_AREA),
+    "two": Construction(
+        edges=2, solve=solve_two_edge,
+        area=lambda a: two_edge_area(solve_two_edge(a)),
+        chain=_two_edge_chain,
+        ref_angles=(math.acos(0.75),),  # the optimum: cos a = 3/4
+        ref_area=0.5726988958836958,
+        start=(FEASIBLE_MARGIN, math.pi / 3 - FEASIBLE_MARGIN)),
+    "three": Construction(
+        edges=3, solve=solve_three_edge, area=three_edge_area,
+        chain=_three_edge_chain, ref_angles=(0.575939, 0.519805),
+        ref_area=0.5635302302808625, start=(0.5, 0.5)),
+    "four": Construction(
+        edges=4, solve=solve_four_edge, area=four_edge_area,
+        chain=_four_edge_chain, ref_angles=(0.488669, 0.423144, 0.189158),
+        ref_area=0.5600945401134869, start=(0.5, 0.4, 0.2)),
+}
+
+
+def construction(kind: str) -> Construction:
+    """The table entry for `kind`; ValueError for an unknown kind."""
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    return CONSTRUCTIONS[kind]

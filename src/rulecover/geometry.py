@@ -183,16 +183,18 @@ class ArcPath:
     def vertices(self):
         return [p.start for p in self.pieces] + [self.pieces[-1].end]
 
-    def sample(self, n: int):
-        """~n points spread by arc length, always keeping piece endpoints."""
+    def indexed_samples(self, n: int):
+        """(piece index, point) for each point of `sample(n)`."""
         total = self.length()
-        pts = []
-        for p in self.pieces:
+        for idx, p in enumerate(self.pieces):
             k = max(1, round(n * p.length() / total)) if total > 0 else 1
             for j in range(k):
-                pts.append(p.point_at(j / k))
-        pts.append(self.pieces[-1].end)
-        return pts
+                yield idx, p.point_at(j / k)
+        yield len(self.pieces) - 1, self.pieces[-1].end
+
+    def sample(self, n: int):
+        """~n points spread by arc length, always keeping piece endpoints."""
+        return [q for _, q in self.indexed_samples(n)]
 
     def polygonize(self, max_arc_step: float = TWO_PI / 64):
         """Chords approximating the path: list of (x0, y0, x1, y1, piece_idx)."""

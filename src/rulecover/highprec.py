@@ -114,20 +114,11 @@ class NativeBackend:
     def num(x):
         return float(x)
 
-    sin = staticmethod(math.sin)
-    cos = staticmethod(math.cos)
-    acos = staticmethod(math.acos)
-    sqrt = staticmethod(math.sqrt)
-
     @staticmethod
     def multiples(t, k):
         """([sin(j t)], [cos(j t)]) for j = 0..k."""
         return ([math.sin(j * t) for j in range(k + 1)],
                 [math.cos(j * t) for j in range(k + 1)])
-
-    @staticmethod
-    def pi():
-        return math.pi
 
     @staticmethod
     def context():
@@ -156,12 +147,6 @@ class DecimalBackend:
                 return +Decimal(x)
         return Decimal(x)
 
-    def sin(self, x):
-        return sin_decimal(x, self.digits)
-
-    def cos(self, x):
-        return cos_decimal(x, self.digits)
-
     def multiples(self, t, k):
         """([sin(j t)], [cos(j t)]) for j = 0..k from one sin/cos pair.
 
@@ -182,14 +167,6 @@ class DecimalBackend:
                 cosines.append(twice_cos * cosines[-1] - cosines[-2])
             ctx.prec = self.digits
             return [+s for s in sines[:k + 1]], [+c for c in cosines[:k + 1]]
-
-    def sqrt(self, x):
-        with localcontext() as ctx:
-            ctx.prec = self.digits
-            return Decimal(x).sqrt()
-
-    def pi(self):
-        return pi_decimal(self.digits)
 
     @contextmanager
     def context(self):

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import constructions
 from .geometry import (
     Arc,
     ArcPath,
@@ -319,22 +320,5 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:
-    """Explicit vertex chains for the closed-form constructions."""
-    if kind == "one":
-        return GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-    if kind == "two":
-        d = 0.5 * math.sin(params.c)
-        return GeneratingChain((
-            (-params.x0 / 2, -d), (0.0, 0.0), (params.x0 / 2, -d)))
-    if kind == "three":
-        dy = params.x1 * math.sin(params.b)
-        return GeneratingChain((
-            (-params.x0 / 2, -dy), (-params.x2 / 2, 0.0),
-            (params.x2 / 2, 0.0), (params.x0 / 2, -dy)))
-    if kind == "four":
-        yp = params.x3 * math.sin(params.c)
-        yu = yp + params.x1 * math.sin(params.b + params.c)
-        return GeneratingChain((
-            (-params.x0 / 2, -yu), (-params.x2 / 2, -yp), (0.0, 0.0),
-            (params.x2 / 2, -yp), (params.x0 / 2, -yu)))
-    raise ValueError(f"unknown chain kind {kind!r}")
+    """Explicit vertex chain of a closed-form construction (see constructions)."""
+    return constructions.construction(kind).chain(params)

@@ -130,7 +130,8 @@ def h_value(co: SmoothCoefficients, t, backend=NATIVE):
 
 def unwrapped_length(co: SmoothCoefficients, t, backend=NATIVE):
     """String length unwrapped from the left end up to parameter t."""
-    return h_value(co, t, backend) + co.b
+    with backend.context():
+        return h_value(co, t, backend) + co.b
 
 
 def involute_points(co: SmoothCoefficients, t, backend=NATIVE):
@@ -246,7 +247,8 @@ def _decimal_argmin(digits: int, tol, bracket=SMOOTH_BRACKET):
     """
     guard = DecimalBackend(digits, guard=digits + 12)
     with guard.context():
-        lo, hi = guard.num(bracket[0]), guard.num(bracket[1])
+        # from the shortest repr, so 0.8 is 0.8 and not its binary value
+        lo, hi = guard.num(str(bracket[0])), guard.num(str(bracket[1]))
         return _minimize_area(guard, lo, hi, Decimal(tol)), guard
 
 

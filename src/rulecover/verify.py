@@ -91,16 +91,8 @@ def random_rule(n: int, seed: int, max_len: float = 1.0) -> Rule:
 
 def _upper_samples(upper, n_right: int, n: int):
     """(point, side) samples on the upper arcs, endpoints always included."""
-    total = upper.length()
-    samples = []
-    for idx, piece in enumerate(upper.pieces):
-        side = 0 if idx < n_right else 1
-        k = max(1, round(n * piece.length() / total)) if total > 0 else 1
-        for j in range(k):
-            samples.append((piece.point_at(j / k), side))
-    last = upper.pieces[-1]
-    samples.append((last.end, 1 if len(upper.pieces) > n_right else 0))
-    return samples
+    return [(q, 0 if idx < n_right else 1)
+            for idx, q in upper.indexed_samples(n)]
 
 
 def _candidates(upper, n_right: int, p, side, length: float):

@@ -2,15 +2,10 @@ import math
 
 import pytest
 
-from rulecover import constructions as cons
 from rulecover import smooth
+from rulecover.constructions import CONSTRUCTIONS
 from rulecover.geometry import Arc, ArcPath, Region, Seg
-from rulecover.involute import (
-    CoverBundle,
-    GeneratingChain,
-    chain_from_params,
-    involute_cover,
-)
+from rulecover.involute import CoverBundle, GeneratingChain, involute_cover
 
 # printed reference values from the high-precision reproduction
 A_PRINTED = "1.11073213677147211458454234766"
@@ -19,36 +14,26 @@ B1_PRINTED = "0.88242010074246605497268495"
 B2_PRINTED = "0.13498096758065222221003550"
 AREA_PREFIX = "0.55536036"
 
-THREE_ANGLES = (0.575939, 0.519805)
-FOUR_ANGLES = (0.488669, 0.423144, 0.189158)
-
-# closed-form areas at the reference angles (frozen from the formulas)
-TWO_OPT_AREA = 0.5726988958836958
-THREE_REF_AREA = 0.5635302302808625
-FOUR_REF_AREA = 0.5600945401134869
-
-
-@pytest.fixture(scope="session")
-def r2_bundle():
-    return involute_cover(chain_from_params("one"))
+# reference angles and closed-form areas, frozen in the construction table
+THREE_ANGLES = CONSTRUCTIONS["three"].ref_angles
+FOUR_ANGLES = CONSTRUCTIONS["four"].ref_angles
+TWO_OPT_AREA = CONSTRUCTIONS["two"].ref_area
+THREE_REF_AREA = CONSTRUCTIONS["three"].ref_area
+FOUR_REF_AREA = CONSTRUCTIONS["four"].ref_area
 
 
-@pytest.fixture(scope="session")
-def two_bundle():
-    params = cons.solve_two_edge(math.acos(0.75))
-    return involute_cover(chain_from_params("two", params))
+def _reference_bundle(name, kind):
+    """Session fixture `name`: the cover of `kind` at its reference angles."""
+    @pytest.fixture(scope="session", name=name)
+    def bundle():
+        return CONSTRUCTIONS[kind].build()[1]
+    return bundle
 
 
-@pytest.fixture(scope="session")
-def three_bundle():
-    params = cons.solve_three_edge(*THREE_ANGLES)
-    return involute_cover(chain_from_params("three", params))
-
-
-@pytest.fixture(scope="session")
-def four_bundle():
-    params = cons.solve_four_edge(*FOUR_ANGLES)
-    return involute_cover(chain_from_params("four", params))
+r2_bundle = _reference_bundle("r2_bundle", "one")
+two_bundle = _reference_bundle("two_bundle", "two")
+three_bundle = _reference_bundle("three_bundle", "three")
+four_bundle = _reference_bundle("four_bundle", "four")
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,18 @@ class TestConstruct:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("kind, angles, expected", [
+        ("two", "0.7,0.3", "takes 1 angle"),
+        ("three", "0.7", "takes 2 angle"),
+        ("r2", "0.7", "takes 0 angle"),
+        ("smooth", "1.1,0.3", "takes 1 angle"),
+    ])
+    def test_wrong_angle_count_exits_1(self, capsys, kind, angles, expected):
+        code, _, err = run(capsys, "construct", "--kind", kind,
+                           "--angles", angles)
+        assert code == 1
+        assert expected in err
+
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "construct", "--kind", "two")
         assert code == 0

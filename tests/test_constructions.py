@@ -13,19 +13,17 @@ from conftest import (
 )
 from rulecover import numerics
 from rulecover.constructions import (
+    CONSTRUCTIONS,
     InfeasibleParamsError,
     R2_AREA,
     four_edge_area,
-    four_edge_cover,
     optimize_construction,
     r2_cover,
     solve_four_edge,
     solve_three_edge,
     solve_two_edge,
     three_edge_area,
-    three_edge_cover,
     two_edge_area,
-    two_edge_cover,
 )
 from rulecover.geometry import arc_path_area
 
@@ -92,8 +90,8 @@ class TestTwoEdge:
         assert abs((hi - lo) / (2 * h)) <= 1e-6
 
     def test_geometric_area_matches(self):
-        p, region = two_edge_cover(A_OPT_TWO)
-        assert abs(region.area - two_edge_area(p)) <= 1e-10
+        p, bundle = CONSTRUCTIONS["two"].build((A_OPT_TWO,))
+        assert abs(bundle.region.area - two_edge_area(p)) <= 1e-10
 
 
 class TestThreeEdge:
@@ -110,8 +108,8 @@ class TestThreeEdge:
         assert 0 < p.x1 < 0.5 and 0 < p.x2 < 1
 
     def test_geometric_area_matches(self):
-        p, region = three_edge_cover(*THREE_ANGLES)
-        assert abs(region.area - three_edge_area(*THREE_ANGLES)) <= 1e-10
+        p, bundle = CONSTRUCTIONS["three"].build(THREE_ANGLES)
+        assert abs(bundle.region.area - three_edge_area(*THREE_ANGLES)) <= 1e-10
 
     def test_flat_restriction_reproduces_prior_bound(self):
         res = numerics.minimize_1d(lambda b: three_edge_area(0.0, b),
@@ -139,8 +137,8 @@ class TestFourEdge:
         assert p.x1 + p.x3 == 0.5  # exact by construction
 
     def test_geometric_area_matches(self):
-        p, region = four_edge_cover(*FOUR_ANGLES)
-        assert abs(region.area - four_edge_area(*FOUR_ANGLES)) <= 1e-10
+        p, bundle = CONSTRUCTIONS["four"].build(FOUR_ANGLES)
+        assert abs(bundle.region.area - four_edge_area(*FOUR_ANGLES)) <= 1e-10
 
     def test_collapses_to_three_edge(self):
         a, b = THREE_ANGLES
@@ -197,7 +195,7 @@ class TestOptimize:
 def test_three_edge_closed_form_matches_geometry(total, frac):
     a, b = total * frac, total * (1 - frac)
     try:
-        params, region = three_edge_cover(a, b)
+        params, bundle = CONSTRUCTIONS["three"].build((a, b))
     except InfeasibleParamsError:
         assume(False)
-    assert abs(region.area - three_edge_area(a, b)) <= 1e-10
+    assert abs(bundle.region.area - three_edge_area(a, b)) <= 1e-10

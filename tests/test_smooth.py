@@ -113,6 +113,16 @@ class TestInvolutePoints:
         assert abs(math.dist(c1, v) - 1.0) <= 1e-12
         assert abs(c1[0]) <= 1e-12  # the apex sits on the symmetry axis
 
+    def test_unwrapped_length_keeps_decimal_precision(self):
+        def length(digits):
+            be = DecimalBackend(digits)
+            co = solve_coefficients(Decimal(A_PRINTED), be)
+            return unwrapped_length(co, Decimal("0.3"), be)
+
+        value, ref = length(40), length(60)
+        assert len(value.as_tuple().digits) >= 38
+        assert abs(value - ref) <= abs(ref) * Decimal(10) ** -38
+
     def test_unit_offset_between_involutes(self):
         co = solve_coefficients(A_REF)
         rng = random.Random(3)
@@ -196,9 +206,9 @@ class TestOptimize:
                                            iterations=600, converged=False)
 
         monkeypatch.setattr(numerics, "minimize_1d", stalled)
-        with pytest.raises(numerics.ConvergenceError):
+        with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
             optimize_smooth(backend=DecimalBackend(20))
-        with pytest.raises(numerics.ConvergenceError):
+        with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
             reproduce_appendix(20)
 
     def test_area_below_four_edge(self, smooth_optimum):
