@@ -199,6 +199,8 @@ def optimize_construction(kind: str):
     from `start` under the wedge penalty.
     """
     cut = construction(kind)
+    if not cut.ref_angles:
+        raise ValueError(f"the {kind}-edge cut has no angle to optimize")
     if len(cut.ref_angles) == 1:
         res = numerics.minimize_1d(cut.area, *cut.start, tol=1e-12)
         angles = (res.argmin,)

@@ -251,7 +251,7 @@ def arc_path_area(path: ArcPath, check: bool = True) -> float:
 
 
 # --------------------------------------------------------------------------
-# simplicity (checked on a chord approximation, non-adjacent pairs only)
+# simplicity (checked on a chord approximation, endpoint-sharing pairs skipped)
 
 def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -281,39 +281,37 @@ def _share_endpoint(c1, c2, tol: float) -> bool:
 
 
 def path_self_intersects(path: ArcPath) -> bool:
-    """Grid-accelerated chord crossing test at polygonization resolution."""
-    chords = path.polygonize()
-    if len(chords) < 2:
-        return False
-    xs = [c[0] for c in chords] + [chords[-1][2]]
-    ys = [c[1] for c in chords] + [chords[-1][3]]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    longest = max(math.hypot(c[2] - c[0], c[3] - c[1]) for c in chords)
-    cell = max(span / 128, longest + 1e-12)
-    x0g, y0g = min(xs), min(ys)
-    grid = {}
-    for i, c in enumerate(chords):
-        gx0 = int((min(c[0], c[2]) - x0g) / cell)
-        gx1 = int((max(c[0], c[2]) - x0g) / cell)
-        gy0 = int((min(c[1], c[3]) - y0g) / cell)
-        gy1 = int((max(c[1], c[3]) - y0g) / cell)
-        for gx in range(gx0, gx1 + 1):
-            for gy in range(gy0, gy1 + 1):
-                grid.setdefault((gx, gy), []).append(i)
-    checked = set()
-    adj_tol = 1e-8
-    for bucket in grid.values():
-        for ii in range(len(bucket)):
-            for jj in range(ii + 1, len(bucket)):
-                i, j = bucket[ii], bucket[jj]
-                key = (i, j) if i < j else (j, i)
-                if key in checked:
+    """Chord crossing test at polygonization resolution, on the piece table.
+
+    Only the chords of pieces i < j whose row circles, each padded by
+    BOUND_PAD, overlap are compared; block pairs, then rows against the
+    other block, are pruned first by the same circle test.  A proper
+    crossing lies strictly inside both pieces' row circles, hence inside
+    both block circles, so no crossing is missed.  One piece's chords never
+    properly cross each other: a segment is a single chord, and an arc's
+    chords form a convex inscribed polyline.
+    """
+    hypot = math.hypot
+    table = _compiled(path)
+    piece_chords = [[] for _ in path.pieces]
+    for c in path.polygonize():
+        piece_chords[c[4]].append(c)
+    for a, (gx, gy, grad, rows) in enumerate(table):
+        for (hx, hy, hrad, other_rows) in table[a:]:
+            if hypot(gx - hx, gy - hy) > grad + hrad:
+                continue
+            for (icx, icy, irad, i, _) in rows:
+                if hypot(icx - hx, icy - hy) > irad + BOUND_PAD + hrad:
                     continue
-                checked.add(key)
-                if _share_endpoint(chords[i], chords[j], adj_tol):
-                    continue
-                if _chords_cross(chords[i], chords[j]):
-                    return True
+                for (jcx, jcy, jrad, j, _) in other_rows:
+                    if j <= i or (hypot(icx - jcx, icy - jcy)
+                                  > irad + jrad + 2 * BOUND_PAD):
+                        continue
+                    for c1 in piece_chords[i]:
+                        for c2 in piece_chords[j]:
+                            if (not _share_endpoint(c1, c2, 1e-8)
+                                    and _chords_cross(c1, c2)):
+                                return True
     return False
 
 
@@ -363,6 +361,10 @@ class Region:
 # its own circle; both padded by BOUND_PAD, which covers the 1e-9
 # arc-length endpoint slack the scans accept plus rounding.  The query's
 # own tolerance (eps, DEDUP_TOL) is added by each scan.
+#
+# The table is the module's one spatial index: the four scans below and the
+# simplicity audit path_self_intersects above use it.  A piece's chords lie
+# in its row circle too, since the circle is convex and holds the piece.
 
 BLOCK_SIZE = 16
 BOUND_PAD = 1e-8
@@ -451,14 +453,17 @@ def boundary_distance(path: ArcPath, point) -> float:
 # --------------------------------------------------------------------------
 # winding / containment
 
-# fixed fan of ray directions; later entries are fallbacks around degeneracies
+# fixed fan of ray directions; later entries are retries around degeneracies
 _RAY_DIRECTIONS = tuple(
     (math.cos(0.12345 + 2.39996322972865332 * k),
      math.sin(0.12345 + 2.39996322972865332 * k))
     for k in range(16))
 
 def _winding_number(path: ArcPath, point) -> int:
-    """Signed ray crossings, retrying other ray directions on degeneracies."""
+    """Signed ray crossings, retrying other ray directions on degeneracies.
+
+    Raises GeometryError when every direction of the fan is degenerate.
+    """
     px, py = point
     table = _compiled(path)
     atan2, sqrt = math.atan2, math.sqrt
@@ -531,15 +536,8 @@ def _winding_number(path: ArcPath, point) -> int:
                 break
         if ok:
             return total
-    # last resort: angle-sum winding on a dense polygonization
-    chords = path.polygonize(max_arc_step=TWO_PI / 512)
-    total_angle = 0.0
-    for (x0, y0, x1, y1, _) in chords:
-        a0 = math.atan2(y0 - py, x0 - px)
-        a1 = math.atan2(y1 - py, x1 - px)
-        d = (a1 - a0 + math.pi) % TWO_PI - math.pi
-        total_angle += d
-    return round(total_angle / TWO_PI)
+    raise GeometryError(
+        f"every ray direction from {point} meets the boundary degenerately")
 
 
 def contains_point(region: Region, point, eps: float = BOUNDARY_EPS) -> str:

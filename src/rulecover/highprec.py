@@ -53,11 +53,16 @@ def _reduce(x: Decimal, digits: int) -> Decimal:
     return x
 
 
-def sin_decimal(x: Decimal, digits: int) -> Decimal:
+def _taylor(x: Decimal, digits: int, first: int) -> Decimal:
+    """Sum of the alternating series x^k / k!, k = first, first + 2, ...
+
+    first = 1 gives sin x and first = 0 gives cos x.
+    """
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD
         x = _reduce(Decimal(x), digits)
-        i, lasts, s, fact, num, sign = 1, Decimal(0), x, 1, x, 1
+        num = x if first else Decimal(1)
+        i, lasts, s, fact, sign = first, Decimal(0), num, 1, 1
         while s != lasts:
             lasts = s
             i += 2
@@ -68,23 +73,14 @@ def sin_decimal(x: Decimal, digits: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = digits
         return +s
+
+
+def sin_decimal(x: Decimal, digits: int) -> Decimal:
+    return _taylor(x, digits, 1)
 
 
 def cos_decimal(x: Decimal, digits: int) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = digits + _GUARD
-        x = _reduce(Decimal(x), digits)
-        i, lasts, s, fact, num, sign = 0, Decimal(0), Decimal(1), 1, Decimal(1), 1
-        while s != lasts:
-            lasts = s
-            i += 2
-            fact *= i * (i - 1)
-            num *= x * x
-            sign = -sign
-            s += sign * num / fact
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +s
+    return _taylor(x, digits, 0)
 
 
 def truncate_digits(x, digits: int) -> str:

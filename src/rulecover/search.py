@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import smooth
 from .involute import GeneratingChain, InadmissibleChainError, involute_cover
@@ -127,14 +128,9 @@ def initial_params(n: int) -> ChainParams:
     return ChainParams(edges=n, fracs=fracs, turns=turns)
 
 
-_SMOOTH_CACHE = None
-
-
+@cache
 def _smooth_optimum():
-    global _SMOOTH_CACHE
-    if _SMOOTH_CACHE is None:
-        _SMOOTH_CACHE = smooth.optimize_smooth(tol=1e-10)
-    return _SMOOTH_CACHE
+    return smooth.optimize_smooth(tol=1e-10)
 
 
 def local_search(cfg: SearchConfig) -> SearchTrace:

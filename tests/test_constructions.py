@@ -173,6 +173,10 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_construction("five")
 
+    def test_one_has_no_angle(self):
+        with pytest.raises(ValueError, match="no angle to optimize"):
+            optimize_construction("one")
+
     def test_two_unconverged_raises(self, monkeypatch):
         real = numerics.minimize_1d
 

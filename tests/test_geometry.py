@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulecover import smooth
+from rulecover import geometry, smooth
 from rulecover.geometry import (
     Arc,
     ArcPath,
+    BLOCK_SIZE,
     BOUNDARY,
+    GeometryError,
     INSIDE,
     OUTSIDE,
     OpenPathError,
@@ -31,7 +33,11 @@ from rulecover.geometry import (
     scale_piece,
     segment_inside,
 )
-from rulecover.involute import InadmissibleChainError, involute_cover
+from rulecover.involute import (
+    GeneratingChain,
+    InadmissibleChainError,
+    involute_cover,
+)
 from rulecover.search import ChainParams, perturb
 from rulecover.verify import shrink_cover
 
@@ -120,6 +126,14 @@ class TestContainment:
         region = Region.from_path(r2_path())
         assert contains_point(region, (-0.5, 0.0)) == BOUNDARY
         assert contains_point(region, (0.5, 1e-12)) == BOUNDARY
+
+    def test_all_rays_degenerate_raises(self, monkeypatch):
+        # the only ray from the centre runs through the corner (1, 1)
+        monkeypatch.setattr(geometry, "_RAY_DIRECTIONS",
+                            ((math.sqrt(0.5), math.sqrt(0.5)),))
+        region = Region.from_path(square_path())
+        with pytest.raises(GeometryError, match=r"\(0\.5, 0\.5\)"):
+            contains_point(region, (0.5, 0.5))
 
     def test_monte_carlo_area_consistency(self):
         region = Region.from_path(r2_path())
@@ -363,6 +377,93 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
         assert contains_point(region, pt) == oracle.contains_point(o_region, pt), pt
         assert (boundary_distance(region.boundary, pt)
                 == oracle.boundary_distance(o_boundary, pt))
+
+    assert (path_self_intersects(region.boundary)
+            == oracle.path_self_intersects(o_boundary))
+
+
+# Self-intersecting paths for the audit, each crossing between pieces that
+# sit in different blocks of the piece table.
+
+def figure_eight_path(n=40):
+    """Lemniscate x = sin t, y = sin t cos t as n chords, crossing at 0."""
+    ts = [2 * math.pi * (k + 0.5) / n for k in range(n + 1)]
+    pts = [(math.sin(t), math.sin(t) * math.cos(t)) for t in ts]
+    return ArcPath([Seg(*pts[k], *pts[k + 1]) for k in range(n)])
+
+
+def knot_path():
+    """20 chords along the x axis with a knot: piece 17 crosses piece 15."""
+    pts = ([(float(k), 0.0) for k in range(16)]
+           + [(16.0, 1.0), (15.0, 1.0), (16.0, 0.0), (17.0, 0.0), (18.0, 0.0)])
+    return ArcPath([Seg(*pts[k], *pts[k + 1]) for k in range(len(pts) - 1)])
+
+
+def crossing_arcs_path():
+    """Closed path whose first arc (piece 0) crosses piece 20: the right half
+    of the unit circle and the left half of the unit circle about (1.5, 0)
+    meet at (0.75, +-0.66)."""
+    def run(a, b, steps=9):
+        pts = [(a[0] + k * (b[0] - a[0]) / steps, a[1] + k * (b[1] - a[1]) / steps)
+               for k in range(steps + 1)]
+        return [Seg(*pts[k], *pts[k + 1]) for k in range(steps)]
+    return ArcPath([Arc(0.0, 0.0, 1.0, -math.pi / 2, math.pi / 2),
+                    *run((0.0, 1.0), (0.0, 2.0)), *run((0.0, 2.0), (1.5, 2.0)),
+                    Seg(1.5, 2.0, 1.5, 1.0),
+                    Arc(1.5, 0.0, 1.0, math.pi / 2, 3 * math.pi / 2),
+                    Seg(1.5, -1.0, 1.5, -2.0), Seg(1.5, -2.0, 0.0, -2.0),
+                    Seg(0.0, -2.0, 0.0, -1.0)])
+
+
+def hairpin_chain(seed, edges=20):
+    """Unit chain from u on the right to v on the left: it climbs in gentle
+    clockwise turns, then hairpins back by more than pi at its last
+    interior vertex, so the arc unwrapped there swings through the
+    mirrored involute."""
+    rng = random.Random(seed)
+    heads = [rng.uniform(0.3, 1.2)]
+    for _ in range(edges - 2):
+        heads.append(heads[-1] - rng.uniform(0.0, 0.25 / edges))
+    heads.append(heads[-1] - rng.uniform(math.pi + 0.05,
+                                         heads[-1] + math.pi - 0.05))
+    pts = [(0.0, 0.0)]
+    for h in heads[:-1]:
+        step = rng.uniform(0.5, 1.0)
+        pts.append((pts[-1][0] + step * math.cos(h),
+                    pts[-1][1] + step * math.sin(h)))
+    step = -pts[-1][1] / math.sin(heads[-1])  # back down to y = 0
+    pts.append((pts[-1][0] + step * math.cos(heads[-1]), 0.0))
+    total = sum(math.dist(pts[k], pts[k + 1]) for k in range(edges))
+    half = 0.5 * pts[-1][0]
+    return GeneratingChain(tuple(((x - half) / total, y / total)
+                                 for x, y in pts))
+
+
+def crossing_piece_pairs(path, oracle):
+    """(i, j) for every properly crossing chord pair, by brute force."""
+    chords = path.polygonize()
+    return {(a[4], b[4]) for k, a in enumerate(chords) for b in chords[k + 1:]
+            if not oracle._share_endpoint(a, b, 1e-8)
+            and oracle._chords_cross(a, b)}
+
+
+CROSSING_PATHS = {
+    "figure-eight": figure_eight_path,
+    "knot": knot_path,
+    "crossing-arcs": crossing_arcs_path,
+    **{f"hairpin{seed}": (lambda seed=seed: involute_cover(
+        hairpin_chain(seed), validate=False, check_boundary=False
+    ).region.boundary) for seed in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", CROSSING_PATHS)
+def test_self_intersection_matches_oracle(name, oracle):
+    path = CROSSING_PATHS[name]()
+    pairs = crossing_piece_pairs(path, oracle)
+    assert any(i // BLOCK_SIZE != j // BLOCK_SIZE for i, j in pairs), pairs
+    assert path_self_intersects(path)
+    assert oracle.path_self_intersects(oracle.ArcPath.from_json(path.to_json()))
 
 
 @given(cx=st.floats(-2, 2), cy=st.floats(-2, 2), r=st.floats(0.1, 3),
