@@ -16,6 +16,7 @@ import sys
 from dataclasses import astuple
 
 from . import constructions, search, smooth, svg, verify
+from .highprec import NATIVE, DecimalBackend, truncate_digits
 from .involute import GeneratingChain, involute_cover
 
 SMOOTH_RENDER_EDGES = 512
@@ -26,8 +27,6 @@ OPTIMIZABLE = [k for k, cut in constructions.CONSTRUCTIONS.items()
 def _fmt(x, digits=None) -> str:
     if digits is None:
         return f"{float(x):.15g}"
-    from .highprec import truncate_digits
-
     return truncate_digits(x, max(digits - 2, 4))
 
 
@@ -56,11 +55,12 @@ def _construct_bundle(kind: str, angles, edges: int):
     if kind == "smooth":
         if len(angles) > 1:
             raise ValueError(f"the smooth cut takes 1 angle, got {len(angles)}")
-        a, co, area = smooth.optimize_smooth(tol=1e-12)
         if angles:
             a = angles[0]
             co = smooth.solve_coefficients(a)
             area = smooth.smooth_area(co)
+        else:
+            a, co, area = smooth.optimize_smooth()
         chain = smooth.discretize_smooth(co, edges)
         bundle = involute_cover(chain)
         print(f"a  = {_fmt(a)}")
@@ -87,18 +87,13 @@ def cmd_construct(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.kind == "smooth":
-        if args.digits:
-            from .highprec import DecimalBackend
-
-            backend = DecimalBackend(args.digits)
-            a, co, area = smooth.optimize_smooth(tol=backend.tolerance(),
-                                                 backend=backend)
-            print(f"a    = {_fmt(a, args.digits)}")
-            print(f"area = {_fmt(area, args.digits)}")
-            return 0
-        a, co, area = smooth.optimize_smooth(tol=1e-12)
-        print(f"a    = {_fmt(a)}")
-        print(f"area = {_fmt(area)}")
+        digits = args.digits or None  # 0 means floats, like no --digits
+        backend = DecimalBackend(digits) if digits else NATIVE
+        a, co, area = smooth.optimize_smooth(backend=backend)
+        print(f"a    = {_fmt(a, digits)}")
+        print(f"area = {_fmt(area, digits)}")
+        if digits:
+            return 0  # a decimal optimum is printed only, no cover JSON
         chain = smooth.discretize_smooth(co, args.edges)
         bundle = involute_cover(chain)
         _emit_json(_cover_doc(bundle, "smooth", (a,), area), args.out)
@@ -186,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[*OPTIMIZABLE, "smooth"])
     p.add_argument("--digits", type=int,
-                   help="switch to decimal arithmetic at this precision")
+                   help="switch to decimal arithmetic at this precision; "
+                        "--kind smooth then prints a and the area only and "
+                        "writes no cover JSON")
     p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES)
     p.add_argument("--out", help="cover JSON path (stdout default)")
     p.set_defaults(func=cmd_optimize)

@@ -120,7 +120,7 @@ class Arc:
                 self.cy + self.r * math.sin(t))
 
     def angle_in_span(self, phi: float, slack: float = 0.0) -> bool:
-        return _arc_angle_in(self.t0, self.sweep, phi, slack)
+        return _arc_fraction(self.t0, self.sweep, phi, slack) is not None
 
     def reversed(self) -> "Arc":
         return Arc(self.cx, self.cy, self.r, self.t1, self.t0)
@@ -406,12 +406,29 @@ def _compiled(path: ArcPath):
     return table
 
 
-def _arc_angle_in(t0, sweep, phi, slack):
+def _arc_fraction(t0, sweep, phi, slack):
+    """Fraction in [0, 1] along the arc (t0, sweep) at angle phi, or None.
+
+    None when phi lies more than slack outside the arc.  Angles within slack
+    before the start give 0 (first, near a full turn), past the end 1; a
+    negative slack shrinks the far end only.  |sweep| <= 1e-15 answers 0.
+    """
     if sweep >= 0:
         rel = (phi - t0) % TWO_PI
-        return rel <= sweep + slack or rel >= TWO_PI - slack
-    rel = (t0 - phi) % TWO_PI
-    return rel <= -sweep + slack or rel >= TWO_PI - slack
+        if not (rel <= sweep + slack or rel >= TWO_PI - slack):
+            return None
+        if rel > sweep:
+            rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+    else:
+        # measured negatively, so rel / sweep keeps the sign of each case
+        rel = -((t0 - phi) % TWO_PI)
+        if not (rel >= sweep - slack or rel <= slack - TWO_PI):
+            return None
+        if rel < sweep:
+            rel = rel + TWO_PI if rel <= slack - TWO_PI else sweep
+    if abs(sweep) <= 1e-15:
+        return 0.0
+    return min(max(rel / sweep, 0.0), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -439,8 +456,8 @@ def boundary_distance(path: ArcPath, point) -> float:
                 dc = math.hypot(px - cx, py - cy)
                 if abs(dc - r) >= best:
                     continue
-                if dc > 1e-15 and _arc_angle_in(t0, sweep,
-                                                math.atan2(py - cy, px - cx), 0.0):
+                if dc > 1e-15 and _arc_fraction(
+                        t0, sweep, math.atan2(py - cy, px - cx), 0.0) is not None:
                     d = abs(dc - r)
                 else:
                     d = min(math.hypot(px - sx, py - sy),
@@ -519,8 +536,9 @@ def _winding_number(path: ArcPath, point) -> int:
                         if u <= 1e-12:
                             continue
                         phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                        strict_in = _arc_angle_in(t0, sweep, phi, -slack)
-                        if _arc_angle_in(t0, sweep, phi, slack) != strict_in:
+                        strict_in = _arc_fraction(t0, sweep, phi, -slack) is not None
+                        loose_in = _arc_fraction(t0, sweep, phi, slack) is not None
+                        if loose_in != strict_in:
                             ok = False  # hit at an arc endpoint
                             break
                         if not strict_in:
@@ -561,7 +579,7 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
     """True iff the segment pq stays inside the region dilated by eps.
 
     Exact boundary crossings split pq into gaps of constant status; each
-    gap midpoint (plus quarter points of the whole segment) is classified
+    gap midpoint (plus the midpoint of the whole segment) is classified
     by winding number.  Endpoints may sit on the boundary, and stretches
     running along a collinear boundary segment count as contained.
     """
@@ -623,7 +641,7 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
                     if not (eps < u < seg_len - eps):
                         continue
                     phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                    if _arc_angle_in(t0, sweep, phi, slack):
+                    if _arc_fraction(t0, sweep, phi, slack) is not None:
                         cuts.append(u)
     cuts.sort()
 
@@ -631,7 +649,8 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
     for i in range(len(cuts) - 1):
         if cuts[i + 1] - cuts[i] > 1e-12:
             probes.append(0.5 * (cuts[i] + cuts[i + 1]))
-    probes.append(0.5 * seg_len)
+    if len(cuts) > 2:  # with no crossing the one gap's midpoint is this one
+        probes.append(0.5 * seg_len)
 
     for t in probes:
         if any(lo - eps <= t <= hi + eps for lo, hi in overlaps):
@@ -702,20 +721,9 @@ def circle_path_intersections(center, r, path: ArcPath):
                 slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
                 for (hx, hy) in cands:
                     phi = atan2(hy - cy, hx - cx)
-                    if not _arc_angle_in(t0, sweep, phi, slack):
+                    s = _arc_fraction(t0, sweep, phi, slack)
+                    if s is None:
                         continue
-                    if abs(sweep) > 1e-15:
-                        if sweep >= 0:
-                            rel = (phi - t0) % TWO_PI
-                            if rel > sweep:
-                                rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
-                        else:
-                            rel = -((t0 - phi) % TWO_PI)
-                            if rel < sweep:
-                                rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
-                        s = min(max(rel / sweep, 0.0), 1.0)
-                    else:
-                        s = 0.0
                     raw.append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
     raw.sort(key=lambda t: (t[0], t[1]))
     out = []

@@ -55,7 +55,13 @@ def _is_finite(v) -> bool:
         return False
 
 
-def minimize_1d(f, lo, hi, tol=1e-12, max_iter=600) -> MinimizeResult:
+MAX_ITER_1D = 600    # golden-section plus parabolic steps
+MAX_ITER_ND = 4000   # Nelder-Mead steps over all restarts
+RESTARTS_ND = 2      # Nelder-Mead restarts after the first run
+INITIAL_STEP_ND = 0.05  # first simplex edge, relative to 1 + |x|
+
+
+def minimize_1d(f, lo, hi, tol=1e-12) -> MinimizeResult:
     """Minimize f on [lo, hi] to a bracket of width <= tol.
 
     Golden-section search shrinks the bracket to ~1e-6 of the original
@@ -89,7 +95,7 @@ def minimize_1d(f, lo, hi, tol=1e-12, max_iter=600) -> MinimizeResult:
 
     coarse = (hi - lo) / 1_000_000
     golden_target = coarse if coarse > tol else tol
-    while (b - a) > golden_target and iterations < max_iter:
+    while (b - a) > golden_target and iterations < MAX_ITER_1D:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -108,7 +114,7 @@ def minimize_1d(f, lo, hi, tol=1e-12, max_iter=600) -> MinimizeResult:
         best_x, best_f = b, fb
 
     span = b - a
-    while span > tol and iterations < max_iter:
+    while span > tol and iterations < MAX_ITER_1D:
         h = span / 4
         xl = best_x - h
         xr = best_x + h
@@ -139,8 +145,7 @@ def minimize_1d(f, lo, hi, tol=1e-12, max_iter=600) -> MinimizeResult:
                           iterations=iterations, converged=span <= tol)
 
 
-def minimize_nd(f, start, tol=1e-10, max_iter=4000, restarts=2,
-                initial_step=0.05) -> MinimizeResult:
+def minimize_nd(f, start, tol=1e-10) -> MinimizeResult:
     """Nelder-Mead downhill simplex with shrinking restarts (floats only)."""
     x0 = [float(v) for v in start]
     n = len(x0)
@@ -155,10 +160,10 @@ def minimize_nd(f, start, tol=1e-10, max_iter=4000, restarts=2,
 
     total_iters = 0
     best_x, best_f = list(x0), ev(x0)
-    step = initial_step
+    step = INITIAL_STEP_ND
     converged = False
 
-    for _ in range(restarts + 1):
+    for _ in range(RESTARTS_ND + 1):
         sim = [list(best_x)]
         for k in range(n):
             p = list(best_x)
@@ -166,7 +171,7 @@ def minimize_nd(f, start, tol=1e-10, max_iter=4000, restarts=2,
             sim.append(p)
         fs = [ev(p) for p in sim]
 
-        while total_iters < max_iter:
+        while total_iters < MAX_ITER_ND:
             order = sorted(range(n + 1), key=lambda i: fs[i])
             sim = [sim[i] for i in order]
             fs = [fs[i] for i in order]

@@ -72,15 +72,18 @@ def solve_coefficients(a, backend=NATIVE, check: bool = False,
     return co
 
 
-def check_speed_positivity(co: SmoothCoefficients, grid: int = 1000):
+SPEED_GRID = 1000  # float grid of the speed-positivity check
+
+
+def check_speed_positivity(co: SmoothCoefficients):
     """Raise unless g > 0 strictly inside (-a, a): g(0) plus a float grid."""
     a = float(co.a)
     b0, b1, b2 = float(co.b0), float(co.b1), float(co.b2)
     if b0 + b1 + b2 <= 0:
         raise SpeedPositivityError(f"curve speed not positive at t=0 for a={a!r}")
     lo = -a * (1 - 1e-6)
-    for k in range(grid + 1):
-        t = lo + (2 * a * (1 - 1e-6)) * k / grid
+    for k in range(SPEED_GRID + 1):
+        t = lo + (2 * a * (1 - 1e-6)) * k / SPEED_GRID
         g = b0 + b1 * math.cos(t) + b2 * math.cos(2 * t)
         if g <= 0 and abs(t) < a * (1 - 1e-3):
             raise SpeedPositivityError(
@@ -215,65 +218,42 @@ def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
         return int_l2 - a_uvw + a_uv
 
 
-def _minimize_area(backend, lo, hi, tol):
-    """Argmin of the area on [lo, hi]; raise unless it converged inside.
-
-    An argmin within tol of a bracket end means the true minimum may lie
-    outside the bracket.
-    """
-    def area(a):  # one backend.multiples call per evaluation
-        trig = backend.multiples(a, 6)
-        return smooth_area(solve_coefficients(a, backend, trig=trig),
-                           backend, trig)
-
-    res = numerics.minimize_1d(area, lo, hi, tol=tol)
-    if not res.converged:
-        raise numerics.ConvergenceError(
-            f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
-            f"in {res.iterations} iterations")
-    if res.argmin - lo <= tol or hi - res.argmin <= tol:
-        raise numerics.ConvergenceError(
-            f"smooth-cut argmin {res.argmin} sits at an end of [{lo}, {hi}]")
-    return res.argmin
-
-
-def _decimal_argmin(digits: int, tol, bracket=SMOOTH_BRACKET):
-    """(argmin, guard backend) of the area at `digits` nominal digits.
-
-    The area is quadratic around the optimum, so pinning the argmin to
-    ~`digits` digits needs ~2x digits in the objective: the comparison
-    plateau has width ~sqrt(quantum / A'').  The objective therefore runs
-    on a backend with digits + 12 guard digits, which is returned too.
-    """
-    guard = DecimalBackend(digits, guard=digits + 12)
-    with guard.context():
-        # from the shortest repr, so 0.8 is 0.8 and not its binary value
-        lo, hi = guard.num(str(bracket[0])), guard.num(str(bracket[1]))
-        return _minimize_area(guard, lo, hi, Decimal(tol)), guard
-
-
 def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
-    """Minimize the cover area over the half-angle a.
+    """(a, coefficients, area) at the half-angle a that minimizes the area.
 
-    Native mode localizes a to ~1e-10.  In decimal mode the objective is
-    evaluated with extra guard digits so parabolic refinement stays
-    meaningful all the way down to tol; results are reported at the
-    backend's nominal precision.  Raises numerics.ConvergenceError when the
-    minimizer stops short of tol or ends at a bracket end.
+    The search runs on a working backend: floats as they are, or, for a
+    decimal backend with d nominal digits, d + 12 guard digits.  The area
+    is quadratic around the optimum, so pinning the argmin to ~d digits
+    needs ~2d digits in the objective: the comparison plateau has width
+    ~sqrt(quantum / A'').  The argmin is then rounded to the backend, where
+    the coefficients and the area are evaluated.  tol defaults to
+    backend.tolerance().  Raises numerics.ConvergenceError when the
+    minimizer stops short of tol or ends within tol of a bracket end, where
+    the true minimum may lie outside the bracket.
     """
-    if backend is NATIVE or getattr(backend, "digits", None) is None:
-        tol = 1e-12 if tol is None else tol
-        a = _minimize_area(NATIVE, float(bracket[0]), float(bracket[1]), tol)
-        co = solve_coefficients(a, check=True)
-        return a, co, smooth_area(co)
-
     if tol is None:
         tol = backend.tolerance()
-    argmin, _ = _decimal_argmin(backend.nominal_digits, tol, bracket)
+    work = backend if backend.digits is None else DecimalBackend(
+        backend.nominal_digits, guard=backend.nominal_digits + 12)
+
+    def area(a):  # one work.multiples call per evaluation
+        trig = work.multiples(a, 6)
+        return smooth_area(solve_coefficients(a, work, trig=trig), work, trig)
+
+    with work.context():
+        # from the shortest repr, so 0.8 is 0.8 and not its binary value
+        lo, hi = work.num(str(bracket[0])), work.num(str(bracket[1]))
+        res = numerics.minimize_1d(area, lo, hi, tol=tol)
+        if not res.converged:
+            raise numerics.ConvergenceError(
+                f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
+                f"in {res.iterations} iterations")
+        if res.argmin - lo <= tol or hi - res.argmin <= tol:
+            raise numerics.ConvergenceError(
+                f"smooth-cut argmin {res.argmin} sits at an end of [{lo}, {hi}]")
     with backend.context():
-        a = +argmin  # round to nominal precision
-    co = solve_coefficients(a, backend)
-    check_speed_positivity(co)
+        a = +res.argmin  # round to the backend's precision
+    co = solve_coefficients(a, backend, check=True)
     return a, co, smooth_area(co, backend)
 
 
@@ -344,13 +324,11 @@ def reproduce_appendix(digits: int = 30) -> AppendixReport:
     """
     if digits < 20:
         raise ValueError("need at least 20 digits for a faithful reproduction")
-    argmin, guard = _decimal_argmin(digits, Decimal(10) ** (-digits - 6))
-    with guard.context():
-        co = solve_coefficients(argmin, guard)
-        area = smooth_area(co, guard)
+    a, co, area = optimize_smooth(Decimal(10) ** (-digits - 6),
+                                  DecimalBackend(digits, guard=digits + 12))
     return AppendixReport(
         digits=digits,
-        a=truncate_digits(argmin, digits),
+        a=truncate_digits(a, digits),
         b0=truncate_digits(co.b0, digits),
         b1=truncate_digits(co.b1, digits),
         b2=truncate_digits(co.b2, digits),

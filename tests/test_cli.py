@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from rulecover import smooth
 from rulecover.cli import main
 from rulecover.involute import GeneratingChain, involute_cover
 
@@ -37,6 +38,16 @@ class TestConstruct:
         assert "area = 0.55536036" in out
         doc = json.loads(out_path.read_text())
         assert doc["params"]["kind"] == "smooth"
+
+    def test_smooth_with_angle_skips_optimizer(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("optimize_smooth ran although --angles was given")
+
+        monkeypatch.setattr(smooth, "optimize_smooth", unreachable)
+        code, out, _ = run(capsys, "construct", "--kind", "smooth",
+                           "--angles", "1.1", "--edges", "32")
+        assert code == 0
+        assert "a  = 1.1" in out
 
     def test_infeasible_angles_exit_1(self, capsys):
         code, _, err = run(capsys, "construct", "--kind", "two",
@@ -79,6 +90,15 @@ class TestOptimize:
         # printed at digits - 2 = 23 significant digits
         assert "a    = 1.1107321367714721145845" in out
         assert "area = 0.5553603686466261160481" in out
+
+    def test_smooth_40_digits_pinned(self, capsys):
+        # the decimal optimum is printed only: no cover JSON follows
+        code, out, _ = run(capsys, "optimize", "--kind", "smooth",
+                           "--digits", "40")
+        assert code == 0
+        assert out == (
+            "a    = 1.1107321367714721145845423476606349462\n"
+            "area = 0.55536036864662611604817022349101328344\n")
 
 
 class TestVerifyCommand:

@@ -21,6 +21,7 @@ from rulecover.geometry import (
     Region,
     Seg,
     SelfIntersectingPathError,
+    TWO_PI,
     arc_path_area,
     boundary_distance,
     circle_boundary_intersections,
@@ -164,6 +165,20 @@ class TestSegmentInside:
     def test_escaping_segment(self):
         region = Region.from_path(r2_path())
         assert not segment_inside(region, (0.0, 0.3), (0.0, 2.0))
+
+    def test_uncrossed_chord_probed_once(self, monkeypatch):
+        # pq crosses nothing, so its one gap midpoint is the only probe
+        region = Region.from_path(r2_path())
+        calls = []
+        winding = geometry._winding_number
+
+        def counted(path, point):
+            calls.append(point)
+            return winding(path, point)
+
+        monkeypatch.setattr(geometry, "_winding_number", counted)
+        assert segment_inside(region, (-0.3, 0.2), (0.3, 0.4))
+        assert len(calls) == 1
 
     def test_chord_blocked_by_notch(self, two_bundle):
         # the two-edge cut bulges up between its endpoints, so the straight
@@ -476,6 +491,53 @@ def test_arc_parameterization_property(cx, cy, r, t0, sweep):
     mid_angle = math.atan2(arc.point_at(0.5)[1] - cy, arc.point_at(0.5)[0] - cx)
     assert arc.angle_in_span(mid_angle, 1e-12)
     assert abs(arc.length() - r * abs(sweep)) <= 1e-12
+
+
+def _inline_arc_fraction(t0, sweep, phi, slack):
+    """Reference hit fraction, for a phi already tested inside the arc.
+
+    A copy of the block circle_path_intersections ran inline before
+    _arc_fraction took its place.
+    """
+    if abs(sweep) > 1e-15:
+        if sweep >= 0:
+            rel = (phi - t0) % TWO_PI
+            if rel > sweep:
+                rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+        else:
+            rel = -((t0 - phi) % TWO_PI)
+            if rel < sweep:
+                rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
+        return min(max(rel / sweep, 0.0), 1.0)
+    return 0.0
+
+
+_SWEEPS = st.one_of(
+    st.floats(-TWO_PI, TWO_PI),
+    st.floats(-1e-15, 1e-15),
+    st.floats(0, 1e-9).map(lambda d: TWO_PI - d),
+    st.floats(0, 1e-9).map(lambda d: d - TWO_PI))
+# angles anywhere, or within a few slacks or a few ulps of either end
+_OFFSETS = st.one_of(st.floats(-4, 4), st.floats(-5e-9, 5e-9),
+                     st.integers(-4, 4).map(lambda k: k * 2.0 ** -52))
+
+
+@given(t0=st.floats(-4, 4), sweep=_SWEEPS, end=st.sampled_from([0, 1, None]),
+       offset=_OFFSETS, reduce=st.booleans(), r=st.floats(0.01, 3),
+       slack_sign=st.sampled_from([0, 1, -1]))
+@settings(max_examples=2000, deadline=None)
+def test_arc_fraction_matches_oracle(oracle, t0, sweep, end, offset, reduce,
+                                     r, slack_sign):
+    phi = offset if end is None else t0 + end * sweep + offset
+    if reduce:  # as atan2 returns it
+        phi = math.atan2(math.sin(phi), math.cos(phi))
+    slack = slack_sign * 1e-9 / r
+    s = geometry._arc_fraction(t0, sweep, phi, slack)
+    assert (s is not None) == oracle._arc_angle_in(t0, sweep, phi, slack)
+    if s is not None:
+        ref = _inline_arc_fraction(t0, sweep, phi, slack)
+        # bit for bit, down to the sign of a zero
+        assert (s, math.copysign(1.0, s)) == (ref, math.copysign(1.0, ref))
 
 
 @given(x0=st.floats(-2, 2), y0=st.floats(-2, 2),

@@ -192,6 +192,10 @@ class TestOptimize:
             a, _, _ = optimize_smooth(tol=1e-12, bracket=bracket)
             assert abs(a - a_ref) <= 1e-8
 
+    def test_default_tol_is_native_tolerance(self, smooth_optimum):
+        # on floats tol defaults to NATIVE.tolerance(), 1e-12, bit for bit
+        assert optimize_smooth() == smooth_optimum
+
     @pytest.mark.parametrize("backend", [None, DecimalBackend(20)])
     def test_argmin_at_bracket_end_raises(self, backend):
         # the optimum (~1.1107) lies outside, so the argmin ends at 1.0
