@@ -181,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[*OPTIMIZABLE, "smooth"])
     p.add_argument("--digits", type=int,
-                   help="switch to decimal arithmetic at this precision; "
-                        "--kind smooth then prints a and the area only and "
-                        "writes no cover JSON")
+                   help="--kind smooth only: switch to decimal arithmetic at "
+                        "this precision, print a and the area only and "
+                        "write no cover JSON")
     p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES)
     p.add_argument("--out", help="cover JSON path (stdout default)")
     p.set_defaults(func=cmd_optimize)
@@ -226,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "optimize" and args.kind != "smooth"
+            and args.digits is not None):
+        parser.error("--digits applies only to --kind smooth")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

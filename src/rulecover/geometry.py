@@ -88,10 +88,7 @@ class Arc:
     t1: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise GeometryError(f"negative radius {self.r}")
-        if abs(self.t1 - self.t0) > TWO_PI + 1e-9:
-            raise GeometryError("arc sweep exceeds full turn")
+        check_arc(self.r, self.t0, self.t1)
 
     @property
     def sweep(self) -> float:
@@ -133,6 +130,14 @@ class Arc:
     def to_json(self) -> dict:
         return {"kind": "arc", "cx": self.cx, "cy": self.cy, "r": self.r,
                 "a0": self.t0, "a1": self.t1, "ccw": self.ccw}
+
+
+def check_arc(r, t0, t1):
+    """Raise GeometryError unless (r, t0, t1) is an admissible Arc."""
+    if r < 0:
+        raise GeometryError(f"negative radius {r}")
+    if abs(t1 - t0) > TWO_PI + 1e-9:
+        raise GeometryError("arc sweep exceeds full turn")
 
 
 def piece_from_json(d: dict):
@@ -222,16 +227,17 @@ class ArcPath:
 # --------------------------------------------------------------------------
 # area
 
-def _seg_area(p: Seg) -> float:
-    return 0.5 * (p.x0 * p.y1 - p.x1 * p.y0)
+def seg_area(x0, y0, x1, y1) -> float:
+    """Green's-theorem term (1/2)∫(x dy - y dx) of the segment (x0, y0)-(x1, y1)."""
+    return 0.5 * (x0 * y1 - x1 * y0)
 
 
-def _arc_area(p: Arc) -> float:
+def arc_area(cx, cy, r, t0, t1) -> float:
+    """Green's-theorem term of the arc from angle t0 to t1 about (cx, cy)."""
     # (1/2)∫(x dy - y dx) over x = cx + r cos t, y = cy + r sin t
-    r, t0, t1 = p.r, p.t0, p.t1
     return 0.5 * (r * r * (t1 - t0)
-                  + r * (p.cx * (math.sin(t1) - math.sin(t0))
-                         + p.cy * (math.cos(t0) - math.cos(t1))))
+                  + r * (cx * (math.sin(t1) - math.sin(t0))
+                         + cy * (math.cos(t0) - math.cos(t1))))
 
 
 def arc_path_area(path: ArcPath, check: bool = True) -> float:
@@ -246,8 +252,19 @@ def arc_path_area(path: ArcPath, check: bool = True) -> float:
                 "path self-intersects at polygonization resolution")
     total = 0.0
     for p in path.pieces:
-        total += _seg_area(p) if isinstance(p, Seg) else _arc_area(p)
+        if isinstance(p, Seg):
+            total += seg_area(p.x0, p.y0, p.x1, p.y1)
+        else:
+            total += arc_area(p.cx, p.cy, p.r, p.t0, p.t1)
     return total
+
+
+def check_ccw(area: float) -> float:
+    """`area` if positive, else GeometryError: a boundary runs counterclockwise."""
+    if area <= 0:
+        raise GeometryError(
+            f"boundary must be counterclockwise (signed area {area:.3e})")
+    return area
 
 
 # --------------------------------------------------------------------------
@@ -327,11 +344,8 @@ class Region:
 
     @staticmethod
     def from_path(path: ArcPath, check: bool = True) -> "Region":
-        area = arc_path_area(path, check=check)
-        if area <= 0:
-            raise GeometryError(
-                f"boundary must be counterclockwise (signed area {area:.3e})")
-        return Region(boundary=path, area=area)
+        return Region(boundary=path,
+                      area=check_ccw(arc_path_area(path, check=check)))
 
     def to_json(self) -> dict:
         d = self.boundary.to_json()

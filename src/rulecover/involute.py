@@ -23,6 +23,10 @@ from .geometry import (
     Region,
     Seg,
     SelfIntersectingPathError,
+    arc_area,
+    check_arc,
+    check_ccw,
+    seg_area,
 )
 
 LENGTH_TOL = 1e-12
@@ -246,13 +250,13 @@ class CoverBundle:
         return len(self.right_arcs)
 
 
-def involute_cover(chain: GeneratingChain, validate: bool = True,
-                   check_boundary: bool = True) -> CoverBundle:
-    """Unwrap a unit string from both chain ends and close the region.
+def _unwrap(chain: GeneratingChain, validate: bool = True):
+    """Admissibility checks and the right involute run, as plain numbers.
 
-    check_boundary=False skips the closed/simple boundary audit (the
-    construction guarantees closure; search loops skip the audit and
-    re-run it on their final result).
+    Runs every check of an unaudited build: validate_chain, the unwrap
+    radii, the Arc radius/sweep guards, a positive final pivot and the apex
+    distance.  Returns (apex, right arcs as (cx, cy, r, t0, t1) traced
+    v -> w, final pivot).
     """
     if validate:
         diags = validate_chain(chain)
@@ -281,9 +285,10 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
                 f"string end not at pivot radius at vertex {k}")])
         theta = turns[k - 1]
         if theta > 1e-14:
-            arc = Arc(cx, cy, r, ang0, ang0 + theta)
-            right.append(arc)
-            end = arc.end
+            ang1 = ang0 + theta
+            check_arc(r, ang0, ang1)
+            right.append((cx, cy, r, ang0, ang1))
+            end = (cx + r * math.cos(ang1), cy + r * math.sin(ang1))
     if abs(math.dist(end, (ux, uy)) - 1.0) > 1e-9:
         raise InadmissibleChainError([ChainDiagnostic(
             "unwrap", abs(math.dist(end, (ux, uy)) - 1.0),
@@ -294,12 +299,32 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
     if final_pivot <= 1e-12:
         raise InadmissibleChainError([ChainDiagnostic(
             "closure", -final_pivot, "final pivot angle not positive")])
-    right.append(Arc(ux, uy, 1.0, ang0, ang_w))
+    check_arc(1.0, ang0, ang_w)
+    right.append((ux, uy, 1.0, ang0, ang_w))
 
+    for p in (chain.u, chain.v):
+        if abs(math.dist(p, w) - 1.0) > 1e-9:
+            raise InadmissibleChainError([ChainDiagnostic(
+                "closure", abs(math.dist(p, w) - 1.0),
+                "apex not at unit distance from chain endpoints")])
+    return w, right, final_pivot
+
+
+def involute_cover(chain: GeneratingChain, validate: bool = True,
+                   check_boundary: bool = True) -> CoverBundle:
+    """Unwrap a unit string from both chain ends and close the region.
+
+    check_boundary=False skips the closed/simple boundary audit (the
+    construction guarantees closure; cover_area gives that build's area
+    without building it).
+    """
+    w, arcs, final_pivot = _unwrap(chain, validate)
+    right = tuple(Arc(*a) for a in arcs)
     # left involute is the mirror image, traced u -> w
     left = tuple(a.mirrored_x() for a in right)
 
-    pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(n)]
+    verts = chain.vertices
+    pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(chain.n_edges)]
     pieces.extend(right)
     pieces.extend(a.reversed() for a in reversed(left))
     try:
@@ -308,15 +333,30 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
         raise InadmissibleChainError([ChainDiagnostic(
             "simple", math.nan, f"involute boundary self-intersects: {exc}")])
 
-    for p in (chain.u, chain.v):
-        if abs(math.dist(p, w) - 1.0) > 1e-9:
-            raise InadmissibleChainError([ChainDiagnostic(
-                "closure", abs(math.dist(p, w) - 1.0),
-                "apex not at unit distance from chain endpoints")])
-
     return CoverBundle(chain=chain, region=region, apex=w,
-                       left_arcs=left, right_arcs=tuple(right),
+                       left_arcs=left, right_arcs=right,
                        area=region.area, final_pivot=final_pivot)
+
+
+def cover_area(chain: GeneratingChain) -> float:
+    """Area of involute_cover(chain, check_boundary=False), bit for bit.
+
+    Runs the same admissibility checks and builds no pieces: the Green's-
+    theorem terms are summed in the boundary's order (chain segments, right
+    arcs v -> w, then the mirrored left arcs w -> u) with the formulas
+    arc_path_area uses, so the float sum is the same.
+    """
+    _, arcs, _ = _unwrap(chain)
+    verts = chain.vertices
+    total = 0.0
+    for i in range(chain.n_edges):
+        total += seg_area(*verts[i], *verts[i + 1])
+    for a in arcs:
+        total += arc_area(*a)
+    pi = math.pi
+    for cx, cy, r, t0, t1 in reversed(arcs):
+        total += arc_area(-cx, cy, r, pi - t1, pi - t0)
+    return check_ccw(total)
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

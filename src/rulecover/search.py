@@ -4,19 +4,28 @@ The half chain is the search space: n//2 (length fraction, turn angle)
 pairs, with the middle edge implied for odd n and mirror symmetry always
 enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
-improvement; inadmissible candidates are rejected outright.  Runs are
-bit-reproducible for a fixed seed.
+improvement; inadmissible candidates are rejected outright and counted by
+reason.  A move is scored from the chain alone (`involute.cover_area`, the
+same checks and the same float as an unaudited build, but no pieces); the
+winner is rebuilt with the full boundary audit.  Runs are bit-reproducible
+for a fixed seed.
 """
 
 from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
 from . import smooth
-from .involute import GeneratingChain, InadmissibleChainError, involute_cover
+from .involute import (
+    GeneratingChain,
+    InadmissibleChainError,
+    cover_area,
+    involute_cover,
+)
 
 MIN_FRACTION = 1e-6
 
@@ -66,9 +75,21 @@ class ChainParams:
 
 @dataclass
 class SearchTrace:
+    """Best area after each iteration, the winner, and why moves failed.
+
+    rejections counts rejected candidates by ChainDiagnostic.kind (a move
+    violating several invariants counts under each), "params" for half
+    parameters that give no chain and "geometry" for a clockwise boundary
+    or a bad arc.  accepted counts improving moves; step is the step size
+    at the end (None when there was nothing to search).
+    """
+
     best_areas: list = field(default_factory=list)
     best_chain: GeneratingChain = None
     best_area: float = float("inf")
+    rejections: Counter = field(default_factory=Counter)
+    accepted: int = 0
+    step: float = None
 
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:
@@ -98,17 +119,25 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
     return ChainParams(edges=params.edges, fracs=tuple(fracs), turns=tuple(turns))
 
 
-def _cover_area(params: ChainParams):
-    """Area of the induced cover, or None when inadmissible.
+def _cover_area(params: ChainParams, rejections: Counter):
+    """(area, chain) of the induced cover, or (None, None) when inadmissible.
 
-    The boundary audit is skipped inside the loop; the winning chain is
-    rebuilt with full checks before it leaves local_search.
+    The area is that of an unaudited build; the winning chain is rebuilt
+    with full checks before it leaves local_search.  Rejections are counted
+    into `rejections` by kind (see SearchTrace).
     """
     try:
         chain = params.to_chain()
-        return involute_cover(chain, check_boundary=False).area, chain
-    except (InadmissibleChainError, ValueError):
+    except ValueError:
+        rejections["params"] += 1
         return None, None
+    try:
+        return cover_area(chain), chain
+    except InadmissibleChainError as exc:
+        rejections.update({d.kind for d in exc.diagnostics})
+    except ValueError:  # GeometryError: clockwise boundary or a bad arc
+        rejections["geometry"] += 1
+    return None, None
 
 
 def initial_params(n: int) -> ChainParams:
@@ -146,7 +175,7 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
 
     rng = random.Random(cfg.seed)
     params = initial_params(cfg.edges)
-    best_area, best_chain = _cover_area(params)
+    best_area, best_chain = _cover_area(params, trace.rejections)
     if best_area is None:
         raise SearchConfigError(
             f"no admissible initial chain with {cfg.edges} edges")
@@ -160,11 +189,13 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
         budget = per_restart + (leftovers if r == 0 else 0)
         for _ in range(budget):
             cand = perturb(best_params, step, rng)
-            area, chain = _cover_area(cand)
+            area, chain = _cover_area(cand, trace.rejections)
             if area is not None and area < best_area:
                 best_area, best_chain, best_params = area, chain, cand
                 step *= cfg.step_decay
+                trace.accepted += 1
             trace.best_areas.append(best_area)
+    trace.step = step
 
     # full-checked rebuild of the winner (the loop skipped the boundary audit)
     final = involute_cover(best_chain)

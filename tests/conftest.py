@@ -1,4 +1,8 @@
+import importlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,31 @@ FOUR_ANGLES = CONSTRUCTIONS["four"].ref_angles
 TWO_OPT_AREA = CONSTRUCTIONS["two"].ref_area
 THREE_REF_AREA = CONSTRUCTIONS["three"].ref_area
 FOUR_REF_AREA = CONSTRUCTIONS["four"].ref_area
+
+
+# The frozen copy of the library that the benchmark compares with; the
+# differential tests use it as their oracle.
+ORACLE_ROOT = (Path(__file__).resolve().parent.parent / "perfbench"
+               / "baseline" / "rulecover")
+
+
+@pytest.fixture(scope="session")
+def oracle_package():
+    """The frozen library, imported as package `oracle_rulecover`.
+
+    Its modules (geometry, involute, search, cli, ...) are attributes of
+    the package.  They stay in sys.modules under that name, apart from
+    `rulecover`, because the oracle's relative imports look them up there.
+    """
+    name = "oracle_rulecover"
+    spec = importlib.util.spec_from_file_location(
+        name, ORACLE_ROOT / "__init__.py",
+        submodule_search_locations=[str(ORACLE_ROOT)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
 
 
 def _reference_bundle(name, kind):

@@ -101,6 +101,15 @@ class TestOptimize:
             "area = 0.55536036864662611604817022349101328344\n")
 
 
+    @pytest.mark.parametrize("kind", ["two", "three", "four"])
+    def test_digits_is_for_smooth_only(self, capsys, kind):
+        with pytest.raises(SystemExit) as exit_:
+            main(["optimize", "--kind", kind, "--digits", "40"])
+        assert exit_.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--digits applies only to --kind smooth" in err
+
+
 class TestVerifyCommand:
     def test_round_trip(self, capsys, tmp_path):
         cover_path = tmp_path / "cover.json"

@@ -1,8 +1,5 @@
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -290,25 +287,14 @@ class TestTransforms:
 # --------------------------------------------------------------------------
 # differential test: the block-indexed scans against the pre-index scans
 #
-# The oracle is the frozen copy of the library the benchmark compares with,
-# loaded on its own; its geometry module imports nothing from the package.
-# Every region and path is rebuilt in the oracle from its JSON pieces.
-
-ORACLE_GEOMETRY = (Path(__file__).resolve().parent.parent / "perfbench"
-                   / "baseline" / "rulecover" / "geometry.py")
+# The oracle is the frozen copy of the library the benchmark compares with
+# (conftest's oracle_package).  Every region and path is rebuilt in the
+# oracle from its JSON pieces.
 
 
 @pytest.fixture(scope="module")
-def oracle():
-    spec = importlib.util.spec_from_file_location("oracle_geometry",
-                                                  ORACLE_GEOMETRY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+def oracle(oracle_package):
+    return oracle_package.geometry
 
 
 def perturbed_bundles(base, seed, count=2, moves=6, step=0.02):

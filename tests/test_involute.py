@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,14 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import FOUR_ANGLES, THREE_ANGLES
 from rulecover import constructions as cons
+from rulecover import smooth
 from rulecover.geometry import Arc
 from rulecover.involute import (
     GeneratingChain,
     InadmissibleChainError,
     chain_from_params,
+    cover_area,
     involute_cover,
     validate_chain,
 )
+from rulecover.search import initial_params, perturb
 
 A_OPT_TWO = math.acos(0.75)
 
@@ -223,3 +227,95 @@ def test_two_edge_family_property(turn):
     dense = bundle.region.boundary.polygonize(max_arc_step=2 * math.pi / 8192)
     shoelace = 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0, x1, y1, _) in dense)
     assert abs(bundle.area - shoelace) <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# differential test: cover_area against the area of an unaudited build
+
+
+def _outcome(area_of, chain):
+    """(area, None), or (None, (exception class, diagnostic kinds))."""
+    try:
+        return area_of(chain), None
+    except ValueError as exc:
+        kinds = frozenset(d.kind for d in getattr(exc, "diagnostics", ()))
+        return None, (type(exc), kinds)
+
+
+def _built_area(chain):
+    return involute_cover(chain, check_boundary=False).area
+
+
+@pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
+def test_cover_area_matches_reference_builds(name, request):
+    chain = request.getfixturevalue(f"{name}_bundle").chain
+    assert cover_area(chain) == _built_area(chain)  # bit for bit
+
+
+@pytest.mark.parametrize("edges", [32, 128, 512])
+def test_cover_area_matches_smooth_builds(edges, smooth_optimum):
+    chain = smooth.discretize_smooth(smooth_optimum[1], edges)
+    assert cover_area(chain) == _built_area(chain)
+
+
+def perturbed_chains(edges, step, count=30, moves=6):
+    """Chains `moves` seeded perturb moves away from the search's start."""
+    rng = random.Random(1000 * edges + round(100 * step))
+    chains = []
+    for _ in range(count):
+        params = initial_params(edges)
+        for _ in range(moves):
+            params = perturb(params, step, rng)
+        try:
+            chains.append(params.to_chain())
+        except ValueError:
+            continue  # half parameters with no chain: neither path sees them
+    return chains
+
+
+@pytest.mark.parametrize("step", [0.02, 0.3])
+@pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64])
+def test_cover_area_matches_perturbed_builds(edges, step):
+    for chain in perturbed_chains(edges, step):
+        assert _outcome(cover_area, chain) == _outcome(_built_area, chain), \
+            chain.vertices
+
+
+def test_perturbed_chains_reach_rejections():
+    # the large steps exercise the rejection paths compared above
+    kinds = set()
+    for edges in (16, 17, 64):
+        for chain in perturbed_chains(edges, 0.3):
+            _, error = _outcome(cover_area, chain)
+            if error is not None:
+                kinds |= error[1]
+    assert {"closure", "ordering"} <= kinds
+
+
+class TestBuildChecks:
+    """Checks of the shared unwrap that validate_chain does not make."""
+
+    def test_short_string_unwraps_short(self):
+        chain = scaled_one_edge(0.8)
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(chain, validate=False)
+        assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
+        assert "not unit length" in str(err.value)
+
+    def test_string_end_off_pivot_radius(self):
+        # total length about 1.6: the string end, still at v, is not at
+        # radius 1 - s_2 from vertex 2
+        chain = GeneratingChain(((-0.6, 0.0), (-0.2, -0.45), (0.2, -0.45),
+                                 (0.6, 0.0)))
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(chain, validate=False)
+        assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
+        assert "pivot radius at vertex 2" in str(err.value)
+
+    def test_apex_off_unit_distance(self):
+        # a unit chain off the axis: u is 1.18 from the apex above v
+        chain = GeneratingChain(((-0.7, 0.0), (0.3, 0.0)))
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(chain, validate=False, check_boundary=False)
+        assert [d.kind for d in err.value.diagnostics] == ["closure"]
+        assert "apex not at unit distance" in str(err.value)

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import TWO_OPT_AREA
+from rulecover import cli
 from rulecover.constructions import R2_AREA
 from rulecover.involute import validate_chain
 from rulecover.search import (
     ChainParams,
+    _cover_area,
     SearchConfig,
     SearchConfigError,
     SearchTrace,
@@ -123,3 +126,71 @@ def test_write_trace_csv(tmp_path):
     assert len(lines) == 52
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == trace.best_areas
+
+
+class TestTelemetry:
+    def test_counts_repeat_per_seed(self):
+        cfg = SearchConfig(edges=16, iterations=400, seed=5, initial_step=0.3)
+        t1 = local_search(cfg)
+        t2 = local_search(cfg)
+        assert t1.rejections == t2.rejections
+        assert (t1.accepted, t1.step) == (t2.accepted, t2.step)
+        assert t1.rejections  # large steps leave the admissible set
+
+    def test_counts_match_the_trace(self):
+        cfg = SearchConfig(edges=8, iterations=600, seed=2, initial_step=0.3)
+        trace = local_search(cfg)
+        areas = trace.best_areas
+        assert trace.accepted == sum(b < a for a, b in zip(areas, areas[1:]))
+        step = cfg.initial_step
+        for _ in range(trace.accepted):
+            step *= cfg.step_decay
+        assert trace.step == step
+        assert set(trace.rejections) <= {
+            "params", "geometry", "length", "symmetry", "concavity",
+            "endpoints", "ordering", "unwrap", "closure"}
+
+    def test_half_params_without_a_chain_count_as_params(self):
+        trace = SearchTrace()
+        bad = ChainParams(edges=3, fracs=(0.5,), turns=(0.1,))  # no middle edge
+        assert _cover_area(bad, trace.rejections) == (None, None)
+        assert trace.rejections == Counter(params=1)
+
+    def test_each_violated_invariant_counts(self):
+        rejections = Counter()
+        folded = ChainParams(edges=2, fracs=(0.5,), turns=(3.5,))
+        assert _cover_area(folded, rejections) == (None, None)
+        assert rejections == Counter(endpoints=1, ordering=1)
+
+    def test_single_edge_has_no_moves(self):
+        trace = local_search(SearchConfig(edges=1, iterations=5, seed=1))
+        assert (trace.rejections, trace.accepted, trace.step) == (Counter(), 0, None)
+
+
+# --------------------------------------------------------------------------
+# differential test: the search scored by cover_area against the frozen
+# copy of the library, which scored every move with a full CoverBundle
+
+
+@pytest.mark.parametrize("step", [0.05, 0.3])
+@pytest.mark.parametrize("edges", [3, 8, 16])
+def test_local_search_matches_oracle(edges, step, oracle_package):
+    for seed in range(3):
+        cfg = dict(edges=edges, iterations=300, seed=seed, initial_step=step)
+        trace = local_search(SearchConfig(**cfg))
+        expected = oracle_package.search.local_search(
+            oracle_package.search.SearchConfig(**cfg))
+        assert trace.best_areas == expected.best_areas
+        assert trace.best_chain.vertices == expected.best_chain.vertices
+        assert trace.best_area == expected.best_area
+
+
+def test_search_output_matches_oracle(oracle_package, tmp_path, capsys):
+    argv = ["search", "--edges", "5", "--iterations", "300", "--seed", "3",
+            "--step", "0.2"]
+    outputs = []
+    for main, name in ((cli.main, "lib"), (oracle_package.cli.main, "oracle")):
+        csv_path = tmp_path / f"{name}.csv"
+        assert main(argv + ["--trace", str(csv_path)]) == 0
+        outputs.append((capsys.readouterr().out, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
