@@ -19,7 +19,6 @@ from .geometry import (
     Region,
     Seg,
     arc_path_area,
-    circle_boundary_intersections,
     contains_point,
     region_diameter,
     segment_inside,

@@ -3,9 +3,10 @@
 Boundaries are ordered paths of two piece kinds: straight segments and
 circular arcs.  Points are plain ``(x, y)`` float tuples.  Areas come from
 the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); containment is
-a winding number computed from exact ray crossings against arcs and
-segments (with direction retries around degeneracies); intersections with
-circles are quadratic solves, never boundary scans.
+a winding number: the crossings of the chord polygon through the pieces'
+start points with one axis-parallel ray, plus one in-cap test per arc, with
+no tolerance and no degenerate ray; intersections with circles are
+quadratic solves, never boundary scans.
 
 Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9,
 default boundary classification eps 1e-9.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 STITCH_TOL = 1e-9
 DEDUP_TOL = 1e-9
@@ -115,9 +117,6 @@ class Arc:
         t = self.t0 + s * (self.t1 - self.t0)
         return (self.cx + self.r * math.cos(t),
                 self.cy + self.r * math.sin(t))
-
-    def angle_in_span(self, phi: float, slack: float = 0.0) -> bool:
-        return _arc_fraction(self.t0, self.sweep, phi, slack) is not None
 
     def reversed(self) -> "Arc":
         return Arc(self.cx, self.cy, self.r, self.t1, self.t0)
@@ -313,8 +312,8 @@ def path_self_intersects(path: ArcPath) -> bool:
     piece_chords = [[] for _ in path.pieces]
     for c in path.polygonize():
         piece_chords[c[4]].append(c)
-    for a, (gx, gy, grad, rows) in enumerate(table):
-        for (hx, hy, hrad, other_rows) in table[a:]:
+    for a, (gx, gy, grad, rows, _) in enumerate(table):
+        for (hx, hy, hrad, other_rows, _) in table[a:]:
             if hypot(gx - hx, gy - hy) > grad + hrad:
                 continue
             for (icx, icy, irad, i, _) in rows:
@@ -360,11 +359,17 @@ class Region:
 # --------------------------------------------------------------------------
 # compiled piece tables for the hot paths
 #
-# The table is a list of blocks (gx, gy, grad, rows): up to BLOCK_SIZE
-# consecutive rows (bcx, bcy, brad, idx, piece) in path order, where idx is
-# the piece's index on the path and
+# The table is a list of blocks (gx, gy, grad, rows, ring): up to
+# BLOCK_SIZE consecutive rows (bcx, bcy, brad, idx, piece) in path order,
+# where idx is the piece's index on the path and
 #   seg pieces: (0, x0, y0, x1, y1, ex, ey, elen)
 #   arc pieces: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
+# and ring = (x0, y0, x1, y1, ..., xm, ym) holds the start points of the
+# block's m pieces and then that of the next piece (piece 0 after the
+# last), so row k's chord runs from ring point k to ring point k + 1 and
+# the block's chord from its first ring point to its last.  The ring holds
+# the very float objects of the piece tuples' start points, so chords
+# meeting at a vertex agree on it exactly.
 # Every point a scan may count on a piece lies in the row's circle
 # (bcx, bcy, brad), and every row circle padded by BOUND_PAD lies in its
 # block's circle (gx, gy, grad), so the scans skip a block or a row whose
@@ -377,20 +382,22 @@ class Region:
 # own tolerance (eps, DEDUP_TOL) is added by each scan.
 #
 # The table is the module's one spatial index: the four scans below and the
-# simplicity audit path_self_intersects above use it.  A piece's chords lie
-# in its row circle too, since the circle is convex and holds the piece.
+# simplicity audit path_self_intersects above use it.  A piece's
+# polygonize() chords lie in its row circle too, since the circle is convex
+# and holds the piece; its ring chord and the block's chord lie in the block
+# circle, up to the stitch gap, which BOUND_PAD covers.
 
 BLOCK_SIZE = 16
 BOUND_PAD = 1e-8
 
 
-def _row(idx, p):
+def _row(idx, p, start):
     if isinstance(p, Seg):
         ex, ey = p.x1 - p.x0, p.y1 - p.y0
         elen = math.hypot(ex, ey)
         return (0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1), 0.5 * elen, idx,
                 (0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen))
-    sx, sy = p.start
+    sx, sy = start
     endx, endy = p.end
     if abs(p.sweep) <= math.pi:
         bcx, bcy = 0.5 * (sx + endx), 0.5 * (sy + endy)
@@ -401,20 +408,22 @@ def _row(idx, p):
             (1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep, sx, sy, endx, endy))
 
 
-def _block(rows):
+def _block(rows, ring_points):
     # centre of the box around the padded row circles; not the smallest circle
     pads = [(x, y, r + BOUND_PAD) for (x, y, r, _, _) in rows]
     gx = 0.5 * (min(x - r for x, _, r in pads) + max(x + r for x, _, r in pads))
     gy = 0.5 * (min(y - r for _, y, r in pads) + max(y + r for _, y, r in pads))
     grad = max(math.hypot(x - gx, y - gy) + r for x, y, r in pads)
-    return (gx, gy, grad, tuple(rows))
+    return (gx, gy, grad, tuple(rows), tuple(chain.from_iterable(ring_points)))
 
 
 def _compiled(path: ArcPath):
     table = path._compiled
     if table is None:
-        rows = [_row(idx, p) for idx, p in enumerate(path.pieces)]
-        table = [_block(rows[k:k + BLOCK_SIZE])
+        starts = [p.start for p in path.pieces]
+        rows = [_row(idx, p, starts[idx]) for idx, p in enumerate(path.pieces)]
+        starts += starts[:1]
+        table = [_block(rows[k:k + BLOCK_SIZE], starts[k:k + BLOCK_SIZE + 1])
                  for k in range(0, len(rows), BLOCK_SIZE)]
         path._compiled = table
     return table
@@ -451,7 +460,7 @@ def _arc_fraction(t0, sweep, phi, slack):
 def boundary_distance(path: ArcPath, point) -> float:
     px, py = point
     best = math.inf
-    for (gx, gy, grad, rows) in _compiled(path):
+    for (gx, gy, grad, rows, _) in _compiled(path):
         if math.hypot(px - gx, py - gy) - grad >= best:
             continue
         for (bcx, bcy, brad, _, piece) in rows:
@@ -484,92 +493,60 @@ def boundary_distance(path: ArcPath, point) -> float:
 # --------------------------------------------------------------------------
 # winding / containment
 
-# fixed fan of ray directions; later entries are retries around degeneracies
-_RAY_DIRECTIONS = tuple(
-    (math.cos(0.12345 + 2.39996322972865332 * k),
-     math.sin(0.12345 + 2.39996322972865332 * k))
-    for k in range(16))
+def _crossing(ax, ay, bx, by, px, py) -> int:
+    """Signed crossing of the chord a->b with the ray from p along +x.
+
+    Half-open in y and strict left/right: p counts as shifted by
+    (+eps, +eps^2), so a ray through a vertex shared by two chords counts
+    it once.
+    """
+    if ay <= py < by:
+        return 1 if _orient(ax, ay, bx, by, px, py) > 0 else 0
+    if by <= py < ay:
+        return -1 if _orient(ax, ay, bx, by, px, py) < 0 else 0
+    return 0
+
 
 def _winding_number(path: ArcPath, point) -> int:
-    """Signed ray crossings, retrying other ray directions on degeneracies.
+    """Winding number of the path about point: chord polygon plus arc caps.
 
-    Raises GeometryError when every direction of the fan is degenerate.
+    The polygon through the pieces' start points counts its crossings with
+    the +x ray.  Each arc adds sign(sweep) when p lies in its cap: inside
+    its open disk and on the arc's side of its chord (right of a->b when
+    counterclockwise), a p on the chord line shifted as in _crossing so
+    that the two agree.  A block whose circle misses the ray adds nothing;
+    one whose circle does not hold p adds its own chord only, its pieces
+    lying in a convex set without p.  There is no tolerance: only a point
+    on the boundary may get either answer, or one within about 2g/|sweep|
+    of an arc's end that misses the next piece's start by g.
     """
     px, py = point
-    table = _compiled(path)
-    atan2, sqrt = math.atan2, math.sqrt
-    for dx, dy in _RAY_DIRECTIONS:
-        total = 0
-        ok = True
-        for (gx, gy, grad, rows) in table:
-            # prune blocks, then pieces, whose bounding circle misses the ray
-            rx, ry = gx - px, gy - py
-            if abs(dx * ry - dy * rx) > grad or rx * dx + ry * dy < -grad:
+    total = 0
+    for (gx, gy, grad, rows, ring) in _compiled(path):
+        rx, ry = gx - px, gy - py
+        if abs(ry) > grad or rx < -grad:
+            continue
+        if rx * rx + ry * ry >= grad * grad:
+            total += _crossing(ring[0], ring[1], ring[-2], ring[-1], px, py)
+            continue
+        for (_, _, _, _, piece), ax, ay, bx, by in zip(
+                rows, ring[::2], ring[1::2], ring[2::2], ring[3::2]):
+            total += _crossing(ax, ay, bx, by, px, py)
+            if piece[0] == 0:
                 continue
-            for (bcx, bcy, brad, _, piece) in rows:
-                rx, ry = bcx - px, bcy - py
-                if abs(dx * ry - dy * rx) > brad or rx * dx + ry * dy < -brad:
-                    continue
-                if piece[0] == 0:
-                    (_, x0, y0, x1, y1, ex, ey, elen) = piece
-                    denom = dx * ey - dy * ex
-                    wx, wy = x0 - px, y0 - py
-                    if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
-                        if abs(wx * dy - wy * dx) <= 1e-9:
-                            ok = False  # ray grazes along the piece
-                            break
-                        continue
-                    u = (wx * ey - wy * ex) / denom
-                    if u <= 1e-12:
-                        continue
-                    s = (wx * dy - wy * dx) / denom
-                    end_tol = 1e-9 / (elen if elen > 1e-9 else 1e-9)
-                    if -end_tol < s < end_tol or 1 - end_tol < s < 1 + end_tol:
-                        ok = False  # hit lands on a piece endpoint
-                        break
-                    if 0.0 < s < 1.0:
-                        total += 1 if denom > 0 else -1
-                else:
-                    (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
-                    fx, fy = px - cx, py - cy
-                    if abs(dx * fy - dy * fx) > r:
-                        continue  # ray line misses the whole circle
-                    b = dx * fx + dy * fy
-                    if b > r:
-                        continue  # whole circle behind the ray origin
-                    disc = b * b - (fx * fx + fy * fy - r * r)
-                    if disc < 1e-18:
-                        if disc > -1e-18:
-                            ok = False  # grazing tangency
-                            break
-                        continue
-                    root = sqrt(disc)
-                    slack = 1e-9 / (r if r > 1e-9 else 1e-9)
-                    orient = 1.0 if sweep >= 0 else -1.0
-                    for u in (-b - root, -b + root):
-                        if u <= 1e-12:
-                            continue
-                        phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                        strict_in = _arc_fraction(t0, sweep, phi, -slack) is not None
-                        loose_in = _arc_fraction(t0, sweep, phi, slack) is not None
-                        if loose_in != strict_in:
-                            ok = False  # hit at an arc endpoint
-                            break
-                        if not strict_in:
-                            continue
-                        cross = (dx * math.cos(phi) + dy * math.sin(phi)) * orient
-                        if abs(cross) <= 1e-9:
-                            ok = False
-                            break
-                        total += 1 if cross > 0 else -1
-                    if not ok:
-                        break
-            if not ok:
-                break
-        if ok:
-            return total
-    raise GeometryError(
-        f"every ray direction from {point} meets the boundary degenerately")
+            (_, cx, cy, r, _, _, sweep, _, _, _, _) = piece
+            fx, fy = px - cx, py - cy
+            if fx * fx + fy * fy >= r * r or sweep == 0:
+                continue
+            sign = 1 if sweep > 0 else -1
+            side = _orient(ax, ay, bx, by, px, py)
+            if side == 0:
+                side = ay - by if ay != by else bx - ax
+            if side == 0:  # a == b: a full turn caps its whole disk
+                side = -sign if abs(sweep) > math.pi else 0
+            if side * sign < 0:
+                total += sign
+    return total
 
 
 def contains_point(region: Region, point, eps: float = BOUNDARY_EPS) -> str:
@@ -607,7 +584,7 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
     cuts = [0.0, seg_len]
     overlaps = []
     sqrt, atan2 = math.sqrt, math.atan2
-    for (gx, gy, grad, rows) in _compiled(region.boundary):
+    for (gx, gy, grad, rows, _) in _compiled(region.boundary):
         rx, ry = gx - px, gy - py
         if abs(dx * ry - dy * rx) > grad + eps:
             continue  # block entirely off the segment's line corridor
@@ -683,7 +660,7 @@ def circle_path_intersections(center, r, path: ArcPath):
     raw = []
     hypot, sqrt, atan2, cos, sin = (math.hypot, math.sqrt, math.atan2,
                                     math.cos, math.sin)
-    for (gx, gy, grad, rows) in _compiled(path):
+    for (gx, gy, grad, rows, _) in _compiled(path):
         # prune blocks, then pieces, whose bounding circle misses the annulus
         dbc = hypot(qx - gx, qy - gy)
         if dbc - grad > r + DEDUP_TOL or dbc + grad < r - DEDUP_TOL:
@@ -745,11 +722,6 @@ def circle_path_intersections(center, r, path: ArcPath):
         if all(math.dist(item[2], o[2]) > DEDUP_TOL for o in out):
             out.append(item)
     return out
-
-
-def circle_boundary_intersections(center, r, path: ArcPath):
-    """Intersection points of a circle with the path, deterministic order."""
-    return [pt for (_, _, pt) in circle_path_intersections(center, r, path)]
 
 
 # --------------------------------------------------------------------------

@@ -155,19 +155,26 @@ def involute_points(co: SmoothCoefficients, t, backend=NATIVE):
         return c1, c2
 
 
+def _ell_squared_odd_96(co: SmoothCoefficients, t, S, C):
+    """96 times the odd part in t of ell_squared_antiderivative."""
+    b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
+    return (32 * b0 ** 2 * t ** 3
+            + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * t
+            + 48 * b1 * (4 * b0 + b2) * S[1]
+            + 24 * (b0 * b2 - b1 ** 2) * S[2]
+            - 16 * b1 * b2 * S[3]
+            - 3 * b2 ** 2 * S[4]
+            - 48 * b0 * t * (4 * b1 * C[1] + b2 * C[2]))
+
+
 def ell_squared_antiderivative(co: SmoothCoefficients, t, backend=NATIVE):
     """Indefinite integral of the squared unwrapped length."""
     with backend.context():
         t = backend.num(t)
         S, C = backend.multiples(t, 4)
         b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
-        return (32 * b0 ** 2 * t ** 3 + 96 * b0 * b * t ** 2
-                + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * t
-                + 48 * b1 * (4 * b0 + b2) * S[1]
-                + 24 * (b0 * b2 - b1 ** 2) * S[2]
-                - 16 * b1 * b2 * S[3]
-                - 3 * b2 ** 2 * S[4]
-                - 48 * (b0 * t + b) * (4 * b1 * C[1] + b2 * C[2])) / 96
+        return (_ell_squared_odd_96(co, t, S, C) + 96 * b0 * b * t ** 2
+                - 48 * b * (4 * b1 * C[1] + b2 * C[2])) / 96
 
 
 def _cap_288(co: SmoothCoefficients, t, S, C):
@@ -199,14 +206,8 @@ def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE, trig=None):
     with backend.context():
         a = co.a
         S, C = trig or backend.multiples(a, 6)
-        b0, b1, b2, b = co.b0, co.b1, co.b2, co.b
-        int_l2 = (32 * b0 ** 2 * a ** 3
-                  + 12 * (4 * b1 ** 2 + b2 ** 2 + 8 * b ** 2) * a
-                  + 48 * b1 * (4 * b0 + b2) * S[1]
-                  + 24 * (b0 * b2 - b1 ** 2) * S[2]
-                  - 16 * b1 * b2 * S[3]
-                  - 3 * b2 ** 2 * S[4]
-                  - 48 * b0 * a * (4 * b1 * C[1] + b2 * C[2])) / 48
+        # F(a) - F(-a) for F = ell_squared_antiderivative: its odd part, twice
+        int_l2 = _ell_squared_odd_96(co, a, S, C) / 48
         a_uvw = C[1] * S[1]
         a_uv = _cap_288(co, a, S, C) / 288
         return int_l2, a_uvw, a_uv

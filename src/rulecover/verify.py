@@ -28,6 +28,7 @@ from .geometry import (
 from .involute import CoverBundle, GeneratingChain
 
 DEFAULT_EPS = 1e-9
+DIAMETER_SAMPLES = 4096  # boundary samples behind region_diameter
 
 
 class FoldFailureError(RuntimeError):
@@ -108,8 +109,8 @@ def _candidates(upper, n_right: int, p, side, length: float):
 
 
 def verify_reachability(cover: CoverBundle, n_points: int = 256,
-                        n_lengths: int = 256, eps: float = DEFAULT_EPS,
-                        diameter_samples: int = 4096) -> VerificationReport:
+                        n_lengths: int = 256,
+                        eps: float = DEFAULT_EPS) -> VerificationReport:
     """Sampled test of the boundary reachability property.
 
     For every sampled p on the upper arcs and every length l = i/n_lengths
@@ -135,14 +136,14 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
                     break
             if not found:
                 failures.append((p, length))
-    diameter = region_diameter(region, diameter_samples)
+    diameter = region_diameter(region, DIAMETER_SAMPLES)
     passed = not failures and diameter <= 1.0 + eps
     return VerificationReport(points=len(samples), lengths=n_lengths,
                               failures=failures, diameter=diameter,
                               eps=eps, passed=passed)
 
 
-def verify_diameter(cover: CoverBundle, n: int = 4096,
+def verify_diameter(cover: CoverBundle, n: int = DIAMETER_SAMPLES,
                     eps: float = DEFAULT_EPS) -> float:
     """Sampled diameter of the cover; warns when it exceeds 1 + eps."""
     diameter = region_diameter(cover.region, n)

@@ -5,11 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rulecover import smooth
 from rulecover.constructions import CONSTRUCTIONS
 from rulecover.geometry import Arc, ArcPath, Region, Seg
 from rulecover.involute import CoverBundle, GeneratingChain, involute_cover
+
+# Property tests draw the same examples on every run and machine.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 # printed reference values from the high-precision reproduction
 A_PRINTED = "1.11073213677147211458454234766"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulecover import geometry, smooth
+from rulecover.constructions import CONSTRUCTIONS
 from rulecover.geometry import (
     Arc,
     ArcPath,
     BLOCK_SIZE,
     BOUNDARY,
-    GeometryError,
     INSIDE,
     OUTSIDE,
     OpenPathError,
@@ -21,7 +21,6 @@ from rulecover.geometry import (
     TWO_PI,
     arc_path_area,
     boundary_distance,
-    circle_boundary_intersections,
     circle_path_intersections,
     contains_point,
     path_self_intersects,
@@ -59,6 +58,10 @@ def unit_circle_path():
 def square_path():
     return ArcPath([Seg(0, 0, 1, 0), Seg(1, 0, 1, 1),
                     Seg(1, 1, 0, 1), Seg(0, 1, 0, 0)])
+
+
+def circle_points(center, r, path):
+    return [pt for (_, _, pt) in circle_path_intersections(center, r, path)]
 
 
 def shoelace(chords):
@@ -125,13 +128,41 @@ class TestContainment:
         assert contains_point(region, (-0.5, 0.0)) == BOUNDARY
         assert contains_point(region, (0.5, 1e-12)) == BOUNDARY
 
-    def test_all_rays_degenerate_raises(self, monkeypatch):
-        # the only ray from the centre runs through the corner (1, 1)
-        monkeypatch.setattr(geometry, "_RAY_DIRECTIONS",
-                            ((math.sqrt(0.5), math.sqrt(0.5)),))
-        region = Region.from_path(square_path())
-        with pytest.raises(GeometryError, match=r"\(0\.5, 0\.5\)"):
-            contains_point(region, (0.5, 0.5))
+    @pytest.mark.parametrize("kind", ["one", "two", "three", "four"])
+    def test_arc_chord_points_inside(self, kind):
+        # on the chord line of an arc the crossing count and the cap test
+        # must break the tie the same way
+        region = CONSTRUCTIONS[kind].build()[1].region
+        arcs = [p for p in region.boundary if isinstance(p, Arc)]
+        assert arcs
+        for arc in arcs:
+            (ax, ay), (bx, by) = arc.start, arc.end
+            for s in (0.25, 0.5, 0.75):
+                pt = (ax + s * (bx - ax), ay + s * (by - ay))
+                assert contains_point(region, pt) == INSIDE, (arc, s)
+
+    @pytest.mark.parametrize("point", [(-1.0, 0.0), (-1.0, 1.0)])
+    def test_ray_along_square_edge(self, point):
+        # the ray runs along the bottom or top edge, through two corners
+        assert geometry._winding_number(square_path(), point) == 0
+        assert contains_point(Region.from_path(square_path()), point) == OUTSIDE
+
+    @pytest.mark.parametrize("point, winding", [
+        ((0.0, 0.0), 1), ((-0.5, 0.0), 1), ((0.5, 0.0), 1),
+        ((-2.0, 0.0), 0), ((2.0, 0.0), 0), ((-2.0, 1.0), 0), ((-2.0, -1.0), 0)])
+    def test_ray_through_diamond_corner(self, point, winding):
+        diamond = ArcPath([Seg(1, 0, 0, 1), Seg(0, 1, -1, 0),
+                           Seg(-1, 0, 0, -1), Seg(0, -1, 1, 0)])
+        assert geometry._winding_number(diamond, point) == winding
+
+    def test_full_circle_arc(self):
+        region = Region.from_path(ArcPath([Arc(0.0, 0.0, 1.0, 0.0, TWO_PI)]))
+        assert contains_point(region, (0.3, 0.0)) == INSIDE
+        assert contains_point(region, (0.0, -0.7)) == INSIDE
+        assert contains_point(region, (1.5, 0.0)) == OUTSIDE
+        clockwise = ArcPath([Arc(0.0, 0.0, 1.0, TWO_PI, 0.0)])
+        assert geometry._winding_number(clockwise, (0.3, 0.0)) == -1
+        assert geometry._winding_number(clockwise, (-1.5, 0.0)) == 0
 
     def test_monte_carlo_area_consistency(self):
         region = Region.from_path(r2_path())
@@ -194,21 +225,21 @@ class TestSegmentInside:
 
 class TestCircleIntersections:
     def test_apex_circle_hits_base_corners(self):
-        pts = circle_boundary_intersections(W, 1.0, r2_path())
+        pts = circle_points(W, 1.0, r2_path())
         assert len(pts) == 2
         for p in pts:
             assert abs(abs(p[0]) - 0.5) <= 1e-9 and abs(p[1]) <= 1e-9
 
     def test_coincident_arc_reports_endpoints(self):
         # the circle about the left corner coincides with the right arc
-        pts = circle_boundary_intersections((-0.5, 0.0), 1.0, r2_path())
+        pts = circle_points((-0.5, 0.0), 1.0, r2_path())
         assert any(math.dist(p, (0.5, 0.0)) <= 1e-9 for p in pts)
         assert any(math.dist(p, W) <= 1e-9 for p in pts)
 
     def test_points_lie_on_circle_and_path(self, two_bundle):
         path = two_bundle.region.boundary
         for r in (0.25, 0.5, 0.9, 1.0):
-            for p in circle_boundary_intersections((-0.2, 0.1), r, path):
+            for p in circle_points((-0.2, 0.1), r, path):
                 assert abs(math.dist(p, (-0.2, 0.1)) - r) <= 1e-9
                 assert boundary_distance(path, p) <= 1e-9
 
@@ -217,7 +248,7 @@ class TestCircleIntersections:
         # skipping samples that land exactly on the circle
         path = two_bundle.region.boundary
         center, r = two_bundle.chain.u, 0.5
-        pts = circle_boundary_intersections(center, r, path)
+        pts = circle_points(center, r, path)
         signs = []
         for q in path.sample(200000):
             d = math.dist(q, center) - r
@@ -235,7 +266,7 @@ class TestCircleIntersections:
         assert [h[0] for h in a] == sorted(h[0] for h in a)
 
     def test_miss_returns_empty(self):
-        assert circle_boundary_intersections((5.0, 5.0), 0.5, r2_path()) == []
+        assert circle_points((5.0, 5.0), 0.5, r2_path()) == []
 
 
 class TestDiameter:
@@ -383,6 +414,76 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
             == oracle.path_self_intersects(o_boundary))
 
 
+def winding_probe_points(boundary, rng):
+    """Points that stress the winding number's ties and its block shortcut.
+
+    Seeded random points, boundary samples and points just off them; points
+    on the +x ray through every vertex (y equal to the vertex's, from
+    either side); the quarter and mid points of every arc's chord; points
+    within 1e-7 of every vertex.
+    """
+    xs, ys = zip(*boundary.sample(64))
+    x_lo, x_hi = min(xs) - 0.1, max(xs) + 0.1
+    points = [(rng.uniform(x_lo, x_hi), rng.uniform(min(ys) - 0.1, max(ys) + 0.1))
+              for _ in range(100)]
+    samples = boundary.sample(48)
+    points += samples
+    points += [(x + rng.uniform(-1e-8, 1e-8), y + rng.uniform(-1e-8, 1e-8))
+               for (x, y) in samples]
+    vertices = boundary.vertices()
+    for (vx, vy) in vertices:
+        points += [(x, vy) for x in (x_lo, vx - 0.3, vx - 1e-3, vx + 1e-3,
+                                     rng.uniform(x_lo, x_hi))]
+        points += [(vx + rng.uniform(-1e-7, 1e-7), vy + rng.uniform(-1e-7, 1e-7))
+                   for _ in range(4)]
+    for arc in boundary:
+        if isinstance(arc, Arc):
+            (ax, ay), (bx, by) = arc.start, arc.end
+            points += [(ax + s * (bx - ax), ay + s * (by - ay))
+                       for s in (0.25, 0.5, 0.75)]
+    return points
+
+
+@pytest.fixture(scope="module")
+def winding_paths(differential_covers, oracle):
+    """name -> (boundary, the same boundary rebuilt in the oracle)."""
+    return {name: (bundle.region.boundary, oracle.ArcPath.from_json(
+                bundle.region.boundary.to_json()))
+            for name, bundle in differential_covers.items()}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_COVERS)
+def test_winding_number_matches_oracle(name, winding_paths, oracle):
+    # off the boundary band the chord-and-cap count equals the ray fan's
+    boundary, o_boundary = winding_paths[name]
+    checked = 0
+    for pt in winding_probe_points(boundary, random.Random(name)):
+        if boundary_distance(boundary, pt) <= 1e-9:
+            continue
+        assert (geometry._winding_number(boundary, pt)
+                == oracle._winding_number(o_boundary, pt)), pt
+        checked += 1
+    assert checked >= 150
+
+
+@given(name=st.sampled_from(DIFFERENTIAL_COVERS), u=st.floats(0, 1),
+       v=st.floats(0, 1), vertex=st.integers(0, 10 ** 6),
+       family=st.sampled_from(["box", "vertex-ray", "near-vertex"]))
+@settings(max_examples=500, deadline=None)
+def test_winding_number_property(winding_paths, oracle, name, u, v, vertex,
+                                 family):
+    boundary, o_boundary = winding_paths[name]
+    xs, ys = zip(*boundary.sample(64))
+    x = min(xs) - 0.1 + u * (max(xs) - min(xs) + 0.2)
+    y = min(ys) - 0.1 + v * (max(ys) - min(ys) + 0.2)
+    vx, vy = boundary.vertices()[vertex % len(boundary)]
+    pt = {"box": (x, y), "vertex-ray": (x, vy),
+          "near-vertex": (vx + 2e-7 * (u - 0.5), vy + 2e-7 * (v - 0.5))}[family]
+    if boundary_distance(boundary, pt) > 1e-9:
+        assert (geometry._winding_number(boundary, pt)
+                == oracle._winding_number(o_boundary, pt))
+
+
 # Self-intersecting paths for the audit, each crossing between pieces that
 # sit in different blocks of the piece table.
 
@@ -475,7 +576,7 @@ def test_arc_parameterization_property(cx, cy, r, t0, sweep):
     assert math.dist(arc.point_at(0.0), arc.start) <= 1e-12
     assert math.dist(arc.point_at(1.0), arc.end) <= 1e-12
     mid_angle = math.atan2(arc.point_at(0.5)[1] - cy, arc.point_at(0.5)[0] - cx)
-    assert arc.angle_in_span(mid_angle, 1e-12)
+    assert geometry._arc_fraction(t0, sweep, mid_angle, 1e-12) is not None
     assert abs(arc.length() - r * abs(sweep)) <= 1e-12
 
 
