@@ -71,22 +71,16 @@ R2_AREA = math.pi / 3 - math.sqrt(3.0) / 4.0
 # two-edge cut
 
 def solve_two_edge(a: float) -> TwoEdgeParams:
-    """Solve 2cos(a + c) = cos c for c on (0, pi/2 - a) by bisection."""
+    """Solve 2cos(a + c) = cos c for c on (0, pi/2 - a) in closed form."""
     if not 0.0 < a < math.pi / 2:
         raise InfeasibleParamsError(f"angle a={a!r} outside (0, pi/2)")
-    # the residual 2cos(a+c) - cos c decreases strictly in c; a root exists
-    # iff it starts positive, i.e. cos a > 1/2
-    if 2 * math.cos(a) - 1 <= 0:
+    # expanding cos(a + c) gives tan c = (2cos a - 1) / (2sin a), whose
+    # root lies in (0, pi/2 - a) iff cos a > 1/2
+    rise = 2 * math.cos(a) - 1
+    if rise <= 0:
         raise InfeasibleParamsError(
             f"no root for a={a!r}: 2cos(a+c)=cos c needs a < pi/3")
-    lo, hi = 0.0, math.pi / 2 - a
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 2 * math.cos(a + mid) - math.cos(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    c = math.atan2(rise, 2 * math.sin(a))
     return TwoEdgeParams(a=a, c=c, x0=math.cos(c))
 
 
@@ -179,7 +173,7 @@ def _penalized(area_fn, angles):
             violation += lo - x
         if x > hi:
             violation += x - hi
-    s = sum(angles)
+    s = numerics.ordered_sum(angles)
     if s > math.pi / 2 - FEASIBLE_MARGIN:
         violation += s - (math.pi / 2 - FEASIBLE_MARGIN)
     if violation > 0:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+from .numerics import ordered_sum
+
 STITCH_TOL = 1e-9
 DEDUP_TOL = 1e-9
 BOUNDARY_EPS = 1e-9
@@ -63,12 +65,6 @@ class Seg:
     def point_at(self, s: float):
         return (self.x0 + s * (self.x1 - self.x0),
                 self.y0 + s * (self.y1 - self.y0))
-
-    def reversed(self) -> "Seg":
-        return Seg(self.x1, self.y1, self.x0, self.y0)
-
-    def mirrored_x(self) -> "Seg":
-        return Seg(-self.x0, self.y0, -self.x1, self.y1)
 
     def to_json(self) -> dict:
         return {"kind": "seg", "x0": self.x0, "y0": self.y0,
@@ -117,14 +113,6 @@ class Arc:
         t = self.t0 + s * (self.t1 - self.t0)
         return (self.cx + self.r * math.cos(t),
                 self.cy + self.r * math.sin(t))
-
-    def reversed(self) -> "Arc":
-        return Arc(self.cx, self.cy, self.r, self.t1, self.t0)
-
-    def mirrored_x(self) -> "Arc":
-        # reflection about the y axis maps angle t to pi - t
-        return Arc(-self.cx, self.cy, self.r,
-                   math.pi - self.t0, math.pi - self.t1)
 
     def to_json(self) -> dict:
         return {"kind": "arc", "cx": self.cx, "cy": self.cy, "r": self.r,
@@ -182,7 +170,7 @@ class ArcPath:
                 and self.closure_gap() <= tol)
 
     def length(self) -> float:
-        return sum(p.length() for p in self.pieces)
+        return ordered_sum(p.length() for p in self.pieces)
 
     def vertices(self):
         return [p.start for p in self.pieces] + [self.pieces[-1].end]

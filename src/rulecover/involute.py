@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import constructions
+from . import constructions, numerics
 from .geometry import (
     Arc,
     ArcPath,
@@ -133,14 +133,14 @@ class GeneratingChain:
         if min(fracs) <= 0:
             raise ValueError("edge fractions must be positive")
         if n % 2 == 0:
-            total_half = sum(fracs)
+            total_half = numerics.ordered_sum(fracs)
             fracs = [f * 0.5 / total_half for f in fracs]
             deltas = [0.0] * m
             deltas[m - 1] = turns[m - 1] / 2
             for i in range(m - 2, -1, -1):
                 deltas[i] = deltas[i + 1] + turns[i]
         else:
-            mid = 1.0 - 2.0 * sum(fracs)
+            mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
             if mid <= 0:
                 raise ValueError("half fractions leave no middle edge")
             deltas = [0.0] * m
@@ -231,8 +231,8 @@ class CoverBundle:
     chain: GeneratingChain
     region: Region
     apex: tuple
-    left_arcs: tuple    # traced u -> w (clockwise sweeps)
-    right_arcs: tuple   # traced v -> w (counterclockwise sweeps)
+    left_arcs: tuple    # traced w -> u, as on the boundary
+    right_arcs: tuple   # traced v -> w, as on the boundary
     area: float
     final_pivot: float
 
@@ -251,12 +251,13 @@ class CoverBundle:
 
 
 def _unwrap(chain: GeneratingChain, validate: bool = True):
-    """Admissibility checks and the right involute run, as plain numbers.
+    """Admissibility checks and both involute runs, as plain numbers.
 
     Runs every check of an unaudited build: validate_chain, the unwrap
     radii, the Arc radius/sweep guards, a positive final pivot and the apex
-    distance.  Returns (apex, right arcs as (cx, cy, r, t0, t1) traced
-    v -> w, final pivot).
+    distance.  Returns (apex, right, left, final pivot), where right and
+    left are lists of arc records (cx, cy, r, t0, t1) in boundary order:
+    right traced v -> w, left (its mirror image) traced w -> u.
     """
     if validate:
         diags = validate_chain(chain)
@@ -307,7 +308,10 @@ def _unwrap(chain: GeneratingChain, validate: bool = True):
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", abs(math.dist(p, w) - 1.0),
                 "apex not at unit distance from chain endpoints")])
-    return w, right, final_pivot
+    # the mirror image about the y axis (angle t -> pi - t), traced w -> u
+    left = [(-cx, cy, r, math.pi - t1, math.pi - t0)
+            for cx, cy, r, t0, t1 in reversed(right)]
+    return w, right, left, final_pivot
 
 
 def involute_cover(chain: GeneratingChain, validate: bool = True,
@@ -318,15 +322,12 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
     construction guarantees closure; cover_area gives that build's area
     without building it).
     """
-    w, arcs, final_pivot = _unwrap(chain, validate)
-    right = tuple(Arc(*a) for a in arcs)
-    # left involute is the mirror image, traced u -> w
-    left = tuple(a.mirrored_x() for a in right)
-
+    w, right, left, final_pivot = _unwrap(chain, validate)
     verts = chain.vertices
-    pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(chain.n_edges)]
-    pieces.extend(right)
-    pieces.extend(a.reversed() for a in reversed(left))
+    n = chain.n_edges
+    pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(n)]
+    pieces.extend(Arc(*a) for a in right)
+    pieces.extend(Arc(*a) for a in left)
     try:
         region = Region.from_path(ArcPath(pieces), check=check_boundary)
     except SelfIntersectingPathError as exc:
@@ -334,7 +335,8 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
             "simple", math.nan, f"involute boundary self-intersects: {exc}")])
 
     return CoverBundle(chain=chain, region=region, apex=w,
-                       left_arcs=left, right_arcs=right,
+                       left_arcs=tuple(pieces[n + len(right):]),
+                       right_arcs=tuple(pieces[n:n + len(right)]),
                        area=region.area, final_pivot=final_pivot)
 
 
@@ -342,20 +344,19 @@ def cover_area(chain: GeneratingChain) -> float:
     """Area of involute_cover(chain, check_boundary=False), bit for bit.
 
     Runs the same admissibility checks and builds no pieces: the Green's-
-    theorem terms are summed in the boundary's order (chain segments, right
-    arcs v -> w, then the mirrored left arcs w -> u) with the formulas
-    arc_path_area uses, so the float sum is the same.
+    theorem terms of _unwrap's records are summed in the boundary's order
+    (chain segments, the right run v -> w, then the left run w -> u) with
+    the formulas arc_path_area uses, so the float sum is the same.
     """
-    _, arcs, _ = _unwrap(chain)
+    _, right, left, _ = _unwrap(chain)
     verts = chain.vertices
     total = 0.0
     for i in range(chain.n_edges):
         total += seg_area(*verts[i], *verts[i + 1])
-    for a in arcs:
+    for a in right:
         total += arc_area(*a)
-    pi = math.pi
-    for cx, cy, r, t0, t1 in reversed(arcs):
-        total += arc_area(-cx, cy, r, pi - t1, pi - t0)
+    for a in left:
+        total += arc_area(*a)
     return check_ccw(total)
 
 

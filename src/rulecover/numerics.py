@@ -14,6 +14,17 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 
+def ordered_sum(values):
+    """Left-to-right sum from 0, so seeded results agree across Pythons.
+
+    The builtin sum() compensates float rounding since Python 3.12.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 class EvaluationError(ValueError):
     """Objective returned a non-finite value; carries the offending point."""
 
@@ -182,7 +193,7 @@ def minimize_nd(f, start, tol=1e-10) -> MinimizeResult:
                 converged = True
                 break
 
-            centroid = [sum(sim[i][k] for i in range(n)) / n for k in range(n)]
+            centroid = [ordered_sum(p[k] for p in sim[:n]) / n for k in range(n)]
             xr = [centroid[k] + (centroid[k] - sim[-1][k]) for k in range(n)]
             fr = ev(xr)
             if fr < fs[0]:

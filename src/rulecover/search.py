@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from . import smooth
+from . import numerics, smooth
 from .involute import (
     GeneratingChain,
     InadmissibleChainError,
@@ -104,12 +104,11 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
         return params
     if k < len(fracs):
         fracs[k] = max(MIN_FRACTION, fracs[k] + delta)
+        total = numerics.ordered_sum(fracs)
         if params.edges % 2 == 0:
-            total = sum(fracs)
             fracs = [f * 0.5 / total for f in fracs]
         else:
             # keep room for the implied middle edge
-            total = sum(fracs)
             limit = (1.0 - MIN_FRACTION) / 2
             if total > limit:
                 fracs = [f * limit / total for f in fracs]

@@ -72,22 +72,22 @@ def solve_coefficients(a, backend=NATIVE, check: bool = False,
     return co
 
 
-SPEED_GRID = 1000  # float grid of the speed-positivity check
-
-
 def check_speed_positivity(co: SmoothCoefficients):
-    """Raise unless g > 0 strictly inside (-a, a): g(0) plus a float grid."""
+    """Raise unless g > 0 strictly inside (-a, a).
+
+    In c = cos t, g = 2 b2 c^2 + b1 c + (b0 - b2), and the constraints put
+    one root at c = cos a.  So g > 0 on (-a, a) exactly when g(0) > 0 and
+    the other root, (b0 - b2) / (2 b2 cos a), is not in (cos a, 1).
+    """
     a = float(co.a)
     b0, b1, b2 = float(co.b0), float(co.b1), float(co.b2)
     if b0 + b1 + b2 <= 0:
         raise SpeedPositivityError(f"curve speed not positive at t=0 for a={a!r}")
-    lo = -a * (1 - 1e-6)
-    for k in range(SPEED_GRID + 1):
-        t = lo + (2 * a * (1 - 1e-6)) * k / SPEED_GRID
-        g = b0 + b1 * math.cos(t) + b2 * math.cos(2 * t)
-        if g <= 0 and abs(t) < a * (1 - 1e-3):
+    if b2 != 0:
+        root = (b0 - b2) / (2 * b2 * math.cos(a))
+        if math.cos(a) < root < 1:
             raise SpeedPositivityError(
-                f"curve speed not positive at t={t!r} (g={g!r}) for a={a!r}")
+                f"curve speed vanishes at t={math.acos(root)!r} for a={a!r}")
 
 
 def _domain_check(co: SmoothCoefficients, t):
@@ -292,7 +292,7 @@ def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:
         x1, y1 = pts[k]
         x2, y2 = pts[n - k]
         sym.append(((x1 - x2) / 2, (y1 + y2) / 2))
-    total = sum(math.dist(sym[i], sym[i + 1]) for i in range(n))
+    total = numerics.ordered_sum(math.dist(p, q) for p, q in zip(sym, sym[1:]))
     return GeneratingChain(tuple((x / total, y / total) for (x, y) in sym))
 
 

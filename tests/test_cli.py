@@ -129,6 +129,15 @@ class TestVerifyCommand:
         rebuilt = involute_cover(GeneratingChain.from_json(doc["chain"]))
         assert abs(rebuilt.area - doc["area"]) <= 1e-12
 
+    def test_report_records_eps(self, capsys, tmp_path):
+        cover_path = tmp_path / "cover.json"
+        report_path = tmp_path / "report.json"
+        run(capsys, "construct", "--kind", "r2", "--out", str(cover_path))
+        assert run(capsys, "verify", "--in", str(cover_path), "--points", "16",
+                   "--lengths", "16", "--eps", "1e-6",
+                   "--out", str(report_path))[0] == 0
+        assert json.loads(report_path.read_text())["eps"] == 1e-6
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from rulecover.involute import (
     validate_chain,
 )
 from rulecover.search import initial_params, perturb
+from rulecover.verify import shrink_cover
 
 A_OPT_TWO = math.acos(0.75)
 
@@ -319,3 +322,72 @@ class TestBuildChecks:
             involute_cover(chain, validate=False, check_boundary=False)
         assert [d.kind for d in err.value.diagnostics] == ["closure"]
         assert "apex not at unit distance" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# both involute runs: the boundary's own pieces, equal to the frozen oracle's
+
+INPUTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                     / "inputs.json").read_text())
+
+
+def _assert_runs_are_boundary_pieces(bundle):
+    pieces = bundle.region.boundary.pieces
+    n = bundle.chain.n_edges
+    right, left = bundle.right_arcs, bundle.left_arcs
+    assert n + len(right) + len(left) == len(pieces)
+    assert all(a is pieces[n + k] for k, a in enumerate(right))
+    assert all(a is pieces[n + len(right) + k] for k, a in enumerate(left))
+
+
+@pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
+def test_runs_are_boundary_pieces(name, request):
+    bundle = request.getfixturevalue(f"{name}_bundle")
+    _assert_runs_are_boundary_pieces(bundle)
+    _assert_runs_are_boundary_pieces(shrink_cover(bundle))
+    # right traced v -> w, left traced w -> u, as on the boundary
+    for point, want in ((bundle.right_arcs[0].start, bundle.chain.v),
+                        (bundle.right_arcs[-1].end, bundle.apex),
+                        (bundle.left_arcs[0].start, bundle.apex),
+                        (bundle.left_arcs[-1].end, bundle.chain.u)):
+        assert math.dist(point, want) <= 1e-12
+
+
+def _oracle_boundary(oracle_package, vertices):
+    oracle = oracle_package.involute
+    bundle = oracle.involute_cover(oracle.GeneratingChain(vertices))
+    return repr((bundle.region.boundary.to_json(), bundle.area))
+
+
+def _boundary(chain):
+    bundle = involute_cover(chain)
+    return repr((bundle.region.boundary.to_json(), bundle.area))
+
+
+@pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
+def test_boundary_matches_oracle_on_reference_covers(name, request,
+                                                     oracle_package):
+    chain = request.getfixturevalue(f"{name}_bundle").chain
+    assert _boundary(chain) == _oracle_boundary(oracle_package, chain.vertices)
+
+
+@pytest.mark.parametrize("name", ["smooth32", "smooth128", "smooth512"])
+def test_boundary_matches_oracle_on_smooth_covers(name, oracle_package):
+    chain = GeneratingChain.from_json(INPUTS[name])
+    assert _boundary(chain) == _oracle_boundary(oracle_package, chain.vertices)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.3])
+@pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64])
+def test_boundary_matches_oracle_on_perturbed_chains(edges, step,
+                                                     oracle_package):
+    built = 0
+    for chain in perturbed_chains(edges, step):
+        try:
+            ours = _boundary(chain)
+        except InadmissibleChainError:
+            continue
+        assert ours == _oracle_boundary(oracle_package, chain.vertices), \
+            chain.vertices
+        built += 1
+    assert built > 0

@@ -1,0 +1,42 @@
+"""Seeded results pinned by digest, so every supported Python gives the same floats.
+
+Python 3.12 made the builtin sum() compensate float rounding; the library
+adds floats left to right instead (numerics.ordered_sum), and these
+digests fail on any interpreter where a seeded result moves.  The module
+also runs without pytest, printing the digests:
+
+    PYTHONPATH=src python tests/test_reproducibility.py
+"""
+
+import hashlib
+
+from rulecover import search, smooth
+
+PINNED = {
+    "search_best_areas": "f1a4fd2e63a86511",
+    "smooth128_vertices": "6c98c2185cf8b147",
+}
+
+
+def digest(value) -> str:
+    """Short content hash of a value's repr (floats keep every digit)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def digests() -> dict:
+    trace = search.local_search(
+        search.SearchConfig(edges=16, iterations=400, seed=3))
+    _, co, _ = smooth.optimize_smooth(tol=1e-12)
+    return {
+        "search_best_areas": digest(trace.best_areas),
+        "smooth128_vertices": digest(smooth.discretize_smooth(co, 128).vertices),
+    }
+
+
+def test_seeded_results_match_pinned_digests():
+    assert digests() == PINNED
+
+
+if __name__ == "__main__":
+    for name, value in digests().items():
+        print(f"{name} {value}")

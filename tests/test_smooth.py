@@ -63,6 +63,16 @@ class TestCoefficients:
         with pytest.raises(SpeedPositivityError):
             check_speed_positivity(solve_coefficients(0.95))
 
+    @pytest.mark.parametrize("a", [1.09231, 1.09235, 1.09239])
+    def test_speed_dip_next_to_the_ends_is_caught(self, a):
+        # g < 0 on a band just inside t = a, 1e-4 a to 2e-3 a wide, which
+        # a 1,000-point grid that forgave the last 1e-3 of (-a, a) passed
+        with pytest.raises(SpeedPositivityError):
+            check_speed_positivity(solve_coefficients(a))
+        backend = DecimalBackend(40)
+        co = solve_coefficients(a, backend)
+        assert curve_speed(co, a * (1 - 5e-5), backend) < 0
+
 
 class TestCurve:
     def test_through_origin(self):

@@ -57,8 +57,10 @@ class TestReachability:
     def test_report_json(self, r2_bundle):
         report = verify_reachability(r2_bundle, n_points=16, n_lengths=16)
         doc = report.to_json()
-        assert set(doc) == {"points", "lengths", "failures", "diameter", "passed"}
+        assert set(doc) == {"points", "lengths", "failures", "diameter", "eps",
+                            "passed"}
         assert doc["passed"] is True
+        assert doc["eps"] == report.eps == 1e-9
         assert doc["failures"] == []
 
     def test_smooth_512_edges_passes(self, smooth_optimum):
