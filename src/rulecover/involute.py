@@ -334,9 +334,9 @@ def involute_cover(chain: GeneratingChain, validate: bool = True,
         raise InadmissibleChainError([ChainDiagnostic(
             "simple", math.nan, f"involute boundary self-intersects: {exc}")])
 
+    pieces, k = region.boundary.pieces, len(right)
     return CoverBundle(chain=chain, region=region, apex=w,
-                       left_arcs=tuple(pieces[n + len(right):]),
-                       right_arcs=tuple(pieces[n:n + len(right)]),
+                       left_arcs=pieces[n + k:], right_arcs=pieces[n:n + k],
                        area=region.area, final_pivot=final_pivot)
 
 

@@ -216,12 +216,11 @@ def shrink_cover(cover: CoverBundle, factor: float = 0.95) -> CoverBundle:
     path = ArcPath(pieces)
     region = Region(boundary=path, area=arc_path_area(path, check=False))
     cx, cy = center
-    n = cover.chain.n_edges
+    n, k = cover.chain.n_edges, len(cover.right_arcs)
     verts = tuple((cx + factor * (x - cx), cy + factor * (y - cy))
                   for (x, y) in cover.chain.vertices)
     apex = (cx + factor * (cover.apex[0] - cx), cy + factor * (cover.apex[1] - cy))
     return CoverBundle(
         chain=GeneratingChain(verts), region=region, apex=apex,
-        left_arcs=path.pieces[len(path) - len(cover.left_arcs):],
-        right_arcs=path.pieces[n:n + len(cover.right_arcs)],
+        left_arcs=path.pieces[n + k:], right_arcs=path.pieces[n:n + k],
         area=region.area, final_pivot=cover.final_pivot)

@@ -37,6 +37,14 @@ ORACLE_ROOT = (Path(__file__).resolve().parent.parent / "perfbench"
                / "baseline" / "rulecover")
 
 
+def _left_to_right_sum(values):
+    """The builtin sum() of floats as Python 3.11 and earlier compute it."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @pytest.fixture(scope="session")
 def oracle_package():
     """The frozen library, imported as package `oracle_rulecover`.
@@ -44,6 +52,11 @@ def oracle_package():
     Its modules (geometry, involute, search, cli, ...) are attributes of
     the package.  They stay in sys.modules under that name, apart from
     `rulecover`, because the oracle's relative imports look them up there.
+
+    The frozen code calls the builtin sum(), which compensates float
+    rounding from Python 3.12 on.  Each of its modules gets a left-to-right
+    sum in its globals instead, so the oracle gives the floats it was
+    frozen with on every interpreter, as the library does.
     """
     name = "oracle_rulecover"
     spec = importlib.util.spec_from_file_location(
@@ -52,7 +65,9 @@ def oracle_package():
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    importlib.import_module(f"{name}.cli")
+    for path in sorted(ORACLE_ROOT.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{name}.{path.stem}").sum = _left_to_right_sum
     return package
 
 
