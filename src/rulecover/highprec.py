@@ -3,16 +3,18 @@
 Two interchangeable scalar backends drive every formula in this package:
 the native backend works on floats (~15-16 significant digits) and the
 decimal backend works on ``decimal.Decimal`` at a configurable number of
-significant digits (default 40).  The decimal trig evaluates Taylor series
-after argument reduction modulo 2*pi, carrying a few guard digits so results
-are good to 1 ulp at the configured precision.
+significant digits (default 40).  The decimal trig is one kernel,
+`sincos_decimal`: it reduces x modulo 2*pi, sums the sine and cosine series
+of x / 2^k in one loop and rebuilds sin x and cos x with k doublings (Brent
+& Zimmermann, Modern Computer Arithmetic, 4.3), carrying _GUARD + k guard
+digits so results are good to 1 ulp at the requested precision.
 
 Closed forms that need sin(jt) and cos(jt) for several j ask the backend for
-all of them at once with `multiples(t, k)`.  The decimal backend sums one
-sine and one cosine series, on t alone, and fills j >= 2 by the
-multiple-angle recurrences s_j = 2 cos(t) s_{j-1} - s_{j-2} (same for the
-cosines), carrying two more guard digits for the error the recurrence
-accumulates; the native backend calls the math module for each j.
+all of them at once with `multiples(t, k)`.  The decimal backend calls the
+kernel once, on t alone, and fills j >= 2 by the multiple-angle recurrences
+s_j = 2 cos(t) s_{j-1} - s_{j-2} (same for the cosines), carrying two more
+guard digits for the error the recurrence accumulates; the native backend
+calls the math module for each j.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 DEFAULT_DIGITS = 40
-_GUARD = 6  # extra digits carried inside the series loops
+_GUARD = 6  # extra digits carried inside the series loops, besides k
 
 
 @lru_cache(maxsize=None)
@@ -53,34 +55,42 @@ def _reduce(x: Decimal, digits: int) -> Decimal:
     return x
 
 
-def _taylor(x: Decimal, digits: int, first: int) -> Decimal:
-    """Sum of the alternating series x^k / k!, k = first, first + 2, ...
+def sincos_decimal(x: Decimal, digits: int) -> tuple[Decimal, Decimal]:
+    """(sin x, cos x), each to `digits` significant digits.
 
-    first = 1 gives sin x and first = 0 gives cos x.
+    One loop sums both series of y = x / 2^k, k = isqrt(digits) // 2 + 2,
+    each term the last times -y^2 over two small integers; k doublings
+    s, c <- 2sc, 1 - 2s^2 then give sin x and cos x.  Each doubling
+    multiplies the larger absolute error of (s, c) by at most 4 (the
+    absolute row sums of its Jacobian [[2c, 2s], [-4s, 0]]) and adds two
+    roundings, so the doublings cost under log10(4^k) < k digits; the loop
+    carries k digits on top of `_GUARD`.
     """
+    k = math.isqrt(digits) // 2 + 2
     with localcontext() as ctx:
-        ctx.prec = digits + _GUARD
-        x = _reduce(Decimal(x), digits)
-        num = x if first else Decimal(1)
-        i, lasts, s, fact, sign = first, Decimal(0), num, 1, 1
-        while s != lasts:
-            lasts = s
+        ctx.prec = digits + _GUARD + k
+        y = _reduce(Decimal(x), digits) / 2 ** k
+        minus_y2 = -y * y
+        i, s, c, ts, tc = 0, y, Decimal(1), y, Decimal(1)
+        while c + tc != c:  # the sine's terms are smaller, relative to s
+            tc = tc * minus_y2 / ((i + 1) * (i + 2))
+            ts = ts * minus_y2 / ((i + 2) * (i + 3))
             i += 2
-            fact *= i * (i - 1)
-            num *= x * x
-            sign = -sign
-            s += sign * num / fact
+            s += ts
+            c += tc
+        for _ in range(k):
+            s, c = 2 * s * c, 1 - 2 * s * s
     with localcontext() as ctx:
         ctx.prec = digits
-        return +s
+        return +s, +c
 
 
 def sin_decimal(x: Decimal, digits: int) -> Decimal:
-    return _taylor(x, digits, 1)
+    return sincos_decimal(x, digits)[0]
 
 
 def cos_decimal(x: Decimal, digits: int) -> Decimal:
-    return _taylor(x, digits, 0)
+    return sincos_decimal(x, digits)[1]
 
 
 def truncate_digits(x, digits: int) -> str:
@@ -146,15 +156,16 @@ class DecimalBackend:
     def multiples(self, t, k):
         """([sin(j t)], [cos(j t)]) for j = 0..k from one sin/cos pair.
 
-        The recurrence runs two digits above the series' working precision:
-        for j <= 6 its rounding errors and the error of cos t, amplified by
-        at most |d U_{j-1}/dc| <= j^3/3 on [-1, 1], stay under 100 units of
-        that precision's last place, below the final rounding to the
-        backend's precision.
+        `sincos_decimal` gives sin t and cos t at `work`, two digits above
+        the backend's precision plus `_GUARD`, and the recurrence runs at
+        `work`: for j <= 6 its rounding errors and the error of cos t,
+        amplified by at most |d U_{j-1}/dc| <= j^3/3 on [-1, 1], stay under
+        100 units of that precision's last place, below the final rounding
+        to the backend's precision.
         """
         work = self.digits + _GUARD + 2
-        sines = [Decimal(0), sin_decimal(t, work)]
-        cosines = [Decimal(1), cos_decimal(t, work)]
+        sin_t, cos_t = sincos_decimal(t, work)
+        sines, cosines = [Decimal(0), sin_t], [Decimal(1), cos_t]
         with localcontext() as ctx:
             ctx.prec = work
             twice_cos = 2 * cosines[1]

@@ -29,6 +29,7 @@ from .involute import CoverBundle, GeneratingChain
 
 DEFAULT_EPS = 1e-9
 DIAMETER_SAMPLES = 4096  # boundary samples behind region_diameter
+SAME_POINT = 1e-12  # a candidate q this close to p is the trivial q = p
 
 
 class FoldFailureError(RuntimeError):
@@ -130,7 +131,7 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
             length = i / n_lengths
             found = False
             for q, _ in _candidates(upper, n_right, p, side, length):
-                if math.dist(p, q) <= eps:
+                if math.dist(p, q) <= SAME_POINT:
                     continue  # the trivial point q = p does not count
                 if segment_inside(region, p, q, eps):
                     found = True
@@ -172,7 +173,7 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
         p = joints[-1]
         admissible = []
         for q, q_side in _candidates(upper, n_right, p, side, length):
-            if math.dist(p, q) <= 1e-12:
+            if math.dist(p, q) <= SAME_POINT:
                 continue
             if abs(math.dist(p, q) - length) > 1e-9:
                 continue

@@ -11,6 +11,7 @@ from rulecover.highprec import (
     cos_decimal,
     pi_decimal,
     sin_decimal,
+    sincos_decimal,
     truncate_digits,
 )
 
@@ -42,6 +43,37 @@ def test_known_sine_value():
 
 def _ulp(x: Decimal, digits: int) -> Decimal:
     return Decimal(10) ** (x.adjusted() - digits + 1)
+
+
+def _kernel_arguments():
+    """Seeded angles in [-10, 10], angles within 0, 1e-30 and 1e-8 of the
+    zeros of sin and cos in [-pi, 2pi], and one far from the origin."""
+    rng = random.Random(2024)
+    args = [Decimal(rng.uniform(-10, 10)) for _ in range(12)]
+    pi = pi_decimal(250)
+    with localcontext() as ctx:
+        ctx.prec = 260
+        for base in (0, pi / 2, -pi / 2, pi, -pi, 2 * pi):
+            for offset in ("0", "1e-30", "-1e-30", "1e-8", "-1e-8"):
+                args.append(base + Decimal(offset))
+    return args + [Decimal("123456.789")]
+
+
+@pytest.mark.parametrize("digits", [10, 20, 38, 78, 140, 200])
+def test_sincos_matches_oracle_series(oracle_package, digits):
+    # the frozen library's plain Taylor series, 20 digits higher, rounded;
+    # near a zero any series loses relative digits to cancellation, so
+    # values under 0.1 are held to 10^-digits absolute instead of 1 ulp
+    oracle = oracle_package.highprec
+    for x in _kernel_arguments():
+        got = sincos_decimal(x, digits)
+        for value, series in zip(got, (oracle.sin_decimal, oracle.cos_decimal)):
+            with localcontext() as ctx:
+                ctx.prec = digits
+                want = +series(x, digits + 20)
+            bound = (_ulp(want, digits) if abs(want) >= Decimal("0.1")
+                     else Decimal(10) ** -digits)
+            assert abs(value - want) <= bound, (x, value, want)
 
 
 @pytest.mark.parametrize("digits", [30, 60, 132])

@@ -283,6 +283,29 @@ class TestHighPrecision:
             "b2 = 0.134980967580652222210035503627755618243413545774327130283430\n"
             "A  = 0.555360368646626116048170223491013283449047332557401932142234\n")
 
+    @pytest.mark.parametrize("digits,text", [
+        (20, "digits = 20\n"
+             "a  = 1.1107321367714721145\n"
+             "b0 = -0.31003908380107665108\n"
+             "b1 = 0.88242010074246605497\n"
+             "b2 = 0.13498096758065222221\n"
+             "A  = 0.55536036864662611604\n"),
+        (40, "digits = 40\n"
+             "a  = 1.110732136771472114584542347660634946201\n"
+             "b0 = -0.3100390838010766510823392837416306305247\n"
+             "b1 = 0.8824201007424660549726849520917176702289\n"
+             "b2 = 0.1349809675806522222100355036277556182434\n"
+             "A  = 0.5553603686466261160481702234910132834490\n"),
+        (80, "digits = 80\n"
+             "a  = 1.1107321367714721145845423476606349462011965590699512965363606117566655786102461\n"
+             "b0 = -0.31003908380107665108233928374163063052478441813236620700466154954928910392790541\n"
+             "b1 = 0.88242010074246605497268495209171767022890242950714819710837840946238381956062502\n"
+             "b2 = 0.13498096758065222221003550362775561824341354577432713028343099459067933766467087\n"
+             "A  = 0.55536036864662611604817022349101328344904733255740193214223485028152339376142746\n"),
+    ])
+    def test_reproduce_pinned(self, digits, text):
+        assert reproduce_appendix(digits).as_text() == text
+
     def test_reproduce_rejects_low_digits(self):
         with pytest.raises(ValueError):
             reproduce_appendix(10)

@@ -72,6 +72,15 @@ class TestReachability:
         assert report.points == 1025
         assert report.failures == []
 
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_loose_eps_keeps_short_lengths(self, r2_bundle, eps):
+        # eps is the containment tolerance only: a q at distance 1/16 from
+        # p is a real candidate even when eps exceeds 1/16
+        report = verify_reachability(r2_bundle, n_points=16, n_lengths=16,
+                                     eps=eps)
+        assert report.failures == []
+        assert report.passed
+
     def test_minimum_sampling(self, r2_bundle):
         with pytest.raises(ValueError):
             verify_reachability(r2_bundle, n_points=4, n_lengths=16)
