@@ -13,6 +13,7 @@ about the far endpoint closes the boundary at w.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +33,7 @@ from .geometry import (
 LENGTH_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 TURN_TOL = 1e-9
+CHORD_TOL = 1e-9  # a line this close to both u and v runs along the chord
 
 
 class InadmissibleChainError(ValueError):
@@ -224,6 +226,84 @@ def validate_chain(chain: GeneratingChain):
     return out
 
 
+class Pocket:
+    """The convex pocket P of a cover: its chain closed by the chord uv.
+
+    The upper run v -> w -> u has only counterclockwise arcs with G1 joints
+    and a convex corner at the apex (_unwrap checks the positive sweeps and
+    the positive final pivot), so with the chord uv it bounds a convex cap
+    H.  The chain turns one way only, so with the same chord it bounds a
+    convex set P inside H, and the cover is H minus the interior of P.
+    For p and q on the upper run the line pq meets H only in the segment
+    pq, which therefore stays in the cover iff the line does not cut the
+    interior of P: a sign test of P's vertices against the line.
+
+    Holds the chain's vertex coordinates and its edge direction angles.
+    Building one raises InadmissibleChainError (a ValueError) when an edge
+    runs against x or a turn is negative by more than TURN_TOL, since the
+    bisection in depth() relies on both.
+    """
+
+    def __init__(self, vertices):
+        self.xs = tuple(x for x, _ in vertices)
+        self.ys = tuple(y for _, y in vertices)
+        xs, ys = self.xs, self.ys
+        n = len(xs) - 1
+        angles = [math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
+                  for j in range(n)]
+        for j, a in enumerate(angles):
+            if abs(a) > math.pi / 2 + TURN_TOL:
+                raise InadmissibleChainError([ChainDiagnostic(
+                    "ordering", abs(a) - math.pi / 2,
+                    f"edge {j} runs against x")])
+        for j in range(1, n):
+            if angles[j] - angles[j - 1] > TURN_TOL:
+                raise InadmissibleChainError([ChainDiagnostic(
+                    "concavity", angles[j] - angles[j - 1],
+                    f"negative turn angle at interior vertex {j}")])
+        # non-increasing angles, negated so that bisect sees them ascending
+        self.keys = tuple(-a for a in angles)
+        cx, cy = xs[n] - xs[0], ys[n] - ys[0]
+        chord = math.hypot(cx, cy)
+        # the largest distance of the chain from the chord
+        self.sag = max((abs(cx * (ys[j] - ys[0]) - cy * (xs[j] - xs[0])) / chord
+                        for j in range(1, n)), default=0.0)
+
+    def depth(self, p, q) -> float:
+        """How far the line through p and q (p != q) cuts into P.
+
+        With d the unit direction of pq, s_j = cross(d, c_j - p) rises
+        along the chain while its edges point above d and falls after, so
+        its largest value sits at the vertex k where the edge angles pass
+        d's angle (found by bisection) and its smallest at u or v.  The
+        depth is the lesser of the two sides' largest distances.  A line
+        within CHORD_TOL of both u and v runs along the chord, which lies
+        outside the cover wherever the chain leaves it: its depth is the
+        sag of the chain.
+        """
+        px, py = p
+        dx, dy = q[0] - px, q[1] - py
+        norm = math.hypot(dx, dy)
+        dx, dy = dx / norm, dy / norm
+        if dx < 0.0 or (dx == 0.0 and dy < 0.0):
+            dx, dy = -dx, -dy  # angle into (-pi/2, pi/2]; flips every s_j
+        k = bisect_left(self.keys, -math.atan2(dy, dx))
+        xs, ys = self.xs, self.ys
+        n = len(xs) - 1
+        s0 = dx * (ys[0] - py) - dy * (xs[0] - px)
+        sn = dx * (ys[n] - py) - dy * (xs[n] - px)
+        if abs(s0) <= CHORD_TOL and abs(sn) <= CHORD_TOL:
+            return self.sag
+        hi, lo = max(s0, sn, 0.0), min(s0, sn, 0.0)
+        for j in range(max(k - 1, 0), min(k + 2, n + 1)):
+            s = dx * (ys[j] - py) - dy * (xs[j] - px)
+            if s > hi:
+                hi = s
+            elif s < lo:
+                lo = s
+        return min(hi, -lo)
+
+
 @dataclass
 class CoverBundle:
     """A cover: chain below, two involute arc runs meeting at the apex."""
@@ -244,6 +324,11 @@ class CoverBundle:
         across verify and fold calls; nothing reassigns `region`.
         """
         return ArcPath(self.region.boundary.pieces[self.chain.n_edges:])
+
+    @cached_property
+    def pocket(self) -> Pocket:
+        """The chain's Pocket, built on first use by verify or fold."""
+        return Pocket(self.chain.vertices)
 
     @property
     def n_right_upper(self) -> int:

@@ -2,10 +2,21 @@
 
 A cover is exercised, never proved: sample points p on the two upper arcs
 and lengths l in (0, 1], and demand some other upper-arc point q with
-|pq| = l whose segment stays inside the region (boundary contact counts
-as inside, matching the use of the corner points in the constructions).
-The online folding strategy places each next joint greedily at such a q.
-Failures are data, not errors; they feed the report.
+|pq| = l whose segment stays inside the region.  The online folding
+strategy places each next joint greedily at such a q.  Failures are data,
+not errors; they feed the report.
+
+Containment needs no general point-in-region test.  Every cover is a
+convex cap H (the upper arcs closed by the chord uv) minus the interior of
+the convex pocket P (the chain closed by the same chord), see
+involute.Pocket.  The argument needs p and q on the upper arcs, so on the
+boundary of H: then the segment pq stays in the region iff the line pq
+does not cut into P; a segment along the chord itself counts as leaving it, unless the
+chain is flat.  The tolerance eps bounds that cut: a candidate is
+admissible when Pocket.depth(p, q) <= eps, so boundary contact (the
+corner points the constructions use) counts as inside.  check_fold keeps
+the general test, geometry.segment_inside, so a fold is checked by a
+second, independent method.
 """
 
 from __future__ import annotations
@@ -117,12 +128,13 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
 
     For every sampled p on the upper arcs and every length l = i/n_lengths
     (so l = 1 is always exercised), search the exact circle intersections
-    with the upper arcs for a q whose segment pq stays inside.
+    with the upper arcs for a q whose segment pq cuts at most eps into the
+    cover's pocket.
     """
     if n_points < 16 or n_lengths < 16:
         raise ValueError("need at least 16 point and 16 length samples")
-    region = cover.region
     upper = cover.upper_path
+    pocket = cover.pocket
     n_right = cover.n_right_upper
     samples = _upper_samples(upper, n_right, n_points)
     failures = []
@@ -133,12 +145,12 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
             for q, _ in _candidates(upper, n_right, p, side, length):
                 if math.dist(p, q) <= SAME_POINT:
                     continue  # the trivial point q = p does not count
-                if segment_inside(region, p, q, eps):
+                if pocket.depth(p, q) <= eps:
                     found = True
                     break
             if not found:
                 failures.append((p, length))
-    diameter = region_diameter(region, DIAMETER_SAMPLES)
+    diameter = region_diameter(cover.region, DIAMETER_SAMPLES)
     passed = not failures and diameter <= 1.0 + eps
     return VerificationReport(points=len(samples), lengths=n_lengths,
                               failures=failures, diameter=diameter,
@@ -164,8 +176,8 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
     deterministically for that seed.
     """
     rng = random.Random(seed) if seed is not None else None
-    region = cover.region
     upper = cover.upper_path
+    pocket = cover.pocket
     n_right = cover.n_right_upper
     joints = [cover.chain.u]
     side = 1  # u terminates the left involute
@@ -177,7 +189,7 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
                 continue
             if abs(math.dist(p, q) - length) > 1e-9:
                 continue
-            if segment_inside(region, p, q, DEFAULT_EPS):
+            if pocket.depth(p, q) <= DEFAULT_EPS:
                 if rng is None:
                     admissible = [(q, q_side)]
                     break

@@ -1,13 +1,26 @@
 import math
+import random
 
 import pytest
 
 from rulecover import smooth
-from rulecover.involute import involute_cover
+from rulecover.geometry import segment_inside
+from rulecover.involute import (
+    CHORD_TOL,
+    TURN_TOL,
+    InadmissibleChainError,
+    Pocket,
+    involute_cover,
+)
+from rulecover.search import ChainParams, perturb
 from rulecover.verify import (
+    DEFAULT_EPS,
+    SAME_POINT,
     Fold,
     FoldFailureError,
     Rule,
+    _candidates,
+    _upper_samples,
     check_fold,
     fold_rule,
     random_rule,
@@ -173,3 +186,163 @@ class TestFold:
         bad = Fold(joints=((-0.5, 0.0), (0.2, 0.0)))
         with pytest.raises(AssertionError):
             check_fold(r2_bundle, rule, bad)
+
+
+# The pocket test (involute.Pocket.depth) decides containment in verify and
+# fold; geometry.segment_inside, which check_fold still uses, and the frozen
+# oracle's verifier are its references.
+
+
+def _scanned_depth(pocket, p, q):
+    """Pocket.depth from every chain vertex, with the same arithmetic."""
+    px, py = p
+    dx, dy = q[0] - px, q[1] - py
+    norm = math.hypot(dx, dy)
+    dx, dy = dx / norm, dy / norm
+    if dx < 0.0 or (dx == 0.0 and dy < 0.0):
+        dx, dy = -dx, -dy
+    s = [dx * (y - py) - dy * (x - px) for x, y in zip(pocket.xs, pocket.ys)]
+    if abs(s[0]) <= CHORD_TOL and abs(s[-1]) <= CHORD_TOL:
+        return pocket.sag
+    return min(max(max(s), 0.0), -min(min(s), 0.0))
+
+
+def _candidate_segments(bundle, n):
+    """(p, q) for every candidate verify_reachability tries at n x n."""
+    upper, n_right = bundle.upper_path, bundle.n_right_upper
+    for p, side in _upper_samples(upper, n_right, n):
+        for i in range(1, n + 1):
+            for q, _ in _candidates(upper, n_right, p, side, i / n):
+                if math.dist(p, q) > SAME_POINT:
+                    yield p, q
+
+
+def _perturbed_bundle(co, edges, seed, moves=6, step=0.02):
+    """Cover of a seeded chain of `perturb` moves from the smooth cut."""
+    base = ChainParams.from_chain(smooth.discretize_smooth(co, edges))
+    rng = random.Random(seed)
+    while True:
+        params = base
+        for _ in range(moves):
+            params = perturb(params, step, rng)
+        try:
+            return involute_cover(params.to_chain())
+        except InadmissibleChainError:
+            continue
+
+
+PERTURBED_EDGES = [4 + 60 * i // 19 for i in range(20)]  # 4 .. 64
+POCKET_COVERS = (["r2", "two", "three", "four", "smooth48", "smooth128"]
+                 + [f"perturb{n}" for n in PERTURBED_EDGES])
+
+
+@pytest.fixture(scope="module")
+def pocket_covers(r2_bundle, two_bundle, three_bundle, four_bundle,
+                  smooth48_bundle, smooth_optimum):
+    _, co, _ = smooth_optimum
+    covers = {"r2": r2_bundle, "two": two_bundle, "three": three_bundle,
+              "four": four_bundle, "smooth48": smooth48_bundle,
+              "smooth128": involute_cover(smooth.discretize_smooth(co, 128))}
+    for n in PERTURBED_EDGES:
+        covers[f"perturb{n}"] = _perturbed_bundle(co, n, seed=n)
+    return covers
+
+
+class TestPocket:
+    @pytest.mark.parametrize("name", POCKET_COVERS)
+    def test_depth_matches_scan_and_segment_inside(self, name, pocket_covers):
+        bundle = pocket_covers[name]
+        pocket = bundle.pocket
+        checked = 0
+        for p, q in _candidate_segments(bundle, 32):
+            depth = pocket.depth(p, q)
+            assert depth == _scanned_depth(pocket, p, q), (p, q)
+            if depth <= DEFAULT_EPS:
+                assert segment_inside(bundle.region, p, q, DEFAULT_EPS), (p, q)
+            checked += 1
+        assert checked > 32 * 32
+
+    def test_built_lazily(self, smooth_optimum):
+        _, co, _ = smooth_optimum
+        bundle = involute_cover(smooth.discretize_smooth(co, 16))
+        assert "pocket" not in vars(bundle)
+        assert bundle.pocket is bundle.pocket
+
+    @pytest.mark.parametrize("name", ["two", "three", "four", "smooth48"])
+    def test_chord_whisker_rejected(self, name, pocket_covers):
+        # u -> v runs along the chord, below the chain and outside the
+        # region, although no vertex lies across the line
+        bundle = pocket_covers[name]
+        pocket, upper = bundle.pocket, bundle.upper_path
+        assert pocket.sag > DEFAULT_EPS
+        for p, q in ((bundle.chain.u, bundle.chain.v),
+                     (upper.pieces[-1].end, upper.pieces[0].start)):
+            for a, b in ((p, q), (q, p)):
+                assert pocket.depth(a, b) > DEFAULT_EPS
+                assert not segment_inside(bundle.region, a, b)
+
+    def test_r2_base_accepted(self, r2_bundle):
+        # the one-edge chain is its own chord: the base is boundary
+        u, v = r2_bundle.chain.u, r2_bundle.chain.v
+        assert r2_bundle.pocket.sag == 0.0
+        assert r2_bundle.pocket.depth(u, v) <= DEFAULT_EPS
+        assert r2_bundle.pocket.depth(v, u) <= DEFAULT_EPS
+        assert segment_inside(r2_bundle.region, u, v)
+
+    @pytest.mark.parametrize("mirror", [1.0, -1.0])
+    def test_tangency_witness(self, smooth48_bundle, mirror):
+        # p sits at u (or v), l = 1: this witness passes a chain vertex on
+        # the wrong side by 2e-9 > eps, which segment_inside misses because
+        # it classifies each gap at its midpoint only.  Another candidate
+        # is admissible, so the point does not fail.
+        p = (mirror * -0.44405796684014687, -0.18893365563233025)
+        q = (mirror * 0.11748462471898674, 0.6385141782913872)
+        upper, n_right = smooth48_bundle.upper_path, smooth48_bundle.n_right_upper
+        side = {s_p: side for s_p, side in _upper_samples(upper, n_right, 256)}[p]
+        cands = [c for c, _ in _candidates(upper, n_right, p, side, 1.0)]
+        assert q in cands
+        pocket = smooth48_bundle.pocket
+        assert DEFAULT_EPS < pocket.depth(p, q) < 2.5e-9
+        assert segment_inside(smooth48_bundle.region, p, q, DEFAULT_EPS)
+        assert any(pocket.depth(p, c) <= DEFAULT_EPS
+                   for c in cands if math.dist(p, c) > SAME_POINT)
+
+    def test_negative_turn_raises(self):
+        # edge angles -0.1 then +0.1 rad: a negative turn of 0.2
+        with pytest.raises(ValueError, match="negative turn"):
+            Pocket(((-1.0, 0.0), (0.0, -0.1), (1.0, 0.0)))
+        # within TURN_TOL is accepted
+        Pocket(((-1.0, 0.0), (0.0, 0.0), (1.0, math.tan(0.5 * TURN_TOL))))
+
+    def test_backward_edge_raises(self):
+        with pytest.raises(ValueError, match="runs against x"):
+            Pocket(((0.0, 0.0), (-1.0, 0.1)))
+
+
+def _oracle_bundle(oracle, bundle):
+    """`bundle` rebuilt in the frozen library from its JSON pieces."""
+    region = oracle.geometry.Region.from_json(bundle.region.to_json(), check=False)
+    n, k = bundle.chain.n_edges, bundle.n_right_upper
+    pieces = region.boundary.pieces
+    return oracle.involute.CoverBundle(
+        chain=oracle.involute.GeneratingChain(bundle.chain.vertices),
+        region=region, apex=bundle.apex, left_arcs=pieces[n + k:],
+        right_arcs=pieces[n:n + k], area=bundle.area,
+        final_pivot=bundle.final_pivot)
+
+
+@pytest.mark.parametrize("name", ["r2", "two", "three", "four", "smooth48",
+                                  "r2-shrunk", "apex-cut"])
+def test_failure_sets_match_oracle(name, pocket_covers, apex_cut_bundle,
+                                   oracle_package):
+    if name == "r2-shrunk":
+        bundle = shrink_cover(pocket_covers["r2"], 0.95)
+    elif name == "apex-cut":
+        bundle = apex_cut_bundle
+    else:
+        bundle = pocket_covers[name]
+    report = verify_reachability(bundle, n_points=64, n_lengths=64)
+    want = oracle_package.verify.verify_reachability(
+        _oracle_bundle(oracle_package, bundle), n_points=64, n_lengths=64)
+    assert report.failures == want.failures
+    assert report.diameter == want.diameter
