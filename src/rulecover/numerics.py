@@ -1,17 +1,15 @@
-"""Derivative-free minimization and adaptive quadrature.
+"""Derivative-free minimization and adaptive quadrature on floats.
 
-All routines are pure and work on either floats or Decimals (run the
-Decimal case inside the backend's precision context).  The 1-D minimizer
-is golden-section search followed by parabolic refinement, which localizes
-a smooth minimum well past the naive sqrt(eps) comparison limit; the
-multi-dimensional minimizer is Nelder-Mead with shrinking restarts.
+All routines are pure.  The 1-D minimizer is golden-section search
+followed by parabolic refinement, which localizes a smooth minimum well
+past the naive sqrt(eps) comparison limit; the multi-dimensional minimizer
+is Nelder-Mead with shrinking restarts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 
 def ordered_sum(values):
@@ -58,8 +56,6 @@ class MinimizeResult:
 
 
 def _is_finite(v) -> bool:
-    if isinstance(v, Decimal):
-        return v.is_finite()
     try:
         return math.isfinite(v)
     except TypeError:
@@ -91,12 +87,7 @@ def minimize_1d(f, lo, hi, tol=1e-12) -> MinimizeResult:
             raise EvaluationError(x, v)
         return v
 
-    decimal_mode = isinstance(lo, Decimal) or isinstance(hi, Decimal)
-    if decimal_mode:
-        lo, hi, tol = Decimal(lo), Decimal(hi), Decimal(tol)
-        invphi = (Decimal(5).sqrt() - 1) / 2
-    else:
-        invphi = (math.sqrt(5) - 1) / 2
+    invphi = (math.sqrt(5) - 1) / 2
 
     a, b = lo, hi
     x1 = b - invphi * (b - a)

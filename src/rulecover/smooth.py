@@ -17,10 +17,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from . import numerics
-from .highprec import NATIVE, DecimalBackend, truncate_digits
+from .highprec import (NATIVE, DecimalBackend, Dual, DualBackend,
+                       truncate_digits)
 from .involute import GeneratingChain
 
 SMOOTH_BRACKET = (0.8, 1.4)
+SLOPE_GUARD = 10       # digits beyond the nominal ones for the decimal A'(a)
+MAX_SLOPE_STEPS = 40   # secant steps from the float optimum
+FIRST_STEP = Decimal("1e-10")  # about the float optimum's error, ~4e-11
 
 
 class SingularParameterError(ValueError):
@@ -222,40 +226,96 @@ def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
 def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
     """(a, coefficients, area) at the half-angle a that minimizes the area.
 
-    The search runs on a working backend: floats as they are, or, for a
-    decimal backend with d nominal digits, d + 12 guard digits.  The area
-    is quadratic around the optimum, so pinning the argmin to ~d digits
-    needs ~2d digits in the objective: the comparison plateau has width
-    ~sqrt(quantum / A'').  The argmin is then rounded to the backend, where
-    the coefficients and the area are evaluated.  tol defaults to
-    backend.tolerance().  Raises numerics.ConvergenceError when the
-    minimizer stops short of tol or ends within tol of a bracket end, where
-    the true minimum may lie outside the bracket.
+    On floats, numerics.minimize_1d minimizes the area on the bracket.  On a
+    decimal backend with d nominal digits, that float optimum starts a
+    secant on A'(a) = 0 (`_slope_root`), whose slopes the dual backend
+    gives from the same closed forms at d + SLOPE_GUARD digits: a root is
+    well conditioned, where a minimum of the flat area would need ~2d
+    digits in the objective.  The argmin is then rounded to the backend,
+    where the coefficients and the area are evaluated.  tol defaults to
+    backend.tolerance(); on decimals it bounds the secant's last step.
+    Raises numerics.ConvergenceError when the minimizer stops short of tol,
+    when the argmin sits at an end of the bracket (on floats: within tol
+    of it; on decimals: A' keeps one sign on it), where the true minimum
+    may lie outside, or when the secant hits MAX_SLOPE_STEPS.
     """
     if tol is None:
         tol = backend.tolerance()
-    work = backend if backend.digits is None else DecimalBackend(
-        backend.nominal_digits, guard=backend.nominal_digits + 12)
+    float_tol = tol if backend.digits is None else NATIVE.tolerance()
 
-    def area(a):  # one work.multiples call per evaluation
-        trig = work.multiples(a, 6)
-        return smooth_area(solve_coefficients(a, work, trig=trig), work, trig)
+    def area(a):  # one NATIVE.multiples call per evaluation
+        trig = NATIVE.multiples(a, 6)
+        return smooth_area(solve_coefficients(a, trig=trig), trig=trig)
 
-    with work.context():
-        # from the shortest repr, so 0.8 is 0.8 and not its binary value
-        lo, hi = work.num(str(bracket[0])), work.num(str(bracket[1]))
-        res = numerics.minimize_1d(area, lo, hi, tol=tol)
-        if not res.converged:
-            raise numerics.ConvergenceError(
-                f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
-                f"in {res.iterations} iterations")
+    # from the shortest repr, so 0.8 is 0.8 and not its binary value
+    lo, hi = float(str(bracket[0])), float(str(bracket[1]))
+    res = numerics.minimize_1d(area, lo, hi, tol=float_tol)
+    if not res.converged:
+        raise numerics.ConvergenceError(
+            f"smooth-cut minimizer did not reach tol={float_tol} on [{lo}, {hi}] "
+            f"in {res.iterations} iterations")
+    if backend.digits is None:
         if res.argmin - lo <= tol or hi - res.argmin <= tol:
             raise numerics.ConvergenceError(
                 f"smooth-cut argmin {res.argmin} sits at an end of [{lo}, {hi}]")
-    with backend.context():
-        a = +res.argmin  # round to the backend's precision
+        a = res.argmin
+    else:
+        work = DecimalBackend(backend.nominal_digits, guard=SLOPE_GUARD)
+        a = _slope_root(res.argmin, tol, work, bracket)
+        with backend.context():
+            a = +a  # round to the backend's precision
     co = solve_coefficients(a, backend, check=True)
     return a, co, smooth_area(co, backend)
+
+
+def _area_slope(a, backend):
+    """A'(a), from the area's closed forms at Dual(a, 1)."""
+    dual, x = DualBackend(backend), Dual(a, 1)
+    trig = dual.multiples(x, 6)
+    co = solve_coefficients(x, dual, trig=trig)
+    return smooth_area(co, dual, trig).deriv
+
+
+def _slope_root(a, tol, work, bracket):
+    """Root of A' in the bracket: a secant from a, safeguarded by bisection.
+
+    Every slope shrinks [lo, hi], on which A' goes from - to +, and a
+    secant step that would leave it is replaced by its midpoint.  Stops
+    once a step is <= tol; the error of the point it returns is then
+    far smaller, since it converges superlinearly.
+    """
+    with work.context():
+        lo, hi = work.num(str(bracket[0])), work.num(str(bracket[1]))
+        ends = f"[{lo}, {hi}]"
+        if not _area_slope(lo, work) < 0 < _area_slope(hi, work):
+            raise numerics.ConvergenceError(
+                f"A' keeps one sign on {ends}: the smooth-cut argmin sits at "
+                f"an end")
+        x, x_prev, f_prev = work.num(a), None, None
+        for _ in range(MAX_SLOPE_STEPS):
+            f = _area_slope(x, work)
+            if f == 0:
+                return x
+            if f < 0:
+                lo = x
+            else:
+                hi = x
+            if f_prev is None:
+                step = FIRST_STEP if f < 0 else -FIRST_STEP
+            elif f == f_prev:
+                step = (lo + hi) / 2 - x
+            else:
+                step = -f * (x - x_prev) / (f - f_prev)
+            # before the safeguard: a step below x's last digit leaves
+            # x + step == x, which is lo or hi and would read as outside
+            if abs(step) <= tol:
+                return x + step
+            if not lo < x + step < hi:
+                step = (lo + hi) / 2 - x
+            x_prev, f_prev, x = x, f, x + step
+    raise numerics.ConvergenceError(
+        f"smooth-cut secant on A' did not reach tol={tol} on {ends} "
+        f"in {MAX_SLOPE_STEPS} steps")
 
 
 def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:

@@ -215,6 +215,13 @@ class TestReproduceCommand:
         assert "b1 = 0.88242010074246605497" in out
         assert out_path.read_text() == out
 
+    def test_200_digits_exit_0(self, capsys):
+        # a golden-section argmin stopped at its iteration cap here (exit 1)
+        code, out, _ = run(capsys, "reproduce-smooth", "--digits", "200")
+        assert code == 0
+        assert out.startswith("digits = 200\na  = 1.110732136771472114584542")
+        assert len(out.splitlines()[1]) == len("a  = 1.") + 199
+
 
 class TestUsage:
     def test_unknown_command(self):

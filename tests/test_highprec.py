@@ -7,6 +7,8 @@ import pytest
 from rulecover import smooth
 from rulecover.highprec import (
     DecimalBackend,
+    Dual,
+    DualBackend,
     NATIVE,
     cos_decimal,
     pi_decimal,
@@ -108,6 +110,62 @@ def test_native_multiples_are_math_module_values():
         sines, cosines = NATIVE.multiples(t, 6)
         assert sines == [math.sin(j * t) for j in range(7)]
         assert cosines == [math.cos(j * t) for j in range(7)]
+
+
+class TestDual:
+    @pytest.mark.parametrize("f, df", [
+        (lambda x: x + 2, lambda x: 1),
+        (lambda x: 2 + x, lambda x: 1),
+        (lambda x: x + x * x, lambda x: 1 + 2 * x),
+        (lambda x: x - 3, lambda x: 1),
+        (lambda x: 3 - x, lambda x: -1),
+        (lambda x: x - x * x, lambda x: 1 - 2 * x),
+        (lambda x: 5 * x, lambda x: 5),
+        (lambda x: x * 5, lambda x: 5),
+        (lambda x: x / 4, lambda x: 0.25),
+        (lambda x: x / (x * x + 1), lambda x: (1 - x * x) / (x * x + 1) ** 2),
+        (lambda x: x ** 1, lambda x: 1),
+        (lambda x: x ** 3, lambda x: 3 * x ** 2),
+        (lambda x: -x, lambda x: -1),
+        (lambda x: +x, lambda x: 1),
+        (lambda x: abs(x), lambda x: 1 if x > 0 else -1),
+    ])
+    @pytest.mark.parametrize("x", [-1.3, 0.7, 2.0])
+    def test_operators_match_hand_derivatives(self, f, df, x):
+        y = f(Dual(x, 1))
+        assert y.value == pytest.approx(f(x), rel=1e-15)
+        assert y.deriv == pytest.approx(df(x), rel=1e-15)
+
+    def test_float_is_the_value(self):
+        assert float(Dual(Decimal("2.5"), 7)) == 2.5
+
+    def test_pos_rounds_both_parts(self):
+        with localcontext() as ctx:
+            ctx.prec = 5
+            y = +Dual(Decimal("1.234567"), Decimal("9.876543"))
+        assert (y.value, y.deriv) == (Decimal("1.2346"), Decimal("9.8765"))
+
+    @pytest.mark.parametrize("base", [NATIVE, DecimalBackend(30)])
+    def test_multiples_carry_scaled_derivatives(self, base):
+        dual = DualBackend(base)
+        t = base.num("0.9")
+        sines, cosines = dual.multiples(Dual(t, 2), 6)
+        want_s, want_c = base.multiples(t, 6)
+        for j in range(7):
+            assert sines[j].value == want_s[j] and cosines[j].value == want_c[j]
+            assert float(sines[j].deriv) == pytest.approx(
+                2 * j * math.cos(j * 0.9), abs=1e-14)
+            assert float(cosines[j].deriv) == pytest.approx(
+                -2 * j * math.sin(j * 0.9), abs=1e-14)
+
+    def test_num_and_context_delegate(self):
+        base = DecimalBackend(30)
+        dual = DualBackend(base)
+        x = Dual(Decimal(1), 1)
+        assert dual.num(x) is x
+        assert dual.num(0.5) == base.num(0.5)
+        with dual.context():
+            assert len(str(Decimal(1) / 3)) == 32  # "0." and 30 digits
 
 
 class TestTruncateDigits:

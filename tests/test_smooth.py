@@ -5,8 +5,9 @@ from decimal import Decimal
 import pytest
 
 from conftest import A_PRINTED, AREA_PREFIX, B0_PRINTED, B1_PRINTED, B2_PRINTED
-from rulecover import numerics
-from rulecover.highprec import DecimalBackend, truncate_digits
+from rulecover import numerics, smooth
+from rulecover.highprec import (NATIVE, DecimalBackend, Dual, DualBackend,
+                                truncate_digits)
 from rulecover.involute import involute_cover, validate_chain
 from rulecover.smooth import (
     SMOOTH_BRACKET,
@@ -225,6 +226,52 @@ class TestOptimize:
         with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
             reproduce_appendix(20)
 
+    def test_stalled_decimal_secant_raises(self, monkeypatch):
+        monkeypatch.setattr(smooth, "MAX_SLOPE_STEPS", 1)
+        with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
+            optimize_smooth(backend=DecimalBackend(20))
+        with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
+            reproduce_appendix(20)
+
+    @pytest.mark.parametrize("start", [0.81, 1.39])
+    def test_decimal_secant_stays_in_bracket(self, monkeypatch, start):
+        # from a poor start the secant steps past the bracket; the safeguard
+        # bisects instead, and every slope is taken inside [0.8, 1.4]; at
+        # 200 digits the last step falls below the last digit of a bracket
+        # end, which must end the solve, not read as a step outside
+        def poor(f, lo, hi, tol, **kwargs):
+            return numerics.MinimizeResult(argmin=start, value=f(start),
+                                           iterations=1, converged=True)
+
+        seen, slope = [], smooth._area_slope
+        monkeypatch.setattr(numerics, "minimize_1d", poor)
+        monkeypatch.setattr(smooth, "_area_slope",
+                            lambda a, be: seen.append(a) or slope(a, be))
+        a, _, _ = optimize_smooth(backend=DecimalBackend(200))
+        assert abs(a - Decimal(reproduce_appendix(120).a)) <= Decimal("1e-118")
+        assert all(Decimal("0.8") <= x <= Decimal("1.4") for x in seen)
+
+    @pytest.mark.parametrize("a", ["0.9", "1.1107", "1.3"])
+    def test_dual_slope_matches_central_difference(self, a):
+        def area(x, backend):
+            return smooth_area(solve_coefficients(x, backend), backend)
+
+        def slope(backend):
+            x = Dual(backend.num(a), 1)
+            return area(x, DualBackend(backend)).deriv
+
+        # the float area is good to ~1e-11 near a = 0.9, so its difference
+        # quotient to ~1e-7; at 60 digits, h = 1e-18 leaves ~1e-34
+        h = 1e-4
+        central = (area(float(a) + h, NATIVE) - area(float(a) - h, NATIVE)) / (2 * h)
+        assert abs(slope(NATIVE) - central) <= 1e-6
+        be = DecimalBackend(60)
+        with be.context():
+            x, h = Decimal(a), Decimal("1e-18")
+            central = (area(x + h, be) - area(x - h, be)) / (2 * h)
+        assert abs(slope(be) - central) <= Decimal("1e-33")
+        assert abs(slope(NATIVE) - float(slope(be))) <= 1e-10
+
     def test_area_below_four_edge(self, smooth_optimum):
         from conftest import FOUR_REF_AREA, THREE_REF_AREA, TWO_OPT_AREA
 
@@ -302,9 +349,25 @@ class TestHighPrecision:
              "b1 = 0.88242010074246605497268495209171767022890242950714819710837840946238381956062502\n"
              "b2 = 0.13498096758065222221003550362775561824341354577432713028343099459067933766467087\n"
              "A  = 0.55536036864662611604817022349101328344904733255740193214223485028152339376142746\n"),
+        (120, "digits = 120\n"
+              "a  = 1.11073213677147211458454234766063494620119655906995129653636061175666557861024613591057433907696033485626070941227666284\n"
+              "b0 = -0.310039083801076651082339283741630630524784418132366207004661549549289103927905416372438652156134228929568958948929601711\n"
+              "b1 = 0.882420100742466054972684952091717670228902429507148197108378409462383819560625024687170664979822254983941850415929185515\n"
+              "b2 = 0.134980967580652222210035503627755618243413545774327130283430994590679337664670878507445654340888090998532014988121105461\n"
+              "A  = 0.555360368646626116048170223491013283449047332557401932142234850281523393761427462315480181900132117268170118377945742373\n"),
     ])
     def test_reproduce_pinned(self, digits, text):
         assert reproduce_appendix(digits).as_text() == text
+
+    @pytest.mark.parametrize("digits", [240, 500])
+    def test_reproduce_past_the_golden_section_ceiling(self, digits):
+        # golden-section minimization stopped at MAX_ITER_1D above ~125
+        # digits; the root of A' gets there and truncates to the 120 pin
+        report, pin = reproduce_appendix(digits), reproduce_appendix(120)
+        for key in ("a", "b0", "b1", "b2", "area"):
+            value = getattr(report, key)
+            assert len(value.lstrip("-0.").replace(".", "")) == digits
+            assert truncate_digits(Decimal(value), 120) == getattr(pin, key)
 
     def test_reproduce_rejects_low_digits(self):
         with pytest.raises(ValueError):
