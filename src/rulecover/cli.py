@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["r2", *constructions.CONSTRUCTIONS, "smooth"])
     p.add_argument("--angles", help="comma-separated angle overrides")
-    p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES,
-                   help="discretization edges for the smooth cut")
+    p.add_argument("--edges", type=int,
+                   help="--kind smooth only: discretization edges "
+                        f"(default {SMOOTH_RENDER_EDGES})")
     p.add_argument("--out", help="cover JSON path (stdout default)")
     p.set_defaults(func=cmd_construct)
 
@@ -184,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--kind smooth only: switch to decimal arithmetic at "
                         "this precision, print a and the area only and "
                         "write no cover JSON")
-    p.add_argument("--edges", type=int, default=SMOOTH_RENDER_EDGES)
+    p.add_argument("--edges", type=int,
+                   help="--kind smooth only: discretization edges of the "
+                        f"cover JSON (default {SMOOTH_RENDER_EDGES})")
     p.add_argument("--out", help="cover JSON path (stdout default)")
     p.set_defaults(func=cmd_optimize)
 
@@ -229,6 +232,11 @@ def main(argv=None) -> int:
     if (args.command == "optimize" and args.kind != "smooth"
             and args.digits is not None):
         parser.error("--digits applies only to --kind smooth")
+    if args.command in ("construct", "optimize"):
+        if args.kind != "smooth" and args.edges is not None:
+            parser.error("--edges applies only to --kind smooth")
+        if args.edges is None:
+            args.edges = SMOOTH_RENDER_EDGES
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

@@ -13,9 +13,11 @@ about the far endpoint closes the boundary at w.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from . import constructions, numerics
 from .geometry import (
@@ -23,10 +25,11 @@ from .geometry import (
     ArcPath,
     Region,
     Seg,
-    SelfIntersectingPathError,
-    arc_area,
+    TWO_PI,
+    arc_term,
     check_arc,
     check_ccw,
+    check_closed,
     seg_area,
 )
 
@@ -75,18 +78,12 @@ class GeneratingChain:
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
         self.vertices = verts
-        lengths = []
-        cum = [0.0]
-        for i in range(len(verts) - 1):
-            L = math.dist(verts[i], verts[i + 1])
-            lengths.append(L)
-            cum.append(cum[-1] + L)
-        self.edge_lengths = tuple(lengths)
-        self.cum_lengths = tuple(cum)
-        dirs = [math.atan2(verts[i + 1][1] - verts[i][1],
-                           verts[i + 1][0] - verts[i][0])
-                for i in range(len(verts) - 1)]
-        self.turn_angles = tuple(dirs[i] - dirs[i + 1] for i in range(len(dirs) - 1))
+        ends = verts[1:]
+        self.edge_lengths = tuple(map(math.dist, verts, ends))
+        self.cum_lengths = tuple(accumulate(self.edge_lengths, initial=0.0))
+        dirs = [math.atan2(y1 - y0, x1 - x0)
+                for (x0, y0), (x1, y1) in zip(verts, ends)]
+        self.turn_angles = tuple(map(operator.sub, dirs, dirs[1:]))
 
     @property
     def u(self):
@@ -134,34 +131,31 @@ class GeneratingChain:
             raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
         if min(fracs) <= 0:
             raise ValueError("edge fractions must be positive")
+        # deltas[i]: direction of half edge i below the horizontal, the
+        # sum of the turns from vertex i + 1 to the axis
         if n % 2 == 0:
             total_half = numerics.ordered_sum(fracs)
             fracs = [f * 0.5 / total_half for f in fracs]
-            deltas = [0.0] * m
-            deltas[m - 1] = turns[m - 1] / 2
-            for i in range(m - 2, -1, -1):
-                deltas[i] = deltas[i + 1] + turns[i]
+            deltas = accumulate(reversed(turns[:-1]), initial=turns[-1] / 2)
         else:
             mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
             if mid <= 0:
                 raise ValueError("half fractions leave no middle edge")
-            deltas = [0.0] * m
-            for i in range(m - 1, -1, -1):
-                deltas[i] = (deltas[i + 1] if i + 1 < m else 0.0) + turns[i]
-        pts = [(0.0, 0.0)]
-        for L, d in zip(fracs, deltas):
-            x, y = pts[-1]
-            pts.append((x + L * math.cos(d), y + L * math.sin(d)))
+            deltas = accumulate(reversed(turns), initial=0.0)
+            next(deltas)
+        deltas = list(deltas)[::-1]
+        xs = list(accumulate([L * math.cos(d) for L, d in zip(fracs, deltas)],
+                             initial=0.0))
+        ys = list(accumulate([L * math.sin(d) for L, d in zip(fracs, deltas)],
+                             initial=0.0))
         if n % 2 == 0:
-            shift = -pts[-1][0]  # middle vertex onto the y axis
-            pts = [(x + shift, y) for (x, y) in pts]
-            full = pts + [(-x, y) for (x, y) in reversed(pts[:-1])]
+            shift = -xs[-1]  # middle vertex onto the y axis
         else:
-            shift = -(pts[-1][0] + mid / 2)  # middle edge centered on the axis
-            pts = [(x + shift, y) for (x, y) in pts]
-            full = pts + [(-x, y) for (x, y) in reversed(pts)]
-        ytop = max(y for (_, y) in full)
-        return GeneratingChain(tuple((x, y - ytop) for (x, y) in full))
+            shift = -(xs[-1] + mid / 2)  # middle edge centered on the axis
+        ytop = max(ys)  # the mirror half has the same heights
+        half = [(x + shift, y - ytop) for x, y in zip(xs, ys)]
+        mirror = reversed(half[:-1] if n % 2 == 0 else half)
+        return GeneratingChain(tuple(half + [(-x, y) for x, y in mirror]))
 
     # -- serialization ------------------------------------------------------
 
@@ -192,12 +186,7 @@ def validate_chain(chain: GeneratingChain):
         out.append(ChainDiagnostic("length", abs(L - 1.0),
                                    f"total length {L!r} != 1"))
     verts = chain.vertices
-    n = len(verts) - 1
-    worst = 0.0
-    for k in range(len(verts)):
-        mx, my = verts[n - k]
-        dev = max(abs(verts[k][0] + mx), abs(verts[k][1] - my))
-        worst = max(worst, dev)
+    worst = _mirror_deviation(verts)
     if worst > SYMMETRY_TOL:
         out.append(ChainDiagnostic("symmetry", worst,
                                    "not mirror-symmetric about the y axis"))
@@ -217,13 +206,42 @@ def validate_chain(chain: GeneratingChain):
     if vx > 1.0:
         out.append(ChainDiagnostic("endpoints", vx - 1.0,
                                    "half base exceeds the unit string"))
-    for i in range(n):
-        if verts[i + 1][0] <= verts[i][0]:
+    for i, ((x0, _), (x1, _)) in enumerate(zip(verts, verts[1:])):
+        if x1 <= x0:
             out.append(ChainDiagnostic(
-                "ordering", verts[i][0] - verts[i + 1][0],
-                f"x coordinates not increasing at edge {i}"))
+                "ordering", x0 - x1, f"x coordinates not increasing at edge {i}"))
             break
     return out
+
+
+def _mirror_deviation(vertices) -> float:
+    """Largest coordinate gap between vertex k and the mirror of vertex n - k.
+
+    Pairs k and n - k give the same deviation, so only the first half of
+    the vertices is visited.
+    """
+    worst = 0.0
+    for (x0, y0), (x1, y1) in zip(vertices[:(len(vertices) + 1) // 2],
+                                  reversed(vertices)):
+        dev = max(abs(x0 + x1), abs(y0 - y1))
+        if dev > worst:
+            worst = dev
+    return worst
+
+
+def _check_convex_pocket(xs, turns):
+    """Raise InadmissibleChainError unless a chain closes with its chord uv
+    into a convex pocket: its vertices' x strictly increases ("ordering")
+    and no turn angle is below -TURN_TOL ("concavity")."""
+    for j, (x0, x1) in enumerate(zip(xs, xs[1:])):
+        if x1 <= x0:
+            raise InadmissibleChainError([ChainDiagnostic(
+                "ordering", x0 - x1, f"edge {j} runs against x")])
+    for j, theta in enumerate(turns, start=1):
+        if theta < -TURN_TOL:
+            raise InadmissibleChainError([ChainDiagnostic(
+                "concavity", -theta,
+                f"negative turn angle {theta!r} at interior vertex {j}")])
 
 
 class Pocket:
@@ -239,9 +257,9 @@ class Pocket:
     interior of P: a sign test of P's vertices against the line.
 
     Holds the chain's vertex coordinates and its edge direction angles.
-    Building one raises InadmissibleChainError (a ValueError) when an edge
-    runs against x or a turn is negative by more than TURN_TOL, since the
-    bisection in depth() relies on both.
+    Building one raises InadmissibleChainError (a ValueError) unless
+    _check_convex_pocket passes, since the bisection in depth() relies on
+    increasing x and non-negative turns.
     """
 
     def __init__(self, vertices):
@@ -251,16 +269,7 @@ class Pocket:
         n = len(xs) - 1
         angles = [math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
                   for j in range(n)]
-        for j, a in enumerate(angles):
-            if abs(a) > math.pi / 2 + TURN_TOL:
-                raise InadmissibleChainError([ChainDiagnostic(
-                    "ordering", abs(a) - math.pi / 2,
-                    f"edge {j} runs against x")])
-        for j in range(1, n):
-            if angles[j] - angles[j - 1] > TURN_TOL:
-                raise InadmissibleChainError([ChainDiagnostic(
-                    "concavity", angles[j] - angles[j - 1],
-                    f"negative turn angle at interior vertex {j}")])
+        _check_convex_pocket(xs, list(map(operator.sub, angles, angles[1:])))
         # non-increasing angles, negated so that bisect sees them ascending
         self.keys = tuple(-a for a in angles)
         cx, cy = xs[n] - xs[0], ys[n] - ys[0]
@@ -340,9 +349,12 @@ def _unwrap(chain: GeneratingChain, validate: bool = True):
 
     Runs every check of an unaudited build: validate_chain, the unwrap
     radii, the Arc radius/sweep guards, a positive final pivot and the apex
-    distance.  Returns (apex, right, left, final pivot), where right and
-    left are lists of arc records (cx, cy, r, t0, t1) in boundary order:
-    right traced v -> w, left (its mirror image) traced w -> u.
+    distance.  Returns (apex, right, left, final pivot, right ends), where
+    right and left are lists of arc records (cx, cy, r, t0, t1) in boundary
+    order: right traced v -> w, left (its mirror image) traced w -> u.  An
+    arc is recorded only for a turn above 1e-14, so every sweep is
+    positive.  right ends holds (cos t1, sin t1) of each right record, the
+    very floats that placed the string end.
     """
     if validate:
         diags = validate_chain(chain)
@@ -359,26 +371,29 @@ def _unwrap(chain: GeneratingChain, validate: bool = True):
 
     # right involute, traced from v: pivot interior vertices from the v side
     # with the still-wrapped radius 1 - s_k, then swing about u to the apex
-    right = []
+    right, ends = [], []
     end = (vx, vy)
-    for k in range(n - 1, 0, -1):
-        cx, cy = verts[k]
-        r = 1.0 - cum[k]
-        ang0 = math.atan2(end[1] - cy, end[0] - cx)
-        if abs(math.dist(end, verts[k]) - r) > 1e-9:
+    dist, atan2, cos, sin = math.dist, math.atan2, math.cos, math.sin
+    for k, pivot, s_k, theta in zip(range(n - 1, 0, -1), verts[n - 1:0:-1],
+                                    cum[n - 1:0:-1], reversed(turns)):
+        r = 1.0 - s_k
+        gap = abs(dist(end, pivot) - r)
+        if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
-                "unwrap", abs(math.dist(end, verts[k]) - r),
-                f"string end not at pivot radius at vertex {k}")])
-        theta = turns[k - 1]
+                "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
         if theta > 1e-14:
+            cx, cy = pivot
+            ang0 = atan2(end[1] - cy, end[0] - cx)
             ang1 = ang0 + theta
             check_arc(r, ang0, ang1)
             right.append((cx, cy, r, ang0, ang1))
-            end = (cx + r * math.cos(ang1), cy + r * math.sin(ang1))
-    if abs(math.dist(end, (ux, uy)) - 1.0) > 1e-9:
+            c1, s1 = cos(ang1), sin(ang1)
+            ends.append((c1, s1))
+            end = (cx + r * c1, cy + r * s1)
+    gap = abs(math.dist(end, (ux, uy)) - 1.0)
+    if gap > 1e-9:
         raise InadmissibleChainError([ChainDiagnostic(
-            "unwrap", abs(math.dist(end, (ux, uy)) - 1.0),
-            "fully unwrapped string is not unit length")])
+            "unwrap", gap, "fully unwrapped string is not unit length")])
     ang0 = math.atan2(end[1] - uy, end[0] - ux)
     ang_w = math.atan2(w[1] - uy, w[0] - ux)
     final_pivot = ang_w - ang0
@@ -387,37 +402,99 @@ def _unwrap(chain: GeneratingChain, validate: bool = True):
             "closure", -final_pivot, "final pivot angle not positive")])
     check_arc(1.0, ang0, ang_w)
     right.append((ux, uy, 1.0, ang0, ang_w))
+    ends.append((math.cos(ang_w), math.sin(ang_w)))
 
     for p in (chain.u, chain.v):
-        if abs(math.dist(p, w) - 1.0) > 1e-9:
+        gap = abs(math.dist(p, w) - 1.0)
+        if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
-                "closure", abs(math.dist(p, w) - 1.0),
-                "apex not at unit distance from chain endpoints")])
+                "closure", gap, "apex not at unit distance from chain endpoints")])
     # the mirror image about the y axis (angle t -> pi - t), traced w -> u
     left = [(-cx, cy, r, math.pi - t1, math.pi - t0)
             for cx, cy, r, t0, t1 in reversed(right)]
-    return w, right, left, final_pivot
+    return w, right, left, final_pivot, ends
+
+
+def _not_simple(detail):
+    return InadmissibleChainError([ChainDiagnostic("simple", math.nan, detail)])
+
+
+def certify_cap(chain: GeneratingChain, right, left):
+    """Raise InadmissibleChainError unless _unwrap's runs bound a convex cap
+    minus a convex pocket; O(n).  See involute_cover for the argument.
+
+    Checks that the pocket P (the chain closed by its chord uv) is convex
+    and mirror-symmetric, then walks the cap curve (the chord u -> v, the
+    right run, the left run) by each piece's outward normal angle: every
+    arc sweeps forward, the arcs of a run meet G1 to within TURN_TOL, the
+    corners at v, w and u turn by an angle in (0, pi), and the curve turns
+    by 2 pi to within TURN_TOL.  Each turn is reduced mod 2 pi exactly
+    (math.remainder), so the total is a multiple of 2 pi up to rounding: a
+    curve that winds twice reads 4 pi.
+    """
+    verts = chain.vertices
+    _check_convex_pocket([x for x, _ in verts], chain.turn_angles)
+    dev = _mirror_deviation(verts)
+    if dev > SYMMETRY_TOL:
+        raise InadmissibleChainError([ChainDiagnostic(
+            "symmetry", dev, "not mirror-symmetric about the y axis")])
+    (ux, uy), (vx, vy) = verts[0], verts[-1]
+    # the chord's outward normal; an arc's normal turns from t0 to t1
+    chord = math.atan2(vy - uy, vx - ux) - math.pi / 2
+    normal, total, apex = chord, 0.0, len(right)
+    for i, (_, _, _, t0, t1) in enumerate(right + left):
+        turn = math.remainder(t0 - normal, TWO_PI)
+        if i == 0 or i == apex:
+            if not 0.0 < turn < math.pi:
+                corner = "v" if i == 0 else "the apex"
+                raise _not_simple(f"corner at {corner} turns by {turn!r}")
+        elif abs(turn) > TURN_TOL:
+            raise _not_simple(f"arcs {i - 1} and {i} meet at an angle {turn!r}")
+        if not t1 > t0:
+            raise _not_simple(f"arc {i} turns backward")
+        total += turn + (t1 - t0)
+        normal = t1
+    turn = math.remainder(chord - normal, TWO_PI)
+    if not 0.0 < turn < math.pi:
+        raise _not_simple(f"corner at u turns by {turn!r}")
+    total += turn
+    if abs(total - TWO_PI) > TURN_TOL:
+        raise _not_simple(f"cap curve turns by {total!r}, not 2 pi")
 
 
 def involute_cover(chain: GeneratingChain, validate: bool = True,
                    check_boundary: bool = True) -> CoverBundle:
     """Unwrap a unit string from both chain ends and close the region.
 
-    check_boundary=False skips the closed/simple boundary audit (the
-    construction guarantees closure; cover_area gives that build's area
-    without building it).
+    With check_boundary (the default) the boundary must be closed
+    (is_closed, else OpenPathError) and pass certify_cap (else
+    InadmissibleChainError: "simple" for the cap curve, "ordering",
+    "concavity" or "symmetry" for the pocket).  That makes it simple:
+    - the cap curve never turns backward and turns by 2 pi in total, so
+      it is convex and simple and bounds a convex cap H; the upper run
+      lies strictly on one side of the chord uv;
+    - the chain has increasing x and turns clockwise only, so with the
+      chord it bounds a convex pocket P on the same side;
+    - each right-run point lies on a supporting line of P, beyond its
+      contact vertex by the string's free length (_unwrap pins each
+      radius to within 1e-9), so the run never enters the interior of P;
+      nor does the left run, the mirror image, since P is symmetric;
+    - so P lies in H (a path inside P from the chord out of H would cross
+      the upper run), and the region is H minus the interior of P.
+    check_boundary=False skips both checks (cover_area gives that build's
+    area without building it).
     """
-    w, right, left, final_pivot = _unwrap(chain, validate)
+    w, right, left, final_pivot, _ = _unwrap(chain, validate)
     verts = chain.vertices
     n = chain.n_edges
     pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(n)]
     pieces.extend(Arc(*a) for a in right)
     pieces.extend(Arc(*a) for a in left)
-    try:
-        region = Region.from_path(ArcPath(pieces), check=check_boundary)
-    except SelfIntersectingPathError as exc:
-        raise InadmissibleChainError([ChainDiagnostic(
-            "simple", math.nan, f"involute boundary self-intersects: {exc}")])
+    path = ArcPath(pieces)
+    if check_boundary:
+        check_closed(path)
+        certify_cap(chain, right, left)
+    region = Region.from_path(path, check=False)
 
     pieces, k = region.boundary.pieces, len(right)
     return CoverBundle(chain=chain, region=region, apex=w,
@@ -431,17 +508,19 @@ def cover_area(chain: GeneratingChain) -> float:
     Runs the same admissibility checks and builds no pieces: the Green's-
     theorem terms of _unwrap's records are summed in the boundary's order
     (chain segments, the right run v -> w, then the left run w -> u) with
-    the formulas arc_path_area uses, so the float sum is the same.
+    the formulas arc_path_area uses, so the float sum is the same.  The
+    right run's end cosines and sines are _unwrap's own.
     """
-    _, right, left, _ = _unwrap(chain)
+    _, right, left, _, ends = _unwrap(chain)
     verts = chain.vertices
     total = 0.0
-    for i in range(chain.n_edges):
-        total += seg_area(*verts[i], *verts[i + 1])
-    for a in right:
-        total += arc_area(*a)
-    for a in left:
-        total += arc_area(*a)
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        total += seg_area(x0, y0, x1, y1)
+    cos, sin = math.cos, math.sin
+    for (cx, cy, r, t0, t1), (c1, s1) in zip(right, ends):
+        total += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
+    for cx, cy, r, t0, t1 in left:
+        total += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), cos(t1), sin(t1))
     return check_ccw(total)
 
 

@@ -7,7 +7,7 @@ fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
 reason.  A move is scored from the chain alone (`involute.cover_area`, the
 same checks and the same float as an unaudited build, but no pieces); the
-winner is rebuilt with the full boundary audit.  Runs are bit-reproducible
+winner is rebuilt with the boundary certificate.  Runs are bit-reproducible
 for a fixed seed.
 """
 
@@ -196,7 +196,7 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
             trace.best_areas.append(best_area)
     trace.step = step
 
-    # full-checked rebuild of the winner (the loop skipped the boundary audit)
+    # certified rebuild of the winner (the loop skipped the boundary check)
     final = involute_cover(best_chain)
     trace.best_chain = final.chain
     trace.best_area = final.area

@@ -110,6 +110,26 @@ class TestOptimize:
         assert "--digits applies only to --kind smooth" in err
 
 
+class TestEdgesFlag:
+    @pytest.mark.parametrize("command, kind", [
+        ("construct", "r2"), ("construct", "two"), ("construct", "four"),
+        ("optimize", "two"), ("optimize", "three"),
+    ])
+    def test_edges_is_for_smooth_only(self, capsys, command, kind):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--kind", kind, "--edges", "5"])
+        assert exit_.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--edges applies only to --kind smooth" in err
+
+    @pytest.mark.parametrize("command", ["construct", "optimize"])
+    def test_smooth_default_edges(self, capsys, tmp_path, command):
+        out_path = tmp_path / "smooth.json"
+        assert run(capsys, command, "--kind", "smooth",
+                   "--out", str(out_path))[0] == 0
+        assert json.loads(out_path.read_text())["chain"]["edges"] == 512
+
+
 class TestVerifyCommand:
     def test_round_trip(self, capsys, tmp_path):
         cover_path = tmp_path / "cover.json"

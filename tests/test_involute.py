@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FOUR_ANGLES, THREE_ANGLES
+from test_geometry import hairpin_chain
 from rulecover import constructions as cons
-from rulecover import smooth
-from rulecover.geometry import Arc
+from rulecover import geometry, involute, smooth
+from rulecover.geometry import Arc, OpenPathError, path_self_intersects
 from rulecover.involute import (
     GeneratingChain,
     InadmissibleChainError,
+    _unwrap,
+    certify_cap,
     chain_from_params,
     cover_area,
     involute_cover,
@@ -325,7 +328,10 @@ class TestBuildChecks:
 
 
 # --------------------------------------------------------------------------
-# both involute runs: the boundary's own pieces, equal to the frozen oracle's
+# both involute runs: the boundary's own pieces, equal to the frozen oracle's.
+# The oracle audits its boundary with the chord-crossing test that the
+# shape certificate replaced, so these tests also compare the certificate's
+# verdicts with the audit's, and every certified boundary is audited here too.
 
 INPUTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                      / "inputs.json").read_text())
@@ -353,41 +359,210 @@ def test_runs_are_boundary_pieces(name, request):
         assert math.dist(point, want) <= 1e-12
 
 
-def _oracle_boundary(oracle_package, vertices):
+def _failure(exc):
+    return type(exc).__name__, frozenset(
+        d.kind for d in getattr(exc, "diagnostics", ()))
+
+
+def _oracle_boundary(oracle_package, vertices, validate=True):
+    """The audited oracle build's boundary and area, or its failure."""
     oracle = oracle_package.involute
-    bundle = oracle.involute_cover(oracle.GeneratingChain(vertices))
-    return repr((bundle.region.boundary.to_json(), bundle.area))
+    try:
+        bundle = oracle.involute_cover(oracle.GeneratingChain(vertices),
+                                       validate=validate)
+    except ValueError as exc:
+        return _failure(exc)
+    return "ok", repr((bundle.region.boundary.to_json(), bundle.area))
 
 
 def _boundary(chain):
-    bundle = involute_cover(chain)
-    return repr((bundle.region.boundary.to_json(), bundle.area))
+    """The certified build's boundary and area, or its failure."""
+    try:
+        bundle = involute_cover(chain)
+    except ValueError as exc:
+        return _failure(exc)
+    assert not path_self_intersects(bundle.region.boundary), chain.vertices
+    return "ok", repr((bundle.region.boundary.to_json(), bundle.area))
 
 
-@pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
+@pytest.mark.parametrize("name", ["r2", "one", "two", "three", "four"])
 def test_boundary_matches_oracle_on_reference_covers(name, request,
                                                      oracle_package):
-    chain = request.getfixturevalue(f"{name}_bundle").chain
-    assert _boundary(chain) == _oracle_boundary(oracle_package, chain.vertices)
+    chain = chain_from_params("one") if name == "one" \
+        else request.getfixturevalue(f"{name}_bundle").chain
+    ours = _boundary(chain)
+    assert ours[0] == "ok"
+    assert ours == _oracle_boundary(oracle_package, chain.vertices)
 
 
-@pytest.mark.parametrize("name", ["smooth32", "smooth128", "smooth512"])
-def test_boundary_matches_oracle_on_smooth_covers(name, oracle_package):
-    chain = GeneratingChain.from_json(INPUTS[name])
-    assert _boundary(chain) == _oracle_boundary(oracle_package, chain.vertices)
+@pytest.mark.parametrize("name", ["smooth32", "smooth128", "smooth512",
+                                  "smooth2048"])
+def test_boundary_matches_oracle_on_smooth_covers(name, oracle_package,
+                                                  smooth_optimum):
+    chain = GeneratingChain.from_json(INPUTS[name]) if name in INPUTS \
+        else smooth.discretize_smooth(smooth_optimum[1], 2048)
+    ours = _boundary(chain)
+    assert ours[0] == "ok"
+    assert ours == _oracle_boundary(oracle_package, chain.vertices)
 
 
 @pytest.mark.parametrize("step", [0.02, 0.3])
 @pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64])
 def test_boundary_matches_oracle_on_perturbed_chains(edges, step,
                                                      oracle_package):
+    # the same outcome class, built or rejected by the same kinds
     built = 0
     for chain in perturbed_chains(edges, step):
-        try:
-            ours = _boundary(chain)
-        except InadmissibleChainError:
-            continue
+        ours = _boundary(chain)
         assert ours == _oracle_boundary(oracle_package, chain.vertices), \
             chain.vertices
-        built += 1
+        built += ours[0] == "ok"
     assert built > 0
+
+
+# --------------------------------------------------------------------------
+# validate_chain visits half of the mirror pairs: the same diagnostics as the
+# frozen oracle's loop over all of them
+
+
+def asymmetric_chains(seed, count=20):
+    """Admissible chains with one vertex moved by up to 1e-3 (or 1e-10)."""
+    rng = random.Random(seed)
+    chains = []
+    for edges in (1, 2, 3, 4, 5, 16, 17):
+        base = initial_params(edges).to_chain() if edges > 1 \
+            else chain_from_params("one")
+        for _ in range(count):
+            verts = list(base.vertices)
+            k = rng.randrange(len(verts))
+            size = rng.choice((1e-3, 1e-10))
+            verts[k] = (verts[k][0] + rng.uniform(-size, size),
+                        verts[k][1] + rng.uniform(-size, size))
+            chains.append(GeneratingChain(tuple(verts)))
+    return chains
+
+
+def test_half_pair_symmetry_matches_full_loop(oracle_package):
+    oracle = oracle_package.involute
+    kinds = set()
+    for chain in asymmetric_chains(7):
+        ours = [(d.kind, d.magnitude, d.detail) for d in validate_chain(chain)]
+        want = [(d.kind, d.magnitude, d.detail) for d in
+                oracle.validate_chain(oracle.GeneratingChain(chain.vertices))]
+        assert ours == want, chain.vertices
+        kinds |= {kind for kind, _, _ in ours}
+    assert "symmetry" in kinds
+
+
+# --------------------------------------------------------------------------
+# the shape certificate of an audited build, on its own
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certificate_rejects_hairpins(seed, oracle_package):
+    # u on the right, v on the left, and a hairpin turn of more than pi:
+    # the unwrapped boundary crosses itself
+    chain = hairpin_chain(seed)
+    with pytest.raises(InadmissibleChainError) as err:
+        involute_cover(chain, validate=False)
+    assert [d.kind for d in err.value.diagnostics] == ["ordering"]
+    assert _oracle_boundary(oracle_package, chain.vertices,
+                            validate=False)[0] == "InadmissibleChainError"
+    boundary = involute_cover(chain, validate=False,
+                              check_boundary=False).region.boundary
+    assert path_self_intersects(boundary)
+
+
+def test_audited_build_runs_no_crossing_test(monkeypatch, smooth_optimum):
+    def crossing_test(path):
+        raise AssertionError("an audited build ran path_self_intersects")
+
+    monkeypatch.setattr(geometry, "path_self_intersects", crossing_test)
+    chain = smooth.discretize_smooth(smooth_optimum[1], 512)
+    assert involute_cover(chain).area == cover_area(chain)
+
+
+def test_open_boundary_raises(monkeypatch, two_bundle):
+    # the left run moved aside by 1e-6: every angle fact still holds, and
+    # only the closure check sees that the pieces no longer stitch
+    unwrap = involute._unwrap
+
+    def shifted(chain, validate=True):
+        w, right, left, pivot, ends = unwrap(chain, validate)
+        left = [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in left]
+        return w, right, left, pivot, ends
+
+    monkeypatch.setattr(involute, "_unwrap", shifted)
+    with pytest.raises(OpenPathError):
+        involute_cover(two_bundle.chain)
+    involute_cover(two_bundle.chain, check_boundary=False)
+
+
+class TestCertifyCap:
+    """Each certificate fact on its own: records from the two-edge cover,
+    changed so that every other fact still holds."""
+
+    @pytest.fixture
+    def records(self, two_bundle):
+        _, right, left, _, _ = _unwrap(two_bundle.chain)
+        assert len(right) == len(left) == 2  # one joint in each run
+        return two_bundle.chain, right, left
+
+    @staticmethod
+    def moved(record, t0=None, t1=None):
+        cx, cy, r, a0, a1 = record
+        return (cx, cy, r, a0 if t0 is None else t0, a1 if t1 is None else t1)
+
+    def assert_not_simple(self, chain, right, left, match):
+        with pytest.raises(InadmissibleChainError, match=match) as err:
+            certify_cap(chain, right, left)
+        assert [d.kind for d in err.value.diagnostics] == ["simple"]
+
+    def test_accepts_the_cover(self, records):
+        certify_cap(*records)
+
+    def test_broken_joint(self, records):
+        chain, right, left = records
+        shifted = self.moved(right[1], right[1][3] + 1e-6, right[1][4] + 1e-6)
+        self.assert_not_simple(chain, [right[0], shifted], left,
+                               "arcs 0 and 1 meet at an angle")
+
+    @pytest.mark.parametrize("corner", ["v", "apex", "u"])
+    def test_reflex_corner(self, records, corner):
+        # the arc next to the corner sweeps on by what the corner loses, so
+        # the total turning stays 2 pi
+        chain, right, left = records
+        right, left = list(right), list(left)
+        if corner == "v":
+            right[0] = self.moved(right[0], t0=-math.pi / 2 - 0.1)
+        elif corner == "apex":
+            left[0] = self.moved(left[0], t0=right[-1][4] - 0.1)
+        else:
+            left[-1] = self.moved(left[-1], t1=1.5 * math.pi + 0.1)
+        self.assert_not_simple(chain, right, left, f"corner at (the )?{corner}")
+
+    def test_winds_twice(self, records):
+        chain, right, left = records
+        looped = self.moved(right[0], t1=right[0][4] + 2 * math.pi)
+        self.assert_not_simple(chain, [looped, right[1]], left,
+                               "cap curve turns by")
+
+    def test_backward_sweep(self, records):
+        # an arc turning back by 0.1 between two that sweep on by 0.1 more
+        chain, right, left = records
+        t1 = right[0][4]
+        split = [self.moved(right[0], t1=t1 + 0.1),
+                 self.moved(right[0], t0=t1 + 0.1, t1=t1)]
+        self.assert_not_simple(chain, split + right[1:], left,
+                               "arc 1 turns backward")
+
+    @pytest.mark.parametrize("vertices, kind", [
+        (((-0.4, 0.0), (0.0, -0.3), (0.4, 0.0)), "concavity"),
+        (((-0.4, 0.0), (0.05, 0.3), (0.4, 0.0)), "symmetry"),
+        (((0.4, 0.0), (0.0, 0.3), (-0.4, 0.0)), "ordering"),
+    ])
+    def test_pocket_not_convex_or_not_symmetric(self, records, vertices, kind):
+        _, right, left = records
+        with pytest.raises(InadmissibleChainError) as err:
+            certify_cap(GeneratingChain(vertices), right, left)
+        assert [d.kind for d in err.value.diagnostics] == [kind]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -194,3 +195,26 @@ def test_search_output_matches_oracle(oracle_package, tmp_path, capsys):
         assert main(argv + ["--trace", str(csv_path)]) == 0
         outputs.append((capsys.readouterr().out, csv_path.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# The whole SearchTrace, pinned from the tree before the search objective
+# was rewritten (GeneratingChain, validate_chain, _unwrap and cover_area in
+# one pass each): the oracle above has no rejections, accepted or step.
+PINNED_TRACES = {
+    (0, 0.05): "b10f57473fa714fe", (0, 0.3): "f52386248ddbd832",
+    (1, 0.05): "282c980e23f7206d", (1, 0.3): "a2c39d88a91efa05",
+    (2, 0.05): "caa4984c2539fedf", (2, 0.3): "328c67b691f589e3",
+}
+
+
+@pytest.mark.parametrize("seed, step", sorted(PINNED_TRACES))
+def test_full_trace_matches_pin(seed, step):
+    trace = local_search(SearchConfig(
+        edges=16, iterations=4000 if step == 0.05 else 1000, seed=seed,
+        initial_step=step))
+    full = (trace.best_areas, sorted(trace.rejections.items()), trace.accepted,
+            trace.step, trace.best_chain.vertices, trace.best_area)
+    digest = hashlib.sha256(repr(full).encode()).hexdigest()[:16]
+    assert digest == PINNED_TRACES[seed, step]
+    if step == 0.3:
+        assert trace.rejections  # the large steps reach the rejection paths
