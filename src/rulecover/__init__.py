@@ -19,7 +19,6 @@ from .geometry import (
     Region,
     Seg,
     arc_path_area,
-    contains_point,
     region_diameter,
     segment_inside,
 )
@@ -47,7 +46,6 @@ from .verify import (
     fold_rule,
     random_rule,
     shrink_cover,
-    verify_diameter,
     verify_reachability,
 )
 

@@ -25,10 +25,6 @@ DEDUP_TOL = 1e-9
 BOUNDARY_EPS = 1e-9
 TWO_PI = 2.0 * math.pi
 
-INSIDE = "inside"
-OUTSIDE = "outside"
-BOUNDARY = "boundary"
-
 
 class GeometryError(ValueError):
     pass
@@ -165,9 +161,9 @@ class ArcPath:
     def closure_gap(self) -> float:
         return math.dist(self.pieces[-1].end, self.pieces[0].start)
 
-    def is_closed(self, tol: float = STITCH_TOL) -> bool:
-        return (len(self.pieces) > 0 and self.stitch_gap() <= tol
-                and self.closure_gap() <= tol)
+    def is_closed(self) -> bool:
+        return (len(self.pieces) > 0 and self.stitch_gap() <= STITCH_TOL
+                and self.closure_gap() <= STITCH_TOL)
 
     def length(self) -> float:
         return ordered_sum(p.length() for p in self.pieces)
@@ -340,9 +336,8 @@ class Region:
     area: float
 
     @staticmethod
-    def from_path(path: ArcPath, check: bool = True) -> "Region":
-        return Region(boundary=path,
-                      area=check_ccw(arc_path_area(path, check=check)))
+    def from_path(path: ArcPath) -> "Region":
+        return Region(boundary=path, area=check_ccw(arc_path_area(path)))
 
     def to_json(self) -> dict:
         d = self.boundary.to_json()
@@ -350,8 +345,8 @@ class Region:
         return d
 
     @staticmethod
-    def from_json(d: dict, check: bool = True) -> "Region":
-        return Region.from_path(ArcPath.from_json(d), check=check)
+    def from_json(d: dict) -> "Region":
+        return Region.from_path(ArcPath.from_json(d))
 
 
 # --------------------------------------------------------------------------
@@ -547,13 +542,6 @@ def _winding_number(path: ArcPath, point) -> int:
     return total
 
 
-def contains_point(region: Region, point, eps: float = BOUNDARY_EPS) -> str:
-    """Classify a point as inside / outside / boundary (within eps)."""
-    if boundary_distance(region.boundary, point) <= eps:
-        return BOUNDARY
-    return INSIDE if _winding_number(region.boundary, point) != 0 else OUTSIDE
-
-
 # --------------------------------------------------------------------------
 # segment containment
 
@@ -576,7 +564,7 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
     qx, qy = q
     seg_len = math.hypot(qx - px, qy - py)
     if seg_len <= max(eps, 1e-15):
-        return contains_point(region, p, eps) != OUTSIDE
+        return not _probe_outside(region, p, eps)
     dx, dy = (qx - px) / seg_len, (qy - py) / seg_len
 
     cuts = [0.0, seg_len]

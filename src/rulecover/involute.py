@@ -229,21 +229,6 @@ def _mirror_deviation(vertices) -> float:
     return worst
 
 
-def _check_convex_pocket(xs, turns):
-    """Raise InadmissibleChainError unless a chain closes with its chord uv
-    into a convex pocket: its vertices' x strictly increases ("ordering")
-    and no turn angle is below -TURN_TOL ("concavity")."""
-    for j, (x0, x1) in enumerate(zip(xs, xs[1:])):
-        if x1 <= x0:
-            raise InadmissibleChainError([ChainDiagnostic(
-                "ordering", x0 - x1, f"edge {j} runs against x")])
-    for j, theta in enumerate(turns, start=1):
-        if theta < -TURN_TOL:
-            raise InadmissibleChainError([ChainDiagnostic(
-                "concavity", -theta,
-                f"negative turn angle {theta!r} at interior vertex {j}")])
-
-
 class Pocket:
     """The convex pocket P of a cover: its chain closed by the chord uv.
 
@@ -257,9 +242,9 @@ class Pocket:
     interior of P: a sign test of P's vertices against the line.
 
     Holds the chain's vertex coordinates and its edge direction angles.
-    Building one raises InadmissibleChainError (a ValueError) unless
-    _check_convex_pocket passes, since the bisection in depth() relies on
-    increasing x and non-negative turns.
+    Building one raises InadmissibleChainError (a ValueError) unless the
+    vertices' x strictly increases ("ordering") and no turn angle is below
+    -TURN_TOL ("concavity"), since the bisection in depth() relies on both.
     """
 
     def __init__(self, vertices):
@@ -267,9 +252,19 @@ class Pocket:
         self.ys = tuple(y for _, y in vertices)
         xs, ys = self.xs, self.ys
         n = len(xs) - 1
+        for j in range(n):
+            if xs[j + 1] <= xs[j]:
+                raise InadmissibleChainError([ChainDiagnostic(
+                    "ordering", xs[j] - xs[j + 1],
+                    f"edge {j} runs against x")])
         angles = [math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
                   for j in range(n)]
-        _check_convex_pocket(xs, list(map(operator.sub, angles, angles[1:])))
+        turns = map(operator.sub, angles, angles[1:])
+        for j, theta in enumerate(turns, start=1):
+            if theta < -TURN_TOL:
+                raise InadmissibleChainError([ChainDiagnostic(
+                    "concavity", -theta,
+                    f"negative turn angle {theta!r} at interior vertex {j}")])
         # non-increasing angles, negated so that bisect sees them ascending
         self.keys = tuple(-a for a in angles)
         cx, cy = xs[n] - xs[0], ys[n] - ys[0]
@@ -344,22 +339,21 @@ class CoverBundle:
         return len(self.right_arcs)
 
 
-def _unwrap(chain: GeneratingChain, validate: bool = True):
+def _unwrap(chain: GeneratingChain):
     """Admissibility checks and both involute runs, as plain numbers.
 
-    Runs every check of an unaudited build: validate_chain, the unwrap
-    radii, the Arc radius/sweep guards, a positive final pivot and the apex
-    distance.  Returns (apex, right, left, final pivot, right ends), where
-    right and left are lists of arc records (cx, cy, r, t0, t1) in boundary
-    order: right traced v -> w, left (its mirror image) traced w -> u.  An
-    arc is recorded only for a turn above 1e-14, so every sweep is
-    positive.  right ends holds (cos t1, sin t1) of each right record, the
-    very floats that placed the string end.
+    Runs validate_chain, then checks the unwrap radii, the Arc radius/sweep
+    guards, a positive final pivot and the apex distance.  Returns (apex,
+    right, left, final pivot, right ends), where right and left are lists
+    of arc records (cx, cy, r, t0, t1) in boundary order: right traced
+    v -> w, left (its mirror image) traced w -> u.  An arc is recorded
+    only for a turn above 1e-14, so every sweep is positive.  right ends
+    holds (cos t1, sin t1) of each right record, the very floats that
+    placed the string end.
     """
-    if validate:
-        diags = validate_chain(chain)
-        if diags:
-            raise InadmissibleChainError(diags)
+    diags = validate_chain(chain)
+    if diags:
+        raise InadmissibleChainError(diags)
 
     verts = chain.vertices
     cum = chain.cum_lengths
@@ -420,25 +414,19 @@ def _not_simple(detail):
 
 
 def certify_cap(chain: GeneratingChain, right, left):
-    """Raise InadmissibleChainError unless _unwrap's runs bound a convex cap
-    minus a convex pocket; O(n).  See involute_cover for the argument.
+    """Raise InadmissibleChainError unless _unwrap's runs bound a convex cap;
+    O(n).  See involute_cover for the argument.
 
-    Checks that the pocket P (the chain closed by its chord uv) is convex
-    and mirror-symmetric, then walks the cap curve (the chord u -> v, the
-    right run, the left run) by each piece's outward normal angle: every
-    arc sweeps forward, the arcs of a run meet G1 to within TURN_TOL, the
-    corners at v, w and u turn by an angle in (0, pi), and the curve turns
-    by 2 pi to within TURN_TOL.  Each turn is reduced mod 2 pi exactly
-    (math.remainder), so the total is a multiple of 2 pi up to rounding: a
-    curve that winds twice reads 4 pi.
+    Walks the cap curve (the chord u -> v, the right run, the left run) by
+    each piece's outward normal angle: every arc sweeps forward, the arcs
+    of a run meet G1 to within TURN_TOL, the corners at v, w and u turn by
+    an angle in (0, pi), and the curve turns by 2 pi to within TURN_TOL.
+    Each turn is reduced mod 2 pi exactly (math.remainder), so the total
+    is a multiple of 2 pi up to rounding: a curve that winds twice reads
+    4 pi.  The pocket's convexity and symmetry are validate_chain's, which
+    _unwrap runs first.
     """
-    verts = chain.vertices
-    _check_convex_pocket([x for x, _ in verts], chain.turn_angles)
-    dev = _mirror_deviation(verts)
-    if dev > SYMMETRY_TOL:
-        raise InadmissibleChainError([ChainDiagnostic(
-            "symmetry", dev, "not mirror-symmetric about the y axis")])
-    (ux, uy), (vx, vy) = verts[0], verts[-1]
+    (ux, uy), (vx, vy) = chain.u, chain.v
     # the chord's outward normal; an arc's normal turns from t0 to t1
     chord = math.atan2(vy - uy, vx - ux) - math.pi / 2
     normal, total, apex = chord, 0.0, len(right)
@@ -462,59 +450,57 @@ def certify_cap(chain: GeneratingChain, right, left):
         raise _not_simple(f"cap curve turns by {total!r}, not 2 pi")
 
 
-def involute_cover(chain: GeneratingChain, validate: bool = True,
-                   check_boundary: bool = True) -> CoverBundle:
+def involute_cover(chain: GeneratingChain) -> CoverBundle:
     """Unwrap a unit string from both chain ends and close the region.
 
-    With check_boundary (the default) the boundary must be closed
-    (is_closed, else OpenPathError) and pass certify_cap (else
-    InadmissibleChainError: "simple" for the cap curve, "ordering",
-    "concavity" or "symmetry" for the pocket).  That makes it simple:
+    The chain must pass _unwrap's checks (validate_chain first), and the
+    boundary must be closed (is_closed, else OpenPathError) and pass
+    certify_cap (else InadmissibleChainError, kind "simple").  That makes
+    it simple:
     - the cap curve never turns backward and turns by 2 pi in total, so
       it is convex and simple and bounds a convex cap H; the upper run
       lies strictly on one side of the chord uv;
-    - the chain has increasing x and turns clockwise only, so with the
-      chord it bounds a convex pocket P on the same side;
+    - validate_chain leaves a chain with increasing x that turns clockwise
+      only, so with the chord it bounds a convex pocket P on the same side;
     - each right-run point lies on a supporting line of P, beyond its
       contact vertex by the string's free length (_unwrap pins each
       radius to within 1e-9), so the run never enters the interior of P;
-      nor does the left run, the mirror image, since P is symmetric;
+      nor does the left run, the mirror image, since validate_chain leaves
+      P symmetric;
     - so P lies in H (a path inside P from the chord out of H would cross
       the upper run), and the region is H minus the interior of P.
-    check_boundary=False skips both checks (cover_area gives that build's
-    area without building it).
     """
-    w, right, left, final_pivot, _ = _unwrap(chain, validate)
-    verts = chain.vertices
-    n = chain.n_edges
-    pieces = [Seg(*verts[i], *verts[i + 1]) for i in range(n)]
-    pieces.extend(Arc(*a) for a in right)
-    pieces.extend(Arc(*a) for a in left)
-    path = ArcPath(pieces)
-    if check_boundary:
-        check_closed(path)
-        certify_cap(chain, right, left)
-    region = Region.from_path(path, check=False)
+    w, right, left, final_pivot, ends = _unwrap(chain)
+    path = _boundary(chain, right, left)
+    check_closed(path)
+    certify_cap(chain, right, left)
+    region = Region(boundary=path, area=_area(chain.vertices, right, left, ends))
 
-    pieces, k = region.boundary.pieces, len(right)
+    pieces, n, k = path.pieces, chain.n_edges, len(right)
     return CoverBundle(chain=chain, region=region, apex=w,
                        left_arcs=pieces[n + k:], right_arcs=pieces[n:n + k],
                        area=region.area, final_pivot=final_pivot)
 
 
-def cover_area(chain: GeneratingChain) -> float:
-    """Area of involute_cover(chain, check_boundary=False), bit for bit.
-
-    Runs the same admissibility checks and builds no pieces: the Green's-
-    theorem terms of _unwrap's records are summed in the boundary's order
-    (chain segments, the right run v -> w, then the left run w -> u) with
-    the formulas arc_path_area uses, so the float sum is the same.  The
-    right run's end cosines and sines are _unwrap's own.
-    """
-    _, right, left, _, ends = _unwrap(chain)
+def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
+    """The chain's segments, then the arcs of _unwrap's right and left runs."""
     verts = chain.vertices
+    pieces = [Seg(*a, *b) for a, b in zip(verts, verts[1:])]
+    pieces.extend(Arc(*a) for a in right)
+    pieces.extend(Arc(*a) for a in left)
+    return ArcPath(pieces)
+
+
+def _area(vertices, right, left, ends) -> float:
+    """Area of the boundary of _unwrap's records, as arc_path_area sums it.
+
+    The Green's-theorem terms are summed in the boundary's order (chain
+    segments, the right run v -> w, then the left run w -> u) with the
+    formulas arc_path_area uses, so the float sum is the same.  The right
+    run's end cosines and sines are _unwrap's own.
+    """
     total = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
         total += seg_area(x0, y0, x1, y1)
     cos, sin = math.cos, math.sin
     for (cx, cy, r, t0, t1), (c1, s1) in zip(right, ends):
@@ -522,6 +508,13 @@ def cover_area(chain: GeneratingChain) -> float:
     for cx, cy, r, t0, t1 in left:
         total += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), cos(t1), sin(t1))
     return check_ccw(total)
+
+
+def cover_area(chain: GeneratingChain) -> float:
+    """The area involute_cover(chain) records, bit for bit: the same _unwrap
+    checks and the same _area sum, with no pieces and no cap certificate."""
+    _, right, left, _, ends = _unwrap(chain)
+    return _area(chain.vertices, right, left, ends)
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

@@ -223,12 +223,12 @@ def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
         return int_l2 - a_uvw + a_uv
 
 
-def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
+def optimize_smooth(tol=None, backend=NATIVE):
     """(a, coefficients, area) at the half-angle a that minimizes the area.
 
-    On floats, numerics.minimize_1d minimizes the area on the bracket.  On a
-    decimal backend with d nominal digits, that float optimum starts a
-    secant on A'(a) = 0 (`_slope_root`), whose slopes the dual backend
+    On floats, numerics.minimize_1d minimizes the area on SMOOTH_BRACKET.
+    On a decimal backend with d nominal digits, that float optimum starts
+    a secant on A'(a) = 0 (`_slope_root`), whose slopes the dual backend
     gives from the same closed forms at d + SLOPE_GUARD digits: a root is
     well conditioned, where a minimum of the flat area would need ~2d
     digits in the objective.  The argmin is then rounded to the backend,
@@ -247,8 +247,7 @@ def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
         trig = NATIVE.multiples(a, 6)
         return smooth_area(solve_coefficients(a, trig=trig), trig=trig)
 
-    # from the shortest repr, so 0.8 is 0.8 and not its binary value
-    lo, hi = float(str(bracket[0])), float(str(bracket[1]))
+    lo, hi = SMOOTH_BRACKET
     res = numerics.minimize_1d(area, lo, hi, tol=float_tol)
     if not res.converged:
         raise numerics.ConvergenceError(
@@ -261,7 +260,7 @@ def optimize_smooth(tol=None, backend=NATIVE, bracket=SMOOTH_BRACKET):
         a = res.argmin
     else:
         work = DecimalBackend(backend.nominal_digits, guard=SLOPE_GUARD)
-        a = _slope_root(res.argmin, tol, work, bracket)
+        a = _slope_root(res.argmin, tol, work)
         with backend.context():
             a = +a  # round to the backend's precision
     co = solve_coefficients(a, backend, check=True)
@@ -276,8 +275,8 @@ def _area_slope(a, backend):
     return smooth_area(co, dual, trig).deriv
 
 
-def _slope_root(a, tol, work, bracket):
-    """Root of A' in the bracket: a secant from a, safeguarded by bisection.
+def _slope_root(a, tol, work):
+    """Root of A' in SMOOTH_BRACKET: a secant from a, safeguarded by bisection.
 
     Every slope shrinks [lo, hi], on which A' goes from - to +, and a
     secant step that would leave it is replaced by its midpoint.  Stops
@@ -285,7 +284,8 @@ def _slope_root(a, tol, work, bracket):
     far smaller, since it converges superlinearly.
     """
     with work.context():
-        lo, hi = work.num(str(bracket[0])), work.num(str(bracket[1]))
+        # from the shortest repr, so 0.8 is 0.8 and not its binary value
+        lo, hi = (work.num(str(end)) for end in SMOOTH_BRACKET)
         ends = f"[{lo}, {hi}]"
         if not _area_slope(lo, work) < 0 < _area_slope(hi, work):
             raise numerics.ConvergenceError(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 from .geometry import (
@@ -97,10 +96,10 @@ class VerificationReport:
         }
 
 
-def random_rule(n: int, seed: int, max_len: float = 1.0) -> Rule:
-    """n segment lengths drawn uniformly from (0, max_len]."""
+def random_rule(n: int, seed: int) -> Rule:
+    """n segment lengths drawn uniformly from (0, 1]."""
     rng = random.Random(seed)
-    return Rule(tuple(max_len * (1.0 - rng.random()) for _ in range(n)))
+    return Rule(tuple(1.0 - rng.random() for _ in range(n)))
 
 
 def _upper_samples(upper, n_right: int, n: int):
@@ -129,10 +128,14 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
     For every sampled p on the upper arcs and every length l = i/n_lengths
     (so l = 1 is always exercised), search the exact circle intersections
     with the upper arcs for a q whose segment pq cuts at most eps into the
-    cover's pocket.
+    cover's pocket.  eps must be finite and non-negative: a nan would
+    admit no candidate, an infinite eps would switch off the containment
+    test and the diameter bound.
     """
     if n_points < 16 or n_lengths < 16:
         raise ValueError("need at least 16 point and 16 length samples")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     upper = cover.upper_path
     pocket = cover.pocket
     n_right = cover.n_right_upper
@@ -155,16 +158,6 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
     return VerificationReport(points=len(samples), lengths=n_lengths,
                               failures=failures, diameter=diameter,
                               eps=eps, passed=passed)
-
-
-def verify_diameter(cover: CoverBundle, n: int = DIAMETER_SAMPLES,
-                    eps: float = DEFAULT_EPS) -> float:
-    """Sampled diameter of the cover; warns when it exceeds 1 + eps."""
-    diameter = region_diameter(cover.region, n)
-    if diameter > 1.0 + eps:
-        warnings.warn(f"cover diameter {diameter!r} exceeds 1 + {eps!r}",
-                      stacklevel=2)
-    return diameter
 
 
 def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
@@ -202,8 +195,7 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
     return Fold(joints=tuple(joints))
 
 
-def check_fold(cover: CoverBundle, rule: Rule, fold: Fold,
-               eps: float = DEFAULT_EPS):
+def check_fold(cover: CoverBundle, rule: Rule, fold: Fold):
     """Assert the Fold invariants independently of how it was produced."""
     if len(fold.joints) != len(rule.lengths) + 1:
         raise AssertionError("joint count does not match rule")
@@ -213,7 +205,7 @@ def check_fold(cover: CoverBundle, rule: Rule, fold: Fold,
             raise AssertionError(
                 f"segment {i} has length {d!r}, expected {length!r}")
         if not segment_inside(cover.region, fold.joints[i],
-                              fold.joints[i + 1], eps):
+                              fold.joints[i + 1], DEFAULT_EPS):
             raise AssertionError(f"segment {i} leaves the cover")
     return True
 

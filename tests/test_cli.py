@@ -158,6 +158,21 @@ class TestVerifyCommand:
                    "--out", str(report_path))[0] == 0
         assert json.loads(report_path.read_text())["eps"] == 1e-6
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--points=8", "need at least 16"),
+        ("--eps=inf", "eps must be finite and non-negative, got inf"),
+        ("--eps=nan", "eps must be finite and non-negative, got nan"),
+        ("--eps=-1", "eps must be finite and non-negative, got -1.0"),
+    ])
+    def test_bad_sampling_or_eps_exits_1(self, capsys, tmp_path, flag,
+                                         message):
+        cover_path = tmp_path / "cover.json"
+        run(capsys, "construct", "--kind", "r2", "--out", str(cover_path))
+        code, _, err = run(capsys, "verify", "--in", str(cover_path),
+                           "--points", "16", "--lengths", "16", flag)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1

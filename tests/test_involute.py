@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FOUR_ANGLES, THREE_ANGLES
-from test_geometry import hairpin_chain
+from test_geometry import hairpin_chain, unaudited_boundary
 from rulecover import constructions as cons
 from rulecover import geometry, involute, smooth
 from rulecover.geometry import Arc, OpenPathError, path_self_intersects
@@ -95,6 +95,24 @@ class TestValidateChain:
         chain = GeneratingChain(((0.2, 0.0), (1.2, 0.0)))
         kinds = {d.kind for d in validate_chain(chain)}
         assert "endpoints" in kinds
+
+    def test_ordering(self):
+        # u and v swapped: the chain runs against x
+        chain = GeneratingChain(((0.4, 0.0), (0.0, 0.3), (-0.4, 0.0)))
+        kinds = {d.kind for d in validate_chain(chain)}
+        assert "ordering" in kinds
+
+    @pytest.mark.parametrize("vertices, kind", [
+        (((-0.4, 0.0), (0.0, -0.3), (0.4, 0.0)), "concavity"),
+        (((-0.4, 0.0), (0.05, 0.3), (0.4, 0.0)), "symmetry"),
+        (((0.4, 0.0), (0.0, 0.3), (-0.4, 0.0)), "ordering"),
+    ])
+    def test_pocket_not_convex_or_not_symmetric(self, vertices, kind):
+        # the pocket facts of the cover's shape argument, which certify_cap
+        # takes from validate_chain
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(GeneratingChain(vertices))
+        assert kind in {d.kind for d in err.value.diagnostics}
 
 
 class TestInvoluteCover:
@@ -249,7 +267,7 @@ def _outcome(area_of, chain):
 
 
 def _built_area(chain):
-    return involute_cover(chain, check_boundary=False).area
+    return involute_cover(chain).area
 
 
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
@@ -299,12 +317,17 @@ def test_perturbed_chains_reach_rejections():
 
 
 class TestBuildChecks:
-    """Checks of the shared unwrap that validate_chain does not make."""
+    """Checks of the shared unwrap that validate_chain does not make, each
+    reached with validate_chain switched off."""
+
+    @pytest.fixture(autouse=True)
+    def no_validation(self, monkeypatch):
+        monkeypatch.setattr(involute, "validate_chain", lambda chain: [])
 
     def test_short_string_unwraps_short(self):
         chain = scaled_one_edge(0.8)
         with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain, validate=False)
+            involute_cover(chain)
         assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
         assert "not unit length" in str(err.value)
 
@@ -314,7 +337,7 @@ class TestBuildChecks:
         chain = GeneratingChain(((-0.6, 0.0), (-0.2, -0.45), (0.2, -0.45),
                                  (0.6, 0.0)))
         with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain, validate=False)
+            involute_cover(chain)
         assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
         assert "pivot radius at vertex 2" in str(err.value)
 
@@ -322,7 +345,7 @@ class TestBuildChecks:
         # a unit chain off the axis: u is 1.18 from the apex above v
         chain = GeneratingChain(((-0.7, 0.0), (0.3, 0.0)))
         with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain, validate=False, check_boundary=False)
+            involute_cover(chain)
         assert [d.kind for d in err.value.diagnostics] == ["closure"]
         assert "apex not at unit distance" in str(err.value)
 
@@ -461,16 +484,15 @@ def test_half_pair_symmetry_matches_full_loop(oracle_package):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_certificate_rejects_hairpins(seed, oracle_package):
     # u on the right, v on the left, and a hairpin turn of more than pi:
-    # the unwrapped boundary crosses itself
+    # the build rejects the chain, and so does the oracle's build without
+    # validate_chain; assembled unvalidated, the boundary crosses itself
     chain = hairpin_chain(seed)
     with pytest.raises(InadmissibleChainError) as err:
-        involute_cover(chain, validate=False)
-    assert [d.kind for d in err.value.diagnostics] == ["ordering"]
+        involute_cover(chain)
+    assert "ordering" in {d.kind for d in err.value.diagnostics}
     assert _oracle_boundary(oracle_package, chain.vertices,
                             validate=False)[0] == "InadmissibleChainError"
-    boundary = involute_cover(chain, validate=False,
-                              check_boundary=False).region.boundary
-    assert path_self_intersects(boundary)
+    assert path_self_intersects(unaudited_boundary(chain))
 
 
 def test_audited_build_runs_no_crossing_test(monkeypatch, smooth_optimum):
@@ -487,15 +509,14 @@ def test_open_boundary_raises(monkeypatch, two_bundle):
     # only the closure check sees that the pieces no longer stitch
     unwrap = involute._unwrap
 
-    def shifted(chain, validate=True):
-        w, right, left, pivot, ends = unwrap(chain, validate)
+    def shifted(chain):
+        w, right, left, pivot, ends = unwrap(chain)
         left = [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in left]
         return w, right, left, pivot, ends
 
     monkeypatch.setattr(involute, "_unwrap", shifted)
     with pytest.raises(OpenPathError):
         involute_cover(two_bundle.chain)
-    involute_cover(two_bundle.chain, check_boundary=False)
 
 
 class TestCertifyCap:
@@ -555,14 +576,3 @@ class TestCertifyCap:
                  self.moved(right[0], t0=t1 + 0.1, t1=t1)]
         self.assert_not_simple(chain, split + right[1:], left,
                                "arc 1 turns backward")
-
-    @pytest.mark.parametrize("vertices, kind", [
-        (((-0.4, 0.0), (0.0, -0.3), (0.4, 0.0)), "concavity"),
-        (((-0.4, 0.0), (0.05, 0.3), (0.4, 0.0)), "symmetry"),
-        (((0.4, 0.0), (0.0, 0.3), (-0.4, 0.0)), "ordering"),
-    ])
-    def test_pocket_not_convex_or_not_symmetric(self, records, vertices, kind):
-        _, right, left = records
-        with pytest.raises(InadmissibleChainError) as err:
-            certify_cap(GeneratingChain(vertices), right, left)
-        assert [d.kind for d in err.value.diagnostics] == [kind]

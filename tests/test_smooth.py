@@ -197,10 +197,11 @@ class TestOptimize:
                     for i in range(1, 200))
         assert flips == 1 and drops > 0 and rises > 0
 
-    def test_sub_brackets_agree(self, smooth_optimum):
+    def test_sub_brackets_agree(self, smooth_optimum, monkeypatch):
         a_ref = smooth_optimum[0]
         for bracket in ((0.8, 1.2), (1.0, 1.4)):
-            a, _, _ = optimize_smooth(tol=1e-12, bracket=bracket)
+            monkeypatch.setattr(smooth, "SMOOTH_BRACKET", bracket)
+            a, _, _ = optimize_smooth(tol=1e-12)
             assert abs(a - a_ref) <= 1e-8
 
     def test_default_tol_is_native_tolerance(self, smooth_optimum):
@@ -208,11 +209,12 @@ class TestOptimize:
         assert optimize_smooth() == smooth_optimum
 
     @pytest.mark.parametrize("backend", [None, DecimalBackend(20)])
-    def test_argmin_at_bracket_end_raises(self, backend):
+    def test_argmin_at_bracket_end_raises(self, backend, monkeypatch):
         # the optimum (~1.1107) lies outside, so the argmin ends at 1.0
+        monkeypatch.setattr(smooth, "SMOOTH_BRACKET", (0.8, 1.0))
         kwargs = {"backend": backend} if backend else {}
         with pytest.raises(numerics.ConvergenceError):
-            optimize_smooth(bracket=(0.8, 1.0), **kwargs)
+            optimize_smooth(**kwargs)
 
     def test_unconverged_decimal_minimizer_raises(self, monkeypatch):
         def stalled(f, lo, hi, tol, **kwargs):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rulecover import smooth
-from rulecover.geometry import segment_inside
+from rulecover.geometry import region_diameter, segment_inside
 from rulecover.involute import (
     CHORD_TOL,
     TURN_TOL,
@@ -25,7 +25,6 @@ from rulecover.verify import (
     fold_rule,
     random_rule,
     shrink_cover,
-    verify_diameter,
     verify_reachability,
 )
 
@@ -98,6 +97,13 @@ class TestReachability:
         with pytest.raises(ValueError):
             verify_reachability(r2_bundle, n_points=4, n_lengths=16)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    def test_eps_must_be_finite_and_non_negative(self, r2_bundle, eps):
+        # nan would fail every query, inf would switch off containment and
+        # the diameter bound
+        with pytest.raises(ValueError, match="eps must be finite"):
+            verify_reachability(r2_bundle, n_points=16, n_lengths=16, eps=eps)
+
     def test_apex_pairs_with_base_corners(self, r2_bundle):
         # from the apex with the full unit length, both base corners work
         from rulecover.verify import _candidates
@@ -137,19 +143,21 @@ class TestMutants:
 
 class TestDiameter:
     def test_r2(self, r2_bundle):
-        assert abs(verify_diameter(r2_bundle, 4096) - 1.0) <= 1e-9
+        assert abs(region_diameter(r2_bundle.region, 4096) - 1.0) <= 1e-9
 
     def test_reference_covers_within_unit(self, three_bundle, four_bundle,
                                       smooth48_bundle):
         for bundle in (three_bundle, four_bundle):
-            assert verify_diameter(bundle, 4096) <= 1.0 + 1e-9
+            assert region_diameter(bundle.region, 4096) <= 1.0 + 1e-9
         # dense pairwise check for the smooth cover
-        assert verify_diameter(smooth48_bundle, 8192) <= 1.0 + 1e-9
+        assert region_diameter(smooth48_bundle.region, 8192) <= 1.0 + 1e-9
 
-    def test_oversize_cover_warns(self, r2_bundle):
+    def test_oversize_cover_fails(self, r2_bundle):
         grown = shrink_cover(r2_bundle, 1.2)
-        with pytest.warns(UserWarning):
-            assert verify_diameter(grown, 256) > 1.0
+        assert region_diameter(grown.region, 256) > 1.0
+        report = verify_reachability(grown, n_points=16, n_lengths=16)
+        assert report.diameter > 1.0 + report.eps
+        assert not report.passed
 
 
 class TestFold:
