@@ -236,13 +236,12 @@ def check_closed(path: ArcPath):
             f"closure gap {path.closure_gap():.2e})")
 
 
-def arc_path_area(path: ArcPath, check: bool = True) -> float:
+def arc_path_area(path: ArcPath) -> float:
     """Signed area of a closed simple path; counterclockwise is positive."""
-    if check:
-        check_closed(path)
-        if path_self_intersects(path):
-            raise SelfIntersectingPathError(
-                "path self-intersects at polygonization resolution")
+    check_closed(path)
+    if path_self_intersects(path):
+        raise SelfIntersectingPathError(
+            "path self-intersects at polygonization resolution")
     total = 0.0
     for p in path.pieces:
         if isinstance(p, Seg):
@@ -343,10 +342,6 @@ class Region:
         d = self.boundary.to_json()
         d["area"] = self.area
         return d
-
-    @staticmethod
-    def from_json(d: dict) -> "Region":
-        return Region.from_path(ArcPath.from_json(d))
 
 
 # --------------------------------------------------------------------------
@@ -762,24 +757,10 @@ def region_diameter(region: Region, n: int = 4096) -> float:
 # --------------------------------------------------------------------------
 # transforms shared by covers and mutants
 
-def scale_piece(piece, factor: float, about):
-    ox, oy = about
+def scale_piece(piece, factor: float):
+    """The piece scaled by `factor` about the origin."""
     if isinstance(piece, Seg):
-        return Seg(ox + factor * (piece.x0 - ox), oy + factor * (piece.y0 - oy),
-                   ox + factor * (piece.x1 - ox), oy + factor * (piece.y1 - oy))
-    return Arc(ox + factor * (piece.cx - ox), oy + factor * (piece.cy - oy),
-               factor * piece.r, piece.t0, piece.t1)
-
-
-def polygon_centroid(path: ArcPath):
-    """Area centroid of the region, from a dense chord approximation."""
-    chords = path.polygonize(max_arc_step=TWO_PI / 512)
-    a2 = cx = cy = 0.0
-    for (x0, y0, x1, y1, _) in chords:
-        w = x0 * y1 - x1 * y0
-        a2 += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    if abs(a2) < 1e-15:
-        raise GeometryError("degenerate path: zero area")
-    return (cx / (3 * a2), cy / (3 * a2))
+        return Seg(factor * piece.x0, factor * piece.y0,
+                   factor * piece.x1, factor * piece.y1)
+    return Arc(factor * piece.cx, factor * piece.cy, factor * piece.r,
+               piece.t0, piece.t1)

@@ -242,31 +242,20 @@ class Pocket:
     interior of P: a sign test of P's vertices against the line.
 
     Holds the chain's vertex coordinates and its edge direction angles.
-    Building one raises InadmissibleChainError (a ValueError) unless the
-    vertices' x strictly increases ("ordering") and no turn angle is below
-    -TURN_TOL ("concavity"), since the bisection in depth() relies on both.
+    The bisection in depth() needs x to increase strictly along the chain
+    and no turn angle below -TURN_TOL.  validate_chain checks both for every
+    involute_cover build, and uniform scaling (verify.shrink_cover) keeps
+    them, so the pocket checks nothing itself.
     """
 
-    def __init__(self, vertices):
-        self.xs = tuple(x for x, _ in vertices)
-        self.ys = tuple(y for _, y in vertices)
+    def __init__(self, chain: GeneratingChain):
+        self.xs = tuple(x for x, _ in chain.vertices)
+        self.ys = tuple(y for _, y in chain.vertices)
         xs, ys = self.xs, self.ys
         n = len(xs) - 1
-        for j in range(n):
-            if xs[j + 1] <= xs[j]:
-                raise InadmissibleChainError([ChainDiagnostic(
-                    "ordering", xs[j] - xs[j + 1],
-                    f"edge {j} runs against x")])
-        angles = [math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
-                  for j in range(n)]
-        turns = map(operator.sub, angles, angles[1:])
-        for j, theta in enumerate(turns, start=1):
-            if theta < -TURN_TOL:
-                raise InadmissibleChainError([ChainDiagnostic(
-                    "concavity", -theta,
-                    f"negative turn angle {theta!r} at interior vertex {j}")])
-        # non-increasing angles, negated so that bisect sees them ascending
-        self.keys = tuple(-a for a in angles)
+        # non-increasing edge angles, negated so that bisect sees them ascending
+        self.keys = tuple(-math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
+                          for j in range(n))
         cx, cy = xs[n] - xs[0], ys[n] - ys[0]
         chord = math.hypot(cx, cy)
         # the largest distance of the chain from the chord
@@ -310,33 +299,48 @@ class Pocket:
 
 @dataclass
 class CoverBundle:
-    """A cover: chain below, two involute arc runs meeting at the apex."""
+    """A cover: chain below, two involute arc runs meeting at the apex.
+
+    The region's boundary holds the chain's segments u -> v, then the right
+    run traced v -> w, then the left run traced w -> u.  The left run is
+    the right run's mirror image (_unwrap builds it so), so the two runs
+    have the same number of arcs.  Nothing reassigns a field, so the
+    cached views below stay valid.
+    """
 
     chain: GeneratingChain
     region: Region
     apex: tuple
-    left_arcs: tuple    # traced w -> u, as on the boundary
-    right_arcs: tuple   # traced v -> w, as on the boundary
-    area: float
-    final_pivot: float
+
+    @property
+    def area(self) -> float:
+        return self.region.area
 
     @cached_property
     def upper_path(self) -> ArcPath:
         """Boundary pieces above the chain, traced v -> w -> u.
 
         Built once per bundle, so the piece table compiled on it is kept
-        across verify and fold calls; nothing reassigns `region`.
+        across verify and fold calls.
         """
         return ArcPath(self.region.boundary.pieces[self.chain.n_edges:])
 
     @cached_property
-    def pocket(self) -> Pocket:
-        """The chain's Pocket, built on first use by verify or fold."""
-        return Pocket(self.chain.vertices)
+    def n_right_upper(self) -> int:
+        return (len(self.region.boundary.pieces) - self.chain.n_edges) // 2
 
     @property
-    def n_right_upper(self) -> int:
-        return len(self.right_arcs)
+    def right_arcs(self) -> tuple:
+        return self.upper_path.pieces[:self.n_right_upper]
+
+    @property
+    def left_arcs(self) -> tuple:
+        return self.upper_path.pieces[self.n_right_upper:]
+
+    @cached_property
+    def pocket(self) -> Pocket:
+        """The chain's Pocket, built on first use by verify or fold."""
+        return Pocket(self.chain)
 
 
 def _unwrap(chain: GeneratingChain):
@@ -344,7 +348,7 @@ def _unwrap(chain: GeneratingChain):
 
     Runs validate_chain, then checks the unwrap radii, the Arc radius/sweep
     guards, a positive final pivot and the apex distance.  Returns (apex,
-    right, left, final pivot, right ends), where right and left are lists
+    right, left, right ends), where right and left are lists
     of arc records (cx, cy, r, t0, t1) in boundary order: right traced
     v -> w, left (its mirror image) traced w -> u.  An arc is recorded
     only for a turn above 1e-14, so every sweep is positive.  right ends
@@ -406,7 +410,7 @@ def _unwrap(chain: GeneratingChain):
     # the mirror image about the y axis (angle t -> pi - t), traced w -> u
     left = [(-cx, cy, r, math.pi - t1, math.pi - t0)
             for cx, cy, r, t0, t1 in reversed(right)]
-    return w, right, left, final_pivot, ends
+    return w, right, left, ends
 
 
 def _not_simple(detail):
@@ -470,16 +474,12 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     - so P lies in H (a path inside P from the chord out of H would cross
       the upper run), and the region is H minus the interior of P.
     """
-    w, right, left, final_pivot, ends = _unwrap(chain)
+    w, right, left, ends = _unwrap(chain)
     path = _boundary(chain, right, left)
     check_closed(path)
     certify_cap(chain, right, left)
     region = Region(boundary=path, area=_area(chain.vertices, right, left, ends))
-
-    pieces, n, k = path.pieces, chain.n_edges, len(right)
-    return CoverBundle(chain=chain, region=region, apex=w,
-                       left_arcs=pieces[n + k:], right_arcs=pieces[n:n + k],
-                       area=region.area, final_pivot=final_pivot)
+    return CoverBundle(chain=chain, region=region, apex=w)
 
 
 def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
@@ -513,7 +513,7 @@ def _area(vertices, right, left, ends) -> float:
 def cover_area(chain: GeneratingChain) -> float:
     """The area involute_cover(chain) records, bit for bit: the same _unwrap
     checks and the same _area sum, with no pieces and no cap certificate."""
-    _, right, left, _, ends = _unwrap(chain)
+    _, right, left, ends = _unwrap(chain)
     return _area(chain.vertices, right, left, ends)
 
 

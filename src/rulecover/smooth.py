@@ -46,15 +46,14 @@ class SmoothCoefficients:
     b: object
 
 
-def solve_coefficients(a, backend=NATIVE, check: bool = False,
-                       trig=None) -> SmoothCoefficients:
+def solve_coefficients(a, backend=NATIVE, trig=None) -> SmoothCoefficients:
     """Coefficients enforcing unit length, endpoint tangency, zero curvature.
 
     Evaluates the closed forms in dependency order (b2, then b1, then b0)
     and b = h(a).  The constraints hold for any a in (0, pi/2), but the
     result describes an actual curve only where the speed g stays positive
-    strictly inside [-a, a] (a window around the optimal a); pass check=True
-    or call check_speed_positivity to enforce that.  `trig` may carry
+    strictly inside [-a, a] (a window around the optimal a); call
+    check_speed_positivity to enforce that.  `trig` may carry
     backend.multiples(a, k) for some k >= 2, computed once by the caller.
     """
     with backend.context():
@@ -70,10 +69,7 @@ def solve_coefficients(a, backend=NATIVE, check: bool = False,
         b1 = (1 - b2 * (s2 - 2 * a * c2)) / (2 * (s - a * c))
         b0 = -b1 * c - b2 * c2
         b = b0 * a + b1 * s + b2 * s2 / 2
-        co = SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
-    if check:
-        check_speed_positivity(co)
-    return co
+        return SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
 
 
 def check_speed_positivity(co: SmoothCoefficients):
@@ -263,7 +259,8 @@ def optimize_smooth(tol=None, backend=NATIVE):
         a = _slope_root(res.argmin, tol, work)
         with backend.context():
             a = +a  # round to the backend's precision
-    co = solve_coefficients(a, backend, check=True)
+    co = solve_coefficients(a, backend)
+    check_speed_positivity(co)
     return a, co, smooth_area(co, backend)
 
 

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from .geometry import (
     ArcPath,
     Region,
-    arc_path_area,
     circle_path_intersections,
-    polygon_centroid,
     region_diameter,
     scale_piece,
     segment_inside,
@@ -38,7 +36,6 @@ from .geometry import (
 from .involute import CoverBundle, GeneratingChain
 
 DEFAULT_EPS = 1e-9
-DIAMETER_SAMPLES = 4096  # boundary samples behind region_diameter
 SAME_POINT = 1e-12  # a candidate q this close to p is the trivial q = p
 
 
@@ -102,19 +99,21 @@ def random_rule(n: int, seed: int) -> Rule:
     return Rule(tuple(1.0 - rng.random() for _ in range(n)))
 
 
-def _upper_samples(upper, n_right: int, n: int):
+def _upper_samples(cover: CoverBundle, n: int):
     """(point, side) samples on the upper arcs, endpoints always included."""
+    n_right = cover.n_right_upper
     return [(q, 0 if idx < n_right else 1)
-            for idx, q in upper.indexed_samples(n)]
+            for idx, q in cover.upper_path.indexed_samples(n)]
 
 
-def _candidates(upper, n_right: int, p, side, length: float):
+def _candidates(cover: CoverBundle, p, side, length: float):
     """(q, side of q) for upper-arc points q at distance `length` from p.
 
     Opposite side first, then path order.  A q's side is that of the piece
     the circle hit (0 right, 1 left).
     """
-    hits = circle_path_intersections(p, length, upper)
+    hits = circle_path_intersections(p, length, cover.upper_path)
+    n_right = cover.n_right_upper
     cands = [(q, 0 if idx < n_right else 1) for (idx, _, q) in hits]
     cands.sort(key=lambda c: c[1] == side)  # stable: hits come in path order
     return cands
@@ -136,16 +135,14 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
         raise ValueError("need at least 16 point and 16 length samples")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
-    upper = cover.upper_path
     pocket = cover.pocket
-    n_right = cover.n_right_upper
-    samples = _upper_samples(upper, n_right, n_points)
+    samples = _upper_samples(cover, n_points)
     failures = []
     for (p, side) in samples:
         for i in range(1, n_lengths + 1):
             length = i / n_lengths
             found = False
-            for q, _ in _candidates(upper, n_right, p, side, length):
+            for q, _ in _candidates(cover, p, side, length):
                 if math.dist(p, q) <= SAME_POINT:
                     continue  # the trivial point q = p does not count
                 if pocket.depth(p, q) <= eps:
@@ -153,7 +150,7 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
                     break
             if not found:
                 failures.append((p, length))
-    diameter = region_diameter(cover.region, DIAMETER_SAMPLES)
+    diameter = region_diameter(cover.region)
     passed = not failures and diameter <= 1.0 + eps
     return VerificationReport(points=len(samples), lengths=n_lengths,
                               failures=failures, diameter=diameter,
@@ -169,15 +166,13 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
     deterministically for that seed.
     """
     rng = random.Random(seed) if seed is not None else None
-    upper = cover.upper_path
     pocket = cover.pocket
-    n_right = cover.n_right_upper
     joints = [cover.chain.u]
     side = 1  # u terminates the left involute
     for index, length in enumerate(rule.lengths):
         p = joints[-1]
         admissible = []
-        for q, q_side in _candidates(upper, n_right, p, side, length):
+        for q, q_side in _candidates(cover, p, side, length):
             if math.dist(p, q) <= SAME_POINT:
                 continue
             if abs(math.dist(p, q) - length) > 1e-9:
@@ -211,21 +206,14 @@ def check_fold(cover: CoverBundle, rule: Rule, fold: Fold):
 
 
 def shrink_cover(cover: CoverBundle, factor: float = 0.95) -> CoverBundle:
-    """Adversarial control: the cover scaled about its area centroid.
+    """Adversarial control: the cover scaled by `factor` about the origin.
 
-    The result is not a valid cover (its chain is shorter than the unit
-    string), which is the point: the verifier must reject it.
+    The result is not a valid cover (its chain is not as long as the unit
+    string), which is the point: the verifier must reject it.  Scaling keeps
+    the chain's x order and turn angles, which its pocket relies on.
     """
-    center = polygon_centroid(cover.region.boundary)
-    pieces = [scale_piece(p, factor, center) for p in cover.region.boundary.pieces]
-    path = ArcPath(pieces)
-    region = Region(boundary=path, area=arc_path_area(path, check=False))
-    cx, cy = center
-    n, k = cover.chain.n_edges, len(cover.right_arcs)
-    verts = tuple((cx + factor * (x - cx), cy + factor * (y - cy))
-                  for (x, y) in cover.chain.vertices)
-    apex = (cx + factor * (cover.apex[0] - cx), cy + factor * (cover.apex[1] - cy))
-    return CoverBundle(
-        chain=GeneratingChain(verts), region=region, apex=apex,
-        left_arcs=path.pieces[n + k:], right_arcs=path.pieces[n:n + k],
-        area=region.area, final_pivot=cover.final_pivot)
+    path = ArcPath([scale_piece(p, factor) for p in cover.region.boundary.pieces])
+    verts = tuple((factor * x, factor * y) for (x, y) in cover.chain.vertices)
+    apex = (factor * cover.apex[0], factor * cover.apex[1])
+    return CoverBundle(chain=GeneratingChain(verts),
+                       region=Region.from_path(path), apex=apex)

@@ -106,6 +106,4 @@ def apex_cut_bundle():
     base = Seg(-0.5, 0.0, 0.5, 0.0)
     region = Region.from_path(ArcPath([base, right, chord, left]))
     chain = GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-    return CoverBundle(chain=chain, region=region, apex=chord.point_at(0.5),
-                       left_arcs=(left,), right_arcs=(right,),
-                       area=region.area, final_pivot=cut * math.pi / 3)
+    return CoverBundle(chain=chain, region=region, apex=chord.point_at(0.5))

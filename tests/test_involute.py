@@ -119,7 +119,7 @@ class TestInvoluteCover:
     def test_one_edge_is_r2(self, r2_bundle):
         assert abs(r2_bundle.area - cons.R2_AREA) <= 1e-12
         assert math.dist(r2_bundle.apex, (0.0, math.sqrt(3) / 2)) <= 1e-12
-        assert abs(r2_bundle.final_pivot - math.pi / 3) <= 1e-12
+        assert abs(r2_bundle.right_arcs[-1].sweep - math.pi / 3) <= 1e-12
         assert abs(r2_bundle.area - cons.r2_cover().area) <= 1e-12
 
     def test_two_edge_arc_multiset(self, two_bundle):
@@ -141,8 +141,9 @@ class TestInvoluteCover:
                    - cons.four_edge_area(*FOUR_ANGLES)) <= 1e-10
 
     def test_final_pivot_equals_large_sector_angle(self, three_bundle, four_bundle):
-        assert abs(three_bundle.final_pivot - THREE_ANGLES[0]) <= 1e-9
-        assert abs(four_bundle.final_pivot - FOUR_ANGLES[0]) <= 1e-9
+        # the final pivot is the right run's last arc, about u
+        assert abs(three_bundle.right_arcs[-1].sweep - THREE_ANGLES[0]) <= 1e-9
+        assert abs(four_bundle.right_arcs[-1].sweep - FOUR_ANGLES[0]) <= 1e-9
 
     def test_apex_unit_distance(self, four_bundle):
         for p in (four_bundle.chain.u, four_bundle.chain.v):
@@ -350,6 +351,22 @@ class TestBuildChecks:
         assert "apex not at unit distance" in str(err.value)
 
 
+def test_unwrap_radius_guard_fires_after_validation():
+    # a symmetric 4-edge arch with end edges 1e-13 long and length
+    # 1 + 5e-13, inside LENGTH_TOL: validate_chain passes it, yet the first
+    # pivot's radius 1 - s_3 is negative, which only _unwrap's Arc guard sees
+    e1, e2 = 1e-13, 0.5 + 1.5e-13
+    x1, y1 = e1 * math.cos(1.0), e1 * math.sin(1.0)
+    x2, y2 = x1 + e2 * math.cos(0.3), y1 + e2 * math.sin(0.3)
+    half = [(-x2, -y2), (x1 - x2, y1 - y2), (0.0, 0.0)]
+    chain = GeneratingChain(tuple(half + [(-x, y) for x, y in half[1::-1]]))
+    assert validate_chain(chain) == []
+    for build in (involute_cover, cover_area):
+        with pytest.raises(geometry.GeometryError,
+                           match=r"negative radius -4\.0\d*e-13"):
+            build(chain)
+
+
 # --------------------------------------------------------------------------
 # both involute runs: the boundary's own pieces, equal to the frozen oracle's.
 # The oracle audits its boundary with the chord-crossing test that the
@@ -361,12 +378,14 @@ INPUTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _assert_runs_are_boundary_pieces(bundle):
-    pieces = bundle.region.boundary.pieces
-    n = bundle.chain.n_edges
     right, left = bundle.right_arcs, bundle.left_arcs
-    assert n + len(right) + len(left) == len(pieces)
-    assert all(a is pieces[n + k] for k, a in enumerate(right))
-    assert all(a is pieces[n + len(right) + k] for k, a in enumerate(left))
+    assert len(right) == len(left)
+    # right traced v -> w, left traced w -> u, as on the boundary
+    for point, want in ((right[0].start, bundle.chain.v),
+                        (right[-1].end, bundle.apex),
+                        (left[0].start, bundle.apex),
+                        (left[-1].end, bundle.chain.u)):
+        assert math.dist(point, want) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
@@ -374,12 +393,6 @@ def test_runs_are_boundary_pieces(name, request):
     bundle = request.getfixturevalue(f"{name}_bundle")
     _assert_runs_are_boundary_pieces(bundle)
     _assert_runs_are_boundary_pieces(shrink_cover(bundle))
-    # right traced v -> w, left traced w -> u, as on the boundary
-    for point, want in ((bundle.right_arcs[0].start, bundle.chain.v),
-                        (bundle.right_arcs[-1].end, bundle.apex),
-                        (bundle.left_arcs[0].start, bundle.apex),
-                        (bundle.left_arcs[-1].end, bundle.chain.u)):
-        assert math.dist(point, want) <= 1e-12
 
 
 def _failure(exc):
@@ -510,9 +523,9 @@ def test_open_boundary_raises(monkeypatch, two_bundle):
     unwrap = involute._unwrap
 
     def shifted(chain):
-        w, right, left, pivot, ends = unwrap(chain)
+        w, right, left, ends = unwrap(chain)
         left = [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in left]
-        return w, right, left, pivot, ends
+        return w, right, left, ends
 
     monkeypatch.setattr(involute, "_unwrap", shifted)
     with pytest.raises(OpenPathError):
@@ -525,7 +538,7 @@ class TestCertifyCap:
 
     @pytest.fixture
     def records(self, two_bundle):
-        _, right, left, _, _ = _unwrap(two_bundle.chain)
+        _, right, left, _ = _unwrap(two_bundle.chain)
         assert len(right) == len(left) == 2  # one joint in each run
         return two_bundle.chain, right, left
 

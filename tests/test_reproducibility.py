@@ -8,9 +8,13 @@ also runs without pytest, printing the digests:
     PYTHONPATH=src python tests/test_reproducibility.py
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 from rulecover import search, smooth
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rulecover"
 
 PINNED = {
     "search_best_areas": "f1a4fd2e63a86511",
@@ -35,6 +39,18 @@ def digests() -> dict:
 
 def test_seeded_results_match_pinned_digests():
     assert digests() == PINNED
+
+
+def test_library_never_calls_builtin_sum():
+    # the digests catch a sum() only where a pinned result passes through it
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    calls = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == []
 
 
 if __name__ == "__main__":

@@ -7,9 +7,7 @@ from rulecover import smooth
 from rulecover.geometry import region_diameter, segment_inside
 from rulecover.involute import (
     CHORD_TOL,
-    TURN_TOL,
     InadmissibleChainError,
-    Pocket,
     involute_cover,
 )
 from rulecover.search import ChainParams, perturb
@@ -106,21 +104,14 @@ class TestReachability:
 
     def test_apex_pairs_with_base_corners(self, r2_bundle):
         # from the apex with the full unit length, both base corners work
-        from rulecover.verify import _candidates
-
-        upper = r2_bundle.upper_path
-        cands = _candidates(upper, r2_bundle.n_right_upper, W, 1, 1.0)
+        cands = _candidates(r2_bundle, W, 1, 1.0)
         assert any(math.dist(q, (-0.5, 0.0)) <= 1e-9 for q, _ in cands)
         assert any(math.dist(q, (0.5, 0.0)) <= 1e-9 for q, _ in cands)
 
     def test_candidate_distances_are_exact(self, three_bundle):
-        from rulecover.verify import _candidates, _upper_samples
-
-        upper = three_bundle.upper_path
-        n_right = three_bundle.n_right_upper
-        for (p, side) in _upper_samples(upper, n_right, 16):
+        for (p, side) in _upper_samples(three_bundle, 16):
             for length in (0.25, 0.75, 1.0):
-                for q, _ in _candidates(upper, n_right, p, side, length):
+                for q, _ in _candidates(three_bundle, p, side, length):
                     assert abs(math.dist(p, q) - length) <= 1e-9
 
 
@@ -217,10 +208,9 @@ def _scanned_depth(pocket, p, q):
 
 def _candidate_segments(bundle, n):
     """(p, q) for every candidate verify_reachability tries at n x n."""
-    upper, n_right = bundle.upper_path, bundle.n_right_upper
-    for p, side in _upper_samples(upper, n_right, n):
+    for p, side in _upper_samples(bundle, n):
         for i in range(1, n + 1):
-            for q, _ in _candidates(upper, n_right, p, side, i / n):
+            for q, _ in _candidates(bundle, p, side, i / n):
                 if math.dist(p, q) > SAME_POINT:
                     yield p, q
 
@@ -305,26 +295,14 @@ class TestPocket:
         # is admissible, so the point does not fail.
         p = (mirror * -0.44405796684014687, -0.18893365563233025)
         q = (mirror * 0.11748462471898674, 0.6385141782913872)
-        upper, n_right = smooth48_bundle.upper_path, smooth48_bundle.n_right_upper
-        side = {s_p: side for s_p, side in _upper_samples(upper, n_right, 256)}[p]
-        cands = [c for c, _ in _candidates(upper, n_right, p, side, 1.0)]
+        side = dict(_upper_samples(smooth48_bundle, 256))[p]
+        cands = [c for c, _ in _candidates(smooth48_bundle, p, side, 1.0)]
         assert q in cands
         pocket = smooth48_bundle.pocket
         assert DEFAULT_EPS < pocket.depth(p, q) < 2.5e-9
         assert segment_inside(smooth48_bundle.region, p, q, DEFAULT_EPS)
         assert any(pocket.depth(p, c) <= DEFAULT_EPS
                    for c in cands if math.dist(p, c) > SAME_POINT)
-
-    def test_negative_turn_raises(self):
-        # edge angles -0.1 then +0.1 rad: a negative turn of 0.2
-        with pytest.raises(ValueError, match="negative turn"):
-            Pocket(((-1.0, 0.0), (0.0, -0.1), (1.0, 0.0)))
-        # within TURN_TOL is accepted
-        Pocket(((-1.0, 0.0), (0.0, 0.0), (1.0, math.tan(0.5 * TURN_TOL))))
-
-    def test_backward_edge_raises(self):
-        with pytest.raises(ValueError, match="runs against x"):
-            Pocket(((0.0, 0.0), (-1.0, 0.1)))
 
 
 def _oracle_bundle(oracle, bundle):
@@ -336,7 +314,7 @@ def _oracle_bundle(oracle, bundle):
         chain=oracle.involute.GeneratingChain(bundle.chain.vertices),
         region=region, apex=bundle.apex, left_arcs=pieces[n + k:],
         right_arcs=pieces[n:n + k], area=bundle.area,
-        final_pivot=bundle.final_pivot)
+        final_pivot=bundle.right_arcs[-1].sweep)
 
 
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four", "smooth48",
