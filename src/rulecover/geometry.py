@@ -6,7 +6,7 @@ the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); containment is
 a winding number: the crossings of the chord polygon through the pieces'
 start points with one axis-parallel ray, plus one in-cap test per arc, with
 no tolerance and no degenerate ray; intersections with circles are
-quadratic solves, never boundary scans.
+quadratic solves, never boundary scans, one pass for many radii.
 
 Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9,
 default boundary classification eps 1e-9.
@@ -15,8 +15,10 @@ default boundary classification eps 1e-9.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter, le
 
 from .numerics import ordered_sum
 
@@ -637,19 +639,50 @@ def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
 
 def circle_path_intersections(center, r, path: ArcPath):
     """All (piece_index, piece_param, point) hits, deduped, in path order."""
+    return circle_path_hits(center, (r,), path)[0]
+
+
+def circle_path_hits(center, radii, path: ArcPath):
+    """[circle_path_intersections(center, r, path) for r in radii], in one pass.
+
+    `radii`: non-empty and ascending (repeats allowed), else ValueError.
+    A block or row is kept for r unless its circle lies beyond r + DEDUP_TOL
+    or short of r - DEDUP_TOL; both bounds ascend with r, so bisecting them
+    finds exactly the radii to solve it for.  What depends on the centre
+    alone is hoisted, expressions unchanged: every hit is the same float.
+    """
+    end = len(radii)
+    if not end or end > 1 and not all(map(le, radii, radii[1:])):
+        raise ValueError(f"radii must be non-empty and ascending, got {radii!r}")
     qx, qy = center
-    raw = []
+    if end > 1:
+        beyond = [r + DEDUP_TOL for r in radii]
+        short = [r - DEDUP_TOL for r in radii]
+    raws = [[] for _ in radii]
     hypot, sqrt, atan2, cos, sin = (math.hypot, math.sqrt, math.atan2,
                                     math.cos, math.sin)
     for (gx, gy, grad, rows, _) in _compiled(path):
-        # prune blocks, then pieces, whose bounding circle misses the annulus
+        # prune blocks, then pieces, whose bounding circle misses every annulus
         dbc = hypot(qx - gx, qy - gy)
-        if dbc - grad > r + DEDUP_TOL or dbc + grad < r - DEDUP_TOL:
+        if dbc - grad > radii[-1] + DEDUP_TOL or dbc + grad < radii[0] - DEDUP_TOL:
             continue
+        glo, ghi = 0, end
+        if end > 1:
+            glo = bisect_left(beyond, dbc - grad)
+            ghi = bisect_right(short, dbc + grad, glo)
+            if glo == ghi:
+                continue
+        far, near = radii[ghi - 1] + DEDUP_TOL, radii[glo] - DEDUP_TOL
         for (bcx, bcy, brad, idx, piece) in rows:
             dbc = hypot(qx - bcx, qy - bcy)
-            if dbc - brad > r + DEDUP_TOL or dbc + brad < r - DEDUP_TOL:
+            if dbc - brad > far or dbc + brad < near:
                 continue
+            lo, hi = glo, ghi
+            if hi - lo > 1:
+                lo = bisect_left(beyond, dbc - brad, lo, hi)
+                hi = bisect_right(short, dbc + brad, lo, hi)
+                if lo == hi:
+                    continue
             if piece[0] == 0:
                 (_, x0, y0, x1, y1, ex, ey, elen) = piece
                 if elen <= 0:
@@ -657,30 +690,37 @@ def circle_path_intersections(center, r, path: ArcPath):
                 wx, wy = x0 - qx, y0 - qy
                 a = elen * elen
                 b = 2 * (wx * ex + wy * ey)
-                c = wx * wx + wy * wy - r * r
-                disc = b * b - 4 * a * c
-                if disc < 0:
-                    continue
-                root = sqrt(disc)
+                w2 = wx * wx + wy * wy
                 slack = 1e-9 / elen
-                for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
-                    if -slack <= s <= 1 + slack:
-                        sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
-                        raw.append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
-            else:
-                (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = piece
-                dxc, dyc = cx - qx, cy - qy
-                d = hypot(dxc, dyc)
+                for k in range(lo, hi):
+                    r = radii[k]
+                    c = w2 - r * r
+                    disc = b * b - 4 * a * c
+                    if disc < 0:
+                        continue
+                    root = sqrt(disc)
+                    for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
+                        if -slack <= s <= 1 + slack:
+                            sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
+                            raws[k].append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
+                continue
+            (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = piece
+            dxc, dyc = cx - qx, cy - qy
+            d = hypot(dxc, dyc)
+            dd, ar2 = d * d, ar * ar
+            slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
+            for k in range(lo, hi):
+                r = radii[k]
                 if d - ar > r + DEDUP_TOL or d + ar < r - DEDUP_TOL:
                     continue
                 if d <= DEDUP_TOL and abs(r - ar) <= DEDUP_TOL:
                     # coincident circles: arc endpoints stand in for the continuum
-                    raw.append((idx, 0.0, (sx, sy)))
-                    raw.append((idx, 1.0, (endx, endy)))
+                    raws[k].append((idx, 0.0, (sx, sy)))
+                    raws[k].append((idx, 1.0, (endx, endy)))
                     continue
                 if d <= 1e-15:
                     continue
-                x = (d * d + r * r - ar * ar) / (2 * d)
+                x = (dd + r * r - ar2) / (2 * d)
                 h2 = r * r - x * x
                 if h2 < -1e-15:
                     continue
@@ -690,19 +730,21 @@ def circle_path_intersections(center, r, path: ArcPath):
                 cands = ((bx - h * uy, by + h * ux),)
                 if h > 1e-12:
                     cands = ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux))
-                slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
                 for (hx, hy) in cands:
                     phi = atan2(hy - cy, hx - cx)
                     s = _arc_fraction(t0, sweep, phi, slack)
                     if s is None:
                         continue
-                    raw.append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
-    raw.sort(key=lambda t: (t[0], t[1]))
-    out = []
-    for item in raw:
-        if all(math.dist(item[2], o[2]) > DEDUP_TOL for o in out):
-            out.append(item)
-    return out
+                    raws[k].append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
+    for raw in raws:
+        if len(raw) > 1:
+            raw.sort(key=itemgetter(0, 1))  # (piece index, param)
+            out = raw[:1]
+            for item in raw[1:]:
+                if all(math.dist(item[2], o[2]) > DEDUP_TOL for o in out):
+                    out.append(item)
+            raw[:] = out
+    return raws
 
 
 # --------------------------------------------------------------------------
@@ -713,11 +755,21 @@ def _convex_hull(points):
     if len(pts) <= 2:
         return pts, pts
     upper, lower = [], []
+    # _orient(a, b, p) inlined: 4,096 samples make this loop hot
     for p in pts:
-        while len(upper) > 1 and _orient(*upper[-2], *upper[-1], *p) <= 0:
-            upper.pop()
-        while len(lower) > 1 and _orient(*lower[-2], *lower[-1], *p) >= 0:
-            lower.pop()
+        px, py = p
+        while len(upper) > 1:
+            (ax, ay), (bx, by) = upper[-2], upper[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0:
+                upper.pop()
+            else:
+                break
+        while len(lower) > 1:
+            (ax, ay), (bx, by) = lower[-2], lower[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0:
+                lower.pop()
+            else:
+                break
         upper.append(p)
         lower.append(p)
     return upper, lower

@@ -2,9 +2,10 @@
 
 A cover is exercised, never proved: sample points p on the two upper arcs
 and lengths l in (0, 1], and demand some other upper-arc point q with
-|pq| = l whose segment stays inside the region.  The online folding
-strategy places each next joint greedily at such a q.  Failures are data,
-not errors; they feed the report.
+|pq| = l whose segment stays inside the region, all lengths of one p
+from one pass over the upper arcs.  The online folding strategy places
+each next joint greedily at such a q.  Failures are data, not errors;
+they feed the report.
 
 Containment needs no general point-in-region test.  Every cover is a
 convex cap H (the upper arcs closed by the chord uv) minus the interior of
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from .geometry import (
     ArcPath,
     Region,
+    circle_path_hits,
     circle_path_intersections,
     region_diameter,
     scale_piece,
@@ -106,17 +108,23 @@ def _upper_samples(cover: CoverBundle, n: int):
             for idx, q in cover.upper_path.indexed_samples(n)]
 
 
-def _candidates(cover: CoverBundle, p, side, length: float):
-    """(q, side of q) for upper-arc points q at distance `length` from p.
-
-    Opposite side first, then path order.  A q's side is that of the piece
-    the circle hit (0 right, 1 left).
-    """
-    hits = circle_path_intersections(p, length, cover.upper_path)
+def _by_side(cover: CoverBundle, side, hits):
+    """(q, side of q) for circle hits on the upper arcs: opposite side
+    first, then path order.  A q's side is its piece's (0 right, 1 left)."""
     n_right = cover.n_right_upper
-    cands = [(q, 0 if idx < n_right else 1) for (idx, _, q) in hits]
-    cands.sort(key=lambda c: c[1] == side)  # stable: hits come in path order
-    return cands
+    right, left = [], []
+    for (idx, _, q) in hits:  # a loop: hits are 1-3, too few for comprehensions
+        if idx < n_right:
+            right.append((q, 0))
+        else:
+            left.append((q, 1))
+    return left + right if side == 0 else right + left
+
+
+def _candidates(cover: CoverBundle, p, side, length: float):
+    """(q, side of q) for upper-arc points q at distance `length` from p."""
+    return _by_side(cover, side,
+                    circle_path_intersections(p, length, cover.upper_path))
 
 
 def verify_reachability(cover: CoverBundle, n_points: int = 256,
@@ -126,10 +134,11 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
 
     For every sampled p on the upper arcs and every length l = i/n_lengths
     (so l = 1 is always exercised), search the exact circle intersections
-    with the upper arcs for a q whose segment pq cuts at most eps into the
-    cover's pocket.  eps must be finite and non-negative: a nan would
-    admit no candidate, an infinite eps would switch off the containment
-    test and the diameter bound.
+    with the upper arcs (one pass for all lengths of p), opposite side
+    first, for a q whose segment pq cuts at most eps into the cover's
+    pocket.  eps must be finite and non-negative: a nan would admit no
+    candidate, an infinite eps would switch off the containment test and
+    the diameter bound.
     """
     if n_points < 16 or n_lengths < 16:
         raise ValueError("need at least 16 point and 16 length samples")
@@ -137,12 +146,13 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     pocket = cover.pocket
     samples = _upper_samples(cover, n_points)
+    lengths = [i / n_lengths for i in range(1, n_lengths + 1)]
     failures = []
     for (p, side) in samples:
-        for i in range(1, n_lengths + 1):
-            length = i / n_lengths
+        for length, hits in zip(lengths,
+                                circle_path_hits(p, lengths, cover.upper_path)):
             found = False
-            for q, _ in _candidates(cover, p, side, length):
+            for q, _ in _by_side(cover, side, hits):
                 if math.dist(p, q) <= SAME_POINT:
                     continue  # the trivial point q = p does not count
                 if pocket.depth(p, q) <= eps:
@@ -173,9 +183,8 @@ def fold_rule(cover: CoverBundle, rule: Rule, seed=None) -> Fold:
         p = joints[-1]
         admissible = []
         for q, q_side in _candidates(cover, p, side, length):
-            if math.dist(p, q) <= SAME_POINT:
-                continue
-            if abs(math.dist(p, q) - length) > 1e-9:
+            dist = math.dist(p, q)
+            if dist <= SAME_POINT or abs(dist - length) > 1e-9:
                 continue
             if pocket.depth(p, q) <= DEFAULT_EPS:
                 if rng is None:

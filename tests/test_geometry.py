@@ -20,6 +20,7 @@ from rulecover.geometry import (
     TWO_PI,
     arc_path_area,
     boundary_distance,
+    circle_path_hits,
     circle_path_intersections,
     path_self_intersects,
     piece_from_json,
@@ -278,6 +279,29 @@ class TestCircleIntersections:
     def test_miss_returns_empty(self):
         assert circle_points((5.0, 5.0), 0.5, r2_path()) == []
 
+    @pytest.mark.parametrize("path", [r2_path(), square_path(),
+                                      unit_circle_path()],
+                             ids=["r2", "square", "unit-circle"])
+    def test_hits_are_the_one_radius_scans(self, path):
+        # one pass answers each radius as its own scan does, misses,
+        # tangencies and coincident circles included
+        radii = (0.0, 0.25, 0.5, 0.5, 0.7, 1.0, 1.5, 3.0)
+        for center in ((0.0, 0.0), (0.0, 0.2), (0.5, 0.5), (-0.5, 0.0), W):
+            assert (circle_path_hits(center, radii, path)
+                    == [circle_path_intersections(center, r, path)
+                        for r in radii])
+
+    def test_hits_repeated_radii(self):
+        hits = circle_path_hits((0.0, 0.2), [0.5, 0.5, 0.5], r2_path())
+        assert hits[0] and hits[0] == hits[1] == hits[2]
+
+    @pytest.mark.parametrize("radii", [(), [], (0.5, 0.25), (0.1, 0.3, 0.2),
+                                       (0.5, math.nan)])
+    def test_hits_need_ascending_radii(self, radii):
+        # bisecting unordered radii would drop hits silently
+        with pytest.raises(ValueError, match="ascending"):
+            circle_path_hits((0.0, 0.2), radii, r2_path())
+
 
 class TestDiameter:
     def test_r2(self):
@@ -389,6 +413,17 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
     # segments to every point they hit
     starts = upper.sample(24) + upper.vertices()
     for p in rng.sample(starts, 24):
+        # one pass per sample, as verify_reachability asks: 1.0, a repeat,
+        # and a single radius among random ascending batches
+        batches = [sorted([rng.uniform(0.0, 1.0) for _ in range(6)]
+                          + [0.5, 0.5, 1.0]), [rng.uniform(0.0, 1.0)], [1.0]]
+        for radii in batches:
+            assert (circle_path_hits(p, radii, upper)
+                    == [oracle.circle_path_intersections(p, r, o_upper)
+                        for r in radii])
+            assert (circle_path_hits(p, radii, region.boundary)
+                    == [oracle.circle_path_intersections(p, r, o_boundary)
+                        for r in radii])
         for length in [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.5, 1.0]:
             hits = circle_path_intersections(p, length, upper)
             assert hits == oracle.circle_path_intersections(p, length, o_upper)
