@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     chain = GeneratingChain.from_json(doc["chain"])
     bundle = involute_cover(chain)
     stored = doc.get("area")
-    if stored is not None and abs(stored - bundle.area) > 1e-12:
+    if stored is not None and not abs(stored - bundle.area) <= 1e-12:
         raise ValueError(
             f"stored area {stored!r} drifts from recomputed {bundle.area!r}")
     report = verify.verify_reachability(

@@ -255,7 +255,7 @@ def arc_path_area(path: ArcPath) -> float:
 
 def check_ccw(area: float) -> float:
     """`area` if positive, else GeometryError: a boundary runs counterclockwise."""
-    if area <= 0:
+    if not area > 0:
         raise GeometryError(
             f"boundary must be counterclockwise (signed area {area:.3e})")
     return area

@@ -58,14 +58,60 @@ class ChainDiagnostic:
         return f"{self.kind}: {self.detail} (magnitude {self.magnitude:.3e})"
 
 
+def chain_facts(vertices):
+    """(edge lengths, cumulative lengths s_0..s_n from u, turn angles) of a
+    vertex tuple; a turn angle is positive where the chain bends away from
+    the region above it (incoming direction minus outgoing direction)."""
+    ends = vertices[1:]
+    lengths = tuple(map(math.dist, vertices, ends))
+    dirs = [math.atan2(y1 - y0, x1 - x0)
+            for (x0, y0), (x1, y1) in zip(vertices, ends)]
+    return (lengths, tuple(accumulate(lengths, initial=0.0)),
+            tuple(map(operator.sub, dirs, dirs[1:])))
+
+
+def half_chain_vertices(n: int, fracs, turns) -> tuple:
+    """Vertices of the symmetric n-edge chain with the given half-edge
+    fractions and turns (see GeneratingChain.half_params)."""
+    m = n // 2
+    fracs = [float(f) for f in fracs]
+    turns = [float(t) for t in turns]
+    if n == 1:
+        return ((-0.5, 0.0), (0.5, 0.0))
+    if len(fracs) != m or len(turns) != m:
+        raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
+    if min(fracs) <= 0:
+        raise ValueError("edge fractions must be positive")
+    # deltas[i]: direction of half edge i below the horizontal, the
+    # sum of the turns from vertex i + 1 to the axis
+    if n % 2 == 0:
+        total_half = numerics.ordered_sum(fracs)
+        fracs = [f * 0.5 / total_half for f in fracs]
+        deltas = accumulate(reversed(turns[:-1]), initial=turns[-1] / 2)
+    else:
+        mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
+        if mid <= 0:
+            raise ValueError("half fractions leave no middle edge")
+        deltas = accumulate(reversed(turns), initial=0.0)
+        next(deltas)
+    deltas = list(deltas)[::-1]
+    xs = list(accumulate([L * math.cos(d) for L, d in zip(fracs, deltas)],
+                         initial=0.0))
+    ys = list(accumulate([L * math.sin(d) for L, d in zip(fracs, deltas)],
+                         initial=0.0))
+    # the middle vertex onto the y axis, or the middle edge centered on it
+    shift = -xs[-1] if n % 2 == 0 else -(xs[-1] + mid / 2)
+    ytop = max(ys)  # the mirror half has the same heights
+    half = [(x + shift, y - ytop) for x, y in zip(xs, ys)]
+    mirror = reversed(half[:-1] if n % 2 == 0 else half)
+    return tuple(half + [(-x, y) for x, y in mirror])
+
+
 @dataclass
 class GeneratingChain:
-    """Vertex chain u = p0 ... pn = v with derived lengths and turn angles.
-
-    Derived fields: edge_lengths, cum_lengths (s_0..s_n from u), and
-    turn_angles at interior vertices, positive when the chain bends away
-    from the region above it (incoming direction minus outgoing direction).
-    Construction performs no validation; see validate_chain.
+    """Vertex chain u = p0 ... pn = v with its chain_facts as fields
+    edge_lengths, cum_lengths and turn_angles.  Construction performs no
+    validation; see validate_chain.
     """
 
     vertices: tuple
@@ -78,12 +124,7 @@ class GeneratingChain:
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
         self.vertices = verts
-        ends = verts[1:]
-        self.edge_lengths = tuple(map(math.dist, verts, ends))
-        self.cum_lengths = tuple(accumulate(self.edge_lengths, initial=0.0))
-        dirs = [math.atan2(y1 - y0, x1 - x0)
-                for (x0, y0), (x1, y1) in zip(verts, ends)]
-        self.turn_angles = tuple(map(operator.sub, dirs, dirs[1:]))
+        self.edge_lengths, self.cum_lengths, self.turn_angles = chain_facts(verts)
 
     @property
     def u(self):
@@ -122,40 +163,7 @@ class GeneratingChain:
     @staticmethod
     def from_half_params(n: int, fracs, turns) -> "GeneratingChain":
         """Build the symmetric chain for given half-edge fractions and turns."""
-        m = n // 2
-        fracs = [float(f) for f in fracs]
-        turns = [float(t) for t in turns]
-        if n == 1:
-            return GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-        if len(fracs) != m or len(turns) != m:
-            raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
-        if min(fracs) <= 0:
-            raise ValueError("edge fractions must be positive")
-        # deltas[i]: direction of half edge i below the horizontal, the
-        # sum of the turns from vertex i + 1 to the axis
-        if n % 2 == 0:
-            total_half = numerics.ordered_sum(fracs)
-            fracs = [f * 0.5 / total_half for f in fracs]
-            deltas = accumulate(reversed(turns[:-1]), initial=turns[-1] / 2)
-        else:
-            mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
-            if mid <= 0:
-                raise ValueError("half fractions leave no middle edge")
-            deltas = accumulate(reversed(turns), initial=0.0)
-            next(deltas)
-        deltas = list(deltas)[::-1]
-        xs = list(accumulate([L * math.cos(d) for L, d in zip(fracs, deltas)],
-                             initial=0.0))
-        ys = list(accumulate([L * math.sin(d) for L, d in zip(fracs, deltas)],
-                             initial=0.0))
-        if n % 2 == 0:
-            shift = -xs[-1]  # middle vertex onto the y axis
-        else:
-            shift = -(xs[-1] + mid / 2)  # middle edge centered on the axis
-        ytop = max(ys)  # the mirror half has the same heights
-        half = [(x + shift, y - ytop) for x, y in zip(xs, ys)]
-        mirror = reversed(half[:-1] if n % 2 == 0 else half)
-        return GeneratingChain(tuple(half + [(-x, y) for x, y in mirror]))
+        return GeneratingChain(half_chain_vertices(n, fracs, turns))
 
     # -- serialization ------------------------------------------------------
 
@@ -180,23 +188,28 @@ class GeneratingChain:
 
 def validate_chain(chain: GeneratingChain):
     """All admissibility violations (empty list means admissible)."""
+    return chain_diagnostics(chain.vertices, chain.cum_lengths, chain.turn_angles)
+
+
+def chain_diagnostics(verts, cum, turns):
+    """validate_chain's list from a vertex tuple and its chain_facts; a
+    non-finite coordinate makes a non-finite length, which fails."""
     out = []
-    L = chain.total_length
-    if abs(L - 1.0) > LENGTH_TOL:
+    L = cum[-1]
+    if not abs(L - 1.0) <= LENGTH_TOL:
         out.append(ChainDiagnostic("length", abs(L - 1.0),
                                    f"total length {L!r} != 1"))
-    verts = chain.vertices
     worst = _mirror_deviation(verts)
     if worst > SYMMETRY_TOL:
         out.append(ChainDiagnostic("symmetry", worst,
                                    "not mirror-symmetric about the y axis"))
-    for j, theta in enumerate(chain.turn_angles, start=1):
+    for j, theta in enumerate(turns, start=1):
         if theta < -TURN_TOL:
             out.append(ChainDiagnostic(
                 "concavity", -theta,
                 f"negative turn angle {theta!r} at interior vertex {j}"))
-    ux, uy = chain.u
-    vx, vy = chain.v
+    ux, uy = verts[0]
+    vx, vy = verts[-1]
     if not (ux < 0.0 < vx):
         out.append(ChainDiagnostic("endpoints", abs(ux) + abs(vx),
                                    "endpoints must straddle the y axis"))
@@ -303,7 +316,7 @@ class CoverBundle:
 
     The region's boundary holds the chain's segments u -> v, then the right
     run traced v -> w, then the left run traced w -> u.  The left run is
-    the right run's mirror image (_unwrap builds it so), so the two runs
+    the right run's mirror image (_mirror_run builds it so), so the runs
     have the same number of arcs.  Nothing reassigns a field, so the
     cached views below stay valid.
     """
@@ -343,74 +356,73 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(chain: GeneratingChain):
-    """Admissibility checks and both involute runs, as plain numbers.
-
-    Runs validate_chain, then checks the unwrap radii, the Arc radius/sweep
-    guards, a positive final pivot and the apex distance.  Returns (apex,
-    right, left, right ends), where right and left are lists
-    of arc records (cx, cy, r, t0, t1) in boundary order: right traced
-    v -> w, left (its mirror image) traced w -> u.  An arc is recorded
-    only for a turn above 1e-14, so every sweep is positive.  right ends
-    holds (cos t1, sin t1) of each right record, the very floats that
-    placed the string end.
-    """
-    diags = validate_chain(chain)
-    if diags:
-        raise InadmissibleChainError(diags)
-
-    verts = chain.vertices
-    cum = chain.cum_lengths
-    turns = chain.turn_angles
-    n = chain.n_edges
+def _unwrap(verts, cum, turns):
+    """(apex, right run, area) of a chain that passed chain_diagnostics,
+    in one walk that checks the unwrap radii, the Arc guards, a positive
+    final pivot and the apex distance.  right holds arc records (cx, cy, r,
+    t0, t1) traced v -> w, one per turn above 1e-14 (so every sweep is
+    positive); _mirror_run gives the left run.  area, not yet checked
+    positive, sums arc_path_area's terms in boundary order: segments, the
+    right run, then the left run, added in reverse after the walk."""
+    n = len(verts) - 1
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        area += seg_area(x0, y0, x1, y1)
 
     # right involute, traced from v: pivot interior vertices from the v side
     # with the still-wrapped radius 1 - s_k, then swing about u to the apex
-    right, ends = [], []
-    end = (vx, vy)
+    right = []
+    ex, ey = vx, vy
     dist, atan2, cos, sin = math.dist, math.atan2, math.cos, math.sin
     for k, pivot, s_k, theta in zip(range(n - 1, 0, -1), verts[n - 1:0:-1],
                                     cum[n - 1:0:-1], reversed(turns)):
         r = 1.0 - s_k
-        gap = abs(dist(end, pivot) - r)
+        gap = abs(dist((ex, ey), pivot) - r)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
         if theta > 1e-14:
             cx, cy = pivot
-            ang0 = atan2(end[1] - cy, end[0] - cx)
-            ang1 = ang0 + theta
-            check_arc(r, ang0, ang1)
-            right.append((cx, cy, r, ang0, ang1))
-            c1, s1 = cos(ang1), sin(ang1)
-            ends.append((c1, s1))
-            end = (cx + r * c1, cy + r * s1)
-    gap = abs(math.dist(end, (ux, uy)) - 1.0)
+            t0 = atan2(ey - cy, ex - cx)
+            t1 = t0 + theta
+            check_arc(r, t0, t1)
+            right.append((cx, cy, r, t0, t1))
+            c1, s1 = cos(t1), sin(t1)
+            area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
+            ex, ey = cx + r * c1, cy + r * s1
+    gap = abs(dist((ex, ey), (ux, uy)) - 1.0)
     if gap > 1e-9:
         raise InadmissibleChainError([ChainDiagnostic(
             "unwrap", gap, "fully unwrapped string is not unit length")])
-    ang0 = math.atan2(end[1] - uy, end[0] - ux)
-    ang_w = math.atan2(w[1] - uy, w[0] - ux)
-    final_pivot = ang_w - ang0
+    t0 = atan2(ey - uy, ex - ux)
+    t1 = atan2(w[1] - uy, w[0] - ux)
+    final_pivot = t1 - t0
     if final_pivot <= 1e-12:
         raise InadmissibleChainError([ChainDiagnostic(
             "closure", -final_pivot, "final pivot angle not positive")])
-    check_arc(1.0, ang0, ang_w)
-    right.append((ux, uy, 1.0, ang0, ang_w))
-    ends.append((math.cos(ang_w), math.sin(ang_w)))
+    check_arc(1.0, t0, t1)
+    right.append((ux, uy, 1.0, t0, t1))
+    area += arc_term(ux, uy, 1.0, final_pivot, cos(t0), sin(t0), cos(t1), sin(t1))
 
-    for p in (chain.u, chain.v):
-        gap = abs(math.dist(p, w) - 1.0)
+    for p in (verts[0], verts[-1]):
+        gap = abs(dist(p, w) - 1.0)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
-    # the mirror image about the y axis (angle t -> pi - t), traced w -> u
-    left = [(-cx, cy, r, math.pi - t1, math.pi - t0)
+    for cx, cy, r, t0, t1 in reversed(right):
+        a0, a1 = math.pi - t1, math.pi - t0  # as in the _mirror_run record
+        area += arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0), cos(a1), sin(a1))
+    return w, right, area
+
+
+def _mirror_run(right):
+    """The left run: the right run's mirror image about the y axis (angle
+    t -> pi - t), traced w -> u."""
+    return [(-cx, cy, r, math.pi - t1, math.pi - t0)
             for cx, cy, r, t0, t1 in reversed(right)]
-    return w, right, left, ends
 
 
 def _not_simple(detail):
@@ -428,7 +440,7 @@ def certify_cap(chain: GeneratingChain, right, left):
     Each turn is reduced mod 2 pi exactly (math.remainder), so the total
     is a multiple of 2 pi up to rounding: a curve that winds twice reads
     4 pi.  The pocket's convexity and symmetry are validate_chain's, which
-    _unwrap runs first.
+    involute_cover runs first.
     """
     (ux, uy), (vx, vy) = chain.u, chain.v
     # the chord's outward normal; an arc's normal turns from t0 to t1
@@ -457,7 +469,7 @@ def certify_cap(chain: GeneratingChain, right, left):
 def involute_cover(chain: GeneratingChain) -> CoverBundle:
     """Unwrap a unit string from both chain ends and close the region.
 
-    The chain must pass _unwrap's checks (validate_chain first), and the
+    The chain must pass validate_chain, then _unwrap's checks, and the
     boundary must be closed (is_closed, else OpenPathError) and pass
     certify_cap (else InadmissibleChainError, kind "simple").  That makes
     it simple:
@@ -474,12 +486,16 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     - so P lies in H (a path inside P from the chord out of H would cross
       the upper run), and the region is H minus the interior of P.
     """
-    w, right, left, ends = _unwrap(chain)
+    diags = validate_chain(chain)
+    if diags:
+        raise InadmissibleChainError(diags)
+    w, right, area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles)
+    left = _mirror_run(right)
     path = _boundary(chain, right, left)
     check_closed(path)
     certify_cap(chain, right, left)
-    region = Region(boundary=path, area=_area(chain.vertices, right, left, ends))
-    return CoverBundle(chain=chain, region=region, apex=w)
+    return CoverBundle(chain=chain, region=Region(boundary=path, area=check_ccw(area)),
+                       apex=w)
 
 
 def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
@@ -491,30 +507,15 @@ def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
     return ArcPath(pieces)
 
 
-def _area(vertices, right, left, ends) -> float:
-    """Area of the boundary of _unwrap's records, as arc_path_area sums it.
-
-    The Green's-theorem terms are summed in the boundary's order (chain
-    segments, the right run v -> w, then the left run w -> u) with the
-    formulas arc_path_area uses, so the float sum is the same.  The right
-    run's end cosines and sines are _unwrap's own.
-    """
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        total += seg_area(x0, y0, x1, y1)
-    cos, sin = math.cos, math.sin
-    for (cx, cy, r, t0, t1), (c1, s1) in zip(right, ends):
-        total += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
-    for cx, cy, r, t0, t1 in left:
-        total += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), cos(t1), sin(t1))
-    return check_ccw(total)
-
-
-def cover_area(chain: GeneratingChain) -> float:
-    """The area involute_cover(chain) records, bit for bit: the same _unwrap
-    checks and the same _area sum, with no pieces and no cap certificate."""
-    _, right, left, ends = _unwrap(chain)
-    return _area(chain.vertices, right, left, ends)
+def cover_area(verts) -> float:
+    """The area involute_cover(GeneratingChain(verts)) records, bit for bit:
+    the same checks and the same sum from one _unwrap walk, with no chain
+    object, no pieces and no cap certificate."""
+    _, cum, turns = chain_facts(verts)
+    diags = chain_diagnostics(verts, cum, turns)
+    if diags:
+        raise InadmissibleChainError(diags)
+    return check_ccw(_unwrap(verts, cum, turns)[2])
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

@@ -5,10 +5,11 @@ pairs, with the middle edge implied for odd n and mirror symmetry always
 enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
-reason.  A move is scored from the chain alone (`involute.cover_area`, the
-same checks and the same float as an unaudited build, but no pieces); the
-winner is rebuilt with the boundary certificate.  Runs are bit-reproducible
-for a fixed seed.
+reason.  A move is scored from its half chain in one walk: the vertex
+layout, then `involute.cover_area`, which runs the same checks and sums
+the same float as a build while it unwraps, with no chain object and no
+pieces.  Only the winner becomes a GeneratingChain, rebuilt once with the
+boundary certificate.  Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .involute import (
     GeneratingChain,
     InadmissibleChainError,
     cover_area,
+    half_chain_vertices,
     involute_cover,
 )
 
@@ -119,24 +121,21 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
 
 
 def _cover_area(params: ChainParams, rejections: Counter):
-    """(area, chain) of the induced cover, or (None, None) when inadmissible.
-
-    The area is that of an unaudited build; the winning chain is rebuilt
-    with full checks before it leaves local_search.  Rejections are counted
-    into `rejections` by kind (see SearchTrace).
-    """
+    """The area an unaudited build of params.to_chain() records, from the
+    half chain's vertices with no chain object, or None when inadmissible.
+    Rejections are counted into `rejections` by kind (see SearchTrace)."""
     try:
-        chain = params.to_chain()
+        verts = half_chain_vertices(params.edges, params.fracs, params.turns)
     except ValueError:
         rejections["params"] += 1
-        return None, None
+        return None
     try:
-        return cover_area(chain), chain
+        return cover_area(verts)
     except InadmissibleChainError as exc:
         rejections.update({d.kind for d in exc.diagnostics})
     except ValueError:  # GeometryError: clockwise boundary or a bad arc
         rejections["geometry"] += 1
-    return None, None
+    return None
 
 
 def initial_params(n: int) -> ChainParams:
@@ -174,7 +173,7 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
 
     rng = random.Random(cfg.seed)
     params = initial_params(cfg.edges)
-    best_area, best_chain = _cover_area(params, trace.rejections)
+    best_area = _cover_area(params, trace.rejections)
     if best_area is None:
         raise SearchConfigError(
             f"no admissible initial chain with {cfg.edges} edges")
@@ -188,16 +187,16 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
         budget = per_restart + (leftovers if r == 0 else 0)
         for _ in range(budget):
             cand = perturb(best_params, step, rng)
-            area, chain = _cover_area(cand, trace.rejections)
+            area = _cover_area(cand, trace.rejections)
             if area is not None and area < best_area:
-                best_area, best_chain, best_params = area, chain, cand
+                best_area, best_params = area, cand
                 step *= cfg.step_decay
                 trace.accepted += 1
             trace.best_areas.append(best_area)
     trace.step = step
 
     # certified rebuild of the winner (the loop skipped the boundary check)
-    final = involute_cover(best_chain)
+    final = involute_cover(best_params.to_chain())
     trace.best_chain = final.chain
     trace.best_area = final.area
     return trace

@@ -158,6 +158,28 @@ class TestVerifyCommand:
                    "--out", str(report_path))[0] == 0
         assert json.loads(report_path.read_text())["eps"] == 1e-6
 
+    def test_non_finite_chain_exits_1(self, capsys, tmp_path):
+        # json reads NaN; the chain fails its length test and is not verified
+        cover_path = tmp_path / "nan.json"
+        cover_path.write_text(
+            '{"chain": {"vertices": [[-0.5, 0.0], [NaN, 0.1], [0.5, 0.0]]}}')
+        code, out, err = run(capsys, "verify", "--in", str(cover_path),
+                             "--points", "16", "--lengths", "16")
+        assert code == 1
+        assert "passed" not in out
+        assert "length: total length nan != 1" in err
+
+    def test_nan_stored_area_exits_1(self, capsys, tmp_path):
+        cover_path = tmp_path / "cover.json"
+        run(capsys, "construct", "--kind", "two", "--out", str(cover_path))
+        doc = json.loads(cover_path.read_text())
+        doc["area"] = math.nan
+        cover_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--in", str(cover_path),
+                             "--points", "16", "--lengths", "16")
+        assert code == 1
+        assert "stored area nan drifts" in err
+
     @pytest.mark.parametrize("flag, message", [
         ("--points=8", "need at least 16"),
         ("--eps=inf", "eps must be finite and non-negative, got inf"),

@@ -1,6 +1,5 @@
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -582,11 +581,11 @@ def hairpin_chain(seed, edges=20):
 
 
 def unaudited_boundary(chain):
-    """The boundary involute_cover would assemble for `chain`, built with
-    validate_chain switched off and without the cap certificate."""
-    with mock.patch.object(involute, "validate_chain", lambda chain: []):
-        _, right, left, _ = involute._unwrap(chain)
-    return involute._boundary(chain, right, left)
+    """The boundary involute_cover would assemble for `chain`, built
+    without validate_chain and without the cap certificate."""
+    _, right, _ = involute._unwrap(chain.vertices, chain.cum_lengths,
+                                   chain.turn_angles)
+    return involute._boundary(chain, right, involute._mirror_run(right))
 
 
 def crossing_piece_pairs(path, oracle):
@@ -682,3 +681,13 @@ def test_seg_midpoint_property(x0, y0, x1, y1):
     mx, my = seg.point_at(0.5)
     assert abs(mx - 0.5 * (x0 + x1)) <= 1e-12
     assert abs(my - 0.5 * (y0 + y1)) <= 1e-12
+
+
+@pytest.mark.parametrize("area", [0.0, -0.0, -1e-3, math.nan])
+def test_check_ccw_rejects_non_positive_area(area):
+    with pytest.raises(geometry.GeometryError, match="counterclockwise"):
+        geometry.check_ccw(area)
+
+
+def test_check_ccw_passes_positive_area():
+    assert geometry.check_ccw(0.25) == 0.25

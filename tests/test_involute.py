@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,11 @@ from rulecover.involute import (
     certify_cap,
     chain_from_params,
     cover_area,
+    half_chain_vertices,
     involute_cover,
     validate_chain,
 )
-from rulecover.search import initial_params, perturb
+from rulecover.search import _cover_area, initial_params, perturb
 from rulecover.verify import shrink_cover
 
 A_OPT_TWO = math.acos(0.75)
@@ -271,26 +273,38 @@ def _built_area(chain):
     return involute_cover(chain).area
 
 
+def _scored_area(chain):
+    return cover_area(chain.vertices)
+
+
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
 def test_cover_area_matches_reference_builds(name, request):
     chain = request.getfixturevalue(f"{name}_bundle").chain
-    assert cover_area(chain) == _built_area(chain)  # bit for bit
+    assert cover_area(chain.vertices) == _built_area(chain)  # bit for bit
 
 
 @pytest.mark.parametrize("edges", [32, 128, 512])
 def test_cover_area_matches_smooth_builds(edges, smooth_optimum):
     chain = smooth.discretize_smooth(smooth_optimum[1], edges)
-    assert cover_area(chain) == _built_area(chain)
+    assert cover_area(chain.vertices) == _built_area(chain)
 
 
-def perturbed_chains(edges, step, count=30, moves=6):
-    """Chains `moves` seeded perturb moves away from the search's start."""
+def perturbed_params(edges, step, count=30, moves=6):
+    """Half chains `moves` seeded perturb moves away from the search's start."""
     rng = random.Random(1000 * edges + round(100 * step))
-    chains = []
+    out = []
     for _ in range(count):
         params = initial_params(edges)
         for _ in range(moves):
             params = perturb(params, step, rng)
+        out.append(params)
+    return out
+
+
+def perturbed_chains(edges, step, count=30, moves=6):
+    """The chains of perturbed_params that have one."""
+    chains = []
+    for params in perturbed_params(edges, step, count, moves):
         try:
             chains.append(params.to_chain())
         except ValueError:
@@ -298,12 +312,29 @@ def perturbed_chains(edges, step, count=30, moves=6):
     return chains
 
 
+def _half_chain_area(params):
+    """A search move's score: its half chain's vertices, then cover_area."""
+    return cover_area(half_chain_vertices(params.edges, params.fracs,
+                                          params.turns))
+
+
 @pytest.mark.parametrize("step", [0.02, 0.3])
 @pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64])
 def test_cover_area_matches_perturbed_builds(edges, step):
-    for chain in perturbed_chains(edges, step):
-        assert _outcome(cover_area, chain) == _outcome(_built_area, chain), \
-            chain.vertices
+    # the score against a build of the chain object, and the search's
+    # counting wrapper: the same area, or one count per rejection kind
+    for params in perturbed_params(edges, step):
+        outcome = _outcome(_half_chain_area, params)
+        assert outcome == _outcome(lambda p: _built_area(p.to_chain()), params), \
+            params
+        rejections = Counter()
+        assert _cover_area(params, rejections) == outcome[0]
+        if outcome[1] is None:
+            assert not rejections
+        else:
+            cls, kinds = outcome[1]
+            assert rejections == Counter(
+                kinds or {"params" if cls is ValueError else "geometry"})
 
 
 def test_perturbed_chains_reach_rejections():
@@ -311,10 +342,43 @@ def test_perturbed_chains_reach_rejections():
     kinds = set()
     for edges in (16, 17, 64):
         for chain in perturbed_chains(edges, 0.3):
-            _, error = _outcome(cover_area, chain)
+            _, error = _outcome(_scored_area, chain)
             if error is not None:
                 kinds |= error[1]
     assert {"closure", "ordering"} <= kinds
+
+
+NON_FINITE_CHAINS = {
+    "nan-x": ((-0.5, 0.0), (math.nan, 0.1), (0.5, 0.0)),
+    "nan-y": ((-0.5, 0.0), (0.0, math.nan), (0.5, 0.0)),
+    "inf": ((-0.5, 0.0), (math.inf, 0.1), (0.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CHAINS)
+def test_non_finite_chain_is_rejected(name):
+    # nan compares false both ways, so only `not length <= tol` catches it
+    chain = GeneratingChain(NON_FINITE_CHAINS[name])
+    assert "length" in {d.kind for d in validate_chain(chain)}
+    for build in (involute_cover, _scored_area):
+        with pytest.raises(InadmissibleChainError) as err:
+            build(chain)
+        assert "length" in {d.kind for d in err.value.diagnostics}
+
+
+@pytest.mark.parametrize("build", ["involute_cover", "cover_area"])
+def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
+    # the walk's area negated: only check_ccw stands between it and a result
+    unwrap = involute._unwrap
+
+    def negated(*args):
+        w, right, area = unwrap(*args)
+        return w, right, -area
+
+    monkeypatch.setattr(involute, "_unwrap", negated)
+    chain = two_bundle.chain
+    with pytest.raises(geometry.GeometryError, match="counterclockwise"):
+        (involute_cover if build == "involute_cover" else _scored_area)(chain)
 
 
 class TestBuildChecks:
@@ -361,7 +425,7 @@ def test_unwrap_radius_guard_fires_after_validation():
     half = [(-x2, -y2), (x1 - x2, y1 - y2), (0.0, 0.0)]
     chain = GeneratingChain(tuple(half + [(-x, y) for x, y in half[1::-1]]))
     assert validate_chain(chain) == []
-    for build in (involute_cover, cover_area):
+    for build in (involute_cover, _scored_area):
         with pytest.raises(geometry.GeometryError,
                            match=r"negative radius -4\.0\d*e-13"):
             build(chain)
@@ -514,20 +578,18 @@ def test_audited_build_runs_no_crossing_test(monkeypatch, smooth_optimum):
 
     monkeypatch.setattr(geometry, "path_self_intersects", crossing_test)
     chain = smooth.discretize_smooth(smooth_optimum[1], 512)
-    assert involute_cover(chain).area == cover_area(chain)
+    assert involute_cover(chain).area == cover_area(chain.vertices)
 
 
 def test_open_boundary_raises(monkeypatch, two_bundle):
     # the left run moved aside by 1e-6: every angle fact still holds, and
     # only the closure check sees that the pieces no longer stitch
-    unwrap = involute._unwrap
+    mirror = involute._mirror_run
 
-    def shifted(chain):
-        w, right, left, ends = unwrap(chain)
-        left = [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in left]
-        return w, right, left, ends
+    def shifted(right):
+        return [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in mirror(right)]
 
-    monkeypatch.setattr(involute, "_unwrap", shifted)
+    monkeypatch.setattr(involute, "_mirror_run", shifted)
     with pytest.raises(OpenPathError):
         involute_cover(two_bundle.chain)
 
@@ -538,9 +600,11 @@ class TestCertifyCap:
 
     @pytest.fixture
     def records(self, two_bundle):
-        _, right, left, _ = _unwrap(two_bundle.chain)
+        chain = two_bundle.chain
+        _, right, _ = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles)
+        left = involute._mirror_run(right)
         assert len(right) == len(left) == 2  # one joint in each run
-        return two_bundle.chain, right, left
+        return chain, right, left
 
     @staticmethod
     def moved(record, t0=None, t1=None):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -154,13 +155,13 @@ class TestTelemetry:
     def test_half_params_without_a_chain_count_as_params(self):
         trace = SearchTrace()
         bad = ChainParams(edges=3, fracs=(0.5,), turns=(0.1,))  # no middle edge
-        assert _cover_area(bad, trace.rejections) == (None, None)
+        assert _cover_area(bad, trace.rejections) is None
         assert trace.rejections == Counter(params=1)
 
     def test_each_violated_invariant_counts(self):
         rejections = Counter()
         folded = ChainParams(edges=2, fracs=(0.5,), turns=(3.5,))
-        assert _cover_area(folded, rejections) == (None, None)
+        assert _cover_area(folded, rejections) is None
         assert rejections == Counter(endpoints=1, ordering=1)
 
     def test_single_edge_has_no_moves(self):
@@ -218,3 +219,34 @@ def test_full_trace_matches_pin(seed, step):
     assert digest == PINNED_TRACES[seed, step]
     if step == 0.3:
         assert trace.rejections  # the large steps reach the rejection paths
+
+
+# The same whole trace at 2, 5 and 17 edges (the odd middle edge, and the
+# closure rejections of 17 edges at the large step), seed 0, pinned from the
+# tree before a move was scored from its half chain without a chain object.
+SMALL_ODD_PINS = {
+    (2, 0.05): "bcb6210ddc55ff7f", (2, 0.3): "24150e68c4fa97c0",
+    (5, 0.05): "59a25f2a92ffa3a9", (5, 0.3): "153e0ef03b0bc2ce",
+    (17, 0.05): "2bdb44cc0021b05e", (17, 0.3): "21934646cfc28edf",
+}
+
+
+@pytest.mark.parametrize("edges, step", sorted(SMALL_ODD_PINS))
+def test_small_and_odd_traces_match_pin(edges, step):
+    trace = local_search(SearchConfig(
+        edges=edges, iterations=2000 if step == 0.05 else 1000, seed=0,
+        initial_step=step))
+    full = (trace.best_areas, sorted(trace.rejections.items()), trace.accepted,
+            trace.step, trace.best_chain.vertices, trace.best_area)
+    digest = hashlib.sha256(repr(full).encode()).hexdigest()[:16]
+    assert digest == SMALL_ODD_PINS[edges, step]
+
+
+@pytest.mark.parametrize("fracs, turns", [
+    ((math.nan,), (0.3,)), ((0.5,), (math.nan,)), ((math.inf,), (0.3,))])
+def test_non_finite_half_chain_is_rejected(fracs, turns):
+    # its vertices are nan: rejected by the length test, not scored nan
+    rejections = Counter()
+    params = ChainParams(edges=2, fracs=fracs, turns=turns)
+    assert _cover_area(params, rejections) is None
+    assert rejections["length"] == 1
