@@ -80,8 +80,8 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
         return ((-0.5, 0.0), (0.5, 0.0))
     if len(fracs) != m or len(turns) != m:
         raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
-    if min(fracs) <= 0:
-        raise ValueError("edge fractions must be positive")
+    if not all(0.0 < f < math.inf for f in fracs):
+        raise ValueError("edge fractions must be finite and positive")
     # deltas[i]: direction of half edge i below the horizontal, the
     # sum of the turns from vertex i + 1 to the axis
     if n % 2 == 0:
@@ -252,7 +252,11 @@ class Pocket:
     convex set P inside H, and the cover is H minus the interior of P.
     For p and q on the upper run the line pq meets H only in the segment
     pq, which therefore stays in the cover iff the line does not cut the
-    interior of P: a sign test of P's vertices against the line.
+    interior of P: a sign test of P's vertices against the line.  P lies
+    in y <= top, its highest vertex, so a segment with both ends at or
+    above top meets P in boundary points at most: admits() takes it
+    without the sign test (its depth is 0.0 to the bit on every candidate
+    of the reference, smooth and perturbed covers the tests sample).
 
     Holds the chain's vertex coordinates and its edge direction angles.
     The bisection in depth() needs x to increase strictly along the chain
@@ -265,6 +269,7 @@ class Pocket:
         self.xs = tuple(x for x, _ in chain.vertices)
         self.ys = tuple(y for _, y in chain.vertices)
         xs, ys = self.xs, self.ys
+        self.top = max(ys)
         n = len(xs) - 1
         # non-increasing edge angles, negated so that bisect sees them ascending
         self.keys = tuple(-math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
@@ -274,6 +279,11 @@ class Pocket:
         # the largest distance of the chain from the chord
         self.sag = max((abs(cx * (ys[j] - ys[0]) - cy * (xs[j] - xs[0])) / chord
                         for j in range(1, n)), default=0.0)
+
+    def admits(self, p, q, eps) -> bool:
+        """depth(p, q) <= eps, skipping depth() when p and q clear the top."""
+        top = self.top
+        return (p[1] >= top and q[1] >= top) or self.depth(p, q) <= eps
 
     def depth(self, p, q) -> float:
         """How far the line through p and q (p != q) cuts into P.

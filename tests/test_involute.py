@@ -237,6 +237,15 @@ class TestHalfParams:
         with pytest.raises(ValueError):
             GeneratingChain.from_half_params(3, (0.5,), (0.1,))  # no middle left
 
+    @pytest.mark.parametrize("edges", [4, 5])
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_fraction_must_be_finite_and_positive(self, bad, position, edges):
+        fracs = [0.2, 0.2]
+        fracs[position] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            half_chain_vertices(edges, fracs, (0.1, 0.1))
+
 
 @given(turn=st.floats(0.05, 1.2))
 @settings(max_examples=60, deadline=None)

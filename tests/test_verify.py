@@ -260,6 +260,20 @@ class TestPocket:
             checked += 1
         assert checked > 32 * 32
 
+    @pytest.mark.parametrize("name", POCKET_COVERS)
+    def test_admits_matches_depth(self, name, pocket_covers):
+        bundle = pocket_covers[name]
+        pocket = bundle.pocket
+        high = 0
+        for p, q in _candidate_segments(bundle, 32):
+            depth = pocket.depth(p, q)
+            for eps in (0.0, DEFAULT_EPS):
+                assert pocket.admits(p, q, eps) == (depth <= eps), (p, q, eps)
+            if p[1] >= pocket.top and q[1] >= pocket.top:
+                assert depth == 0.0, (p, q)
+                high += 1
+        assert high > 0
+
     def test_built_lazily(self, smooth_optimum):
         _, co, _ = smooth_optimum
         bundle = involute_cover(smooth.discretize_smooth(co, 16))
@@ -303,6 +317,28 @@ class TestPocket:
         assert segment_inside(smooth48_bundle.region, p, q, DEFAULT_EPS)
         assert any(pocket.depth(p, c) <= DEFAULT_EPS
                    for c in cands if math.dist(p, c) > SAME_POINT)
+
+
+def _depth_loop_failures(bundle, n, eps):
+    """verify_reachability's failures at n x n, from pocket.depth(p, q) <= eps
+    on one-length circle queries."""
+    pocket = bundle.pocket
+    failures = []
+    for p, side in _upper_samples(bundle, n):
+        for i in range(1, n + 1):
+            if not any(pocket.depth(p, q) <= eps
+                       for q, _ in _candidates(bundle, p, side, i / n)
+                       if math.dist(p, q) > SAME_POINT):
+                failures.append((p, i / n))
+    return failures
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("name", POCKET_COVERS)
+def test_failures_match_depth_loop(name, eps, pocket_covers):
+    bundle = pocket_covers[name]
+    report = verify_reachability(bundle, 32, 32, eps)
+    assert report.failures == _depth_loop_failures(bundle, 32, eps)
 
 
 def _oracle_bundle(oracle, bundle):
