@@ -20,7 +20,6 @@ from .geometry import (
     Seg,
     arc_path_area,
     region_diameter,
-    segment_inside,
 )
 from .involute import (
     CoverBundle,

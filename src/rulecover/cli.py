@@ -123,11 +123,14 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.infile) as fh:
         doc = json.load(fh)
-    if "chain" not in doc:
+    if not isinstance(doc, dict) or "chain" not in doc:
         raise ValueError("cover JSON lacks a chain block; cannot rebuild")
     chain = GeneratingChain.from_json(doc["chain"])
     bundle = involute_cover(chain)
     stored = doc.get("area")
+    if stored is not None and (isinstance(stored, bool)
+                               or not isinstance(stored, (int, float))):
+        raise ValueError(f"stored area {stored!r} is not a number")
     if stored is not None and not abs(stored - bundle.area) <= 1e-12:
         raise ValueError(
             f"stored area {stored!r} drifts from recomputed {bundle.area!r}")

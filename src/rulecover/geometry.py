@@ -2,14 +2,12 @@
 
 Boundaries are ordered paths of two piece kinds: straight segments and
 circular arcs.  Points are plain ``(x, y)`` float tuples.  Areas come from
-the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); containment is
-a winding number: the crossings of the chord polygon through the pieces'
-start points with one axis-parallel ray, plus one in-cap test per arc, with
-no tolerance and no degenerate ray; intersections with circles are
-quadratic solves, never boundary scans, one pass for many radii.
+the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); intersections
+with circles are quadratic solves, never boundary scans, one pass for many
+radii.  There is no general point-in-region test: a cover is a convex cap
+minus a convex pocket, and verify decides containment from that shape.
 
-Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9,
-default boundary classification eps 1e-9.
+Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9.
 """
 
 from __future__ import annotations
@@ -17,14 +15,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter, le
 
 from .numerics import ordered_sum
 
 STITCH_TOL = 1e-9
 DEDUP_TOL = 1e-9
-BOUNDARY_EPS = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
@@ -307,8 +303,8 @@ def path_self_intersects(path: ArcPath) -> bool:
     piece_chords = [[] for _ in path.pieces]
     for c in path.polygonize():
         piece_chords[c[4]].append(c)
-    for a, (gx, gy, grad, rows, _) in enumerate(table):
-        for (hx, hy, hrad, other_rows, _) in table[a:]:
+    for a, (gx, gy, grad, rows) in enumerate(table):
+        for (hx, hy, hrad, other_rows) in table[a:]:
             if hypot(gx - hx, gy - hy) > grad + hrad:
                 continue
             for (icx, icy, irad, i, _) in rows:
@@ -349,17 +345,11 @@ class Region:
 # --------------------------------------------------------------------------
 # compiled piece tables for the hot paths
 #
-# The table is a list of blocks (gx, gy, grad, rows, ring): up to
-# BLOCK_SIZE consecutive rows (bcx, bcy, brad, idx, piece) in path order,
-# where idx is the piece's index on the path and
+# The table is a list of blocks (gx, gy, grad, rows): up to BLOCK_SIZE
+# consecutive rows (bcx, bcy, brad, idx, piece) in path order, where idx is
+# the piece's index on the path and
 #   seg pieces: (0, x0, y0, x1, y1, ex, ey, elen)
 #   arc pieces: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
-# and ring = (x0, y0, x1, y1, ..., xm, ym) holds the start points of the
-# block's m pieces and then that of the next piece (piece 0 after the
-# last), so row k's chord runs from ring point k to ring point k + 1 and
-# the block's chord from its first ring point to its last.  The ring holds
-# the very float objects of the piece tuples' start points, so chords
-# meeting at a vertex agree on it exactly.
 # Every point a scan may count on a piece lies in the row's circle
 # (bcx, bcy, brad), and every row circle padded by BOUND_PAD lies in its
 # block's circle (gx, gy, grad), so the scans skip a block or a row whose
@@ -368,26 +358,25 @@ class Region:
 # An arc of |sweep| <= pi gets the circle on its chord as diameter (its
 # farthest points from the chord midpoint are its endpoints), a longer arc
 # its own circle; both padded by BOUND_PAD, which covers the 1e-9
-# arc-length endpoint slack the scans accept plus rounding.  The query's
-# own tolerance (eps, DEDUP_TOL) is added by each scan.
+# arc-length endpoint slack the scans accept plus rounding.  The circle
+# scan adds its own tolerance, DEDUP_TOL.
 #
-# The table is the module's one spatial index: the four scans below and the
+# The table is the module's one spatial index: the two scans below and the
 # simplicity audit path_self_intersects above use it.  A piece's
 # polygonize() chords lie in its row circle too, since the circle is convex
-# and holds the piece; its ring chord and the block's chord lie in the block
-# circle, up to the stitch gap, which BOUND_PAD covers.
+# and holds the piece.
 
 BLOCK_SIZE = 16
 BOUND_PAD = 1e-8
 
 
-def _row(idx, p, start):
+def _row(idx, p):
     if isinstance(p, Seg):
         ex, ey = p.x1 - p.x0, p.y1 - p.y0
         elen = math.hypot(ex, ey)
         return (0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1), 0.5 * elen, idx,
                 (0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen))
-    sx, sy = start
+    sx, sy = p.start
     endx, endy = p.end
     if abs(p.sweep) <= math.pi:
         bcx, bcy = 0.5 * (sx + endx), 0.5 * (sy + endy)
@@ -398,22 +387,20 @@ def _row(idx, p, start):
             (1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep, sx, sy, endx, endy))
 
 
-def _block(rows, ring_points):
+def _block(rows):
     # centre of the box around the padded row circles; not the smallest circle
     pads = [(x, y, r + BOUND_PAD) for (x, y, r, _, _) in rows]
     gx = 0.5 * (min(x - r for x, _, r in pads) + max(x + r for x, _, r in pads))
     gy = 0.5 * (min(y - r for _, y, r in pads) + max(y + r for _, y, r in pads))
     grad = max(math.hypot(x - gx, y - gy) + r for x, y, r in pads)
-    return (gx, gy, grad, tuple(rows), tuple(chain.from_iterable(ring_points)))
+    return (gx, gy, grad, tuple(rows))
 
 
 def _compiled(path: ArcPath):
     table = path._compiled
     if table is None:
-        starts = [p.start for p in path.pieces]
-        rows = [_row(idx, p, starts[idx]) for idx, p in enumerate(path.pieces)]
-        starts += starts[:1]
-        table = [_block(rows[k:k + BLOCK_SIZE], starts[k:k + BLOCK_SIZE + 1])
+        rows = [_row(idx, p) for idx, p in enumerate(path.pieces)]
+        table = [_block(rows[k:k + BLOCK_SIZE])
                  for k in range(0, len(rows), BLOCK_SIZE)]
         path._compiled = table
     return table
@@ -450,7 +437,7 @@ def _arc_fraction(t0, sweep, phi, slack):
 def boundary_distance(path: ArcPath, point) -> float:
     px, py = point
     best = math.inf
-    for (gx, gy, grad, rows, _) in _compiled(path):
+    for (gx, gy, grad, rows) in _compiled(path):
         if math.hypot(px - gx, py - gy) - grad >= best:
             continue
         for (bcx, bcy, brad, _, piece) in rows:
@@ -481,160 +468,6 @@ def boundary_distance(path: ArcPath, point) -> float:
 
 
 # --------------------------------------------------------------------------
-# winding / containment
-
-def _crossing(ax, ay, bx, by, px, py) -> int:
-    """Signed crossing of the chord a->b with the ray from p along +x.
-
-    Half-open in y and strict left/right: p counts as shifted by
-    (+eps, +eps^2), so a ray through a vertex shared by two chords counts
-    it once.
-    """
-    if ay <= py < by:
-        return 1 if _orient(ax, ay, bx, by, px, py) > 0 else 0
-    if by <= py < ay:
-        return -1 if _orient(ax, ay, bx, by, px, py) < 0 else 0
-    return 0
-
-
-def _winding_number(path: ArcPath, point) -> int:
-    """Winding number of the path about point: chord polygon plus arc caps.
-
-    The polygon through the pieces' start points counts its crossings with
-    the +x ray.  Each arc adds sign(sweep) when p lies in its cap: inside
-    its open disk and on the arc's side of its chord (right of a->b when
-    counterclockwise), a p on the chord line shifted as in _crossing so
-    that the two agree.  A block whose circle misses the ray adds nothing;
-    one whose circle does not hold p adds its own chord only, its pieces
-    lying in a convex set without p.  There is no tolerance: only a point
-    on the boundary may get either answer, or one within about 2g/|sweep|
-    of an arc's end that misses the next piece's start by g.
-    """
-    px, py = point
-    total = 0
-    for (gx, gy, grad, rows, ring) in _compiled(path):
-        rx, ry = gx - px, gy - py
-        if abs(ry) > grad or rx < -grad:
-            continue
-        if rx * rx + ry * ry >= grad * grad:
-            total += _crossing(ring[0], ring[1], ring[-2], ring[-1], px, py)
-            continue
-        for (_, _, _, _, piece), ax, ay, bx, by in zip(
-                rows, ring[::2], ring[1::2], ring[2::2], ring[3::2]):
-            total += _crossing(ax, ay, bx, by, px, py)
-            if piece[0] == 0:
-                continue
-            (_, cx, cy, r, _, _, sweep, _, _, _, _) = piece
-            fx, fy = px - cx, py - cy
-            if fx * fx + fy * fy >= r * r or sweep == 0:
-                continue
-            sign = 1 if sweep > 0 else -1
-            side = _orient(ax, ay, bx, by, px, py)
-            if side == 0:
-                side = ay - by if ay != by else bx - ax
-            if side == 0:  # a == b: a full turn caps its whole disk
-                side = -sign if abs(sweep) > math.pi else 0
-            if side * sign < 0:
-                total += sign
-    return total
-
-
-# --------------------------------------------------------------------------
-# segment containment
-
-def _probe_outside(region: Region, point, eps: float) -> bool:
-    """Outside test ordered for speed: winding first, eps dilation second."""
-    if _winding_number(region.boundary, point) != 0:
-        return False
-    return boundary_distance(region.boundary, point) > eps
-
-
-def segment_inside(region: Region, p, q, eps: float = BOUNDARY_EPS) -> bool:
-    """True iff the segment pq stays inside the region dilated by eps.
-
-    Exact boundary crossings split pq into gaps of constant status; each
-    gap midpoint (plus the midpoint of the whole segment) is classified
-    by winding number.  Endpoints may sit on the boundary, and stretches
-    running along a collinear boundary segment count as contained.
-    """
-    px, py = p
-    qx, qy = q
-    seg_len = math.hypot(qx - px, qy - py)
-    if seg_len <= max(eps, 1e-15):
-        return not _probe_outside(region, p, eps)
-    dx, dy = (qx - px) / seg_len, (qy - py) / seg_len
-
-    cuts = [0.0, seg_len]
-    overlaps = []
-    sqrt, atan2 = math.sqrt, math.atan2
-    for (gx, gy, grad, rows, _) in _compiled(region.boundary):
-        rx, ry = gx - px, gy - py
-        if abs(dx * ry - dy * rx) > grad + eps:
-            continue  # block entirely off the segment's line corridor
-        proj = rx * dx + ry * dy
-        if proj < -grad - eps or proj > seg_len + grad + eps:
-            continue
-        for (bcx, bcy, brad, _, piece) in rows:
-            rx, ry = bcx - px, bcy - py
-            if abs(dx * ry - dy * rx) > brad + eps:
-                continue  # piece entirely off the segment's line corridor
-            proj = rx * dx + ry * dy
-            if proj < -brad - eps or proj > seg_len + brad + eps:
-                continue
-            if piece[0] == 0:
-                (_, x0, y0, x1, y1, ex, ey, elen) = piece
-                denom = dx * ey - dy * ex
-                wx, wy = x0 - px, y0 - py
-                if abs(denom) <= 1e-12 * (elen if elen > 1e-12 else 1e-12):
-                    # parallel: collinear within eps -> boundary overlap stretch
-                    if abs(wx * dy - wy * dx) <= eps:
-                        ta = wx * dx + wy * dy
-                        tb = (x1 - px) * dx + (y1 - py) * dy
-                        lo, hi = (ta, tb) if ta < tb else (tb, ta)
-                        lo, hi = max(lo, 0.0), min(hi, seg_len)
-                        if hi > lo:
-                            overlaps.append((lo, hi))
-                    continue
-                u = (wx * ey - wy * ex) / denom
-                s = (wx * dy - wy * dx) / denom
-                end_slack = 1e-9 / (elen if elen > 1e-9 else 1e-9)
-                if -end_slack <= s <= 1 + end_slack and eps < u < seg_len - eps:
-                    cuts.append(u)
-            else:
-                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
-                fx, fy = px - cx, py - cy
-                if abs(dx * fy - dy * fx) > r + eps:
-                    continue
-                b = dx * fx + dy * fy
-                disc = b * b - (fx * fx + fy * fy - r * r)
-                if disc <= 0:
-                    continue  # miss or tangent touch: no status change
-                root = sqrt(disc)
-                slack = 1e-9 / (r if r > 1e-9 else 1e-9)
-                for u in (-b - root, -b + root):
-                    if not (eps < u < seg_len - eps):
-                        continue
-                    phi = atan2(py + u * dy - cy, px + u * dx - cx)
-                    if _arc_fraction(t0, sweep, phi, slack) is not None:
-                        cuts.append(u)
-    cuts.sort()
-
-    probes = []
-    for i in range(len(cuts) - 1):
-        if cuts[i + 1] - cuts[i] > 1e-12:
-            probes.append(0.5 * (cuts[i] + cuts[i + 1]))
-    if len(cuts) > 2:  # with no crossing the one gap's midpoint is this one
-        probes.append(0.5 * seg_len)
-
-    for t in probes:
-        if any(lo - eps <= t <= hi + eps for lo, hi in overlaps):
-            continue  # running along the boundary counts as contained
-        if _probe_outside(region, (px + t * dx, py + t * dy), eps):
-            return False
-    return True
-
-
-# --------------------------------------------------------------------------
 # circle intersections
 
 def circle_path_intersections(center, r, path: ArcPath):
@@ -661,7 +494,7 @@ def circle_path_hits(center, radii, path: ArcPath):
     raws = [[] for _ in radii]
     hypot, sqrt, atan2, cos, sin = (math.hypot, math.sqrt, math.atan2,
                                     math.cos, math.sin)
-    for (gx, gy, grad, rows, _) in _compiled(path):
+    for (gx, gy, grad, rows) in _compiled(path):
         # prune blocks, then pieces, whose bounding circle misses every annulus
         dbc = hypot(qx - gx, qy - gy)
         if dbc - grad > radii[-1] + DEDUP_TOL or dbc + grad < radii[0] - DEDUP_TOL:

@@ -177,13 +177,41 @@ class GeneratingChain:
 
     @staticmethod
     def from_json(d: dict) -> "GeneratingChain":
+        """The chain of a to_json document, from its vertices or else its
+        half chain; a malformed field raises ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"chain must be a JSON object, got {d!r}")
         if "vertices" in d:
-            return GeneratingChain(tuple((p[0], p[1]) for p in d["vertices"]))
-        half = d["halfchain"]
-        fracs = [h["len"] for h in half]
-        turns = [h["turn"] for h in half]
+            verts = _json_list(d["vertices"], "vertices")
+            return GeneratingChain(tuple(_json_numbers(p, f"vertices[{k}]")
+                                         for k, p in enumerate(verts)))
+        half = _json_list(d.get("halfchain"), "halfchain")
+        pairs = []
+        for k, h in enumerate(half):
+            if not (isinstance(h, dict) and "len" in h and "turn" in h):
+                raise ValueError(f"chain field halfchain[{k}] needs len and "
+                                 f"turn, got {h!r}")
+            pairs.append(_json_numbers([h["len"], h["turn"]], f"halfchain[{k}]"))
         n = d.get("edges", 2 * len(half))
-        return GeneratingChain.from_half_params(n, fracs, turns)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"chain field edges must be an integer, got {n!r}")
+        return GeneratingChain.from_half_params(
+            n, [f for f, _ in pairs], [t for _, t in pairs])
+
+
+def _json_list(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"chain field {name} must be a list, got {value!r}")
+    return value
+
+
+def _json_numbers(value, name: str) -> tuple:
+    """A JSON pair of numbers as floats, else ValueError naming the field."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in value)):
+        raise ValueError(f"chain field {name} must be two numbers, got {value!r}")
+    return (float(value[0]), float(value[1]))
 
 
 def validate_chain(chain: GeneratingChain):

@@ -15,6 +15,7 @@ boundary certificate.  Runs are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -50,8 +51,8 @@ class SearchConfig:
             raise SearchConfigError("edges must be >= 1")
         if self.iterations < 1:
             raise SearchConfigError("iterations must be >= 1")
-        if not self.initial_step > 0:
-            raise SearchConfigError("initial step must be positive")
+        if not 0 < self.initial_step < math.inf:
+            raise SearchConfigError("initial step must be finite and positive")
         if not 0 < self.step_decay <= 1:
             raise SearchConfigError("step decay must be in (0, 1]")
         if self.restarts < 1:
@@ -96,8 +97,8 @@ class SearchTrace:
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:
     """Move one coordinate by uniform(+-step); renormalize and clamp."""
-    if step < 0:
-        raise ValueError("step must be nonnegative")
+    if not 0 <= step < math.inf:
+        raise ValueError(f"step must be finite and nonnegative, got {step!r}")
     fracs = list(params.fracs)
     turns = list(params.turns)
     k = rng.randrange(len(fracs) + len(turns))

@@ -180,6 +180,28 @@ class TestVerifyCommand:
         assert code == 1
         assert "stored area nan drifts" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("area", "0.5", "stored area '0.5' is not a number"),
+        ("chain", {"vertices": [[0.0], [1.0, 2.0]]},
+         "chain field vertices[0] must be two numbers"),
+        ("chain", {"edges": 4, "halfchain": [{"len": 0.25, "turn": 0.3},
+                                             {"len": 0.25}]},
+         "chain field halfchain[1] needs len and turn"),
+    ], ids=["string-area", "short-vertex", "no-turn"])
+    def test_malformed_cover_exits_1(self, capsys, tmp_path, field, value,
+                                     message):
+        # a malformed field is a domain error, not a traceback
+        cover_path = tmp_path / "cover.json"
+        run(capsys, "construct", "--kind", "two", "--out", str(cover_path))
+        doc = json.loads(cover_path.read_text())
+        doc[field] = value
+        cover_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--in", str(cover_path),
+                             "--points", "16", "--lengths", "16")
+        assert code == 1
+        assert "passed" not in out
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("flag, message", [
         ("--points=8", "need at least 16"),
         ("--eps=inf", "eps must be finite and non-negative, got inf"),
@@ -253,6 +275,15 @@ class TestSearchCommand:
         assert all(b <= a for a, b in zip(values, values[1:]))
         chain = GeneratingChain.from_json(json.loads(chain_path.read_text()))
         assert abs(chain.total_length - 1.0) <= 1e-12
+
+    def test_infinite_step_exits_1(self, capsys):
+        # every move of an infinite step is rejected, so the search would
+        # report its start area as the best
+        code, out, err = run(capsys, "search", "--edges", "6",
+                             "--iterations", "50", "--step", "inf")
+        assert code == 1
+        assert "best area" not in out
+        assert err.startswith("error: ") and "finite and positive" in err
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulecover import geometry, involute, smooth
-from rulecover.constructions import CONSTRUCTIONS
 from rulecover.geometry import (
     Arc,
     ArcPath,
     BLOCK_SIZE,
-    BOUNDARY_EPS,
     OpenPathError,
     Region,
     Seg,
@@ -25,7 +23,6 @@ from rulecover.geometry import (
     piece_from_json,
     region_diameter,
     scale_piece,
-    segment_inside,
 )
 from rulecover.involute import (
     GeneratingChain,
@@ -98,139 +95,6 @@ class TestArea:
         for path in (r2_path(), unit_circle_path()):
             dense = path.polygonize(max_arc_step=2 * math.pi / 300000)
             assert abs(arc_path_area(path) - shoelace(dense)) <= 1e-7
-
-
-def assert_inside(region, point):
-    """Winding number 1, and farther than BOUNDARY_EPS from the boundary."""
-    assert geometry._winding_number(region.boundary, point) == 1, point
-    assert boundary_distance(region.boundary, point) > BOUNDARY_EPS, point
-
-
-def assert_outside(region, point):
-    assert geometry._probe_outside(region, point, BOUNDARY_EPS), point
-
-
-def assert_on_boundary(region, point):
-    assert boundary_distance(region.boundary, point) <= BOUNDARY_EPS, point
-    assert not geometry._probe_outside(region, point, BOUNDARY_EPS), point
-
-
-class TestContainment:
-    def test_triangle_core_points_inside(self):
-        region = Region.from_path(r2_path())
-        assert_inside(region, (0.0, 0.3))
-        assert_inside(region, (0.25, 0.3))
-
-    def test_far_point_outside(self):
-        assert_outside(Region.from_path(r2_path()), (0.5, 2.0))
-
-    def test_point_beyond_right_arc_outside(self):
-        # (0.5, 0.3) is farther than 1 from the left corner, hence outside
-        region = Region.from_path(r2_path())
-        assert math.dist((0.5, 0.3), (-0.5, 0.0)) > 1.0
-        assert_outside(region, (0.5, 0.3))
-
-    def test_apex_is_boundary(self):
-        assert_on_boundary(Region.from_path(r2_path()), W)
-
-    def test_corners_are_boundary(self):
-        region = Region.from_path(r2_path())
-        assert_on_boundary(region, (-0.5, 0.0))
-        assert_on_boundary(region, (0.5, 1e-12))
-
-    @pytest.mark.parametrize("kind", ["one", "two", "three", "four"])
-    def test_arc_chord_points_inside(self, kind):
-        # on the chord line of an arc the crossing count and the cap test
-        # must break the tie the same way
-        region = CONSTRUCTIONS[kind].build()[1].region
-        arcs = [p for p in region.boundary if isinstance(p, Arc)]
-        assert arcs
-        for arc in arcs:
-            (ax, ay), (bx, by) = arc.start, arc.end
-            for s in (0.25, 0.5, 0.75):
-                pt = (ax + s * (bx - ax), ay + s * (by - ay))
-                assert_inside(region, pt)
-
-    @pytest.mark.parametrize("point", [(-1.0, 0.0), (-1.0, 1.0)])
-    def test_ray_along_square_edge(self, point):
-        # the ray runs along the bottom or top edge, through two corners
-        assert geometry._winding_number(square_path(), point) == 0
-        assert_outside(Region.from_path(square_path()), point)
-
-    @pytest.mark.parametrize("point, winding", [
-        ((0.0, 0.0), 1), ((-0.5, 0.0), 1), ((0.5, 0.0), 1),
-        ((-2.0, 0.0), 0), ((2.0, 0.0), 0), ((-2.0, 1.0), 0), ((-2.0, -1.0), 0)])
-    def test_ray_through_diamond_corner(self, point, winding):
-        diamond = ArcPath([Seg(1, 0, 0, 1), Seg(0, 1, -1, 0),
-                           Seg(-1, 0, 0, -1), Seg(0, -1, 1, 0)])
-        assert geometry._winding_number(diamond, point) == winding
-
-    def test_full_circle_arc(self):
-        region = Region.from_path(ArcPath([Arc(0.0, 0.0, 1.0, 0.0, TWO_PI)]))
-        assert_inside(region, (0.3, 0.0))
-        assert_inside(region, (0.0, -0.7))
-        assert_outside(region, (1.5, 0.0))
-        clockwise = ArcPath([Arc(0.0, 0.0, 1.0, TWO_PI, 0.0)])
-        assert geometry._winding_number(clockwise, (0.3, 0.0)) == -1
-        assert geometry._winding_number(clockwise, (-1.5, 0.0)) == 0
-
-    def test_monte_carlo_area_consistency(self):
-        region = Region.from_path(r2_path())
-        rng = random.Random(20240817)
-        n, hits = 1_000_000, 0
-        for _ in range(n):
-            x = rng.uniform(-1.0, 1.0)
-            y = rng.uniform(0.0, 1.0)
-            if not geometry._probe_outside(region, (x, y), 0.0):
-                hits += 1
-        estimate = hits / n * 2.0
-        assert abs(estimate - region.area) / region.area < 0.01
-
-
-class TestSegmentInside:
-    def test_base_edge(self):
-        region = Region.from_path(r2_path())
-        assert segment_inside(region, (-0.5, 0.0), (0.5, 0.0))
-
-    def test_corner_to_apex(self):
-        region = Region.from_path(r2_path())
-        assert segment_inside(region, W, (-0.5, 0.0))
-
-    def test_interior_chord(self):
-        region = Region.from_path(r2_path())
-        assert segment_inside(region, (-0.3, 0.2), (0.3, 0.4))
-
-    def test_escaping_segment(self):
-        region = Region.from_path(r2_path())
-        assert not segment_inside(region, (0.0, 0.3), (0.0, 2.0))
-
-    def test_uncrossed_chord_probed_once(self, monkeypatch):
-        # pq crosses nothing, so its one gap midpoint is the only probe
-        region = Region.from_path(r2_path())
-        calls = []
-        winding = geometry._winding_number
-
-        def counted(path, point):
-            calls.append(point)
-            return winding(path, point)
-
-        monkeypatch.setattr(geometry, "_winding_number", counted)
-        assert segment_inside(region, (-0.3, 0.2), (0.3, 0.4))
-        assert len(calls) == 1
-
-    def test_chord_blocked_by_notch(self, two_bundle):
-        # the two-edge cut bulges up between its endpoints, so the straight
-        # chord between them leaves the region
-        u = two_bundle.chain.u
-        v = two_bundle.chain.v
-        assert not segment_inside(two_bundle.region, u, v)
-
-    def test_chord_through_notch_vertex(self, two_bundle):
-        # passing exactly through the reflex chain vertex stays contained
-        m = two_bundle.chain.vertices[1]
-        p = (m[0] - 0.2, m[1] + 0.3)
-        q = (m[0] + 0.2, m[1] + 0.3)
-        assert segment_inside(two_bundle.region, p, q)
 
 
 class TestCircleIntersections:
@@ -408,8 +272,7 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
         return (rng.uniform(min(xs) - 0.1, max(xs) + 0.1),
                 rng.uniform(min(ys) - 0.1, max(ys) + 0.1))
 
-    # verifier-shaped queries: circles about upper-arc samples, and the
-    # segments to every point they hit
+    # verifier-shaped queries: circles about upper-arc samples
     starts = upper.sample(24) + upper.vertices()
     for p in rng.sample(starts, 24):
         # one pass per sample, as verify_reachability asks: 1.0, a repeat,
@@ -424,103 +287,22 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
                     == [oracle.circle_path_intersections(p, r, o_boundary)
                         for r in radii])
         for length in [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.5, 1.0]:
-            hits = circle_path_intersections(p, length, upper)
-            assert hits == oracle.circle_path_intersections(p, length, o_upper)
+            assert (circle_path_intersections(p, length, upper)
+                    == oracle.circle_path_intersections(p, length, o_upper))
             assert (circle_path_intersections(p, length, region.boundary)
                     == oracle.circle_path_intersections(p, length, o_boundary))
-            for (_, _, q) in hits:
-                assert (segment_inside(region, p, q)
-                        == oracle.segment_inside(o_region, p, q)), (p, q)
-
-    # random segments, between random points and boundary points
-    boundary_points = region.boundary.sample(48) + region.boundary.vertices()
-    for _ in range(60):
-        p = random_point()
-        q = rng.choice(boundary_points) if rng.random() < 0.5 else random_point()
-        assert segment_inside(region, p, q) == oracle.segment_inside(o_region, p, q)
 
     # points: random, on the boundary, and just off it
+    boundary_points = region.boundary.sample(48) + region.boundary.vertices()
     points = [random_point() for _ in range(100)] + boundary_points
     for (x, y) in boundary_points:
         points.append((x + rng.uniform(-1e-8, 1e-8), y + rng.uniform(-1e-8, 1e-8)))
     for pt in points:
-        assert (geometry._probe_outside(region, pt, BOUNDARY_EPS)
-                == oracle._probe_outside(o_region, pt, BOUNDARY_EPS)), pt
         assert (boundary_distance(region.boundary, pt)
                 == oracle.boundary_distance(o_boundary, pt))
 
     assert (path_self_intersects(region.boundary)
             == oracle.path_self_intersects(o_boundary))
-
-
-def winding_probe_points(boundary, rng):
-    """Points that stress the winding number's ties and its block shortcut.
-
-    Seeded random points, boundary samples and points just off them; points
-    on the +x ray through every vertex (y equal to the vertex's, from
-    either side); the quarter and mid points of every arc's chord; points
-    within 1e-7 of every vertex.
-    """
-    xs, ys = zip(*boundary.sample(64))
-    x_lo, x_hi = min(xs) - 0.1, max(xs) + 0.1
-    points = [(rng.uniform(x_lo, x_hi), rng.uniform(min(ys) - 0.1, max(ys) + 0.1))
-              for _ in range(100)]
-    samples = boundary.sample(48)
-    points += samples
-    points += [(x + rng.uniform(-1e-8, 1e-8), y + rng.uniform(-1e-8, 1e-8))
-               for (x, y) in samples]
-    vertices = boundary.vertices()
-    for (vx, vy) in vertices:
-        points += [(x, vy) for x in (x_lo, vx - 0.3, vx - 1e-3, vx + 1e-3,
-                                     rng.uniform(x_lo, x_hi))]
-        points += [(vx + rng.uniform(-1e-7, 1e-7), vy + rng.uniform(-1e-7, 1e-7))
-                   for _ in range(4)]
-    for arc in boundary:
-        if isinstance(arc, Arc):
-            (ax, ay), (bx, by) = arc.start, arc.end
-            points += [(ax + s * (bx - ax), ay + s * (by - ay))
-                       for s in (0.25, 0.5, 0.75)]
-    return points
-
-
-@pytest.fixture(scope="module")
-def winding_paths(differential_covers, oracle):
-    """name -> (boundary, the same boundary rebuilt in the oracle)."""
-    return {name: (bundle.region.boundary, oracle.ArcPath.from_json(
-                bundle.region.boundary.to_json()))
-            for name, bundle in differential_covers.items()}
-
-
-@pytest.mark.parametrize("name", DIFFERENTIAL_COVERS)
-def test_winding_number_matches_oracle(name, winding_paths, oracle):
-    # off the boundary band the chord-and-cap count equals the ray fan's
-    boundary, o_boundary = winding_paths[name]
-    checked = 0
-    for pt in winding_probe_points(boundary, random.Random(name)):
-        if boundary_distance(boundary, pt) <= 1e-9:
-            continue
-        assert (geometry._winding_number(boundary, pt)
-                == oracle._winding_number(o_boundary, pt)), pt
-        checked += 1
-    assert checked >= 150
-
-
-@given(name=st.sampled_from(DIFFERENTIAL_COVERS), u=st.floats(0, 1),
-       v=st.floats(0, 1), vertex=st.integers(0, 10 ** 6),
-       family=st.sampled_from(["box", "vertex-ray", "near-vertex"]))
-@settings(max_examples=500, deadline=None)
-def test_winding_number_property(winding_paths, oracle, name, u, v, vertex,
-                                 family):
-    boundary, o_boundary = winding_paths[name]
-    xs, ys = zip(*boundary.sample(64))
-    x = min(xs) - 0.1 + u * (max(xs) - min(xs) + 0.2)
-    y = min(ys) - 0.1 + v * (max(ys) - min(ys) + 0.2)
-    vx, vy = boundary.vertices()[vertex % len(boundary)]
-    pt = {"box": (x, y), "vertex-ray": (x, vy),
-          "near-vertex": (vx + 2e-7 * (u - 0.5), vy + 2e-7 * (v - 0.5))}[family]
-    if boundary_distance(boundary, pt) > 1e-9:
-        assert (geometry._winding_number(boundary, pt)
-                == oracle._winding_number(o_boundary, pt))
 
 
 # Self-intersecting paths for the audit, each crossing between pieces that

@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(SearchConfigError):
             SearchConfig(edges=2, iterations=10, seed=1, initial_step=0.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf, -0.1])
+    def test_initial_step_must_be_finite_and_positive(self, step):
+        # an infinite step makes every move a NaN chain, so a search would
+        # reject them all and report its start as the best area
+        with pytest.raises(SearchConfigError, match="finite and positive"):
+            SearchConfig(edges=2, iterations=10, seed=1, initial_step=step)
+
 
 class TestPerturb:
     def test_zero_step_is_identity(self):
@@ -58,6 +65,13 @@ class TestPerturb:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             perturb(initial_params(2), -1.0, random.Random(0))
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, step):
+        # nan passed a plain sign test and zeroed a turn; inf gave NaN
+        # fractions
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            perturb(initial_params(4), step, random.Random(0))
 
     def test_mass_perturbation_admissibility(self):
         # moderate single moves from a feasible start never break the chain

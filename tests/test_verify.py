@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rulecover import smooth
-from rulecover.geometry import region_diameter, segment_inside
+from rulecover.geometry import Arc, _arc_fraction, region_diameter
 from rulecover.involute import (
     CHORD_TOL,
     InadmissibleChainError,
@@ -22,6 +22,7 @@ from rulecover.verify import (
     check_fold,
     fold_rule,
     random_rule,
+    segment_inside,
     shrink_cover,
     verify_reachability,
 )
@@ -186,10 +187,26 @@ class TestFold:
         with pytest.raises(AssertionError):
             check_fold(r2_bundle, rule, bad)
 
+    def test_check_fold_rejects_off_arc_joint(self, r2_bundle):
+        # the second joint sits on the base chord, not on the upper arcs,
+        # although the segment lies in the region
+        fold = Fold(joints=((-0.5, 0.0), (0.0, 0.0)))
+        with pytest.raises(AssertionError, match="segment 0 leaves the cover"):
+            check_fold(r2_bundle, Rule((0.5,)), fold)
+
+    def test_check_fold_rejects_chord_through_pocket(self, two_bundle):
+        # u -> v has the right length and both joints on the upper arcs,
+        # but it runs along the chord, under the chain
+        u, v = two_bundle.chain.u, two_bundle.chain.v
+        with pytest.raises(AssertionError, match="segment 0 leaves the cover"):
+            check_fold(two_bundle, Rule((math.dist(u, v),)), Fold(joints=(u, v)))
+
 
 # The pocket test (involute.Pocket.depth) decides containment in verify and
-# fold; geometry.segment_inside, which check_fold still uses, and the frozen
-# oracle's verifier are its references.
+# fold; verify.segment_inside, which check_fold uses, scans every chain
+# vertex with the same arithmetic (_scanned_depth below).  The frozen
+# oracle's general region test (geometry.segment_inside there) and its
+# verifier are references for both.
 
 
 def _scanned_depth(pocket, p, q):
@@ -246,17 +263,25 @@ def pocket_covers(r2_bundle, two_bundle, three_bundle, four_bundle,
     return covers
 
 
+def _oracle_region(oracle, bundle):
+    """`bundle`'s region rebuilt in the frozen library from its JSON pieces."""
+    return oracle.geometry.Region.from_json(bundle.region.to_json(), check=False)
+
+
 class TestPocket:
     @pytest.mark.parametrize("name", POCKET_COVERS)
-    def test_depth_matches_scan_and_segment_inside(self, name, pocket_covers):
+    def test_depth_matches_scan_and_segment_inside(self, name, pocket_covers,
+                                                   oracle_package):
         bundle = pocket_covers[name]
         pocket = bundle.pocket
+        region = _oracle_region(oracle_package, bundle)
         checked = 0
         for p, q in _candidate_segments(bundle, 32):
             depth = pocket.depth(p, q)
             assert depth == _scanned_depth(pocket, p, q), (p, q)
             if depth <= DEFAULT_EPS:
-                assert segment_inside(bundle.region, p, q, DEFAULT_EPS), (p, q)
+                assert oracle_package.geometry.segment_inside(
+                    region, p, q, DEFAULT_EPS), (p, q)
             checked += 1
         assert checked > 32 * 32
 
@@ -281,32 +306,36 @@ class TestPocket:
         assert bundle.pocket is bundle.pocket
 
     @pytest.mark.parametrize("name", ["two", "three", "four", "smooth48"])
-    def test_chord_whisker_rejected(self, name, pocket_covers):
+    def test_chord_whisker_rejected(self, name, pocket_covers, oracle_package):
         # u -> v runs along the chord, below the chain and outside the
         # region, although no vertex lies across the line
         bundle = pocket_covers[name]
         pocket, upper = bundle.pocket, bundle.upper_path
+        region = _oracle_region(oracle_package, bundle)
         assert pocket.sag > DEFAULT_EPS
         for p, q in ((bundle.chain.u, bundle.chain.v),
                      (upper.pieces[-1].end, upper.pieces[0].start)):
             for a, b in ((p, q), (q, p)):
                 assert pocket.depth(a, b) > DEFAULT_EPS
-                assert not segment_inside(bundle.region, a, b)
+                assert not segment_inside(bundle, a, b)
+                assert not oracle_package.geometry.segment_inside(region, a, b)
 
-    def test_r2_base_accepted(self, r2_bundle):
+    def test_r2_base_accepted(self, r2_bundle, oracle_package):
         # the one-edge chain is its own chord: the base is boundary
         u, v = r2_bundle.chain.u, r2_bundle.chain.v
         assert r2_bundle.pocket.sag == 0.0
         assert r2_bundle.pocket.depth(u, v) <= DEFAULT_EPS
         assert r2_bundle.pocket.depth(v, u) <= DEFAULT_EPS
-        assert segment_inside(r2_bundle.region, u, v)
+        assert segment_inside(r2_bundle, u, v)
+        assert oracle_package.geometry.segment_inside(
+            _oracle_region(oracle_package, r2_bundle), u, v)
 
     @pytest.mark.parametrize("mirror", [1.0, -1.0])
-    def test_tangency_witness(self, smooth48_bundle, mirror):
+    def test_tangency_witness(self, smooth48_bundle, mirror, oracle_package):
         # p sits at u (or v), l = 1: this witness passes a chain vertex on
-        # the wrong side by 2e-9 > eps, which segment_inside misses because
-        # it classifies each gap at its midpoint only.  Another candidate
-        # is admissible, so the point does not fail.
+        # the wrong side by 2e-9 > eps, which the oracle's general region
+        # test misses because it classifies a few probe points per gap.
+        # Another candidate is admissible, so the point does not fail.
         p = (mirror * -0.44405796684014687, -0.18893365563233025)
         q = (mirror * 0.11748462471898674, 0.6385141782913872)
         side = dict(_upper_samples(smooth48_bundle, 256))[p]
@@ -314,9 +343,85 @@ class TestPocket:
         assert q in cands
         pocket = smooth48_bundle.pocket
         assert DEFAULT_EPS < pocket.depth(p, q) < 2.5e-9
-        assert segment_inside(smooth48_bundle.region, p, q, DEFAULT_EPS)
+        assert not segment_inside(smooth48_bundle, p, q)
+        assert oracle_package.geometry.segment_inside(
+            _oracle_region(oracle_package, smooth48_bundle), p, q, DEFAULT_EPS)
         assert any(pocket.depth(p, c) <= DEFAULT_EPS
                    for c in cands if math.dist(p, c) > SAME_POINT)
+
+
+def _upper_points_at_height(bundle, y):
+    """The points of the upper arcs at height y, left to right."""
+    points = []
+    for arc in bundle.upper_path:
+        assert isinstance(arc, Arc)
+        if abs(y - arc.cy) > arc.r:
+            continue
+        t = math.asin((y - arc.cy) / arc.r)
+        for phi in (t, math.pi - t):
+            frac = _arc_fraction(arc.t0, arc.sweep, phi, 0.0)
+            if frac is not None:
+                points.append(arc.point_at(frac))
+    return sorted(points)
+
+
+class TestSegmentInside:
+    @pytest.mark.parametrize("name", POCKET_COVERS)
+    def test_matches_depth(self, name, pocket_covers):
+        # every candidate verify tries lies on the upper arcs, so the
+        # check is the pocket's depth test, read from all chain vertices
+        bundle = pocket_covers[name]
+        pocket = bundle.pocket
+        for p, q in _candidate_segments(bundle, 32):
+            depth = pocket.depth(p, q)
+            for eps in (0.0, DEFAULT_EPS):
+                assert segment_inside(bundle, p, q, eps) == (depth <= eps), \
+                    (p, q, eps)
+
+    def test_base_edge(self, r2_bundle):
+        assert segment_inside(r2_bundle, (-0.5, 0.0), (0.5, 0.0))
+
+    def test_corner_to_apex(self, r2_bundle):
+        assert segment_inside(r2_bundle, W, (-0.5, 0.0))
+        assert segment_inside(r2_bundle, W, W)
+
+    @pytest.mark.parametrize("p, q", [((0.0, 0.3), (0.0, 2.0)),
+                                      ((0.0, 0.3), W), (W, (0.0, 2.0)),
+                                      ((-0.3, 0.2), (0.3, 0.4))],
+                             ids=["escaping", "inner-to-apex", "apex-outward",
+                                  "interior-chord"])
+    def test_off_arc_points_rejected(self, r2_bundle, p, q):
+        # (0, 0.3) and (0.3, 0.4) lie inside, (0, 2) outside: neither is
+        # on the upper arcs, where every joint of a fold sits
+        assert not segment_inside(r2_bundle, p, q)
+        assert not segment_inside(r2_bundle, q, p)
+
+    def test_joint_within_1e9_of_the_arcs(self, r2_bundle):
+        # the apex lifted off the arcs by 5e-10 still counts as on them,
+        # lifted by 2e-9 it does not
+        for lift, inside in ((5e-10, True), (2e-9, False)):
+            apex = (W[0], W[1] + lift)
+            assert segment_inside(r2_bundle, apex, (-0.5, 0.0)) is inside
+            assert segment_inside(r2_bundle, (0.5, 0.0), apex) is inside
+
+    def test_chord_blocked_by_notch(self, two_bundle):
+        # the two-edge cut bulges up between its endpoints, so the straight
+        # chord between them leaves the region
+        u, v = two_bundle.chain.u, two_bundle.chain.v
+        assert not segment_inside(two_bundle, u, v)
+        assert not segment_inside(two_bundle, v, u)
+
+    def test_chord_through_notch_vertex(self, two_bundle):
+        # passing exactly through the top chain vertex stays contained, and
+        # a parallel chord 1e-3 lower cuts into the pocket by 1e-3
+        m = two_bundle.chain.vertices[1]
+        assert m[1] == two_bundle.pocket.top
+        p, q = _upper_points_at_height(two_bundle, m[1])
+        assert p[0] < m[0] < q[0]
+        assert segment_inside(two_bundle, p, q, eps=0.0)
+        low_p, low_q = _upper_points_at_height(two_bundle, m[1] - 1e-3)
+        assert not segment_inside(two_bundle, low_p, low_q)
+        assert segment_inside(two_bundle, low_p, low_q, eps=1.1e-3)
 
 
 def _depth_loop_failures(bundle, n, eps):
@@ -343,7 +448,7 @@ def test_failures_match_depth_loop(name, eps, pocket_covers):
 
 def _oracle_bundle(oracle, bundle):
     """`bundle` rebuilt in the frozen library from its JSON pieces."""
-    region = oracle.geometry.Region.from_json(bundle.region.to_json(), check=False)
+    region = _oracle_region(oracle, bundle)
     n, k = bundle.chain.n_edges, bundle.n_right_upper
     pieces = region.boundary.pieces
     return oracle.involute.CoverBundle(
