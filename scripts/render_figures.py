@@ -28,9 +28,8 @@ def main(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, bundle in bundles():
-        doc = bundle.region.to_json()
         out = outdir / f"{name}.svg"
-        svg.render_svg(doc, out, size=args.size)
+        svg.render_svg(bundle.region, out, size=args.size)
         print(f"{out}  area={bundle.area:.12f}")
 
 

@@ -120,13 +120,18 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    with open(args.infile) as fh:
+def _read_cover(path):
+    """The cover of a `construct` document, rebuilt from its chain block;
+    ValueError unless its pieces and area (if stored) match the rebuild."""
+    with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "chain" not in doc:
         raise ValueError("cover JSON lacks a chain block; cannot rebuild")
-    chain = GeneratingChain.from_json(doc["chain"])
-    bundle = involute_cover(chain)
+    bundle = involute_cover(GeneratingChain.from_json(doc["chain"]))
+    pieces, n = doc.get("pieces"), len(bundle.region.boundary)
+    if not isinstance(pieces, list) or len(pieces) != n:
+        raise ValueError(f"cover JSON pieces must list the {n} pieces of "
+                         f"the rebuilt boundary, got {pieces!r:.60}")
     stored = doc.get("area")
     if stored is not None and (isinstance(stored, bool)
                                or not isinstance(stored, (int, float))):
@@ -134,6 +139,11 @@ def cmd_verify(args) -> int:
     if stored is not None and not abs(stored - bundle.area) <= 1e-12:
         raise ValueError(
             f"stored area {stored!r} drifts from recomputed {bundle.area!r}")
+    return bundle
+
+
+def cmd_verify(args) -> int:
+    bundle = _read_cover(args.infile)
     report = verify.verify_reachability(
         bundle, n_points=args.points, n_lengths=args.lengths, eps=args.eps)
     print(f"points   = {report.points}")
@@ -147,9 +157,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.infile) as fh:
-        doc = json.load(fh)
-    svg.render_svg(doc, args.out, size=args.size, stroke=args.stroke)
+    svg.render_svg(_read_cover(args.infile).region, args.out, size=args.size,
+                   stroke=args.stroke)
     print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import involute, numerics
-from .geometry import Arc, ArcPath, Region, Seg
+from .geometry import Region
 
 FEASIBLE_MARGIN = 1e-4
 ANGLE_BOX_HI = 1.2
@@ -55,13 +55,9 @@ class FourEdgeParams:
 
 
 def r2_cover() -> Region:
-    """Convex baseline: equilateral uvw fattened by two unit 60-degree arcs."""
-    u, v = (-0.5, 0.0), (0.5, 0.0)
-    w = (0.0, math.sqrt(3.0) / 2.0)
-    base = Seg(u[0], u[1], v[0], v[1])
-    arc_vw = Arc(u[0], u[1], 1.0, 0.0, math.pi / 3)          # v up to w
-    arc_wu = Arc(v[0], v[1], 1.0, 2 * math.pi / 3, math.pi)  # w down to u
-    return Region.from_path(ArcPath([base, arc_vw, arc_wu]))
+    """Convex baseline: equilateral uvw fattened by two unit 60-degree arcs,
+    the involute cover of the one-edge chain uv."""
+    return CONSTRUCTIONS["one"].build()[1].region
 
 
 R2_AREA = math.pi / 3 - math.sqrt(3.0) / 4.0

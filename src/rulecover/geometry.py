@@ -32,10 +32,6 @@ class OpenPathError(GeometryError):
     pass
 
 
-class SelfIntersectingPathError(GeometryError):
-    pass
-
-
 @dataclass(frozen=True)
 class Seg:
     """Directed straight piece from (x0, y0) to (x1, y1)."""
@@ -121,15 +117,6 @@ def check_arc(r, t0, t1):
         raise GeometryError("arc sweep exceeds full turn")
 
 
-def piece_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "seg":
-        return Seg(d["x0"], d["y0"], d["x1"], d["y1"])
-    if kind == "arc":
-        return Arc(d["cx"], d["cy"], d["r"], d["a0"], d["a1"])
-    raise GeometryError(f"unknown piece kind {kind!r}")
-
-
 class ArcPath:
     """Ordered run of Seg/Arc pieces; consecutive endpoints must stitch."""
 
@@ -200,10 +187,6 @@ class ArcPath:
     def to_json(self) -> dict:
         return {"pieces": [p.to_json() for p in self.pieces]}
 
-    @staticmethod
-    def from_json(d: dict) -> "ArcPath":
-        return ArcPath([piece_from_json(p) for p in d["pieces"]])
-
 
 # --------------------------------------------------------------------------
 # area
@@ -235,11 +218,9 @@ def check_closed(path: ArcPath):
 
 
 def arc_path_area(path: ArcPath) -> float:
-    """Signed area of a closed simple path; counterclockwise is positive."""
+    """Signed area of a closed path; counterclockwise is positive.  Unchecked
+    for simplicity: certify_cap certifies every cover, and scaling keeps it."""
     check_closed(path)
-    if path_self_intersects(path):
-        raise SelfIntersectingPathError(
-            "path self-intersects at polygonization resolution")
     total = 0.0
     for p in path.pieces:
         if isinstance(p, Seg):
@@ -288,37 +269,23 @@ def _share_endpoint(c1, c2, tol: float) -> bool:
 
 
 def path_self_intersects(path: ArcPath) -> bool:
-    """Chord crossing test at polygonization resolution, on the piece table.
+    """Chord crossing test at polygonization resolution, by sort and sweep.
 
-    Only the chords of pieces i < j whose row circles, each padded by
-    BOUND_PAD, overlap are compared; block pairs, then rows against the
-    other block, are pruned first by the same circle test.  A proper
-    crossing lies strictly inside both pieces' row circles, hence inside
-    both block circles, so no crossing is missed.  One piece's chords never
-    properly cross each other: a segment is a single chord, and an arc's
-    chords form a convex inscribed polyline.
+    The chords are taken in order of their least x, each compared with the
+    earlier chords of other pieces whose x range reaches it: two chords
+    that properly cross share a point, so their x ranges overlap.  One
+    piece's chords never properly cross each other: a segment is a single
+    chord, and an arc's chords form a convex inscribed polyline.
     """
-    hypot = math.hypot
-    table = _compiled(path)
-    piece_chords = [[] for _ in path.pieces]
-    for c in path.polygonize():
-        piece_chords[c[4]].append(c)
-    for a, (gx, gy, grad, rows) in enumerate(table):
-        for (hx, hy, hrad, other_rows) in table[a:]:
-            if hypot(gx - hx, gy - hy) > grad + hrad:
-                continue
-            for (icx, icy, irad, i, _) in rows:
-                if hypot(icx - hx, icy - hy) > irad + BOUND_PAD + hrad:
-                    continue
-                for (jcx, jcy, jrad, j, _) in other_rows:
-                    if j <= i or (hypot(icx - jcx, icy - jcy)
-                                  > irad + jrad + 2 * BOUND_PAD):
-                        continue
-                    for c1 in piece_chords[i]:
-                        for c2 in piece_chords[j]:
-                            if (not _share_endpoint(c1, c2, 1e-8)
-                                    and _chords_cross(c1, c2)):
-                                return True
+    active = []
+    for c in sorted(path.polygonize(), key=lambda c: min(c[0], c[2])):
+        lo = min(c[0], c[2])
+        active = [a for a in active if max(a[0], a[2]) >= lo]
+        for a in active:
+            if (a[4] != c[4] and not _share_endpoint(a, c, 1e-8)
+                    and _chords_cross(a, c)):
+                return True
+        active.append(c)
     return False
 
 
@@ -361,10 +328,8 @@ class Region:
 # arc-length endpoint slack the scans accept plus rounding.  The circle
 # scan adds its own tolerance, DEDUP_TOL.
 #
-# The table is the module's one spatial index: the two scans below and the
-# simplicity audit path_self_intersects above use it.  A piece's
-# polygonize() chords lie in its row circle too, since the circle is convex
-# and holds the piece.
+# The table is the module's one spatial index; only the two scans below,
+# boundary_distance and circle_path_hits, use it.
 
 BLOCK_SIZE = 16
 BOUND_PAD = 1e-8

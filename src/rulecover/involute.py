@@ -73,11 +73,11 @@ def chain_facts(vertices):
 def half_chain_vertices(n: int, fracs, turns) -> tuple:
     """Vertices of the symmetric n-edge chain with the given half-edge
     fractions and turns (see GeneratingChain.half_params)."""
+    if n < 1:
+        raise ValueError(f"a chain needs at least 1 edge, got {n}")
     m = n // 2
     fracs = [float(f) for f in fracs]
     turns = [float(t) for t in turns]
-    if n == 1:
-        return ((-0.5, 0.0), (0.5, 0.0))
     if len(fracs) != m or len(turns) != m:
         raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
     if not all(0.0 < f < math.inf for f in fracs):

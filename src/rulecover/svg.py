@@ -1,4 +1,4 @@
-"""SVG rendering of cover regions.
+"""SVG rendering of cover regions, from the `Region` the library built.
 
 Arcs are emitted as native elliptical-arc path commands at their exact
 radii (no polyline approximation).  Math coordinates are y-up; SVG is
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Arc, ArcPath, Seg
+from .geometry import ArcPath, Region, Seg
 
 
 def _bbox(path: ArcPath):
@@ -60,19 +60,16 @@ class _Mapper:
                 self.margin + (self.y1 - y) * self.scale)
 
 
-def render_svg(cover: dict, out_path=None, size: int = 640,
+def render_svg(region: Region, out_path=None, size: int = 640,
                stroke: float = 2.0) -> str:
-    """Render a cover JSON document to an SVG string (and optional file)."""
-    path = ArcPath.from_json(cover)
-    if not path.pieces:
-        raise ValueError("cover has no boundary pieces")
+    """Render a region to an SVG string (and optional file), with its area."""
+    path = region.boundary
     bbox = _bbox(path)
     margin = size * 0.05
     mapper = _Mapper(bbox, size, margin)
     height = margin * 2 + (bbox[3] - bbox[1]) * mapper.scale
     d = path_d(path, mapper)
-    area = cover.get("area")
-    label = f"area = {area:.12f}" if isinstance(area, float) else ""
+    label = f"area = {region.area:.12f}"
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{height:.0f}" viewBox="0 0 {size} {height:.0f}">\n'

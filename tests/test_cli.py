@@ -187,7 +187,10 @@ class TestVerifyCommand:
         ("chain", {"edges": 4, "halfchain": [{"len": 0.25, "turn": 0.3},
                                              {"len": 0.25}]},
          "chain field halfchain[1] needs len and turn"),
-    ], ids=["string-area", "short-vertex", "no-turn"])
+        ("chain", {"halfchain": []}, "at least 1 edge, got 0"),
+        ("chain", {"edges": 0, "halfchain": []}, "at least 1 edge, got 0"),
+    ], ids=["string-area", "short-vertex", "no-turn", "empty-halfchain",
+            "zero-edges"])
     def test_malformed_cover_exits_1(self, capsys, tmp_path, field, value,
                                      message):
         # a malformed field is a domain error, not a traceback
@@ -251,6 +254,28 @@ class TestRender:
         assert code == 0
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {"pieces": doc["pieces"]}, "lacks a chain block"),
+        (lambda doc: {"pieces": [{"kind": "seg", "x0": 0}]},
+         "lacks a chain block"),
+        (lambda doc: {"chain": doc["chain"], "area": doc["area"]},
+         "must list the 3 pieces of the rebuilt boundary, got None"),
+        (lambda doc: {**doc, "area": doc["area"] + 1e-9},
+         "drifts from recomputed"),
+    ], ids=["no-chain", "malformed-piece", "no-pieces", "area-drift"])
+    def test_bad_cover_exits_1(self, capsys, tmp_path, edit, message):
+        # the cover is rebuilt from its chain; a document that is not a
+        # whole, consistent cover is a domain error, not a traceback
+        cover = tmp_path / "r2.json"
+        svg = tmp_path / "r2.svg"
+        run(capsys, "construct", "--kind", "r2", "--out", str(cover))
+        cover.write_text(json.dumps(edit(json.loads(cover.read_text()))))
+        code, out, err = run(capsys, "render", "--in", str(cover),
+                             "--out", str(svg))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not svg.exists() and "wrote" not in out
 
 
 def _boundary_path_d(svg_path):

@@ -36,6 +36,12 @@ class TestR2:
         assert abs(region.area - (math.pi / 3 - math.sqrt(3) / 4)) <= 1e-12
         assert abs(arc_path_area(region.boundary) - R2_AREA) <= 1e-12
 
+    def test_is_the_one_edge_cover(self):
+        # bit for bit: the same pieces and the same area
+        region = CONSTRUCTIONS["one"].build()[1].region
+        assert r2_cover().to_json() == region.to_json()
+        assert r2_cover().area == region.area
+
     def test_equilateral_frame(self):
         region = r2_cover()
         verts = region.boundary.vertices()

@@ -13,14 +13,12 @@ from rulecover.geometry import (
     OpenPathError,
     Region,
     Seg,
-    SelfIntersectingPathError,
     TWO_PI,
     arc_path_area,
     boundary_distance,
     circle_path_hits,
     circle_path_intersections,
     path_self_intersects,
-    piece_from_json,
     region_diameter,
     scale_piece,
 )
@@ -54,6 +52,11 @@ def square_path():
                     Seg(1, 1, 0, 1), Seg(0, 1, 0, 0)])
 
 
+def bowtie_path():
+    return ArcPath([Seg(0, 0, 1, 1), Seg(1, 1, 1, 0),
+                    Seg(1, 0, 0, 1), Seg(0, 1, 0, 0)])
+
+
 def circle_points(center, r, path):
     return [pt for (_, _, pt) in circle_path_intersections(center, r, path)]
 
@@ -78,11 +81,7 @@ class TestArea:
             arc_path_area(path)
 
     def test_self_intersecting_rejected(self):
-        bowtie = ArcPath([Seg(0, 0, 1, 1), Seg(1, 1, 1, 0),
-                          Seg(1, 0, 0, 1), Seg(0, 1, 0, 0)])
-        assert path_self_intersects(bowtie)
-        with pytest.raises(SelfIntersectingPathError):
-            arc_path_area(bowtie)
+        assert path_self_intersects(bowtie_path())
 
     def test_clockwise_region_rejected(self):
         cw = ArcPath([Seg(0, 0, 0, 1), Seg(0, 1, 1, 1),
@@ -186,17 +185,6 @@ class TestDiameter:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             region_diameter(Region.from_path(r2_path()), 8)
-
-
-class TestJson:
-    def test_round_trip(self):
-        doc = r2_path().to_json()
-        back = ArcPath.from_json(doc)
-        assert [p.to_json() for p in back.pieces] == doc["pieces"]
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            piece_from_json({"kind": "spline"})
 
 
 class TestTransforms:
@@ -394,6 +382,28 @@ def test_self_intersection_matches_oracle(name, oracle):
     assert any(i // BLOCK_SIZE != j // BLOCK_SIZE for i, j in pairs), pairs
     assert path_self_intersects(path)
     assert oracle.path_self_intersects(oracle.ArcPath.from_json(path.to_json()))
+
+
+def cross_path():
+    """A vertical chord (an x range of zero width) across a horizontal one."""
+    return ArcPath([Seg(0, 0, 2, 0), Seg(2, 0, 1, -1), Seg(1, -1, 1, 1)])
+
+
+def touching_path():
+    """Two triangles whose chords meet only at shared endpoints, (1, 1)."""
+    pts = [(0, 0), (1, 1), (2, 0), (2, 2), (1, 1), (0, 2), (0, 0)]
+    return ArcPath([Seg(*pts[k], *pts[k + 1]) for k in range(len(pts) - 1)])
+
+
+@pytest.mark.parametrize("make, crosses", [
+    (cross_path, True), (touching_path, False), (bowtie_path, True)],
+    ids=["vertical-across-horizontal", "shared-endpoints", "bowtie"])
+def test_sweep_matches_pair_loop(make, crosses, oracle):
+    # the sweep compares only chords whose x ranges overlap; the brute
+    # force pair loop compares them all
+    path = make()
+    assert bool(crossing_piece_pairs(path, oracle)) == crosses
+    assert path_self_intersects(path) == crosses
 
 
 @given(cx=st.floats(-2, 2), cy=st.floats(-2, 2), r=st.floats(0.1, 3),

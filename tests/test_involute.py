@@ -236,6 +236,11 @@ class TestHalfParams:
             GeneratingChain.from_half_params(4, (0.1,), (0.2, 0.3))
         with pytest.raises(ValueError):
             GeneratingChain.from_half_params(3, (0.5,), (0.1,))  # no middle left
+        for n in (0, -2):  # no edge to index
+            with pytest.raises(ValueError, match="at least 1 edge"):
+                half_chain_vertices(n, [], [])
+        with pytest.raises(ValueError, match="need 0 fractions"):
+            half_chain_vertices(1, (0.2,), (0.1,))  # one edge has no half
 
     @pytest.mark.parametrize("edges", [4, 5])
     @pytest.mark.parametrize("position", [0, 1])
