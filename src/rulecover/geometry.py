@@ -391,9 +391,11 @@ def _arc_fraction(t0, sweep, phi, slack):
             return None
         if rel < sweep:
             rel = rel + TWO_PI if rel <= slack - TWO_PI else sweep
-    if abs(sweep) <= 1e-15:
+    if -1e-15 <= sweep <= 1e-15:
         return 0.0
-    return min(max(rel / sweep, 0.0), 1.0)
+    s = rel / sweep
+    # min(max(s, 0.0), 1.0) as conditionals: the same float, -0.0 and nan too
+    return 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +449,8 @@ def circle_path_hits(center, radii, path: ArcPath):
     A block or row is kept for r unless its circle lies beyond r + DEDUP_TOL
     or short of r - DEDUP_TOL; both bounds ascend with r, so bisecting them
     finds exactly the radii to solve it for.  What depends on the centre
-    alone is hoisted, expressions unchanged: every hit is the same float.
+    alone, or on the centre and one piece (an arc's unit direction from the
+    centre), is hoisted, expressions unchanged: every hit is the same float.
     """
     end = len(radii)
     if not end or end > 1 and not all(map(le, radii, radii[1:])):
@@ -505,29 +508,33 @@ def circle_path_hits(center, radii, path: ArcPath):
             (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = piece
             dxc, dyc = cx - qx, cy - qy
             d = hypot(dxc, dyc)
-            dd, ar2 = d * d, ar * ar
+            dd, ar2, d2 = d * d, ar * ar, 2 * d
+            dlo, dhi = d - ar, d + ar
+            if d > 1e-15:
+                ux, uy = dxc / d, dyc / d
             slack = 1e-9 / (ar if ar > 1e-9 else 1e-9)
             for k in range(lo, hi):
                 r = radii[k]
-                if d - ar > r + DEDUP_TOL or d + ar < r - DEDUP_TOL:
+                if dlo > r + DEDUP_TOL or dhi < r - DEDUP_TOL:
                     continue
-                if d <= DEDUP_TOL and abs(r - ar) <= DEDUP_TOL:
-                    # coincident circles: arc endpoints stand in for the continuum
-                    raws[k].append((idx, 0.0, (sx, sy)))
-                    raws[k].append((idx, 1.0, (endx, endy)))
-                    continue
-                if d <= 1e-15:
-                    continue
-                x = (dd + r * r - ar2) / (2 * d)
-                h2 = r * r - x * x
+                if d <= DEDUP_TOL:
+                    if abs(r - ar) <= DEDUP_TOL:
+                        # coincident circles: arc endpoints stand in for the continuum
+                        raws[k].append((idx, 0.0, (sx, sy)))
+                        raws[k].append((idx, 1.0, (endx, endy)))
+                        continue
+                    if d <= 1e-15:
+                        continue
+                rr = r * r
+                x = (dd + rr - ar2) / d2
+                h2 = rr - x * x
                 if h2 < -1e-15:
                     continue
                 h = sqrt(h2) if h2 > 0 else 0.0
-                ux, uy = dxc / d, dyc / d
                 bx, by = qx + x * ux, qy + x * uy
-                cands = ((bx - h * uy, by + h * ux),)
-                if h > 1e-12:
-                    cands = ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux))
+                hux, huy = h * ux, h * uy
+                cands = (((bx - huy, by + hux), (bx + huy, by - hux)) if h > 1e-12
+                         else ((bx - huy, by + hux),))
                 for (hx, hy) in cands:
                     phi = atan2(hy - cy, hx - cx)
                     s = _arc_fraction(t0, sweep, phi, slack)
@@ -535,7 +542,15 @@ def circle_path_hits(center, radii, path: ArcPath):
                         continue
                     raws[k].append((idx, s, (cx + ar * cos(phi), cy + ar * sin(phi))))
     for raw in raws:
-        if len(raw) > 1:
+        if len(raw) == 2:
+            # the sort and dedup below for two hits: one comparison, one dist
+            a, b = raw
+            if b[0] < a[0] or b[0] == a[0] and b[1] < a[1]:
+                raw.reverse()
+                a, b = b, a
+            if not math.dist(b[2], a[2]) > DEDUP_TOL:
+                raw.pop()
+        elif len(raw) > 2:
             raw.sort(key=itemgetter(0, 1))  # (piece index, param)
             out = raw[:1]
             for item in raw[1:]:
@@ -591,11 +606,21 @@ def _antipodal_pairs(points):
 
 
 def region_diameter(region: Region, n: int = 4096) -> float:
-    """Max pairwise distance over ~n boundary samples plus path vertices."""
+    """Max pairwise distance over ~n boundary samples plus path vertices.
+
+    Only the arcs' samples go to the hull, with every vertex.  A segment's
+    interior samples lie between its ends, which are vertices, so they are
+    not hull vertices and the hull is that of all the samples.  On a cover
+    the segments are the chain, which lies below the chord uv (or on it,
+    exactly, when flat), so rounding cannot lift a sample onto the hull;
+    leaving them out saves about 30% of the points.
+    """
     if n < 64:
         raise ValueError("need at least 64 samples")
-    pts = region.boundary.sample(n)
-    pts.extend(region.boundary.vertices())
+    path = region.boundary
+    is_arc = [isinstance(p, Arc) for p in path.pieces]
+    pts = [q for idx, q in path.indexed_samples(n) if is_arc[idx]]
+    pts.extend(path.vertices())
     best = 0.0
     for a, b in _antipodal_pairs(pts):
         d = math.dist(a, b)

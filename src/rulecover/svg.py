@@ -62,7 +62,15 @@ class _Mapper:
 
 def render_svg(region: Region, out_path=None, size: int = 640,
                stroke: float = 2.0) -> str:
-    """Render a region to an SVG string (and optional file), with its area."""
+    """Render a region to an SVG string (and optional file), with its area.
+
+    ValueError, before anything is written, unless size is positive and
+    stroke finite and non-negative: either would make an invalid SVG.
+    """
+    if not size > 0:
+        raise ValueError(f"size must be positive, got {size!r}")
+    if not 0.0 <= stroke < math.inf:
+        raise ValueError(f"stroke must be finite and non-negative, got {stroke!r}")
     path = region.boundary
     bbox = _bbox(path)
     margin = size * 0.05

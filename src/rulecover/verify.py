@@ -108,30 +108,19 @@ def random_rule(n: int, seed: int) -> Rule:
     return Rule(tuple(1.0 - rng.random() for _ in range(n)))
 
 
-def _upper_samples(cover: CoverBundle, n: int):
-    """(point, side) samples on the upper arcs, endpoints always included."""
-    n_right = cover.n_right_upper
-    return [(q, 0 if idx < n_right else 1)
-            for idx, q in cover.upper_path.indexed_samples(n)]
-
-
-def _by_side(cover: CoverBundle, side, hits):
-    """(q, side of q) for circle hits on the upper arcs: opposite side
-    first, then path order.  A q's side is its piece's (0 right, 1 left)."""
+def _candidates(cover: CoverBundle, p, side, length: float):
+    """(q, side of q) for upper-arc points q at distance `length` from p:
+    opposite side first, then path order.  A q's side is its piece's (0
+    right, 1 left)."""
     n_right = cover.n_right_upper
     right, left = [], []
-    for (idx, _, q) in hits:  # a loop: hits are 1-3, too few for comprehensions
+    # a loop: hits are 1-3, too few for comprehensions
+    for (idx, _, q) in circle_path_intersections(p, length, cover.upper_path):
         if idx < n_right:
             right.append((q, 0))
         else:
             left.append((q, 1))
     return left + right if side == 0 else right + left
-
-
-def _candidates(cover: CoverBundle, p, side, length: float):
-    """(q, side of q) for upper-arc points q at distance `length` from p."""
-    return _by_side(cover, side,
-                    circle_path_intersections(p, length, cover.upper_path))
 
 
 def verify_reachability(cover: CoverBundle, n_points: int = 256,
@@ -141,25 +130,27 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
 
     For every sampled p on the upper arcs and every length l = i/n_lengths
     (so l = 1 is always exercised), search the exact circle intersections
-    with the upper arcs (one pass for all lengths of p), opposite side
-    first, for a q whose segment pq cuts at most eps into the cover's
-    pocket.  eps must be finite and non-negative: a nan would admit no
-    candidate, an infinite eps would switch off the containment test and
-    the diameter bound.
+    with the upper arcs (one pass for all lengths of p), in path order,
+    for a q whose segment pq cuts at most eps into the cover's pocket.
+    Only whether such a q exists enters the report, so the order in which
+    the candidates are tried cannot change it; fold_rule alone depends on
+    its opposite-side-first order.  eps must be finite and non-negative: a
+    nan would admit no candidate, an infinite eps would switch off the
+    containment test and the diameter bound.
     """
     if n_points < 16 or n_lengths < 16:
         raise ValueError("need at least 16 point and 16 length samples")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     pocket = cover.pocket
-    samples = _upper_samples(cover, n_points)
+    upper = cover.upper_path
+    samples = upper.sample(n_points)
     lengths = [i / n_lengths for i in range(1, n_lengths + 1)]
     failures = []
-    for (p, side) in samples:
-        for length, hits in zip(lengths,
-                                circle_path_hits(p, lengths, cover.upper_path)):
+    for p in samples:
+        for length, hits in zip(lengths, circle_path_hits(p, lengths, upper)):
             found = False
-            for q, _ in _by_side(cover, side, hits):
+            for (_, _, q) in hits:
                 if math.dist(p, q) <= SAME_POINT:
                     continue  # the trivial point q = p does not count
                 if pocket.admits(p, q, eps):

@@ -277,6 +277,24 @@ class TestRender:
         assert err.startswith("error: ") and message in err
         assert not svg.exists() and "wrote" not in out
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--size=-50", "size must be positive, got -50"),
+        ("--size=0", "size must be positive, got 0"),
+        ("--stroke=nan", "stroke must be finite and non-negative, got nan"),
+        ("--stroke=inf", "stroke must be finite and non-negative, got inf"),
+    ])
+    def test_bad_size_or_stroke_exits_1(self, capsys, tmp_path, flag, message):
+        # a size or stroke that would make an invalid SVG is refused, and
+        # nothing is written
+        cover = tmp_path / "two.json"
+        svg = tmp_path / "two.svg"
+        run(capsys, "construct", "--kind", "two", "--out", str(cover))
+        code, out, err = run(capsys, "render", "--in", str(cover),
+                             "--out", str(svg), flag)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not svg.exists() and "wrote" not in out
+
 
 def _boundary_path_d(svg_path):
     root = ET.parse(svg_path).getroot()

@@ -465,6 +465,161 @@ def test_arc_fraction_matches_oracle(oracle, t0, sweep, end, offset, reduce,
         assert (s, math.copysign(1.0, s)) == (ref, math.copysign(1.0, ref))
 
 
+def test_arc_fraction_matches_inline_on_a_seeded_sweep(oracle):
+    # the edge cases of the arc-angle test, drawn from a fixed seed: sweeps
+    # at or under 1e-15 and signed zeros, slack 0 and 1e-9, phi within
+    # 1e-9 (or a few ulps) of either end, and phi shifted across 2 pi
+    rng = random.Random(2026)
+    sweeps = [0.0, -0.0, 1e-15, -1e-15, 1e-16, -1e-16]
+    seen = {"none": 0, "zero": 0, "one": 0, "inside": 0}
+    for trial in range(20000):
+        kind = trial % 4
+        if trial < 3 * len(sweeps):
+            sweep = sweeps[trial % len(sweeps)]
+        elif kind == 0:
+            sweep = rng.uniform(-1e-15, 1e-15)
+        elif kind == 1:
+            sweep = math.copysign(TWO_PI - rng.uniform(0.0, 1e-9),
+                                  rng.choice((-1.0, 1.0)))
+        else:
+            sweep = rng.uniform(-TWO_PI, TWO_PI)
+        t0 = rng.uniform(-4.0, 4.0)
+        end = rng.choice((0.0, 1.0))
+        phi = t0 + end * sweep + rng.choice((
+            0.0, rng.uniform(-1e-9, 1e-9), rng.randint(-4, 4) * 2.0 ** -52,
+            rng.uniform(-4.0, 4.0)))
+        phi += rng.choice((0.0, TWO_PI, -TWO_PI))
+        if rng.random() < 0.5:  # as atan2 returns it
+            phi = math.atan2(math.sin(phi), math.cos(phi))
+        slack = rng.choice((0.0, 1e-9, -1e-9))
+        s = geometry._arc_fraction(t0, sweep, phi, slack)
+        assert (s is not None) == oracle._arc_angle_in(t0, sweep, phi, slack)
+        if s is None:
+            seen["none"] += 1
+            continue
+        ref = _inline_arc_fraction(t0, sweep, phi, slack)
+        # bit for bit, down to the sign of a zero
+        assert (s, math.copysign(1.0, s)) == (ref, math.copysign(1.0, ref))
+        seen["zero" if s == 0.0 else "one" if s == 1.0 else "inside"] += 1
+    assert min(seen.values()) >= 500, seen
+
+
+# --------------------------------------------------------------------------
+# differential test: the circle-hit kernel and the diameter against the
+# oracle, on the shapes verify and fold query
+
+HIT_EDGES = [4 + 60 * i // 19 for i in range(20)]  # 4 .. 64
+HIT_COVERS = (["r2", "two", "three", "four", "smooth48", "apex-cut"]
+              + [f"{c}x{f}" for c in ("r2", "two") for f in (0.95, 1.2)]
+              + [f"smooth{n}" for n in (32, 128, 512)]
+              + [f"perturb{n}" for n in HIT_EDGES])
+
+
+@pytest.fixture(scope="module")
+def hit_covers(r2_bundle, two_bundle, three_bundle, four_bundle,
+               smooth48_bundle, smooth_optimum, apex_cut_bundle):
+    _, co, _ = smooth_optimum
+    covers = {"r2": r2_bundle, "two": two_bundle, "three": three_bundle,
+              "four": four_bundle, "smooth48": smooth48_bundle,
+              "apex-cut": apex_cut_bundle}
+    for f in (0.95, 1.2):
+        covers[f"r2x{f}"] = shrink_cover(r2_bundle, f)
+        covers[f"twox{f}"] = shrink_cover(two_bundle, f)
+    for n in (32, 128, 512):
+        covers[f"smooth{n}"] = involute_cover(smooth.discretize_smooth(co, n))
+    for n in HIT_EDGES:
+        base = involute_cover(smooth.discretize_smooth(co, n))
+        covers[f"perturb{n}"] = perturbed_bundles(base, seed=n, count=1)[0]
+    return covers
+
+
+def assert_hits_match_oracle(oracle, path, o_path, p, radii):
+    """circle_path_hits with all radii, and with each radius alone, equals
+    the oracle's one-radius scans of o_path, path rebuilt in the oracle."""
+    want = [oracle.circle_path_intersections(p, r, o_path) for r in radii]
+    assert circle_path_hits(p, radii, path) == want
+    for r, hits in zip(radii, want):
+        assert circle_path_hits(p, (r,), path) == [hits]
+
+
+@pytest.mark.parametrize("name", HIT_COVERS)
+def test_circle_hits_match_oracle(name, hit_covers, oracle):
+    upper = hit_covers[name].upper_path
+    o_upper = oracle.ArcPath.from_json(upper.to_json())
+    samples = upper.sample(16)
+    rng = random.Random(name)
+    # verify's rows of 16 lengths on the samples next to u and v and on
+    # random ones, then random ascending batches with repeats
+    lengths = [i / 16 for i in range(1, 17)]
+    points = samples[:3] + samples[-3:] + rng.sample(samples, 8)
+    for p in points:
+        assert_hits_match_oracle(oracle, upper, o_upper, p, lengths)
+        radii = sorted([rng.uniform(0.0, 1.2) for _ in range(5)] + [0.5, 0.5])
+        assert_hits_match_oracle(oracle, upper, o_upper, p, radii)
+    # the l = 1 row, where the tangent hits are, from every sample
+    for p in samples:
+        assert (circle_path_intersections(p, 1.0, upper)
+                == oracle.circle_path_intersections(p, 1.0, o_upper))
+
+
+def clockwise_r2_path():
+    """r2's boundary traced backwards: both arcs have negative sweeps."""
+    return ArcPath([Arc(0.5, 0.0, 1.0, math.pi, 2 * math.pi / 3),
+                    Arc(-0.5, 0.0, 1.0, math.pi / 3, 0.0),
+                    Seg(0.5, 0.0, -0.5, 0.0)])
+
+
+def clockwise_circle_path():
+    return ArcPath([Arc(0.0, 0.0, 1.0, (4 - k) * math.pi / 2,
+                        (3 - k) * math.pi / 2) for k in range(4)])
+
+
+@pytest.mark.parametrize("make", [clockwise_r2_path, clockwise_circle_path,
+                                  r2_path, unit_circle_path])
+def test_circle_hits_match_oracle_on_arc_paths(make, oracle):
+    path = make()
+    o_path = oracle.ArcPath.from_json(path.to_json())
+    rng = random.Random(make.__name__)
+    centres = [(rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.2))
+               for _ in range(40)]
+    centres += [p for _, p in path.indexed_samples(32)]
+    for p in centres:
+        radii = sorted([rng.uniform(0.0, 2.0) for _ in range(6)] + [1.0, 1.0])
+        assert_hits_match_oracle(oracle, path, o_path, p, radii)
+    # coincident circles: a centre at or within DEDUP_TOL of an arc's
+    # centre, at the arc's radius and just either side of it
+    radii = [0.25, 1.0 - 5e-10, 1.0, 1.0, 1.0 + 5e-10, 1.5]
+    for (cx, cy) in {(a.cx, a.cy) for a in path.pieces if isinstance(a, Arc)}:
+        for p in ((cx, cy), (cx + 4e-10, cy - 3e-10)):
+            hits = circle_path_hits(p, radii, path)
+            assert any(s in (0.0, 1.0) for row in hits for (_, s, _) in row)
+            assert_hits_match_oracle(oracle, path, o_path, p, radii)
+
+
+def segment_polygon(seed, m):
+    """Convex m-gon of segments only, vertices at random angles."""
+    rng = random.Random(seed)
+    angles = sorted(rng.uniform(0.0, TWO_PI) for _ in range(m))
+    rad, cx, cy = rng.uniform(0.3, 2.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
+    pts = [(cx + rad * math.cos(a), cy + rad * math.sin(a)) for a in angles]
+    return Region.from_path(ArcPath([Seg(*pts[k], *pts[(k + 1) % m])
+                                     for k in range(m)]))
+
+
+def test_diameter_matches_oracle(hit_covers, oracle):
+    # bit for bit, though the hull gets no segment interiors: on covers
+    # (whose segments are the chain) and on all-segment polygons
+    regions = {name: bundle.region for name, bundle in hit_covers.items()}
+    regions.update({f"polygon{m}": segment_polygon(m, m) for m in range(3, 13)})
+    regions["square"] = Region.from_path(square_path())
+    regions["disk"] = Region.from_path(unit_circle_path())
+    for name, region in regions.items():
+        o_region = oracle.Region.from_json(region.to_json(), check=False)
+        for n in (64, 4096):
+            assert (region_diameter(region, n)
+                    == oracle.region_diameter(o_region, n)), (name, n)
+
+
 @given(x0=st.floats(-2, 2), y0=st.floats(-2, 2),
        x1=st.floats(-2, 2), y1=st.floats(-2, 2))
 @settings(max_examples=100, deadline=None)

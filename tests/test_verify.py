@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from rulecover import smooth
 from rulecover.geometry import Arc, _arc_fraction, region_diameter
 from rulecover.involute import (
     CHORD_TOL,
+    GeneratingChain,
     InadmissibleChainError,
     involute_cover,
 )
@@ -18,7 +21,6 @@ from rulecover.verify import (
     FoldFailureError,
     Rule,
     _candidates,
-    _upper_samples,
     check_fold,
     fold_rule,
     random_rule,
@@ -110,10 +112,29 @@ class TestReachability:
         assert any(math.dist(q, (0.5, 0.0)) <= 1e-9 for q, _ in cands)
 
     def test_candidate_distances_are_exact(self, three_bundle):
-        for (p, side) in _upper_samples(three_bundle, 16):
+        for p in three_bundle.upper_path.sample(16):
             for length in (0.25, 0.75, 1.0):
-                for q, _ in _candidates(three_bundle, p, side, length):
+                for q, _ in _candidates(three_bundle, p, 0, length):
                     assert abs(math.dist(p, q) - length) <= 1e-9
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_vs128_report_matches_benchmark_pin():
+    # the benchmark's verify-smooth call: the pinned 128-edge smooth cut at
+    # 32 x 16 gives the report perfbench/reference.json pins, its four
+    # known l = 1 failures included, so a change to the hit arithmetic
+    # fails here as well as in the benchmark
+    inputs = json.loads((PERFBENCH / "inputs.json").read_text())
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    pinned = reference["full"]["verify"]["fixed"]["verify:smooth"]
+    bundle = involute_cover(GeneratingChain.from_json(inputs["smooth128"]))
+    report = verify_reachability(bundle, 32, 16)
+    assert report.points == pinned["points"]
+    assert ([[p[0], p[1], length] for p, length in report.failures]
+            == pinned["failures"])
+    assert report.diameter == pinned["diameter"]
 
 
 class TestMutants:
@@ -224,10 +245,11 @@ def _scanned_depth(pocket, p, q):
 
 
 def _candidate_segments(bundle, n):
-    """(p, q) for every candidate verify_reachability tries at n x n."""
-    for p, side in _upper_samples(bundle, n):
+    """(p, q) for every candidate verify_reachability tries at n x n (the
+    side only orders _candidates' list)."""
+    for p in bundle.upper_path.sample(n):
         for i in range(1, n + 1):
-            for q, _ in _candidates(bundle, p, side, i / n):
+            for q, _ in _candidates(bundle, p, 0, i / n):
                 if math.dist(p, q) > SAME_POINT:
                     yield p, q
 
@@ -338,8 +360,7 @@ class TestPocket:
         # Another candidate is admissible, so the point does not fail.
         p = (mirror * -0.44405796684014687, -0.18893365563233025)
         q = (mirror * 0.11748462471898674, 0.6385141782913872)
-        side = dict(_upper_samples(smooth48_bundle, 256))[p]
-        cands = [c for c, _ in _candidates(smooth48_bundle, p, side, 1.0)]
+        cands = [c for c, _ in _candidates(smooth48_bundle, p, 0, 1.0)]
         assert q in cands
         pocket = smooth48_bundle.pocket
         assert DEFAULT_EPS < pocket.depth(p, q) < 2.5e-9
@@ -429,10 +450,10 @@ def _depth_loop_failures(bundle, n, eps):
     on one-length circle queries."""
     pocket = bundle.pocket
     failures = []
-    for p, side in _upper_samples(bundle, n):
+    for p in bundle.upper_path.sample(n):
         for i in range(1, n + 1):
             if not any(pocket.depth(p, q) <= eps
-                       for q, _ in _candidates(bundle, p, side, i / n)
+                       for q, _ in _candidates(bundle, p, 0, i / n)
                        if math.dist(p, q) > SAME_POINT):
                 failures.append((p, i / n))
     return failures
