@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple
 
 from . import constructions, search, smooth, svg, verify
 from .highprec import NATIVE, DecimalBackend, truncate_digits
@@ -100,7 +99,7 @@ def cmd_optimize(args) -> int:
         return 0
     params, area, bundle = constructions.optimize_construction(args.kind)
     n_angles = len(constructions.CONSTRUCTIONS[args.kind].ref_angles)
-    angles = astuple(params)[:n_angles]  # free angles lead every params record
+    angles = tuple(params)[:n_angles]  # free angles lead every params record
     print("angles = " + ", ".join(_fmt(x) for x in angles))
     print(f"area = {_fmt(area)}")
     _emit_json(_cover_doc(bundle, args.kind, angles, area), args.out)
@@ -249,6 +248,9 @@ def main(argv=None) -> int:
             parser.error("--edges applies only to --kind smooth")
         if args.edges is None:
             args.edges = SMOOTH_RENDER_EDGES
+        if args.edges < 2:  # --kind smooth; refused before any work
+            print("error: need at least 2 edges", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

@@ -13,8 +13,7 @@ and area, reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import involute, numerics
 from .geometry import Region
@@ -27,15 +26,13 @@ class InfeasibleParamsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TwoEdgeParams:
+class TwoEdgeParams(NamedTuple):
     a: float
     c: float
     x0: float
 
 
-@dataclass(frozen=True)
-class ThreeEdgeParams:
+class ThreeEdgeParams(NamedTuple):
     a: float
     b: float
     x0: float
@@ -43,8 +40,7 @@ class ThreeEdgeParams:
     x2: float
 
 
-@dataclass(frozen=True)
-class FourEdgeParams:
+class FourEdgeParams(NamedTuple):
     a: float
     b: float
     c: float
@@ -208,8 +204,7 @@ def optimize_construction(kind: str):
 # --------------------------------------------------------------------------
 # the table
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """One discrete cut: solver, closed-form area, chain, reference values.
 
     `solve` and `area` take the free angles, `chain` the solved params.

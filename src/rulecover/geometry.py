@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter, le
 
 from .numerics import ordered_sum
@@ -32,14 +31,16 @@ class OpenPathError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
 class Seg:
     """Directed straight piece from (x0, y0) to (x1, y1)."""
 
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+    __slots__ = ("x0", "y0", "x1", "y1")
+
+    def __init__(self, x0: float, y0: float, x1: float, y1: float):
+        self.x0 = x0
+        self.y0 = y0
+        self.x1 = x1
+        self.y1 = y1
 
     @property
     def start(self):
@@ -61,7 +62,6 @@ class Seg:
                 "x1": self.x1, "y1": self.y1}
 
 
-@dataclass(frozen=True)
 class Arc:
     """Circular arc traced from angle t0 to t1 about (cx, cy).
 
@@ -69,14 +69,15 @@ class Arc:
     degenerate marker only and never appears on boundary paths.
     """
 
-    cx: float
-    cy: float
-    r: float
-    t0: float
-    t1: float
+    __slots__ = ("cx", "cy", "r", "t0", "t1")
 
-    def __post_init__(self):
-        check_arc(self.r, self.t0, self.t1)
+    def __init__(self, cx: float, cy: float, r: float, t0: float, t1: float):
+        check_arc(r, t0, t1)
+        self.cx = cx
+        self.cy = cy
+        self.r = r
+        self.t0 = t0
+        self.t1 = t1
 
     @property
     def sweep(self) -> float:
@@ -292,12 +293,14 @@ def path_self_intersects(path: ArcPath) -> bool:
 # --------------------------------------------------------------------------
 # Region
 
-@dataclass
 class Region:
     """Closed, simple, counterclockwise boundary with cached positive area."""
 
-    boundary: ArcPath
-    area: float
+    __slots__ = ("boundary", "area")
+
+    def __init__(self, boundary: ArcPath, area: float):
+        self.boundary = boundary
+        self.area = area
 
     @staticmethod
     def from_path(path: ArcPath) -> "Region":

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import constructions, numerics
 from .geometry import (
@@ -48,8 +48,7 @@ class InadmissibleChainError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class ChainDiagnostic:
+class ChainDiagnostic(NamedTuple):
     kind: str
     magnitude: float
     detail: str
@@ -107,20 +106,16 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
     return tuple(half + [(-x, y) for x, y in mirror])
 
 
-@dataclass
 class GeneratingChain:
     """Vertex chain u = p0 ... pn = v with its chain_facts as fields
     edge_lengths, cum_lengths and turn_angles.  Construction performs no
     validation; see validate_chain.
     """
 
-    vertices: tuple
-    edge_lengths: tuple = field(init=False)
-    cum_lengths: tuple = field(init=False)
-    turn_angles: tuple = field(init=False)
+    __slots__ = ("vertices", "edge_lengths", "cum_lengths", "turn_angles")
 
-    def __post_init__(self):
-        verts = tuple((float(x), float(y)) for (x, y) in self.vertices)
+    def __init__(self, vertices: tuple):
+        verts = tuple((float(x), float(y)) for (x, y) in vertices)
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
         self.vertices = verts
@@ -137,13 +132,6 @@ class GeneratingChain:
     @property
     def n_edges(self) -> int:
         return len(self.edge_lengths)
-
-    @property
-    def total_length(self) -> float:
-        return self.cum_lengths[-1]
-
-    def mirrored(self) -> "GeneratingChain":
-        return GeneratingChain(tuple((-x, y) for (x, y) in reversed(self.vertices)))
 
     # -- half-chain parameterization (length fractions + turn angles) ------
 
@@ -348,7 +336,6 @@ class Pocket:
         return min(hi, -lo)
 
 
-@dataclass
 class CoverBundle:
     """A cover: chain below, two involute arc runs meeting at the apex.
 
@@ -359,9 +346,10 @@ class CoverBundle:
     cached views below stay valid.
     """
 
-    chain: GeneratingChain
-    region: Region
-    apex: tuple
+    def __init__(self, chain: GeneratingChain, region: Region, apex: tuple):
+        self.chain = chain
+        self.region = region
+        self.apex = apex
 
     @property
     def area(self) -> float:

@@ -9,7 +9,6 @@ is Nelder-Mead with shrinking restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def ordered_sum(values):
@@ -47,12 +46,16 @@ class IntegrationError(RuntimeError):
         self.error = error
 
 
-@dataclass
 class MinimizeResult:
-    argmin: object          # scalar for 1-D, tuple for N-D
-    value: object
-    iterations: int
-    converged: bool
+    def __init__(self, argmin, value, iterations: int, converged: bool):
+        self.argmin = argmin  # scalar for 1-D, tuple for N-D
+        self.value = value
+        self.iterations = iterations
+        self.converged = converged
+
+    def __repr__(self):
+        return (f"MinimizeResult(argmin={self.argmin!r}, value={self.value!r}, "
+                f"iterations={self.iterations!r}, converged={self.converged!r})")
 
 
 def _is_finite(v) -> bool:

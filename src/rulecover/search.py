@@ -18,8 +18,8 @@ import csv
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from . import numerics, smooth
 from .involute import (
@@ -37,30 +37,32 @@ class SearchConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    edges: int
-    iterations: int
-    seed: int
-    initial_step: float = 0.05
-    step_decay: float = 0.999
-    restarts: int = 1
+    __slots__ = ("edges", "iterations", "seed", "initial_step", "step_decay",
+                 "restarts")
 
-    def __post_init__(self):
-        if self.edges < 1:
+    def __init__(self, edges: int, iterations: int, seed: int,
+                 initial_step: float = 0.05, step_decay: float = 0.999,
+                 restarts: int = 1):
+        if edges < 1:
             raise SearchConfigError("edges must be >= 1")
-        if self.iterations < 1:
+        if iterations < 1:
             raise SearchConfigError("iterations must be >= 1")
-        if not 0 < self.initial_step < math.inf:
+        if not 0 < initial_step < math.inf:
             raise SearchConfigError("initial step must be finite and positive")
-        if not 0 < self.step_decay <= 1:
+        if not 0 < step_decay <= 1:
             raise SearchConfigError("step decay must be in (0, 1]")
-        if self.restarts < 1:
+        if restarts < 1:
             raise SearchConfigError("restarts must be >= 1")
+        self.edges = edges
+        self.iterations = iterations
+        self.seed = seed
+        self.initial_step = initial_step
+        self.step_decay = step_decay
+        self.restarts = restarts
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(NamedTuple):
     """Half-chain coordinates: one (fraction, turn) pair per half edge."""
 
     edges: int
@@ -76,7 +78,6 @@ class ChainParams:
         return ChainParams(edges=chain.n_edges, fracs=fracs, turns=turns)
 
 
-@dataclass
 class SearchTrace:
     """Best area after each iteration, the winner, and why moves failed.
 
@@ -84,15 +85,20 @@ class SearchTrace:
     violating several invariants counts under each), "params" for half
     parameters that give no chain and "geometry" for a clockwise boundary
     or a bad arc.  accepted counts improving moves; step is the step size
-    at the end (None when there was nothing to search).
+    at the end (None when there was nothing to search).  best_areas and
+    rejections default to a new empty list and Counter.
     """
 
-    best_areas: list = field(default_factory=list)
-    best_chain: GeneratingChain = None
-    best_area: float = float("inf")
-    rejections: Counter = field(default_factory=Counter)
-    accepted: int = 0
-    step: float = None
+    def __init__(self, best_areas: list = None,
+                 best_chain: GeneratingChain = None,
+                 best_area: float = math.inf, rejections: Counter = None,
+                 accepted: int = 0, step: float = None):
+        self.best_areas = [] if best_areas is None else best_areas
+        self.best_chain = best_chain
+        self.best_area = best_area
+        self.rejections = Counter() if rejections is None else rejections
+        self.accepted = accepted
+        self.step = step
 
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:

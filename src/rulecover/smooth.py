@@ -13,8 +13,8 @@ floats or Decimals via the precision backends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from . import numerics
 from .highprec import (NATIVE, DecimalBackend, Dual, DualBackend,
@@ -35,15 +35,17 @@ class SpeedPositivityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SmoothCoefficients:
     """Half-angle a, speed coefficients (b0, b1, b2), and b = h(a)."""
 
-    a: object
-    b0: object
-    b1: object
-    b2: object
-    b: object
+    __slots__ = ("a", "b0", "b1", "b2", "b")
+
+    def __init__(self, a, b0, b1, b2, b):
+        self.a = a
+        self.b0 = b0
+        self.b1 = b1
+        self.b2 = b2
+        self.b = b
 
 
 def solve_coefficients(a, backend=NATIVE, trig=None) -> SmoothCoefficients:
@@ -178,6 +180,8 @@ def ell_squared_antiderivative(co: SmoothCoefficients, t, backend=NATIVE):
 
 
 def _cap_288(co: SmoothCoefficients, t, S, C):
+    """288 times the antiderivative of -2 x0(t) y0'(t), exactly 0 at t = 0;
+    S, C = backend.multiples(t, 6)."""
     b0, b1, b2 = co.b0, co.b1, co.b2
     return (12 * (24 * b0 ** 2 - 4 * b2 ** 2 + 3 * b1 ** 2) * t
             + 24 * b1 * (21 * b0 - 2 * b2) * S[1]
@@ -189,13 +193,6 @@ def _cap_288(co: SmoothCoefficients, t, S, C):
             - 4 * b2 ** 2 * S[6]
             - 24 * b1 * t * (6 * (2 * b0 - b2) * C[1]
                              + 3 * b1 * C[2] + 2 * b2 * C[3]))
-
-
-def cap_antiderivative_288(co: SmoothCoefficients, t, backend=NATIVE):
-    """288 times the antiderivative of -2 x0(t) y0'(t); exactly 0 at t = 0."""
-    with backend.context():
-        t = backend.num(t)
-        return _cap_288(co, t, *backend.multiples(t, 6))
 
 
 def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE, trig=None):
@@ -353,8 +350,7 @@ def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:
     return GeneratingChain(tuple((x / total, y / total) for (x, y) in sym))
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     """High-precision pipeline output, truncated like calculator output."""
 
     digits: int

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import (
     ArcPath,
@@ -60,30 +60,27 @@ class FoldFailureError(RuntimeError):
         self.length = length
 
 
-@dataclass(frozen=True)
 class Rule:
     """A carpenter's rule: the sequence of its segment lengths."""
 
-    lengths: tuple
+    __slots__ = ("lengths",)
 
-    def __post_init__(self):
-        ls = tuple(float(x) for x in self.lengths)
+    def __init__(self, lengths: tuple):
+        ls = tuple(float(x) for x in lengths)
         if not ls:
             raise ValueError("rule needs at least one segment")
         if any(not 0.0 < x <= 1.0 for x in ls):
             raise ValueError("every segment length must be in (0, 1]")
-        object.__setattr__(self, "lengths", ls)
+        self.lengths = ls
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     """Joint positions realizing a rule inside a cover (one more than segments)."""
 
     joints: tuple
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     points: int
     lengths: int
     failures: list

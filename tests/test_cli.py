@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rulecover import smooth
+from rulecover import constructions, smooth
 from rulecover.cli import main
 from rulecover.involute import GeneratingChain, involute_cover
 
@@ -100,6 +100,16 @@ class TestOptimize:
             "a    = 1.1107321367714721145845423476606349462\n"
             "area = 0.55536036864662611604817022349101328344\n")
 
+    @pytest.mark.parametrize("kind, names", [
+        ("two", ("a",)), ("three", ("a", "b")), ("four", ("a", "b", "c")),
+    ])
+    def test_angles_are_the_params_free_angles(self, capsys, kind, names):
+        # the printed angles are the leading fields of the params record
+        params, _, _ = constructions.optimize_construction(kind)
+        code, out, _ = run(capsys, "optimize", "--kind", kind)
+        assert code == 0
+        assert out.splitlines()[0] == "angles = " + ", ".join(
+            f"{getattr(params, name):.15g}" for name in names)
 
     @pytest.mark.parametrize("kind", ["two", "three", "four"])
     def test_digits_is_for_smooth_only(self, capsys, kind):
@@ -121,6 +131,20 @@ class TestEdgesFlag:
         assert exit_.value.code == 2
         _, err = capsys.readouterr()
         assert "--edges applies only to --kind smooth" in err
+
+    @pytest.mark.parametrize("command, edges", [
+        ("construct", "1"), ("optimize", "0"), ("optimize", "-3"),
+    ])
+    def test_smooth_needs_two_edges_before_any_work(self, capsys, monkeypatch,
+                                                    command, edges):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("optimize_smooth ran with too few edges")
+
+        monkeypatch.setattr(smooth, "optimize_smooth", unreachable)
+        code, out, err = run(capsys, command, "--kind", "smooth",
+                             "--edges", edges)
+        assert (code, out) == (1, "")
+        assert err == "error: need at least 2 edges\n"
 
     @pytest.mark.parametrize("command", ["construct", "optimize"])
     def test_smooth_default_edges(self, capsys, tmp_path, command):
@@ -317,7 +341,7 @@ class TestSearchCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
         chain = GeneratingChain.from_json(json.loads(chain_path.read_text()))
-        assert abs(chain.total_length - 1.0) <= 1e-12
+        assert abs(chain.cum_lengths[-1] - 1.0) <= 1e-12
 
     def test_infinite_step_exits_1(self, capsys):
         # every move of an infinite step is rejected, so the search would

@@ -638,3 +638,18 @@ def test_check_ccw_rejects_non_positive_area(area):
 
 def test_check_ccw_passes_positive_area():
     assert geometry.check_ccw(0.25) == 0.25
+
+
+def test_piece_records_keep_their_fields_and_checks():
+    # Seg and Arc take their fields by position or keyword, in this order;
+    # Arc runs check_arc on construction
+    seg = Seg(x0=1.0, y0=2.0, x1=3.0, y1=4.0)
+    assert (seg.x0, seg.y0, seg.x1, seg.y1) == (1.0, 2.0, 3.0, 4.0)
+    assert seg.to_json() == Seg(1.0, 2.0, 3.0, 4.0).to_json()
+    arc = Arc(cx=0.5, cy=-1.0, r=2.0, t0=0.25, t1=1.0)
+    assert (arc.cx, arc.cy, arc.r, arc.t0, arc.t1) == (0.5, -1.0, 2.0, 0.25, 1.0)
+    with pytest.raises(geometry.GeometryError, match=r"^negative radius -0\.5$"):
+        Arc(0.0, 0.0, -0.5, 0.0, 1.0)
+    with pytest.raises(geometry.GeometryError, match="exceeds full turn"):
+        Arc(0.0, 0.0, 1.0, 0.0, -(TWO_PI + 1e-8))
+    assert Arc(0.0, 0.0, 0.0, 0.0, TWO_PI).length() == 0.0  # the marker

@@ -79,6 +79,20 @@ class TestValidateChain:
         with pytest.raises(InadmissibleChainError):
             involute_cover(scaled_one_edge(0.9))
 
+    def test_diagnostic_text_in_error_message(self):
+        # the message joins the diagnostics' "kind: detail (magnitude)" text
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(scaled_one_edge(0.9))
+        assert str(err.value) == ("length: total length 0.9 != 1 "
+                                  "(magnitude 1.000e-01)")
+        diags = [involute.ChainDiagnostic("simple", math.nan, "arc 2 turns"),
+                 involute.ChainDiagnostic(kind="unwrap", magnitude=2.5e-7,
+                                          detail="string end")]
+        assert str(InadmissibleChainError(diags)) == (
+            "simple: arc 2 turns (magnitude nan); "
+            "unwrap: string end (magnitude 2.500e-07)")
+        assert str(InadmissibleChainError([])) == "inadmissible chain"
+
     def test_negative_turn(self):
         # middle vertex below the endpoints: convex toward the region
         chain = GeneratingChain(((-0.4, 0.0), (0.0, -0.3), (0.4, 0.0)))
@@ -164,7 +178,8 @@ class TestInvoluteCover:
                 assert abs(left[0] - bundle.chain.cum_lengths[k]) <= 1e-12
 
     def test_mirror_invariance(self, three_bundle):
-        mirrored = involute_cover(three_bundle.chain.mirrored())
+        mirrored = involute_cover(GeneratingChain(tuple(
+            (-x, y) for (x, y) in reversed(three_bundle.chain.vertices))))
         assert abs(mirrored.area - three_bundle.area) <= 1e-12
 
     def test_total_boundary_turning(self, two_bundle, four_bundle):
@@ -229,7 +244,7 @@ class TestHalfParams:
         assert back.vertices == four_bundle.chain.vertices
         half_only = {"edges": doc["edges"], "halfchain": doc["halfchain"]}
         approx = GeneratingChain.from_json(half_only)
-        assert abs(approx.total_length - 1.0) <= 1e-12
+        assert abs(approx.cum_lengths[-1] - 1.0) <= 1e-12
 
     def test_bad_half_params(self):
         with pytest.raises(ValueError):

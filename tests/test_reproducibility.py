@@ -10,6 +10,8 @@ also runs without pytest, printing the digests:
 
 import ast
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 from rulecover import search, smooth
@@ -51,6 +53,29 @@ def test_library_never_calls_builtin_sum():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "sum"]
     assert calls == []
+
+
+def test_library_never_imports_dataclasses():
+    # @dataclass compiles its generated methods on every import; records
+    # are __slots__ classes or NamedTuples instead (README, Layout)
+    imports = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+               or isinstance(node, ast.Import)
+               and any(a.name == "dataclasses" for a in node.names)]
+    assert imports == []
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # the modules a fresh interpreter gains by importing the CLI
+    code = ("import sys; bare = set(sys.modules); "
+            f"sys.path.insert(0, {str(SRC.parent)!r}); import rulecover.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "rulecover.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
 
 
 if __name__ == "__main__":

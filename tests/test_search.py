@@ -23,13 +23,24 @@ from rulecover.search import (
 
 
 class TestConfig:
+    def test_keywords_and_defaults(self):
+        cfg = SearchConfig(edges=8, iterations=10, seed=3)
+        assert (cfg.edges, cfg.iterations, cfg.seed, cfg.initial_step,
+                cfg.step_decay, cfg.restarts) == (8, 10, 3, 0.05, 0.999, 1)
+        cfg = SearchConfig(5, 20, 7, 0.1, 0.5, 2)
+        assert (cfg.edges, cfg.iterations, cfg.seed, cfg.initial_step,
+                cfg.step_decay, cfg.restarts) == (5, 20, 7, 0.1, 0.5, 2)
+
     def test_validation(self):
-        with pytest.raises(SearchConfigError):
+        with pytest.raises(SearchConfigError, match="^edges must be >= 1$"):
             SearchConfig(edges=0, iterations=10, seed=1)
-        with pytest.raises(SearchConfigError):
+        with pytest.raises(SearchConfigError, match="^iterations must be >= 1$"):
             SearchConfig(edges=2, iterations=0, seed=1)
-        with pytest.raises(SearchConfigError):
+        with pytest.raises(SearchConfigError,
+                           match=r"^step decay must be in \(0, 1\]$"):
             SearchConfig(edges=2, iterations=10, seed=1, step_decay=1.5)
+        with pytest.raises(SearchConfigError, match="^restarts must be >= 1$"):
+            SearchConfig(edges=2, iterations=10, seed=1, restarts=0)
         with pytest.raises(SearchConfigError):
             SearchConfig(edges=2, iterations=10, seed=1, initial_step=0.0)
 

@@ -37,12 +37,18 @@ class TestRule:
         rule = Rule((0.5, 1.0, 0.25))
         assert rule.lengths == (0.5, 1.0, 0.25)
 
+    def test_lengths_become_a_float_tuple(self):
+        rule = Rule(lengths=[1, 0.5])
+        assert rule.lengths == (1.0, 0.5)
+        assert all(type(x) is float for x in rule.lengths)
+
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rule needs at least one segment$"):
             Rule(())
 
     def test_overlong_segment_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^every segment length must be in \(0, 1\]$"):
             Rule((0.5, 1.5))
 
     def test_zero_segment_rejected(self):
