@@ -58,15 +58,22 @@ class ChainDiagnostic(NamedTuple):
 
 
 def chain_facts(vertices):
-    """(edge lengths, cumulative lengths s_0..s_n from u, turn angles) of a
-    vertex tuple; a turn angle is positive where the chain bends away from
-    the region above it (incoming direction minus outgoing direction)."""
-    ends = vertices[1:]
-    lengths = tuple(map(math.dist, vertices, ends))
-    dirs = [math.atan2(y1 - y0, x1 - x0)
-            for (x0, y0), (x1, y1) in zip(vertices, ends)]
-    return (lengths, tuple(accumulate(lengths, initial=0.0)),
-            tuple(map(operator.sub, dirs, dirs[1:])))
+    """(edge lengths, cumulative lengths s_0..s_n from u, turn angles, chain
+    term) of a vertex tuple in one walk over its edges; a turn angle is
+    positive where the chain bends away from the region above it (incoming
+    minus outgoing direction), the chain term sums the edges' seg_area."""
+    lengths, dirs, term = [], [], 0.0
+    dist, atan2 = math.dist, math.atan2
+    p0 = vertices[0]
+    x0, y0 = p0
+    for p1 in vertices[1:]:
+        x1, y1 = p1
+        lengths.append(dist(p0, p1))
+        dirs.append(atan2(y1 - y0, x1 - x0))
+        term += seg_area(x0, y0, x1, y1)
+        p0, x0, y0 = p1, x1, y1
+    return (tuple(lengths), tuple(accumulate(lengths, initial=0.0)),
+            tuple(map(operator.sub, dirs, dirs[1:])), term)
 
 
 def half_chain_vertices(n: int, fracs, turns) -> tuple:
@@ -75,51 +82,52 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
     if n < 1:
         raise ValueError(f"a chain needs at least 1 edge, got {n}")
     m = n // 2
-    fracs = [float(f) for f in fracs]
-    turns = [float(t) for t in turns]
+    fracs = list(map(float, fracs))
+    turns = list(map(float, turns))
     if len(fracs) != m or len(turns) != m:
         raise ValueError(f"need {m} fractions and {m} turns for {n} edges")
-    if not all(0.0 < f < math.inf for f in fracs):
-        raise ValueError("edge fractions must be finite and positive")
+    for f in fracs:
+        if not 0.0 < f < math.inf:
+            raise ValueError("edge fractions must be finite and positive")
     # deltas[i]: direction of half edge i below the horizontal, the
     # sum of the turns from vertex i + 1 to the axis
-    if n % 2 == 0:
-        total_half = numerics.ordered_sum(fracs)
-        fracs = [f * 0.5 / total_half for f in fracs]
-        deltas = accumulate(reversed(turns[:-1]), initial=turns[-1] / 2)
-    else:
+    odd = n % 2
+    if odd:
         mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
         if mid <= 0:
             raise ValueError("half fractions leave no middle edge")
-        deltas = accumulate(reversed(turns), initial=0.0)
-        next(deltas)
-    deltas = list(deltas)[::-1]
-    xs = list(accumulate([L * math.cos(d) for L, d in zip(fracs, deltas)],
+        deltas = list(accumulate(reversed(turns), initial=0.0))[:0:-1]
+    else:
+        total_half = numerics.ordered_sum(fracs)
+        fracs = [f * 0.5 / total_half for f in fracs]
+        deltas = list(accumulate(reversed(turns[:-1]), initial=turns[-1] / 2))[::-1]
+    xs = list(accumulate(map(operator.mul, fracs, map(math.cos, deltas)),
                          initial=0.0))
-    ys = list(accumulate([L * math.sin(d) for L, d in zip(fracs, deltas)],
+    ys = list(accumulate(map(operator.mul, fracs, map(math.sin, deltas)),
                          initial=0.0))
     # the middle vertex onto the y axis, or the middle edge centered on it
-    shift = -xs[-1] if n % 2 == 0 else -(xs[-1] + mid / 2)
+    shift = -(xs[-1] + mid / 2) if odd else -xs[-1]
     ytop = max(ys)  # the mirror half has the same heights
     half = [(x + shift, y - ytop) for x, y in zip(xs, ys)]
-    mirror = reversed(half[:-1] if n % 2 == 0 else half)
-    return tuple(half + [(-x, y) for x, y in mirror])
+    return tuple(half + [(-x, y) for x, y in reversed(half[:m + odd])])
 
 
 class GeneratingChain:
     """Vertex chain u = p0 ... pn = v with its chain_facts as fields
-    edge_lengths, cum_lengths and turn_angles.  Construction performs no
-    validation; see validate_chain.
+    edge_lengths, cum_lengths, turn_angles and chain_term.  Construction
+    performs no validation; see validate_chain.
     """
 
-    __slots__ = ("vertices", "edge_lengths", "cum_lengths", "turn_angles")
+    __slots__ = ("vertices", "edge_lengths", "cum_lengths", "turn_angles",
+                 "chain_term")
 
     def __init__(self, vertices: tuple):
         verts = tuple((float(x), float(y)) for (x, y) in vertices)
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
         self.vertices = verts
-        self.edge_lengths, self.cum_lengths, self.turn_angles = chain_facts(verts)
+        (self.edge_lengths, self.cum_lengths, self.turn_angles,
+         self.chain_term) = chain_facts(verts)
 
     @property
     def u(self):
@@ -142,11 +150,8 @@ class GeneratingChain:
         the full turn at the middle vertex.  Odd: m = n//2 edge lengths and
         m turns; the horizontal middle edge length is implied by total 1.
         """
-        n = self.n_edges
-        m = n // 2
-        fracs = tuple(self.edge_lengths[:m])
-        turns = tuple(self.turn_angles[:m])
-        return fracs, turns
+        m = self.n_edges // 2
+        return self.edge_lengths[:m], self.turn_angles[:m]
 
     @staticmethod
     def from_half_params(n: int, fracs, turns) -> "GeneratingChain":
@@ -215,7 +220,16 @@ def chain_diagnostics(verts, cum, turns):
     if not abs(L - 1.0) <= LENGTH_TOL:
         out.append(ChainDiagnostic("length", abs(L - 1.0),
                                    f"total length {L!r} != 1"))
-    worst = _mirror_deviation(verts)
+    # the largest gap between vertex k and the mirror of vertex n - k (pairs
+    # k and n - k agree, so half are visited); a nan gap is passed over
+    worst = 0.0
+    for (x0, y0), (x1, y1) in zip(verts[:(len(verts) + 1) // 2], reversed(verts)):
+        dev = abs(x0 + x1)
+        dy = abs(y0 - y1)
+        if dy > dev:  # max(dev, dy), which keeps a nan dev
+            dev = dy
+        if dev > worst:
+            worst = dev
     if worst > SYMMETRY_TOL:
         out.append(ChainDiagnostic("symmetry", worst,
                                    "not mirror-symmetric about the y axis"))
@@ -235,27 +249,14 @@ def chain_diagnostics(verts, cum, turns):
     if vx > 1.0:
         out.append(ChainDiagnostic("endpoints", vx - 1.0,
                                    "half base exceeds the unit string"))
-    for i, ((x0, _), (x1, _)) in enumerate(zip(verts, verts[1:])):
+    x0 = ux
+    for i, (x1, _) in enumerate(verts[1:]):
         if x1 <= x0:
             out.append(ChainDiagnostic(
                 "ordering", x0 - x1, f"x coordinates not increasing at edge {i}"))
             break
+        x0 = x1
     return out
-
-
-def _mirror_deviation(vertices) -> float:
-    """Largest coordinate gap between vertex k and the mirror of vertex n - k.
-
-    Pairs k and n - k give the same deviation, so only the first half of
-    the vertices is visited.
-    """
-    worst = 0.0
-    for (x0, y0), (x1, y1) in zip(vertices[:(len(vertices) + 1) // 2],
-                                  reversed(vertices)):
-        dev = max(abs(x0 + x1), abs(y0 - y1))
-        if dev > worst:
-            worst = dev
-    return worst
 
 
 class Pocket:
@@ -382,44 +383,46 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(verts, cum, turns):
-    """(apex, right run, area) of a chain that passed chain_diagnostics,
-    in one walk that checks the unwrap radii, the Arc guards, a positive
-    final pivot and the apex distance.  right holds arc records (cx, cy, r,
-    t0, t1) traced v -> w, one per turn above 1e-14 (so every sweep is
-    positive); _mirror_run gives the left run.  area, not yet checked
-    positive, sums arc_path_area's terms in boundary order: segments, the
-    right run, then the left run, added in reverse after the walk."""
+def _unwrap(verts, cum, turns, area, right=None):
+    """(apex, area) of a chain that passed chain_diagnostics, in one walk that
+    checks the unwrap radii, the Arc guards, a positive final pivot and the
+    apex distance.  To area, chain_facts' chain term, it adds arc_path_area's
+    terms of the right run, then of the left run in reverse (not yet checked
+    positive).  A list passed as right gets the right run's records (cx, cy,
+    r, t0, t1) traced v -> w, one per turn above 1e-14; see _mirror_run."""
     n = len(verts) - 1
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        area += seg_area(x0, y0, x1, y1)
 
     # right involute, traced from v: pivot interior vertices from the v side
-    # with the still-wrapped radius 1 - s_k, then swing about u to the apex
-    right = []
+    # with the still-wrapped radius 1 - s_k, then swing about u to the apex;
+    # left holds the terms of their mirror images, as _mirror_run records them
+    left = []
     ex, ey = vx, vy
-    dist, atan2, cos, sin = math.dist, math.atan2, math.cos, math.sin
-    for k, pivot, s_k, theta in zip(range(n - 1, 0, -1), verts[n - 1:0:-1],
-                                    cum[n - 1:0:-1], reversed(turns)):
-        r = 1.0 - s_k
-        gap = abs(dist((ex, ey), pivot) - r)
+    hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
+    for k in range(n - 1, 0, -1):
+        cx, cy = verts[k]
+        r = 1.0 - cum[k]
+        dx, dy = ex - cx, ey - cy
+        gap = abs(hypot(dx, dy) - r)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
+        theta = turns[k - 1]
         if theta > 1e-14:
-            cx, cy = pivot
-            t0 = atan2(ey - cy, ex - cx)
+            t0 = atan2(dy, dx)
             t1 = t0 + theta
             check_arc(r, t0, t1)
-            right.append((cx, cy, r, t0, t1))
+            if right is not None:
+                right.append((cx, cy, r, t0, t1))
             c1, s1 = cos(t1), sin(t1)
             area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
+            a0, a1 = pi - t1, pi - t0
+            left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
+                                 cos(a1), sin(a1)))
             ex, ey = cx + r * c1, cy + r * s1
-    gap = abs(dist((ex, ey), (ux, uy)) - 1.0)
+    gap = abs(hypot(ex - ux, ey - uy) - 1.0)
     if gap > 1e-9:
         raise InadmissibleChainError([ChainDiagnostic(
             "unwrap", gap, "fully unwrapped string is not unit length")])
@@ -430,18 +433,20 @@ def _unwrap(verts, cum, turns):
         raise InadmissibleChainError([ChainDiagnostic(
             "closure", -final_pivot, "final pivot angle not positive")])
     check_arc(1.0, t0, t1)
-    right.append((ux, uy, 1.0, t0, t1))
+    if right is not None:
+        right.append((ux, uy, 1.0, t0, t1))
     area += arc_term(ux, uy, 1.0, final_pivot, cos(t0), sin(t0), cos(t1), sin(t1))
+    a0, a1 = pi - t1, pi - t0
+    left.append(arc_term(-ux, uy, 1.0, a1 - a0, cos(a0), sin(a0), cos(a1), sin(a1)))
 
     for p in (verts[0], verts[-1]):
-        gap = abs(dist(p, w) - 1.0)
+        gap = abs(math.dist(p, w) - 1.0)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
-    for cx, cy, r, t0, t1 in reversed(right):
-        a0, a1 = math.pi - t1, math.pi - t0  # as in the _mirror_run record
-        area += arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0), cos(a1), sin(a1))
-    return w, right, area
+    for term in reversed(left):
+        area += term
+    return w, area
 
 
 def _mirror_run(right):
@@ -515,7 +520,9 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     diags = validate_chain(chain)
     if diags:
         raise InadmissibleChainError(diags)
-    w, right, area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles)
+    right = []
+    w, area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
+                      chain.chain_term, right)
     left = _mirror_run(right)
     path = _boundary(chain, right, left)
     check_closed(path)
@@ -533,15 +540,16 @@ def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
     return ArcPath(pieces)
 
 
-def cover_area(verts) -> float:
-    """The area involute_cover(GeneratingChain(verts)) records, bit for bit:
-    the same checks and the same sum from one _unwrap walk, with no chain
-    object, no pieces and no cap certificate."""
-    _, cum, turns = chain_facts(verts)
-    diags = chain_diagnostics(verts, cum, turns)
+def half_chain_area(n: int, fracs, turns) -> float:
+    """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
+    turns)) records, bit for bit: the same layout, facts, checks and
+    _unwrap walk, with no chain object, no pieces and no cap certificate."""
+    verts = half_chain_vertices(n, fracs, turns)
+    _, cum, angles, term = chain_facts(verts)
+    diags = chain_diagnostics(verts, cum, angles)
     if diags:
         raise InadmissibleChainError(diags)
-    return check_ccw(_unwrap(verts, cum, turns)[2])
+    return check_ccw(_unwrap(verts, cum, angles, term)[1])
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

@@ -5,11 +5,11 @@ pairs, with the middle edge implied for odd n and mirror symmetry always
 enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
-reason.  A move is scored from its half chain in one walk: the vertex
-layout, then `involute.cover_area`, which runs the same checks and sums
-the same float as a build while it unwraps, with no chain object and no
-pieces.  Only the winner becomes a GeneratingChain, rebuilt once with the
-boundary certificate.  Runs are bit-reproducible for a fixed seed.
+reason.  A move is scored in one walk from its half parameters by
+`involute.half_chain_area`: a build's layout, facts, checks and unwrap,
+summing the same float with no chain object, arc records or pieces.  Only
+the winner becomes a GeneratingChain, rebuilt once with the boundary
+certificate.  Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from functools import cache
 from typing import NamedTuple
 
 from . import numerics, smooth
+from .geometry import GeometryError
 from .involute import (
     GeneratingChain,
     InadmissibleChainError,
-    cover_area,
-    half_chain_vertices,
+    half_chain_area,
     involute_cover,
 )
 
@@ -44,6 +44,10 @@ class SearchConfig:
     def __init__(self, edges: int, iterations: int, seed: int,
                  initial_step: float = 0.05, step_decay: float = 0.999,
                  restarts: int = 1):
+        for name, count in (("edges", edges), ("iterations", iterations),
+                            ("restarts", restarts)):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise SearchConfigError(f"{name} must be an integer, got {count!r}")
         if edges < 1:
             raise SearchConfigError("edges must be >= 1")
         if iterations < 1:
@@ -74,8 +78,7 @@ class ChainParams(NamedTuple):
 
     @staticmethod
     def from_chain(chain: GeneratingChain) -> "ChainParams":
-        fracs, turns = chain.half_params()
-        return ChainParams(edges=chain.n_edges, fracs=fracs, turns=turns)
+        return ChainParams(chain.n_edges, *chain.half_params())
 
 
 class SearchTrace:
@@ -105,13 +108,13 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
     """Move one coordinate by uniform(+-step); renormalize and clamp."""
     if not 0 <= step < math.inf:
         raise ValueError(f"step must be finite and nonnegative, got {step!r}")
-    fracs = list(params.fracs)
-    turns = list(params.turns)
+    fracs, turns = params.fracs, params.turns
     k = rng.randrange(len(fracs) + len(turns))
     delta = (2 * rng.random() - 1) * step
     if delta == 0.0:
         return params
     if k < len(fracs):
+        fracs = list(fracs)
         fracs[k] = max(MIN_FRACTION, fracs[k] + delta)
         total = numerics.ordered_sum(fracs)
         if params.edges % 2 == 0:
@@ -122,26 +125,23 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
             if total > limit:
                 fracs = [f * limit / total for f in fracs]
     else:
+        turns = list(turns)
         j = k - len(fracs)
         turns[j] = max(0.0, turns[j] + delta)
-    return ChainParams(edges=params.edges, fracs=tuple(fracs), turns=tuple(turns))
+    return ChainParams(params.edges, tuple(fracs), tuple(turns))
 
 
 def _cover_area(params: ChainParams, rejections: Counter):
-    """The area an unaudited build of params.to_chain() records, from the
-    half chain's vertices with no chain object, or None when inadmissible.
-    Rejections are counted into `rejections` by kind (see SearchTrace)."""
+    """The area an unaudited build of params.to_chain() records, or None when
+    inadmissible, counted into `rejections` by kind (see SearchTrace)."""
     try:
-        verts = half_chain_vertices(params.edges, params.fracs, params.turns)
-    except ValueError:
-        rejections["params"] += 1
-        return None
-    try:
-        return cover_area(verts)
+        return half_chain_area(params.edges, params.fracs, params.turns)
     except InadmissibleChainError as exc:
         rejections.update({d.kind for d in exc.diagnostics})
-    except ValueError:  # GeometryError: clockwise boundary or a bad arc
+    except GeometryError:  # a clockwise boundary or a bad arc
         rejections["geometry"] += 1
+    except ValueError:  # half parameters that give no chain
+        rejections["params"] += 1
     return None
 
 
@@ -170,26 +170,18 @@ def _smooth_optimum():
 def local_search(cfg: SearchConfig) -> SearchTrace:
     """Strict-improvement hill climbing with decaying step and restarts."""
     trace = SearchTrace()
-    if cfg.edges == 1:
-        chain = GeneratingChain.from_half_params(1, (), ())
-        area = involute_cover(chain).area
-        trace.best_areas = [area]
-        trace.best_chain = chain
-        trace.best_area = area
-        return trace
-
     rng = random.Random(cfg.seed)
-    params = initial_params(cfg.edges)
-    best_area = _cover_area(params, trace.rejections)
+    best_params = initial_params(cfg.edges)
+    best_area = _cover_area(best_params, trace.rejections)
     if best_area is None:
         raise SearchConfigError(
             f"no admissible initial chain with {cfg.edges} edges")
-    best_params = params
     trace.best_areas.append(best_area)
 
+    step = None  # one edge has an empty half chain: no move to make
     per_restart = cfg.iterations // cfg.restarts
     leftovers = cfg.iterations - per_restart * cfg.restarts
-    for r in range(cfg.restarts):
+    for r in range(cfg.restarts if cfg.edges > 1 else 0):
         step = cfg.initial_step
         budget = per_restart + (leftovers if r == 0 else 0)
         for _ in range(budget):

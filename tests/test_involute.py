@@ -19,12 +19,12 @@ from rulecover.involute import (
     _unwrap,
     certify_cap,
     chain_from_params,
-    cover_area,
+    half_chain_area,
     half_chain_vertices,
     involute_cover,
     validate_chain,
 )
-from rulecover.search import _cover_area, initial_params, perturb
+from rulecover.search import ChainParams, _cover_area, initial_params, perturb
 from rulecover.verify import shrink_cover
 
 A_OPT_TWO = math.acos(0.75)
@@ -286,7 +286,8 @@ def test_two_edge_family_property(turn):
 
 
 # --------------------------------------------------------------------------
-# differential test: cover_area against the area of an unaudited build
+# differential test: the search's scorer, half_chain_area, against the area
+# of an unaudited build of the same chain
 
 
 def _outcome(area_of, chain):
@@ -302,20 +303,37 @@ def _built_area(chain):
     return involute_cover(chain).area
 
 
-def _scored_area(chain):
-    return cover_area(chain.vertices)
+def _half_chain_area(params):
+    """A search move's score."""
+    return half_chain_area(params.edges, params.fracs, params.turns)
+
+
+def _scored_area(chain, monkeypatch):
+    """The scorer run on `chain`'s own vertices: its layout is replaced, so
+    the facts, checks and walk after it see a chain that no half
+    parameters give (a closed form, a non-finite or a negative-radius one)."""
+    monkeypatch.setattr(involute, "half_chain_vertices",
+                        lambda n, fracs, turns: chain.vertices)
+    return half_chain_area(chain.n_edges, (), ())
+
+
+def _check_both_ways(chain, monkeypatch):
+    # from the chain's half parameters, as the search scores a move, and
+    # from its own vertices through the scorer's walk (bit for bit)
+    params = ChainParams.from_chain(chain)
+    assert _half_chain_area(params) == _built_area(params.to_chain())
+    assert _scored_area(chain, monkeypatch) == _built_area(chain)
 
 
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
-def test_cover_area_matches_reference_builds(name, request):
-    chain = request.getfixturevalue(f"{name}_bundle").chain
-    assert cover_area(chain.vertices) == _built_area(chain)  # bit for bit
+def test_cover_area_matches_reference_builds(name, request, monkeypatch):
+    _check_both_ways(request.getfixturevalue(f"{name}_bundle").chain, monkeypatch)
 
 
 @pytest.mark.parametrize("edges", [32, 128, 512])
-def test_cover_area_matches_smooth_builds(edges, smooth_optimum):
-    chain = smooth.discretize_smooth(smooth_optimum[1], edges)
-    assert cover_area(chain.vertices) == _built_area(chain)
+def test_cover_area_matches_smooth_builds(edges, smooth_optimum, monkeypatch):
+    _check_both_ways(smooth.discretize_smooth(smooth_optimum[1], edges),
+                     monkeypatch)
 
 
 def perturbed_params(edges, step, count=30, moves=6):
@@ -341,14 +359,8 @@ def perturbed_chains(edges, step, count=30, moves=6):
     return chains
 
 
-def _half_chain_area(params):
-    """A search move's score: its half chain's vertices, then cover_area."""
-    return cover_area(half_chain_vertices(params.edges, params.fracs,
-                                          params.turns))
-
-
-@pytest.mark.parametrize("step", [0.02, 0.3])
-@pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64])
+@pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("edges", [2, 3, 4, 5, 8, 16, 17, 64, 128])
 def test_cover_area_matches_perturbed_builds(edges, step):
     # the score against a build of the chain object, and the search's
     # counting wrapper: the same area, or one count per rejection kind
@@ -367,14 +379,17 @@ def test_cover_area_matches_perturbed_builds(edges, step):
 
 
 def test_perturbed_chains_reach_rejections():
-    # the large steps exercise the rejection paths compared above
+    # the large steps exercise the rejection paths compared above; no seeded
+    # half chain reaches "unwrap": with increasing x and no negative turn,
+    # each radius is the string's free length to rounding (TestBuildChecks)
     kinds = set()
-    for edges in (16, 17, 64):
-        for chain in perturbed_chains(edges, 0.3):
-            _, error = _outcome(_scored_area, chain)
-            if error is not None:
-                kinds |= error[1]
-    assert {"closure", "ordering"} <= kinds
+    for edges in (16, 17, 64, 128):
+        for step in (0.3, 1.0):
+            for params in perturbed_params(edges, step):
+                _, error = _outcome(_half_chain_area, params)
+                if error is not None:
+                    kinds |= error[1]
+    assert {"closure", "concavity", "endpoints", "ordering"} <= kinds
 
 
 NON_FINITE_CHAINS = {
@@ -385,66 +400,74 @@ NON_FINITE_CHAINS = {
 
 
 @pytest.mark.parametrize("name", NON_FINITE_CHAINS)
-def test_non_finite_chain_is_rejected(name):
+def test_non_finite_chain_is_rejected(name, monkeypatch):
     # nan compares false both ways, so only `not length <= tol` catches it
     chain = GeneratingChain(NON_FINITE_CHAINS[name])
     assert "length" in {d.kind for d in validate_chain(chain)}
-    for build in (involute_cover, _scored_area):
+    for build in (involute_cover, lambda c: _scored_area(c, monkeypatch)):
         with pytest.raises(InadmissibleChainError) as err:
             build(chain)
         assert "length" in {d.kind for d in err.value.diagnostics}
 
 
-@pytest.mark.parametrize("build", ["involute_cover", "cover_area"])
+@pytest.mark.parametrize("build", ["involute_cover", "half_chain_area"])
 def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
     # the walk's area negated: only check_ccw stands between it and a result
     unwrap = involute._unwrap
 
     def negated(*args):
-        w, right, area = unwrap(*args)
-        return w, right, -area
+        w, area = unwrap(*args)
+        return w, -area
 
     monkeypatch.setattr(involute, "_unwrap", negated)
-    chain = two_bundle.chain
+    params = ChainParams.from_chain(two_bundle.chain)
     with pytest.raises(geometry.GeometryError, match="counterclockwise"):
-        (involute_cover if build == "involute_cover" else _scored_area)(chain)
+        if build == "involute_cover":
+            involute_cover(two_bundle.chain)
+        else:
+            _half_chain_area(params)
 
 
 class TestBuildChecks:
-    """Checks of the shared unwrap that validate_chain does not make, each
-    reached with validate_chain switched off."""
+    """Checks of the shared unwrap that chain_diagnostics does not make,
+    each reached by the build and by the scorer with chain_diagnostics
+    (validate_chain's checks) switched off."""
 
-    @pytest.fixture(autouse=True)
-    def no_validation(self, monkeypatch):
-        monkeypatch.setattr(involute, "validate_chain", lambda chain: [])
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(involute, "chain_diagnostics", lambda *facts: [])
+        return involute_cover, lambda chain: _scored_area(chain, monkeypatch)
 
-    def test_short_string_unwraps_short(self):
+    def test_short_string_unwraps_short(self, builds):
         chain = scaled_one_edge(0.8)
-        with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain)
-        assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
-        assert "not unit length" in str(err.value)
+        for build in builds:
+            with pytest.raises(InadmissibleChainError) as err:
+                build(chain)
+            assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
+            assert "not unit length" in str(err.value)
 
-    def test_string_end_off_pivot_radius(self):
+    def test_string_end_off_pivot_radius(self, builds):
         # total length about 1.6: the string end, still at v, is not at
         # radius 1 - s_2 from vertex 2
         chain = GeneratingChain(((-0.6, 0.0), (-0.2, -0.45), (0.2, -0.45),
                                  (0.6, 0.0)))
-        with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain)
-        assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
-        assert "pivot radius at vertex 2" in str(err.value)
+        for build in builds:
+            with pytest.raises(InadmissibleChainError) as err:
+                build(chain)
+            assert [d.kind for d in err.value.diagnostics] == ["unwrap"]
+            assert "pivot radius at vertex 2" in str(err.value)
 
-    def test_apex_off_unit_distance(self):
+    def test_apex_off_unit_distance(self, builds):
         # a unit chain off the axis: u is 1.18 from the apex above v
         chain = GeneratingChain(((-0.7, 0.0), (0.3, 0.0)))
-        with pytest.raises(InadmissibleChainError) as err:
-            involute_cover(chain)
-        assert [d.kind for d in err.value.diagnostics] == ["closure"]
-        assert "apex not at unit distance" in str(err.value)
+        for build in builds:
+            with pytest.raises(InadmissibleChainError) as err:
+                build(chain)
+            assert [d.kind for d in err.value.diagnostics] == ["closure"]
+            assert "apex not at unit distance" in str(err.value)
 
 
-def test_unwrap_radius_guard_fires_after_validation():
+def test_unwrap_radius_guard_fires_after_validation(monkeypatch):
     # a symmetric 4-edge arch with end edges 1e-13 long and length
     # 1 + 5e-13, inside LENGTH_TOL: validate_chain passes it, yet the first
     # pivot's radius 1 - s_3 is negative, which only _unwrap's Arc guard sees
@@ -454,10 +477,28 @@ def test_unwrap_radius_guard_fires_after_validation():
     half = [(-x2, -y2), (x1 - x2, y1 - y2), (0.0, 0.0)]
     chain = GeneratingChain(tuple(half + [(-x, y) for x, y in half[1::-1]]))
     assert validate_chain(chain) == []
-    for build in (involute_cover, _scored_area):
+    for build in (involute_cover, lambda c: _scored_area(c, monkeypatch)):
         with pytest.raises(geometry.GeometryError,
                            match=r"negative radius -4\.0\d*e-13"):
             build(chain)
+
+
+def test_unwrap_radius_guard_fires_from_half_parameters():
+    # no half parameters give the chain above (the layout scales the half
+    # chain to length 1/2), but a first edge of 5e-17 leaves s_4 one ulp
+    # above 1 after rounding: the five-edge chain passes validate_chain,
+    # and the build and the scorer stop at the same Arc guard
+    params = ChainParams(5, (5.2477313009977105e-17, 0.21424367676489484),
+                         (0.114045996568159, 0.35874260759089155))
+    chain = params.to_chain()
+    assert validate_chain(chain) == []
+    for build in (lambda p: involute_cover(p.to_chain()), _half_chain_area):
+        with pytest.raises(geometry.GeometryError,
+                           match=r"negative radius -2\.2\d*e-16"):
+            build(params)
+    rejections = Counter()
+    assert _cover_area(params, rejections) is None
+    assert rejections == Counter(geometry=1)
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +648,7 @@ def test_audited_build_runs_no_crossing_test(monkeypatch, smooth_optimum):
 
     monkeypatch.setattr(geometry, "path_self_intersects", crossing_test)
     chain = smooth.discretize_smooth(smooth_optimum[1], 512)
-    assert involute_cover(chain).area == cover_area(chain.vertices)
+    assert involute_cover(chain).area == _scored_area(chain, monkeypatch)
 
 
 def test_open_boundary_raises(monkeypatch, two_bundle):
@@ -630,7 +671,9 @@ class TestCertifyCap:
     @pytest.fixture
     def records(self, two_bundle):
         chain = two_bundle.chain
-        _, right, _ = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles)
+        right = []
+        _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
+                chain.chain_term, right)
         left = involute._mirror_run(right)
         assert len(right) == len(left) == 2  # one joint in each run
         return chain, right, left

@@ -51,6 +51,17 @@ class TestConfig:
         with pytest.raises(SearchConfigError, match="finite and positive"):
             SearchConfig(edges=2, iterations=10, seed=1, initial_step=step)
 
+    @pytest.mark.parametrize("field", ["edges", "iterations", "restarts"])
+    @pytest.mark.parametrize("value", [4.0, True, "4", None])
+    def test_counts_must_be_integers(self, field, value):
+        # a float count used to end in range()'s TypeError inside
+        # local_search, and edges=True ran a one-edge search
+        counts = dict(edges=4, iterations=10, restarts=2)
+        counts[field] = value
+        with pytest.raises(SearchConfigError,
+                           match=f"^{field} must be an integer, got {value!r}$"):
+            SearchConfig(seed=1, **counts)
+
 
 class TestPerturb:
     def test_zero_step_is_identity(self):
@@ -195,8 +206,9 @@ class TestTelemetry:
 
 
 # --------------------------------------------------------------------------
-# differential test: the search scored by cover_area against the frozen
-# copy of the library, which scored every move with a full CoverBundle
+# differential test: the search scored by involute.half_chain_area against
+# the frozen copy of the library, which scored every move with a full
+# CoverBundle
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3])
