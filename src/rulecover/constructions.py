@@ -3,7 +3,10 @@
 Each k-edge construction fixes its free angles, solves the stated length
 constraints in closed form, and has a closed-form area; the assembled
 region (via the generic involute construction) must agree with that area
-to 1e-10, which the test suite enforces as an oracle.
+to 1e-10, which the test suite enforces as an oracle.  The closed forms
+take sin and cos from `backend.multiples`, so they run unchanged on floats
+or on nested duals, which give the area's gradient and Hessian to
+`optimize_construction`; their feasibility checks compare float(...).
 
 `CONSTRUCTIONS` holds one `Construction` record per cut, keyed "one" to
 "four"; everything that picks a cut by kind, and every reference angle
@@ -17,9 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import involute, numerics
 from .geometry import Region
-
-FEASIBLE_MARGIN = 1e-4
-ANGLE_BOX_HI = 1.2
+from .highprec import NATIVE, Dual, DualBackend
 
 
 class InfeasibleParamsError(ValueError):
@@ -59,26 +60,34 @@ def r2_cover() -> Region:
 R2_AREA = math.pi / 3 - math.sqrt(3.0) / 4.0
 
 
+def _sin_cos(t, backend):
+    S, C = backend.multiples(t, 1)
+    return S[1], C[1]
+
+
 # --------------------------------------------------------------------------
 # two-edge cut
 
-def solve_two_edge(a: float) -> TwoEdgeParams:
+def solve_two_edge(a, backend=NATIVE) -> TwoEdgeParams:
     """Solve 2cos(a + c) = cos c for c on (0, pi/2 - a) in closed form."""
-    if not 0.0 < a < math.pi / 2:
-        raise InfeasibleParamsError(f"angle a={a!r} outside (0, pi/2)")
+    if not 0.0 < float(a) < math.pi / 2:
+        raise InfeasibleParamsError(
+            f"angle a={float(a)!r} outside (0, pi/2)")
+    sin_a, cos_a = _sin_cos(a, backend)
     # expanding cos(a + c) gives tan c = (2cos a - 1) / (2sin a), whose
     # root lies in (0, pi/2 - a) iff cos a > 1/2
-    rise = 2 * math.cos(a) - 1
-    if rise <= 0:
+    rise = 2 * cos_a - 1
+    if float(rise) <= 0:
         raise InfeasibleParamsError(
-            f"no root for a={a!r}: 2cos(a+c)=cos c needs a < pi/3")
-    c = math.atan2(rise, 2 * math.sin(a))
-    return TwoEdgeParams(a=a, c=c, x0=math.cos(c))
+            f"no root for a={float(a)!r}: 2cos(a+c)=cos c needs a < pi/3")
+    c = backend.atan2(rise, 2 * sin_a)
+    return TwoEdgeParams(a=a, c=c, x0=_sin_cos(c, backend)[1])
 
 
-def two_edge_area(p: TwoEdgeParams) -> float:
-    return (p.a + p.c / 2 - 0.5 * math.sin(2 * p.a + 2 * p.c)
-            + 0.125 * math.sin(2 * p.c))
+def two_edge_area(p: TwoEdgeParams, backend=NATIVE):
+    # sin(2(a + c)) is sin(2a + 2c) bit for bit: doubling is exact
+    return (p.a + p.c / 2 - 0.5 * backend.multiples(p.a + p.c, 2)[0][2]
+            + 0.125 * backend.multiples(p.c, 2)[0][2])
 
 
 def _two_edge_chain(p: TwoEdgeParams):
@@ -90,24 +99,27 @@ def _two_edge_chain(p: TwoEdgeParams):
 # --------------------------------------------------------------------------
 # three-edge cut
 
-def solve_three_edge(a: float, b: float) -> ThreeEdgeParams:
-    if a < 0 or b <= 0 or a + b >= math.pi / 2:
+def solve_three_edge(a, b, backend=NATIVE) -> ThreeEdgeParams:
+    if float(a) < 0 or float(b) <= 0 or float(a + b) >= math.pi / 2:
         raise InfeasibleParamsError(
-            f"angles (a={a!r}, b={b!r}) outside the feasible wedge")
-    x0 = 2 * math.cos(a + b)
-    x1 = (1 - x0) / (2 * (1 - math.cos(b)))
+            f"angles (a={float(a)!r}, b={float(b)!r}) outside the "
+            f"feasible wedge")
+    x0 = 2 * _sin_cos(a + b, backend)[1]
+    x1 = (1 - x0) / (2 * (1 - _sin_cos(b, backend)[1]))
     x2 = 1 - 2 * x1
-    if not (0 < x1 < 0.5) or not (0 < x2 < 1) or not (0 < x0 < 1):
+    if (not 0 < float(x1) < 0.5 or not 0 < float(x2) < 1
+            or not 0 < float(x0) < 1):
         raise InfeasibleParamsError(
-            f"derived lengths infeasible: x0={x0!r} x1={x1!r} x2={x2!r}")
+            f"derived lengths infeasible: x0={float(x0)!r} x1={float(x1)!r} "
+            f"x2={float(x2)!r}")
     return ThreeEdgeParams(a=a, b=b, x0=x0, x1=x1, x2=x2)
 
 
-def three_edge_area(a: float, b: float) -> float:
-    p = solve_three_edge(a, b)
+def three_edge_area(a, b, backend=NATIVE):
+    p = solve_three_edge(a, b, backend)
     return (b * (p.x1 ** 2 + (1 - p.x1) ** 2) + a
-            - p.x0 / 2 * math.sin(a + b)
-            + (p.x0 + p.x2) / 2 * p.x1 * math.sin(b))
+            - p.x0 / 2 * _sin_cos(a + b, backend)[0]
+            + (p.x0 + p.x2) / 2 * p.x1 * _sin_cos(b, backend)[0])
 
 
 def _three_edge_chain(p: ThreeEdgeParams):
@@ -119,30 +131,34 @@ def _three_edge_chain(p: ThreeEdgeParams):
 # --------------------------------------------------------------------------
 # four-edge cut
 
-def solve_four_edge(a: float, b: float, c: float) -> FourEdgeParams:
-    if a <= 0 or b <= 0 or c <= 0 or a + b + c >= math.pi / 2:
+def solve_four_edge(a, b, c, backend=NATIVE) -> FourEdgeParams:
+    if (float(a) <= 0 or float(b) <= 0 or float(c) <= 0
+            or float(a + b + c) >= math.pi / 2):
         raise InfeasibleParamsError(
-            f"angles (a={a!r}, b={b!r}, c={c!r}) outside the feasible wedge")
-    x0 = 2 * math.cos(a + b + c)
-    denom = 2 * math.cos(c) - 2 * math.cos(b + c)
-    if abs(denom) < 1e-15:
+            f"angles (a={float(a)!r}, b={float(b)!r}, c={float(c)!r}) "
+            f"outside the feasible wedge")
+    x0 = 2 * _sin_cos(a + b + c, backend)[1]
+    cos_c = _sin_cos(c, backend)[1]
+    denom = 2 * cos_c - 2 * _sin_cos(b + c, backend)[1]
+    if abs(float(denom)) < 1e-15:
         raise InfeasibleParamsError("degenerate trapezoid angles")
-    x1 = (math.cos(c) - x0) / denom
-    x2 = (1 - 2 * x1) * math.cos(c)
+    x1 = (cos_c - x0) / denom
+    x2 = (1 - 2 * x1) * cos_c
     x3 = 0.5 - x1
-    if not (0 < x1 < 0.5) or x3 <= 0 or not (0 < x2 < 1) or not (0 < x0 < 1):
+    if (not 0 < float(x1) < 0.5 or float(x3) <= 0 or not 0 < float(x2) < 1
+            or not 0 < float(x0) < 1):
         raise InfeasibleParamsError(
-            f"derived lengths infeasible: x0={x0!r} x1={x1!r} "
-            f"x2={x2!r} x3={x3!r}")
+            f"derived lengths infeasible: x0={float(x0)!r} x1={float(x1)!r} "
+            f"x2={float(x2)!r} x3={float(x3)!r}")
     return FourEdgeParams(a=a, b=b, c=c, x0=x0, x1=x1, x2=x2, x3=x3)
 
 
-def four_edge_area(a: float, b: float, c: float) -> float:
-    p = solve_four_edge(a, b, c)
+def four_edge_area(a, b, c, backend=NATIVE):
+    p = solve_four_edge(a, b, c, backend)
     return (b * (p.x1 ** 2 + (1 - p.x1) ** 2) + c / 2 + a
-            - p.x0 / 2 * math.sin(a + b + c)
-            + (p.x0 + p.x2) / 2 * p.x1 * math.sin(b + c)
-            + p.x2 / 2 * p.x3 * math.sin(c))
+            - p.x0 / 2 * _sin_cos(a + b + c, backend)[0]
+            + (p.x0 + p.x2) / 2 * p.x1 * _sin_cos(b + c, backend)[0]
+            + p.x2 / 2 * p.x3 * _sin_cos(c, backend)[0])
 
 
 def _four_edge_chain(p: FourEdgeParams):
@@ -156,49 +172,80 @@ def _four_edge_chain(p: FourEdgeParams):
 # --------------------------------------------------------------------------
 # optimization
 
-def _penalized(area_fn, angles):
-    """Graded penalty steering infeasible iterates back into the wedge."""
-    lo, hi = FEASIBLE_MARGIN, ANGLE_BOX_HI
-    violation = 0.0
-    for x in angles:
-        if x < lo:
-            violation += lo - x
-        if x > hi:
-            violation += x - hi
-    s = numerics.ordered_sum(angles)
-    if s > math.pi / 2 - FEASIBLE_MARGIN:
-        violation += s - (math.pi / 2 - FEASIBLE_MARGIN)
-    if violation > 0:
-        return 0.7 + violation
-    try:
-        return area_fn(*angles)
-    except InfeasibleParamsError:
-        # inside the wedge but with infeasible derived lengths: grade by
-        # how badly the base constraint 2cos(sum) < 1 is missed
-        return 0.7 + max(0.0, 2 * math.cos(s) - 1.0) + 1e-3
+NEWTON_STEPS = 20   # Newton steps before ConvergenceError
+NEWTON_TOL = 1e-12  # the last step's largest component, in radians
+_DUAL2 = DualBackend(DualBackend(NATIVE))
+
+
+def area_derivatives(area, angles):
+    """(gradient, Hessian) of `area` at `angles` from its closed form.
+
+    One evaluation per pair i <= j on nested duals: seeding angle i in the
+    inner derivative and angle j in the outer one gives A_j and A_ij.
+    """
+    n = len(angles)
+    grad, hess = [0.0] * n, [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = area(*(Dual(Dual(x, float(k == i)), Dual(float(k == j), 0.0))
+                       for k, x in enumerate(angles)), backend=_DUAL2)
+            grad[j] = v.deriv.value
+            hess[i][j] = hess[j][i] = v.deriv.deriv
+    return grad, hess
+
+
+def _cholesky_solve(h, g):
+    """d with h d = g, from h = L L^T; None unless h is positive definite."""
+    n = len(g)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = h[i][j] - numerics.ordered_sum(
+                low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0:
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    d = list(g)  # L y = g forward, then L^T d = y backward, in place
+    for i in range(n):
+        d[i] = (d[i] - numerics.ordered_sum(
+            low[i][k] * d[k] for k in range(i))) / low[i][i]
+    for i in reversed(range(n)):
+        d[i] = (d[i] - numerics.ordered_sum(
+            low[k][i] * d[k] for k in range(i + 1, n))) / low[i][i]
+    return d
 
 
 def optimize_construction(kind: str):
     """Minimize the closed-form area; returns (params, area, CoverBundle).
 
-    One angle: golden section on the bracket `start`; several: Nelder-Mead
-    from `start` under the wedge penalty.
+    Newton's method on the area's gradient from the table's `start`, with
+    the gradient and Hessian from `area_derivatives`.  It stops after a
+    step of at most NEWTON_TOL.  Raises numerics.ConvergenceError when a
+    Hessian is not positive definite or NEWTON_STEPS run out, and
+    InfeasibleParamsError when a step leaves the feasible wedge; there is
+    no penalty, line search or fallback.
     """
     cut = construction(kind)
     if not cut.ref_angles:
         raise ValueError(f"the {kind}-edge cut has no angle to optimize")
-    if len(cut.ref_angles) == 1:
-        res = numerics.minimize_1d(cut.area, *cut.start, tol=1e-12)
-        angles = (res.argmin,)
-    else:
-        res = numerics.minimize_nd(lambda v: _penalized(cut.area, v),
-                                   cut.start, tol=1e-12)
-        angles = tuple(res.argmin)
-    if not res.converged:
-        raise numerics.ConvergenceError(
-            f"{kind}-edge optimizer did not converge: {res}")
-    params, bundle = cut.build(angles)
-    return params, res.value, bundle
+    angles = cut.start
+    for _ in range(NEWTON_STEPS):
+        grad, hess = area_derivatives(cut.area, angles)
+        step = _cholesky_solve(hess, grad)
+        if step is None:
+            raise numerics.ConvergenceError(
+                f"{kind}-edge area has a Hessian that is not positive "
+                f"definite at angles {angles}")
+        angles = tuple(x - d for x, d in zip(angles, step))
+        if max(abs(d) for d in step) <= NEWTON_TOL:
+            params, bundle = cut.build(angles)
+            return params, cut.area(*angles), bundle
+    raise numerics.ConvergenceError(
+        f"{kind}-edge Newton steps stayed above {NEWTON_TOL} after "
+        f"{NEWTON_STEPS} steps, at angles {angles}")
 
 
 # --------------------------------------------------------------------------
@@ -207,10 +254,11 @@ def optimize_construction(kind: str):
 class Construction(NamedTuple):
     """One discrete cut: solver, closed-form area, chain, reference values.
 
-    `solve` and `area` take the free angles, `chain` the solved params.
-    `ref_angles` and `ref_area` are the paper's values, frozen as literals
-    so that checks against them test the formulas.  `start` is the
-    optimizer's bracket for one angle, its start point for several.
+    `solve` and `area` take the free angles and a backend (floats by
+    default), `chain` the solved params.  `ref_angles` and `ref_area` are
+    the paper's values, frozen as literals so that checks against them
+    test the formulas.  `start` is a feasible point, where Newton's method
+    in `optimize_construction` starts.
     """
 
     edges: int
@@ -239,15 +287,16 @@ CONSTRUCTIONS = {
         ref_angles=(), ref_area=R2_AREA),
     "two": Construction(
         edges=2, solve=solve_two_edge,
-        area=lambda a: two_edge_area(solve_two_edge(a)),
+        area=lambda a, backend=NATIVE: two_edge_area(
+            solve_two_edge(a, backend), backend),
         chain=_two_edge_chain,
         ref_angles=(math.acos(0.75),),  # the optimum: cos a = 3/4
         ref_area=0.5726988958836958,
-        start=(FEASIBLE_MARGIN, math.pi / 3 - FEASIBLE_MARGIN)),
+        start=(0.5,)),
     "three": Construction(
         edges=3, solve=solve_three_edge, area=three_edge_area,
         chain=_three_edge_chain, ref_angles=(0.575939, 0.519805),
-        ref_area=0.5635302302808625, start=(0.5, 0.5)),
+        ref_area=0.5635302302808625, start=(0.55, 0.55)),
     "four": Construction(
         edges=4, solve=solve_four_edge, area=four_edge_area,
         chain=_four_edge_chain, ref_angles=(0.488669, 0.423144, 0.189158),

@@ -19,7 +19,9 @@ calls the math module for each j.
 `DualBackend(base)` runs the same closed forms in forward-mode automatic
 differentiation: its numbers are x + x' eps with eps^2 = 0, so one
 evaluation of f at Dual(t, 1) returns f(t) and f'(t) together (Griewank &
-Walther, Evaluating Derivatives, 2008).
+Walther, Evaluating Derivatives, 2008).  Nested, as
+DualBackend(DualBackend(base)), it gives one second derivative per
+evaluation.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class NativeBackend:
         """([sin(j t)], [cos(j t)]) for j = 0..k."""
         return ([math.sin(j * t) for j in range(k + 1)],
                 [math.cos(j * t) for j in range(k + 1)])
+
+    atan2 = staticmethod(math.atan2)
 
     @staticmethod
     def context():
@@ -275,6 +279,13 @@ class DualBackend:
                      for j, (s, c) in enumerate(zip(sines, cosines))],
                     [Dual(c, -j * s * t.deriv)
                      for j, (s, c) in enumerate(zip(sines, cosines))])
+
+    def atan2(self, y, x):
+        """base.atan2 of the values, derivative (x y' - y x') / (x^2 + y^2)."""
+        with self.base.context():
+            return Dual(self.base.atan2(y.value, x.value),
+                        (x.value * y.deriv - y.value * x.deriv)
+                        / (x.value * x.value + y.value * y.value))
 
     def context(self):
         return self.base.context()

@@ -1,9 +1,9 @@
-"""Derivative-free minimization and adaptive quadrature on floats.
+"""Derivative-free 1-D minimization and adaptive quadrature on floats.
 
 All routines are pure.  The 1-D minimizer is golden-section search
 followed by parabolic refinement, which localizes a smooth minimum well
-past the naive sqrt(eps) comparison limit; the multi-dimensional minimizer
-is Nelder-Mead with shrinking restarts.
+past the naive sqrt(eps) comparison limit.  The discrete cuts' optima are
+found from derivatives instead (constructions.optimize_construction).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class IntegrationError(RuntimeError):
 
 class MinimizeResult:
     def __init__(self, argmin, value, iterations: int, converged: bool):
-        self.argmin = argmin  # scalar for 1-D, tuple for N-D
+        self.argmin = argmin
         self.value = value
         self.iterations = iterations
         self.converged = converged
@@ -66,9 +66,6 @@ def _is_finite(v) -> bool:
 
 
 MAX_ITER_1D = 600    # golden-section plus parabolic steps
-MAX_ITER_ND = 4000   # Nelder-Mead steps over all restarts
-RESTARTS_ND = 2      # Nelder-Mead restarts after the first run
-INITIAL_STEP_ND = 0.05  # first simplex edge, relative to 1 + |x|
 
 
 def minimize_1d(f, lo, hi, tol=1e-12) -> MinimizeResult:
@@ -148,76 +145,6 @@ def minimize_1d(f, lo, hi, tol=1e-12) -> MinimizeResult:
 
     return MinimizeResult(argmin=best_x, value=best_f,
                           iterations=iterations, converged=span <= tol)
-
-
-def minimize_nd(f, start, tol=1e-10) -> MinimizeResult:
-    """Nelder-Mead downhill simplex with shrinking restarts (floats only)."""
-    x0 = [float(v) for v in start]
-    n = len(x0)
-    if n < 1:
-        raise ValueError("empty start point")
-
-    def ev(x):
-        v = f(x)
-        if not _is_finite(v):
-            raise EvaluationError(tuple(x), v)
-        return v
-
-    total_iters = 0
-    best_x, best_f = list(x0), ev(x0)
-    step = INITIAL_STEP_ND
-    converged = False
-
-    for _ in range(RESTARTS_ND + 1):
-        sim = [list(best_x)]
-        for k in range(n):
-            p = list(best_x)
-            p[k] += step * (1.0 + abs(p[k]))
-            sim.append(p)
-        fs = [ev(p) for p in sim]
-
-        while total_iters < MAX_ITER_ND:
-            order = sorted(range(n + 1), key=lambda i: fs[i])
-            sim = [sim[i] for i in order]
-            fs = [fs[i] for i in order]
-            diam = max(
-                max(abs(sim[i][k] - sim[0][k]) for k in range(n))
-                for i in range(1, n + 1))
-            if diam <= tol and abs(fs[-1] - fs[0]) <= tol:
-                converged = True
-                break
-
-            centroid = [ordered_sum(p[k] for p in sim[:n]) / n for k in range(n)]
-            xr = [centroid[k] + (centroid[k] - sim[-1][k]) for k in range(n)]
-            fr = ev(xr)
-            if fr < fs[0]:
-                xe = [centroid[k] + 2 * (centroid[k] - sim[-1][k]) for k in range(n)]
-                fe = ev(xe)
-                sim[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
-            elif fr < fs[-2]:
-                sim[-1], fs[-1] = xr, fr
-            else:
-                # contraction (outside if the reflection helped at all)
-                if fr < fs[-1]:
-                    xc = [centroid[k] + 0.5 * (centroid[k] - sim[-1][k]) for k in range(n)]
-                else:
-                    xc = [centroid[k] - 0.5 * (centroid[k] - sim[-1][k]) for k in range(n)]
-                fc = ev(xc)
-                if fc < min(fr, fs[-1]):
-                    sim[-1], fs[-1] = xc, fc
-                else:
-                    for i in range(1, n + 1):
-                        sim[i] = [sim[0][k] + 0.5 * (sim[i][k] - sim[0][k])
-                                  for k in range(n)]
-                        fs[i] = ev(sim[i])
-            total_iters += 1
-
-        if fs[0] < best_f:
-            best_x, best_f = list(sim[0]), fs[0]
-        step *= 0.05  # restart much closer around the incumbent
-
-    return MinimizeResult(argmin=tuple(best_x), value=best_f,
-                          iterations=total_iters, converged=converged)
 
 
 def integrate(f, lo, hi, tol=1e-12, max_depth=60) -> float:

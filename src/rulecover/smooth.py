@@ -79,11 +79,12 @@ def check_speed_positivity(co: SmoothCoefficients):
 
     In c = cos t, g = 2 b2 c^2 + b1 c + (b0 - b2), and the constraints put
     one root at c = cos a.  So g > 0 on (-a, a) exactly when g(0) > 0 and
-    the other root, (b0 - b2) / (2 b2 cos a), is not in (cos a, 1).
+    the other root, (b0 - b2) / (2 b2 cos a), is not in (cos a, 1).  The
+    test is written so that a NaN coefficient fails it.
     """
     a = float(co.a)
     b0, b1, b2 = float(co.b0), float(co.b1), float(co.b2)
-    if b0 + b1 + b2 <= 0:
+    if not b0 + b1 + b2 > 0:
         raise SpeedPositivityError(f"curve speed not positive at t=0 for a={a!r}")
     if b2 != 0:
         root = (b0 - b2) / (2 * b2 * math.cos(a))
@@ -93,7 +94,8 @@ def check_speed_positivity(co: SmoothCoefficients):
 
 
 def _domain_check(co: SmoothCoefficients, t):
-    if abs(float(t)) > float(co.a) * (1 + 1e-12) + 1e-15:
+    # written so that a NaN t or a fails
+    if not abs(float(t)) <= float(co.a) * (1 + 1e-12) + 1e-15:
         raise ValueError(f"parameter t={t!r} outside [-a, a], a={co.a!r}")
 
 

@@ -55,6 +55,12 @@ class TestConstruct:
         assert code == 1
         assert "error" in err
 
+    def test_smooth_nan_angle_exits_1_before_discretizing(self, capsys):
+        code, _, err = run(capsys, "construct", "--kind", "smooth",
+                           "--angles", "nan")
+        assert code == 1
+        assert "speed not positive" in err
+
     @pytest.mark.parametrize("kind, angles, expected", [
         ("two", "0.7,0.3", "takes 1 angle"),
         ("three", "0.7", "takes 2 angle"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,11 +12,12 @@ from conftest import (
     THREE_REF_AREA,
     TWO_OPT_AREA,
 )
-from rulecover import numerics
+from rulecover import constructions, numerics
 from rulecover.constructions import (
     CONSTRUCTIONS,
     InfeasibleParamsError,
     R2_AREA,
+    area_derivatives,
     four_edge_area,
     optimize_construction,
     r2_cover,
@@ -28,6 +30,19 @@ from rulecover.constructions import (
 from rulecover.geometry import arc_path_area
 
 A_OPT_TWO = math.acos(0.75)
+
+
+def _leading_minors(m):
+    """Determinants of the leading 1x1, 2x2 and 3x3 blocks of m."""
+    minors = [m[0][0]]
+    if len(m) > 1:
+        minors.append(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    if len(m) > 2:
+        minors.append(
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return minors
 
 
 class TestR2:
@@ -184,17 +199,71 @@ class TestOptimize:
             optimize_construction("one")
 
     def test_two_unconverged_raises(self, monkeypatch):
-        real = numerics.minimize_1d
-
-        def stalled(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.converged = False
-            return res
-
-        monkeypatch.setattr(numerics, "minimize_1d", stalled)
-        with pytest.raises(numerics.ConvergenceError):
+        # the two-edge cut needs 5 Newton steps from its start
+        monkeypatch.setattr(constructions, "NEWTON_STEPS", 2)
+        with pytest.raises(numerics.ConvergenceError, match="after 2 steps"):
             optimize_construction("two")
 
+    def test_indefinite_hessian_raises(self, monkeypatch):
+        # (0.3, 0.8) is feasible, but the area is not convex there
+        cut = CONSTRUCTIONS["three"]
+        cut.solve(0.3, 0.8)
+        monkeypatch.setitem(CONSTRUCTIONS, "three", cut._replace(start=(0.3, 0.8)))
+        with pytest.raises(numerics.ConvergenceError, match="not positive definite"):
+            optimize_construction("three")
+
+    def test_step_out_of_the_wedge_raises(self, monkeypatch):
+        # from a = 0.1 the first step lands at a = 1.53, past pi/3
+        cut = CONSTRUCTIONS["two"]
+        monkeypatch.setitem(CONSTRUCTIONS, "two", cut._replace(start=(0.1,)))
+        with pytest.raises(InfeasibleParamsError, match="no root for a=1.5"):
+            optimize_construction("two")
+
+    def test_two_is_acos_three_quarters(self):
+        params, _, _ = optimize_construction("two")
+        assert abs(math.cos(params.a) - 0.75) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["three", "four"])
+    def test_stationary_with_positive_definite_hessian(self, kind):
+        cut = CONSTRUCTIONS[kind]
+        params, area, _ = optimize_construction(kind)
+        angles = tuple(params)[:len(cut.ref_angles)]
+        grad, hess = area_derivatives(cut.area, angles)
+        assert max(abs(g) for g in grad) <= 1e-12
+        assert all(minor > 0 for minor in _leading_minors(hess))
+        assert area == cut.area(*angles)
+
+    @pytest.mark.parametrize("kind", ["two", "three", "four"])
+    def test_every_start_is_feasible(self, kind):
+        cut = CONSTRUCTIONS[kind]
+        cut.solve(*cut.start)
+        assert math.isfinite(cut.area(*cut.start))
+
+    @pytest.mark.parametrize("kind", ["two", "three", "four"])
+    @pytest.mark.parametrize("where", ["start", "optimum"])
+    def test_derivatives_match_central_differences(self, kind, where):
+        cut = CONSTRUCTIONS[kind]
+        n = len(cut.ref_angles)
+        x = (cut.start if where == "start"
+             else tuple(optimize_construction(kind)[0])[:n])
+        grad, hess = area_derivatives(cut.area, x)
+
+        def area(*moves):  # the area at x moved by h_k along axis i_k
+            y = list(x)
+            for i, h in moves:
+                y[i] += h
+            return cut.area(*y)
+
+        h1, h2 = 1e-6, 1e-4
+        for i in range(n):
+            slope = (area((i, h1)) - area((i, -h1))) / (2 * h1)
+            # the gradient is ~1e-15 at the optimum: compare it absolutely
+            assert grad[i] == pytest.approx(slope, rel=1e-6, abs=1e-9)
+            for j in range(n):
+                curv = (area((i, h2), (j, h2)) - area((i, h2), (j, -h2))
+                        - area((i, -h2), (j, h2))
+                        + area((i, -h2), (j, -h2))) / (4 * h2 * h2)
+                assert hess[i][j] == pytest.approx(curv, rel=1e-6, abs=1e-6)
     def test_area_ordering(self):
         assert TWO_OPT_AREA > THREE_REF_AREA > FOUR_REF_AREA > 0.5553
 
@@ -209,3 +278,69 @@ def test_three_edge_closed_form_matches_geometry(total, frac):
     except InfeasibleParamsError:
         assume(False)
     assert abs(bundle.region.area - three_edge_area(a, b)) <= 1e-10
+
+
+# Differential tests: the backend-threaded closed forms, on floats, against
+# the frozen oracle's, over grids that cross the feasible wedge's edges.
+
+def _grid(m):
+    return [-0.05 + 1.65 * i / (m - 1) for i in range(m)] + [math.nan]
+
+
+def _outcome(f, *args):
+    """f(*args) as a tuple of floats, or the name of what it raised (the
+    oracle's exception classes are its own)."""
+    try:
+        r = f(*args)
+    except Exception as exc:
+        return type(exc).__name__
+    if dataclasses.is_dataclass(r):
+        return dataclasses.astuple(r)
+    return tuple(r) if isinstance(r, tuple) else r
+
+
+def test_three_edge_closed_forms_match_oracle_bit_for_bit(oracle_package):
+    oracle = oracle_package.constructions
+    feasible = 0
+    for a in _grid(80):
+        for b in _grid(80):
+            ours = _outcome(solve_three_edge, a, b)
+            assert ours == _outcome(oracle.solve_three_edge, a, b), (a, b)
+            assert (_outcome(three_edge_area, a, b)
+                    == _outcome(oracle.three_edge_area, a, b)), (a, b)
+            feasible += ours != "InfeasibleParamsError"
+    assert feasible > 300
+
+
+def test_four_edge_closed_forms_match_oracle_bit_for_bit(oracle_package):
+    oracle = oracle_package.constructions
+    feasible = 0
+    for a in _grid(40):
+        for b in _grid(40):
+            for c in _grid(40):
+                ours = _outcome(solve_four_edge, a, b, c)
+                assert ours == _outcome(oracle.solve_four_edge, a, b, c), (a, b, c)
+                assert (_outcome(four_edge_area, a, b, c)
+                        == _outcome(oracle.four_edge_area, a, b, c)), (a, b, c)
+                feasible += ours != "InfeasibleParamsError"
+    assert feasible > 500
+
+
+def test_two_edge_closed_forms_match_oracle(oracle_package):
+    # the oracle finds c by bisection, so the two agree to 1e-15, not bit
+    # for bit; where no c exists both raise the same error
+    oracle = oracle_package.constructions
+    feasible = 0
+    for a in [-0.1 + 1.8 * i / 1999 for i in range(2000)] + [math.nan]:
+        ours = _outcome(solve_two_edge, a)
+        theirs = _outcome(oracle.solve_two_edge, a)
+        if isinstance(ours, str):
+            assert ours == theirs, a
+            continue
+        assert ours[0] == theirs[0] == a
+        assert abs(ours[1] - theirs[1]) <= 1e-15, a
+        assert abs(ours[2] - theirs[2]) <= 1e-15, a
+        assert abs(two_edge_area(solve_two_edge(a))
+                   - oracle.two_edge_area(oracle.solve_two_edge(a))) <= 1e-15, a
+        feasible += 1
+    assert feasible > 1000

@@ -158,6 +158,26 @@ class TestDual:
             assert float(cosines[j].deriv) == pytest.approx(
                 -2 * j * math.sin(j * 0.9), abs=1e-14)
 
+    @pytest.mark.parametrize("y, x", [(0.3, 0.8), (-1.2, 0.5), (0.4, -2.0)])
+    def test_atan2_chain_rule(self, y, x):
+        # along (y, x) + s (2, -3): the derivative matches a central difference
+        r = DualBackend(NATIVE).atan2(Dual(y, 2.0), Dual(x, -3.0))
+        assert r.value == math.atan2(y, x) == NATIVE.atan2(y, x)
+        h = 1e-6
+        slope = (math.atan2(y + 2 * h, x - 3 * h)
+                 - math.atan2(y - 2 * h, x + 3 * h)) / (2 * h)
+        assert r.deriv == pytest.approx(slope, rel=1e-8)
+
+    def test_nested_atan2_recovers_the_angle(self):
+        # atan2(sin t, cos t) = t: first derivatives 1, second derivative 0
+        dual2 = DualBackend(DualBackend(NATIVE))
+        sines, cosines = dual2.multiples(Dual(Dual(0.7, 1.0), Dual(1.0, 0.0)), 1)
+        r = dual2.atan2(sines[1], cosines[1])
+        assert r.value.value == pytest.approx(0.7, abs=1e-16)
+        assert r.value.deriv == pytest.approx(1.0, abs=1e-15)
+        assert r.deriv.value == pytest.approx(1.0, abs=1e-15)
+        assert r.deriv.deriv == pytest.approx(0.0, abs=1e-15)
+
     def test_num_and_context_delegate(self):
         base = DecimalBackend(30)
         dual = DualBackend(base)

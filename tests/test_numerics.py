@@ -10,7 +10,6 @@ from rulecover.numerics import (
     IntegrationError,
     integrate,
     minimize_1d,
-    minimize_nd,
 )
 
 
@@ -50,25 +49,6 @@ class TestMinimize1d:
                           tol=1e-9)
         assert res.converged
         assert abs(res.argmin - vertex) <= 1e-8
-
-
-class TestMinimizeNd:
-    def test_quadratic_bowl(self):
-        res = minimize_nd(lambda v: v[0] ** 2 + v[1] ** 2, (1.0, 1.0), tol=1e-10)
-        assert res.converged
-        assert abs(res.argmin[0]) <= 1e-6 and abs(res.argmin[1]) <= 1e-6
-        assert res.value <= (1.0 + 1.0)  # never worse than the start
-
-    def test_three_vars(self):
-        res = minimize_nd(
-            lambda v: (v[0] - 1) ** 2 + 2 * (v[1] + 0.5) ** 2 + (v[2] - 0.2) ** 4,
-            (0.0, 0.0, 0.0), tol=1e-12)
-        assert abs(res.argmin[0] - 1) <= 1e-5
-        assert abs(res.argmin[1] + 0.5) <= 1e-5
-
-    def test_non_finite(self):
-        with pytest.raises(EvaluationError):
-            minimize_nd(lambda v: float("inf"), (0.0, 0.0))
 
 
 class TestIntegrate:

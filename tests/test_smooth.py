@@ -63,6 +63,10 @@ class TestCoefficients:
         with pytest.raises(SpeedPositivityError):
             check_speed_positivity(solve_coefficients(0.95))
 
+    def test_nan_angle_fails_speed_positivity(self):
+        with pytest.raises(SpeedPositivityError):
+            check_speed_positivity(solve_coefficients(math.nan))
+
     @pytest.mark.parametrize("a", [1.09231, 1.09235, 1.09239])
     def test_speed_dip_next_to_the_ends_is_caught(self, a):
         # g < 0 on a band just inside t = a, 1e-4 a to 2e-3 a wide, which
@@ -94,6 +98,13 @@ class TestCurve:
         co = solve_coefficients(A_REF)
         with pytest.raises(ValueError):
             curve_point(co, co.a * 1.01)
+
+    def test_nan_is_outside_the_domain(self):
+        co = solve_coefficients(A_REF)
+        with pytest.raises(ValueError, match="outside"):
+            curve_point(co, math.nan)
+        with pytest.raises(ValueError, match="outside"):
+            curve_point(solve_coefficients(math.nan), 0.0)
 
     def test_speed_is_derivative(self):
         co = solve_coefficients(A_REF)
