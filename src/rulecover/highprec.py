@@ -236,6 +236,10 @@ class Dual:
             return Dual(q, (self.deriv - q * other.deriv) / other.value)
         return Dual(self.value / other, self.deriv / other)
 
+    def __rtruediv__(self, other):
+        q = other / self.value
+        return Dual(q, -q * self.deriv / self.value)
+
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented

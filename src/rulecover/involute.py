@@ -37,6 +37,7 @@ LENGTH_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 TURN_TOL = 1e-9
 CHORD_TOL = 1e-9  # a line this close to both u and v runs along the chord
+ESTIMATE_TOL = 1e-13  # per arc, on _unwrap's area estimate; derived there
 
 
 class InadmissibleChainError(ValueError):
@@ -383,17 +384,30 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(verts, cum, turns, area, right=None):
+def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
     """(apex, area) of a chain that passed chain_diagnostics, in one walk that
     checks the unwrap radii, the Arc guards, a positive final pivot and the
     apex distance.  To area, chain_facts' chain term, it adds arc_path_area's
     terms of the right run, then of the left run in reverse (not yet checked
     positive).  A list passed as right gets the right run's records (cx, cy,
-    r, t0, t1) traced v -> w, one per turn above 1e-14; see _mirror_run."""
+    r, t0, t1) traced v -> w, one per turn above 1e-14; see _mirror_run.
+
+    A finite bound > 0 (with no right) bounds the walk: per interior arc it
+    sums r^2 theta + r (cx (sin t1 - dy/h) + cy (dx/h - cos t1)), (dx, dy)
+    the string from the pivot and h its length: both runs' terms to 140u,
+    u = 2^-53, where ESTIMATE_TOL is 900u.  (r, |cx|, |cy| <= 1; angles,
+    terms and sums are below 8, so a rounding moves one by 4u: 18u from
+    cos(atan2(dy, dx)) against dx/h and sin, 19u from pi - t in the mirror
+    angles, 8u from theta against t1 - t0, 83u from rounding in the
+    arc_terms and the estimate, 12u in the sum.)  If estimate - ESTIMATE_TOL
+    n >= bound (n >= the arc count), the area is >= bound and it returns
+    None; else it walks again exactly.
+    """
     n = len(verts) - 1
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
+    estimate, start = 0.0 < bound < math.inf, area
 
     # right involute, traced from v: pivot interior vertices from the v side
     # with the still-wrapped radius 1 - s_k, then swing about u to the apex;
@@ -405,7 +419,8 @@ def _unwrap(verts, cum, turns, area, right=None):
         cx, cy = verts[k]
         r = 1.0 - cum[k]
         dx, dy = ex - cx, ey - cy
-        gap = abs(hypot(dx, dy) - r)
+        h = hypot(dx, dy)
+        gap = abs(h - r)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
@@ -417,10 +432,13 @@ def _unwrap(verts, cum, turns, area, right=None):
             if right is not None:
                 right.append((cx, cy, r, t0, t1))
             c1, s1 = cos(t1), sin(t1)
-            area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
-            a0, a1 = pi - t1, pi - t0
-            left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
-                                 cos(a1), sin(a1)))
+            if estimate:
+                area += r * r * theta + r * (cx * (s1 - dy / h) + cy * (dx / h - c1))
+            else:
+                area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
+                a0, a1 = pi - t1, pi - t0
+                left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
+                                     cos(a1), sin(a1)))
             ex, ey = cx + r * c1, cy + r * s1
     gap = abs(hypot(ex - ux, ey - uy) - 1.0)
     if gap > 1e-9:
@@ -444,6 +462,9 @@ def _unwrap(verts, cum, turns, area, right=None):
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
+    if estimate:  # left holds the final pivot's exact mirror term only
+        return (None if area + left[0] - ESTIMATE_TOL * n >= bound
+                else _unwrap(verts, cum, turns, start))
     for term in reversed(left):
         area += term
     return w, area
@@ -540,16 +561,18 @@ def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
     return ArcPath(pieces)
 
 
-def half_chain_area(n: int, fracs, turns) -> float:
+def half_chain_area(n: int, fracs, turns, bound=math.inf):
     """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
     turns)) records, bit for bit: the same layout, facts, checks and
-    _unwrap walk, with no chain object, no pieces and no cap certificate."""
+    _unwrap walk, with no chain object, no pieces and no cap certificate;
+    None if _unwrap's estimate settles that it is >= a finite bound > 0."""
     verts = half_chain_vertices(n, fracs, turns)
     _, cum, angles, term = chain_facts(verts)
     diags = chain_diagnostics(verts, cum, angles)
     if diags:
         raise InadmissibleChainError(diags)
-    return check_ccw(_unwrap(verts, cum, angles, term)[1])
+    out = _unwrap(verts, cum, angles, term, None, bound)
+    return None if out is None else check_ccw(out[1])
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

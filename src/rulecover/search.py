@@ -7,8 +7,9 @@ fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
 reason.  A move is scored in one walk from its half parameters by
 `involute.half_chain_area`: a build's layout, facts, checks and unwrap,
-summing the same float with no chain object, arc records or pieces.  Only
-the winner becomes a GeneratingChain, rebuilt once with the boundary
+with no chain object, arc records or pieces, its area bounded, then exact
+for contenders (an estimate settles most moves as no better).  Only the
+winner becomes a GeneratingChain, rebuilt once with the boundary
 certificate.  Runs are bit-reproducible for a fixed seed.
 """
 
@@ -87,21 +88,23 @@ class SearchTrace:
     rejections counts rejected candidates by ChainDiagnostic.kind (a move
     violating several invariants counts under each), "params" for half
     parameters that give no chain and "geometry" for a clockwise boundary
-    or a bad arc.  accepted counts improving moves; step is the step size
-    at the end (None when there was nothing to search).  best_areas and
-    rejections default to a new empty list and Counter.
+    or a bad arc.  accepted counts improving moves, estimated those the
+    area estimate settled; step is the step size at the end (None when
+    there was nothing to search).  best_areas and rejections default to
+    a new empty list and Counter.
     """
 
     def __init__(self, best_areas: list = None,
                  best_chain: GeneratingChain = None,
                  best_area: float = math.inf, rejections: Counter = None,
-                 accepted: int = 0, step: float = None):
+                 accepted: int = 0, step: float = None, estimated: int = 0):
         self.best_areas = [] if best_areas is None else best_areas
         self.best_chain = best_chain
         self.best_area = best_area
         self.rejections = Counter() if rejections is None else rejections
         self.accepted = accepted
         self.step = step
+        self.estimated = estimated
 
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:
@@ -131,11 +134,13 @@ def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams
     return ChainParams(params.edges, tuple(fracs), tuple(turns))
 
 
-def _cover_area(params: ChainParams, rejections: Counter):
-    """The area an unaudited build of params.to_chain() records, or None when
-    inadmissible, counted into `rejections` by kind (see SearchTrace)."""
+def _cover_area(params: ChainParams, rejections: Counter, bound=math.inf):
+    """The area an unaudited build of params.to_chain() records, inf if it is
+    settled as >= bound, or None when inadmissible, counted into
+    `rejections` by kind (see SearchTrace)."""
     try:
-        return half_chain_area(params.edges, params.fracs, params.turns)
+        area = half_chain_area(params.edges, params.fracs, params.turns, bound)
+        return math.inf if area is None else area
     except InadmissibleChainError as exc:
         rejections.update({d.kind for d in exc.diagnostics})
     except GeometryError:  # a clockwise boundary or a bad arc
@@ -186,8 +191,10 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
         budget = per_restart + (leftovers if r == 0 else 0)
         for _ in range(budget):
             cand = perturb(best_params, step, rng)
-            area = _cover_area(cand, trace.rejections)
-            if area is not None and area < best_area:
+            area = _cover_area(cand, trace.rejections, best_area)
+            if area == math.inf:
+                trace.estimated += 1
+            elif area is not None and area < best_area:
                 best_area, best_params = area, cand
                 step *= cfg.step_decay
                 trace.accepted += 1

@@ -136,6 +136,36 @@ class TestDual:
         assert y.value == pytest.approx(f(x), rel=1e-15)
         assert y.deriv == pytest.approx(df(x), rel=1e-15)
 
+    @pytest.mark.parametrize("c", [1.0, -2.5, 3])
+    @pytest.mark.parametrize("x", [-1.3, 0.7, 2.0])
+    def test_constant_over_dual_matches_central_difference(self, c, x):
+        y = c / Dual(x, 1.5)  # d/dt c / (x + 1.5 t) at t = 0
+        h = 1e-6
+        assert y.value == c / x
+        assert y.deriv == pytest.approx(
+            (c / (x + 1.5 * h) - c / (x - 1.5 * h)) / (2 * h), rel=1e-8)
+
+    def test_decimal_over_dual_matches_central_difference(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x, c, h = Decimal("0.7"), Decimal(3), Decimal("1e-12")
+            y = c / Dual(x, Decimal(2))
+            assert y.value == c / x
+            slope = (c / (x + 2 * h) - c / (x - 2 * h)) / (2 * h)
+            assert abs(y.deriv - slope) < Decimal("1e-20")  # 20 digits
+
+    @pytest.mark.parametrize("x", [-1.3, 0.7, 2.0])
+    def test_constant_over_nested_dual_has_both_derivatives(self, x):
+        # 1/t at t = x on Dual(Dual(t, 1), Dual(1, 0)): the second derivative
+        # sits in deriv.deriv; both match central differences of the first
+        y = 1.0 / Dual(Dual(x, 1.0), Dual(1.0, 0.0))
+        h = 1e-5
+        assert y.value.value == 1.0 / x
+        assert y.value.deriv == y.deriv.value == pytest.approx(
+            (1 / (x + h) - 1 / (x - h)) / (2 * h), rel=1e-8)
+        assert y.deriv.deriv == pytest.approx(
+            (-1 / (x + h) ** 2 + 1 / (x - h) ** 2) / (2 * h), rel=1e-6)
+
     def test_float_is_the_value(self):
         assert float(Dual(Decimal("2.5"), 7)) == 2.5
 

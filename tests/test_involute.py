@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -390,6 +391,90 @@ def test_perturbed_chains_reach_rejections():
                 if error is not None:
                     kinds |= error[1]
     assert {"closure", "concavity", "endpoints", "ordering"} <= kinds
+
+
+# --------------------------------------------------------------------------
+# differential test: the bounded scorer, half_chain_area with a bound,
+# against the unbounded one on the same seeded perturb chains
+
+BOUNDED_EDGES = [2, 3, 4, 5, 8, 16, 17, 64, 128, 512]
+
+
+def _bounded(bound):
+    return lambda p: half_chain_area(p.edges, p.fracs, p.turns, bound)
+
+
+def _bounds_around(area, rng):
+    """Bounds at the area, one ulp, 1e-15 and 1e-9 to either side of it,
+    and at random values near it and far from it."""
+    return [area, math.nextafter(area, math.inf), math.nextafter(area, 0.0),
+            area + 1e-15, area - 1e-15, area + 1e-9, area - 1e-9,
+            rng.uniform(area - 1e-6, area + 1e-6), rng.uniform(0.3, 0.9)]
+
+
+@pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("edges", BOUNDED_EDGES)
+def test_bounded_score_settles_only_areas_at_or_above_the_bound(edges, step):
+    # None only when the exact area is >= bound, else the same float; the
+    # same exception class and kinds whatever the bound, including the
+    # bounds <= 0 and inf that turn the estimate off; and a bound 1e-9 or
+    # more below the area, far outside the estimate's band, is settled
+    rng = random.Random(7 * edges + round(100 * step))
+    for params in perturbed_params(edges, step):
+        area, error = _outcome(_half_chain_area, params)
+        bounds = [-1.0, 0.0, math.inf, rng.uniform(0.3, 0.9)]
+        if area is not None:
+            bounds += _bounds_around(area, rng)
+        for bound in bounds:
+            got, got_error = _outcome(_bounded(bound), params)
+            assert got_error == error, (params, bound)
+            if got is None and error is None:
+                assert area >= bound, (params, bound)
+            else:
+                assert got == area, (params, bound)
+            if error is None and 0.0 < bound <= area - 1e-9:
+                assert got is None, (params, bound)
+
+
+def _float_key(x):
+    """A positive float's place in the order of all positive floats."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float_at(key):
+    return struct.unpack("<d", struct.pack("<q", key))[0]
+
+
+def _estimate(params, monkeypatch):
+    """The scorer's area estimate: with ESTIMATE_TOL at 0 it settles a bound
+    exactly when the estimate is >= bound, so bisect the positive floats
+    for the largest bound it settles."""
+    monkeypatch.setattr(involute, "ESTIMATE_TOL", 0.0)
+    lo, hi = _float_key(1e-300), _float_key(16.0)
+    assert _bounded(1e-300)(params) is None and _bounded(16.0)(params) is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _bounded(_float_at(mid))(params) is None:
+            lo = mid
+        else:
+            hi = mid
+    return _float_at(lo)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("edges", BOUNDED_EDGES)
+def test_estimate_error_is_far_inside_its_tolerance(edges, step, monkeypatch):
+    # the measured error per arc (the final pivot and one per turn above
+    # 1e-14) is at most a hundredth of the tolerance the scorer allows
+    tol, worst = involute.ESTIMATE_TOL, 0.0
+    for params in perturbed_params(edges, step, count=8):
+        area, error = _outcome(_half_chain_area, params)
+        if error is not None:
+            continue
+        turns = involute.chain_facts(half_chain_vertices(*params))[2]
+        arcs = 1 + sum(t > 1e-14 for t in turns)
+        worst = max(worst, abs(_estimate(params, monkeypatch) - area) / arcs)
+    assert worst <= tol / 100
 
 
 NON_FINITE_CHAINS = {

@@ -175,6 +175,18 @@ class TestTelemetry:
         assert (t1.accepted, t1.step) == (t2.accepted, t2.step)
         assert t1.rejections  # large steps leave the admissible set
 
+    def test_estimate_settles_most_moves_of_the_benchmark_search(self):
+        # the benchmark's search (16 edges, 4,000 moves, seed 0) makes no
+        # inadmissible move; the estimate settles all but the accepted
+        # moves and a few near ties, the same count on every run
+        cfg = SearchConfig(edges=16, iterations=4000, seed=0)
+        t1, t2 = local_search(cfg), local_search(cfg)
+        assert t1.estimated == t2.estimated == 3927
+        assert not t1.rejections
+        assert t1.accepted == 73
+        assert t1.estimated + t1.accepted <= cfg.iterations
+        assert SearchTrace().estimated == 0
+
     def test_counts_match_the_trace(self):
         cfg = SearchConfig(edges=8, iterations=600, seed=2, initial_step=0.3)
         trace = local_search(cfg)
