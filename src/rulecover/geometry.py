@@ -2,10 +2,12 @@
 
 Boundaries are ordered paths of two piece kinds: straight segments and
 circular arcs.  Points are plain ``(x, y)`` float tuples.  Areas come from
-the exact per-piece antiderivatives of (1/2)∮(x dy - y dx); intersections
-with circles are quadratic solves, never boundary scans, one pass for many
-radii.  There is no general point-in-region test: a cover is a convex cap
-minus a convex pocket, and verify decides containment from that shape.
+the exact per-piece antiderivatives of (1/2)∮(x dy - y dx).  The distance
+and circle scans take paths of counterclockwise arcs only, as a cover's
+upper run is (see involute.certify_cap); intersections with circles are
+quadratic solves, one pass for many radii.  There is no general
+point-in-region test: a cover is a convex cap minus a convex pocket, and
+verify decides containment from that shape.
 
 Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9.
 """
@@ -317,42 +319,39 @@ class Region:
 #
 # The table is a list of blocks (gx, gy, grad, rows): up to BLOCK_SIZE
 # consecutive rows (bcx, bcy, brad, idx, piece) in path order, where idx is
-# the piece's index on the path and
-#   seg pieces: (0, x0, y0, x1, y1, ex, ey, elen)
-#   arc pieces: (1, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy)
+# the piece's index on the path and piece is the counterclockwise arc's
+#   (cx, cy, r, t0, sweep, sx, sy, endx, endy)
 # Every point a scan may count on a piece lies in the row's circle
 # (bcx, bcy, brad), and every row circle padded by BOUND_PAD lies in its
 # block's circle (gx, gy, grad), so the scans skip a block or a row whose
-# circle misses the query before any per-piece math.  A segment's circle is
-# the one on its midpoint, unpadded, as the scans have always pruned it.
-# An arc of |sweep| <= pi gets the circle on its chord as diameter (its
-# farthest points from the chord midpoint are its endpoints), a longer arc
-# its own circle; both padded by BOUND_PAD, which covers the 1e-9
-# arc-length endpoint slack the scans accept plus rounding.  The circle
-# scan adds its own tolerance, DEDUP_TOL.
+# circle misses the query before any per-piece math.  An arc of
+# sweep <= pi gets the circle on its chord as diameter (its farthest
+# points from the chord midpoint are its endpoints), a longer arc its own
+# circle; both padded by BOUND_PAD, which covers the 1e-9 arc-length
+# endpoint slack the scans accept plus rounding.  The circle scan adds its
+# own tolerance, DEDUP_TOL.
 #
 # The table is the module's one spatial index; only the two scans below,
-# boundary_distance and circle_path_hits, use it.
+# boundary_distance and circle_path_hits, use it.  Compiling it refuses a
+# segment or a clockwise arc: no scanned path holds one.
 
 BLOCK_SIZE = 16
 BOUND_PAD = 1e-8
 
 
 def _row(idx, p):
-    if isinstance(p, Seg):
-        ex, ey = p.x1 - p.x0, p.y1 - p.y0
-        elen = math.hypot(ex, ey)
-        return (0.5 * (p.x0 + p.x1), 0.5 * (p.y0 + p.y1), 0.5 * elen, idx,
-                (0, p.x0, p.y0, p.x1, p.y1, ex, ey, elen))
+    if not (isinstance(p, Arc) and p.sweep >= 0):
+        raise GeometryError(
+            f"piece {idx} is not a counterclockwise arc: {p.to_json()}")
     sx, sy = p.start
     endx, endy = p.end
-    if abs(p.sweep) <= math.pi:
+    if p.sweep <= math.pi:
         bcx, bcy = 0.5 * (sx + endx), 0.5 * (sy + endy)
         brad = 0.5 * math.hypot(endx - sx, endy - sy) + BOUND_PAD
     else:
         bcx, bcy, brad = p.cx, p.cy, p.r + BOUND_PAD
     return (bcx, bcy, brad, idx,
-            (1, p.cx, p.cy, p.r, p.t0, p.t1, p.sweep, sx, sy, endx, endy))
+            (p.cx, p.cy, p.r, p.t0, p.sweep, sx, sy, endx, endy))
 
 
 def _block(rows):
@@ -375,26 +374,19 @@ def _compiled(path: ArcPath):
 
 
 def _arc_fraction(t0, sweep, phi, slack):
-    """Fraction in [0, 1] along the arc (t0, sweep) at angle phi, or None.
+    """Fraction in [0, 1] along the counterclockwise arc (t0, sweep >= 0)
+    at angle phi, or None.
 
     None when phi lies more than slack outside the arc.  Angles within slack
     before the start give 0 (first, near a full turn), past the end 1; a
-    negative slack shrinks the far end only.  |sweep| <= 1e-15 answers 0.
+    negative slack shrinks the far end only.  sweep <= 1e-15 answers 0.
     """
-    if sweep >= 0:
-        rel = (phi - t0) % TWO_PI
-        if not (rel <= sweep + slack or rel >= TWO_PI - slack):
-            return None
-        if rel > sweep:
-            rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
-    else:
-        # measured negatively, so rel / sweep keeps the sign of each case
-        rel = -((t0 - phi) % TWO_PI)
-        if not (rel >= sweep - slack or rel <= slack - TWO_PI):
-            return None
-        if rel < sweep:
-            rel = rel + TWO_PI if rel <= slack - TWO_PI else sweep
-    if -1e-15 <= sweep <= 1e-15:
+    rel = (phi - t0) % TWO_PI
+    if not (rel <= sweep + slack or rel >= TWO_PI - slack):
+        return None
+    if rel > sweep:
+        rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
+    if sweep <= 1e-15:
         return 0.0
     s = rel / sweep
     # min(max(s, 0.0), 1.0) as conditionals: the same float, -0.0 and nan too
@@ -405,6 +397,7 @@ def _arc_fraction(t0, sweep, phi, slack):
 # distances
 
 def boundary_distance(path: ArcPath, point) -> float:
+    """Distance from point to a path of counterclockwise arcs."""
     px, py = point
     best = math.inf
     for (gx, gy, grad, rows) in _compiled(path):
@@ -413,25 +406,16 @@ def boundary_distance(path: ArcPath, point) -> float:
         for (bcx, bcy, brad, _, piece) in rows:
             if math.hypot(px - bcx, py - bcy) - brad >= best:
                 continue
-            if piece[0] == 0:
-                (_, x0, y0, x1, y1, ex, ey, elen) = piece
-                if elen <= 0:
-                    d = math.hypot(px - x0, py - y0)
-                else:
-                    s = ((px - x0) * ex + (py - y0) * ey) / (elen * elen)
-                    s = 0.0 if s < 0 else (1.0 if s > 1 else s)
-                    d = math.hypot(px - (x0 + s * ex), py - (y0 + s * ey))
+            (cx, cy, r, t0, sweep, sx, sy, endx, endy) = piece
+            dc = math.hypot(px - cx, py - cy)
+            if abs(dc - r) >= best:
+                continue
+            if dc > 1e-15 and _arc_fraction(
+                    t0, sweep, math.atan2(py - cy, px - cx), 0.0) is not None:
+                d = abs(dc - r)
             else:
-                (_, cx, cy, r, t0, t1, sweep, sx, sy, endx, endy) = piece
-                dc = math.hypot(px - cx, py - cy)
-                if abs(dc - r) >= best:
-                    continue
-                if dc > 1e-15 and _arc_fraction(
-                        t0, sweep, math.atan2(py - cy, px - cx), 0.0) is not None:
-                    d = abs(dc - r)
-                else:
-                    d = min(math.hypot(px - sx, py - sy),
-                            math.hypot(px - endx, py - endy))
+                d = min(math.hypot(px - sx, py - sy),
+                        math.hypot(px - endx, py - endy))
             if d < best:
                 best = d
     return best
@@ -448,7 +432,8 @@ def circle_path_intersections(center, r, path: ArcPath):
 def circle_path_hits(center, radii, path: ArcPath):
     """[circle_path_intersections(center, r, path) for r in radii], in one pass.
 
-    `radii`: non-empty and ascending (repeats allowed), else ValueError.
+    `radii`: non-empty and ascending (repeats allowed), else ValueError;
+    `path`: counterclockwise arcs only, else GeometryError.
     A block or row is kept for r unless its circle lies beyond r + DEDUP_TOL
     or short of r - DEDUP_TOL; both bounds ascend with r, so bisecting them
     finds exactly the radii to solve it for.  What depends on the centre
@@ -487,28 +472,7 @@ def circle_path_hits(center, radii, path: ArcPath):
                 hi = bisect_right(short, dbc + brad, lo, hi)
                 if lo == hi:
                     continue
-            if piece[0] == 0:
-                (_, x0, y0, x1, y1, ex, ey, elen) = piece
-                if elen <= 0:
-                    continue
-                wx, wy = x0 - qx, y0 - qy
-                a = elen * elen
-                b = 2 * (wx * ex + wy * ey)
-                w2 = wx * wx + wy * wy
-                slack = 1e-9 / elen
-                for k in range(lo, hi):
-                    r = radii[k]
-                    c = w2 - r * r
-                    disc = b * b - 4 * a * c
-                    if disc < 0:
-                        continue
-                    root = sqrt(disc)
-                    for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
-                        if -slack <= s <= 1 + slack:
-                            sc = 0.0 if s < 0 else (1.0 if s > 1 else s)
-                            raws[k].append((idx, sc, (x0 + sc * ex, y0 + sc * ey)))
-                continue
-            (_, cx, cy, ar, t0, t1, sweep, sx, sy, endx, endy) = piece
+            (cx, cy, ar, t0, sweep, sx, sy, endx, endy) = piece
             dxc, dyc = cx - qx, cy - qy
             d = hypot(dxc, dyc)
             dd, ar2, d2 = d * d, ar * ar, 2 * d

@@ -121,7 +121,6 @@ class NativeBackend:
     """Float arithmetic: math-module trig, ~15-16 significant digits."""
 
     digits = None
-    name = "native"
 
     @staticmethod
     def num(x):
@@ -145,8 +144,6 @@ class NativeBackend:
 
 class DecimalBackend:
     """Decimal arithmetic at a configurable number of significant digits."""
-
-    name = "decimal"
 
     def __init__(self, digits: int = DEFAULT_DIGITS, guard: int = 0):
         if digits < 4:

@@ -90,6 +90,9 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
     for f in fracs:
         if not 0.0 < f < math.inf:
             raise ValueError("edge fractions must be finite and positive")
+    for t in turns:
+        if not math.isfinite(t):
+            raise ValueError(f"turns must be finite, got {t!r}")
     # deltas[i]: direction of half edge i below the horizontal, the
     # sum of the turns from vertex i + 1 to the axis
     odd = n % 2

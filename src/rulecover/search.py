@@ -90,21 +90,17 @@ class SearchTrace:
     parameters that give no chain and "geometry" for a clockwise boundary
     or a bad arc.  accepted counts improving moves, estimated those the
     area estimate settled; step is the step size at the end (None when
-    there was nothing to search).  best_areas and rejections default to
-    a new empty list and Counter.
+    there was nothing to search).  local_search fills in a new, empty one.
     """
 
-    def __init__(self, best_areas: list = None,
-                 best_chain: GeneratingChain = None,
-                 best_area: float = math.inf, rejections: Counter = None,
-                 accepted: int = 0, step: float = None, estimated: int = 0):
-        self.best_areas = [] if best_areas is None else best_areas
-        self.best_chain = best_chain
-        self.best_area = best_area
-        self.rejections = Counter() if rejections is None else rejections
-        self.accepted = accepted
-        self.step = step
-        self.estimated = estimated
+    def __init__(self):
+        self.best_areas = []
+        self.best_chain = None
+        self.best_area = math.inf
+        self.rejections = Counter()
+        self.accepted = 0
+        self.step = None
+        self.estimated = 0
 
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:

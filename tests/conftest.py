@@ -98,12 +98,21 @@ def smooth48_bundle(smooth_optimum):
 
 @pytest.fixture(scope="session")
 def apex_cut_bundle():
-    """Mutant: R2 with the apex neighborhood sliced off by a chord."""
+    """Mutant: R2 with the apex neighborhood sliced off by a flat arc.
+
+    The cut is a counterclockwise arc of radius 100 from the right run's
+    end to the left run's start, its centre below them, so the upper run
+    stays a run of counterclockwise arcs, as the verifier's scans need.
+    """
     cut = 0.8
     right = Arc(-0.5, 0.0, 1.0, 0.0, cut * math.pi / 3)
     left = Arc(0.5, 0.0, 1.0, math.pi - cut * math.pi / 3, math.pi)
-    chord = Seg(*right.end, *left.start)
+    (ax, ay), (bx, by) = right.end, left.start
+    cx = 0.5 * (ax + bx)
+    cy = 0.5 * (ay + by) - math.sqrt(100.0 ** 2 - (0.5 * (ax - bx)) ** 2)
+    flat = Arc(cx, cy, 100.0, math.atan2(ay - cy, ax - cx),
+               math.atan2(by - cy, bx - cx))
     base = Seg(-0.5, 0.0, 0.5, 0.0)
-    region = Region.from_path(ArcPath([base, right, chord, left]))
+    region = Region.from_path(ArcPath([base, right, flat, left]))
     chain = GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-    return CoverBundle(chain=chain, region=region, apex=chord.point_at(0.5))
+    return CoverBundle(chain=chain, region=region, apex=flat.point_at(0.5))

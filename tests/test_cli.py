@@ -219,8 +219,11 @@ class TestVerifyCommand:
          "chain field halfchain[1] needs len and turn"),
         ("chain", {"halfchain": []}, "at least 1 edge, got 0"),
         ("chain", {"edges": 0, "halfchain": []}, "at least 1 edge, got 0"),
+        ("chain", {"edges": 4, "halfchain": [{"len": 0.25, "turn": math.inf},
+                                             {"len": 0.25, "turn": 0.2}]},
+         "turns must be finite, got inf"),
     ], ids=["string-area", "short-vertex", "no-turn", "empty-halfchain",
-            "zero-edges"])
+            "zero-edges", "infinite-turn"])
     def test_malformed_cover_exits_1(self, capsys, tmp_path, field, value,
                                      message):
         # a malformed field is a domain error, not a traceback

@@ -10,6 +10,7 @@ from rulecover.geometry import (
     Arc,
     ArcPath,
     BLOCK_SIZE,
+    GeometryError,
     OpenPathError,
     Region,
     Seg,
@@ -40,6 +41,11 @@ def r2_path():
         Arc(-0.5, 0.0, 1.0, 0.0, math.pi / 3),
         Arc(0.5, 0.0, 1.0, 2 * math.pi / 3, math.pi),
     ])
+
+
+def r2_upper_path():
+    """r2's upper run, v -> w -> u: the two arcs, without the base edge."""
+    return ArcPath(r2_path().pieces[1:])
 
 
 def unit_circle_path():
@@ -98,19 +104,19 @@ class TestArea:
 
 class TestCircleIntersections:
     def test_apex_circle_hits_base_corners(self):
-        pts = circle_points(W, 1.0, r2_path())
+        pts = circle_points(W, 1.0, r2_upper_path())
         assert len(pts) == 2
         for p in pts:
             assert abs(abs(p[0]) - 0.5) <= 1e-9 and abs(p[1]) <= 1e-9
 
     def test_coincident_arc_reports_endpoints(self):
         # the circle about the left corner coincides with the right arc
-        pts = circle_points((-0.5, 0.0), 1.0, r2_path())
+        pts = circle_points((-0.5, 0.0), 1.0, r2_upper_path())
         assert any(math.dist(p, (0.5, 0.0)) <= 1e-9 for p in pts)
         assert any(math.dist(p, W) <= 1e-9 for p in pts)
 
     def test_points_lie_on_circle_and_path(self, two_bundle):
-        path = two_bundle.region.boundary
+        path = two_bundle.upper_path
         for r in (0.25, 0.5, 0.9, 1.0):
             for p in circle_points((-0.2, 0.1), r, path):
                 assert abs(math.dist(p, (-0.2, 0.1)) - r) <= 1e-9
@@ -119,8 +125,8 @@ class TestCircleIntersections:
     def test_count_against_dense_sampling(self, two_bundle):
         # brute-force oracle: sign changes of |x - center| - r along the path,
         # skipping samples that land exactly on the circle
-        path = two_bundle.region.boundary
-        center, r = two_bundle.chain.u, 0.5
+        path = two_bundle.upper_path
+        center, r = (0.0, 0.2), 0.5
         pts = circle_points(center, r, path)
         signs = []
         for q in path.sample(200000):
@@ -132,18 +138,17 @@ class TestCircleIntersections:
         assert len(pts) == crossings
 
     def test_deterministic_order(self):
-        path = r2_path()
+        path = r2_upper_path()
         a = circle_path_intersections((0.0, 0.2), 0.7, path)
         b = circle_path_intersections((0.0, 0.2), 0.7, path)
         assert a == b
         assert [h[0] for h in a] == sorted(h[0] for h in a)
 
     def test_miss_returns_empty(self):
-        assert circle_points((5.0, 5.0), 0.5, r2_path()) == []
+        assert circle_points((5.0, 5.0), 0.5, r2_upper_path()) == []
 
-    @pytest.mark.parametrize("path", [r2_path(), square_path(),
-                                      unit_circle_path()],
-                             ids=["r2", "square", "unit-circle"])
+    @pytest.mark.parametrize("path", [r2_upper_path(), unit_circle_path()],
+                             ids=["r2", "unit-circle"])
     def test_hits_are_the_one_radius_scans(self, path):
         # one pass answers each radius as its own scan does, misses,
         # tangencies and coincident circles included
@@ -154,7 +159,7 @@ class TestCircleIntersections:
                         for r in radii])
 
     def test_hits_repeated_radii(self):
-        hits = circle_path_hits((0.0, 0.2), [0.5, 0.5, 0.5], r2_path())
+        hits = circle_path_hits((0.0, 0.2), [0.5, 0.5, 0.5], r2_upper_path())
         assert hits[0] and hits[0] == hits[1] == hits[2]
 
     @pytest.mark.parametrize("radii", [(), [], (0.5, 0.25), (0.1, 0.3, 0.2),
@@ -162,7 +167,7 @@ class TestCircleIntersections:
     def test_hits_need_ascending_radii(self, radii):
         # bisecting unordered radii would drop hits silently
         with pytest.raises(ValueError, match="ascending"):
-            circle_path_hits((0.0, 0.2), radii, r2_path())
+            circle_path_hits((0.0, 0.2), radii, r2_upper_path())
 
 
 class TestDiameter:
@@ -252,7 +257,6 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
     region, upper = bundle.region, bundle.upper_path
     o_region = oracle.Region.from_json(region.to_json(), check=False)
     o_upper = oracle.ArcPath.from_json(upper.to_json())
-    o_boundary = o_region.boundary
     rng = random.Random(name)
     xs, ys = zip(*region.boundary.sample(64))
 
@@ -271,26 +275,22 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
             assert (circle_path_hits(p, radii, upper)
                     == [oracle.circle_path_intersections(p, r, o_upper)
                         for r in radii])
-            assert (circle_path_hits(p, radii, region.boundary)
-                    == [oracle.circle_path_intersections(p, r, o_boundary)
-                        for r in radii])
         for length in [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.5, 1.0]:
             assert (circle_path_intersections(p, length, upper)
                     == oracle.circle_path_intersections(p, length, o_upper))
-            assert (circle_path_intersections(p, length, region.boundary)
-                    == oracle.circle_path_intersections(p, length, o_boundary))
 
-    # points: random, on the boundary, and just off it
-    boundary_points = region.boundary.sample(48) + region.boundary.vertices()
-    points = [random_point() for _ in range(100)] + boundary_points
-    for (x, y) in boundary_points:
+    # distances to the upper arcs, as segment_inside asks them: from random
+    # points, from points on the arcs, and from points just off them
+    upper_points = upper.sample(48) + upper.vertices()
+    points = [random_point() for _ in range(100)] + upper_points
+    for (x, y) in upper_points:
         points.append((x + rng.uniform(-1e-8, 1e-8), y + rng.uniform(-1e-8, 1e-8)))
     for pt in points:
-        assert (boundary_distance(region.boundary, pt)
-                == oracle.boundary_distance(o_boundary, pt))
+        assert (boundary_distance(upper, pt)
+                == oracle.boundary_distance(o_upper, pt))
 
     assert (path_self_intersects(region.boundary)
-            == oracle.path_self_intersects(o_boundary))
+            == oracle.path_self_intersects(o_region.boundary))
 
 
 # Self-intersecting paths for the audit, each crossing between pieces that
@@ -415,34 +415,33 @@ def test_arc_parameterization_property(cx, cy, r, t0, sweep):
     assert math.dist(arc.point_at(0.0), arc.start) <= 1e-12
     assert math.dist(arc.point_at(1.0), arc.end) <= 1e-12
     mid_angle = math.atan2(arc.point_at(0.5)[1] - cy, arc.point_at(0.5)[0] - cx)
-    assert geometry._arc_fraction(t0, sweep, mid_angle, 1e-12) is not None
+    # the same arc traced counterclockwise holds its midpoint
+    ccw_t0 = min(t0, t0 + sweep)
+    assert geometry._arc_fraction(ccw_t0, abs(sweep), mid_angle, 1e-12) is not None
     assert abs(arc.length() - r * abs(sweep)) <= 1e-12
 
 
 def _inline_arc_fraction(t0, sweep, phi, slack):
-    """Reference hit fraction, for a phi already tested inside the arc.
+    """Reference hit fraction on a counterclockwise arc, for a phi already
+    tested inside the arc.
 
     A copy of the block circle_path_intersections ran inline before
-    _arc_fraction took its place.
+    _arc_fraction took its place, for the sweeps >= 0 it still takes.
     """
     if abs(sweep) > 1e-15:
-        if sweep >= 0:
-            rel = (phi - t0) % TWO_PI
-            if rel > sweep:
-                rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
-        else:
-            rel = -((t0 - phi) % TWO_PI)
-            if rel < sweep:
-                rel = rel + TWO_PI if rel <= -(TWO_PI - slack) else sweep
+        rel = (phi - t0) % TWO_PI
+        if rel > sweep:
+            rel = rel - TWO_PI if rel >= TWO_PI - slack else sweep
         return min(max(rel / sweep, 0.0), 1.0)
     return 0.0
 
 
+# counterclockwise sweeps, signed zeros included
 _SWEEPS = st.one_of(
-    st.floats(-TWO_PI, TWO_PI),
-    st.floats(-1e-15, 1e-15),
-    st.floats(0, 1e-9).map(lambda d: TWO_PI - d),
-    st.floats(0, 1e-9).map(lambda d: d - TWO_PI))
+    st.floats(0, TWO_PI),
+    st.floats(0, 1e-15),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(0, 1e-9).map(lambda d: TWO_PI - d))
 # angles anywhere, or within a few slacks or a few ulps of either end
 _OFFSETS = st.one_of(st.floats(-4, 4), st.floats(-5e-9, 5e-9),
                      st.integers(-4, 4).map(lambda k: k * 2.0 ** -52))
@@ -467,23 +466,23 @@ def test_arc_fraction_matches_oracle(oracle, t0, sweep, end, offset, reduce,
 
 
 def test_arc_fraction_matches_inline_on_a_seeded_sweep(oracle):
-    # the edge cases of the arc-angle test, drawn from a fixed seed: sweeps
-    # at or under 1e-15 and signed zeros, slack 0 and 1e-9, phi within
-    # 1e-9 (or a few ulps) of either end, and phi shifted across 2 pi
+    # the edge cases of the arc-angle test, drawn from a fixed seed:
+    # counterclockwise sweeps at or under 1e-15 and signed zeros, slack 0
+    # and 1e-9, phi within 1e-9 (or a few ulps) of either end, and phi
+    # shifted across 2 pi
     rng = random.Random(2026)
-    sweeps = [0.0, -0.0, 1e-15, -1e-15, 1e-16, -1e-16]
+    sweeps = [0.0, -0.0, 1e-15, 1e-16]
     seen = {"none": 0, "zero": 0, "one": 0, "inside": 0}
     for trial in range(20000):
         kind = trial % 4
         if trial < 3 * len(sweeps):
             sweep = sweeps[trial % len(sweeps)]
         elif kind == 0:
-            sweep = rng.uniform(-1e-15, 1e-15)
+            sweep = rng.uniform(0.0, 1e-15)
         elif kind == 1:
-            sweep = math.copysign(TWO_PI - rng.uniform(0.0, 1e-9),
-                                  rng.choice((-1.0, 1.0)))
+            sweep = TWO_PI - rng.uniform(0.0, 1e-9)
         else:
-            sweep = rng.uniform(-TWO_PI, TWO_PI)
+            sweep = rng.uniform(0.0, TWO_PI)
         t0 = rng.uniform(-4.0, 4.0)
         end = rng.choice((0.0, 1.0))
         phi = t0 + end * sweep + rng.choice((
@@ -563,22 +562,10 @@ def test_circle_hits_match_oracle(name, hit_covers, oracle):
                 == oracle.circle_path_intersections(p, 1.0, o_upper))
 
 
-def clockwise_r2_path():
-    """r2's boundary traced backwards: both arcs have negative sweeps."""
-    return ArcPath([Arc(0.5, 0.0, 1.0, math.pi, 2 * math.pi / 3),
-                    Arc(-0.5, 0.0, 1.0, math.pi / 3, 0.0),
-                    Seg(0.5, 0.0, -0.5, 0.0)])
-
-
-def clockwise_circle_path():
-    return ArcPath([Arc(0.0, 0.0, 1.0, (4 - k) * math.pi / 2,
-                        (3 - k) * math.pi / 2) for k in range(4)])
-
-
-@pytest.mark.parametrize("make", [clockwise_r2_path, clockwise_circle_path,
-                                  r2_path, unit_circle_path])
+@pytest.mark.parametrize("make", [r2_path, unit_circle_path])
 def test_circle_hits_match_oracle_on_arc_paths(make, oracle):
-    path = make()
+    # the path's arcs: r2's upper run, or the whole unit circle
+    path = ArcPath([p for p in make().pieces if isinstance(p, Arc)])
     o_path = oracle.ArcPath.from_json(path.to_json())
     rng = random.Random(make.__name__)
     centres = [(rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.2))
@@ -595,6 +582,24 @@ def test_circle_hits_match_oracle_on_arc_paths(make, oracle):
             hits = circle_path_hits(p, radii, path)
             assert any(s in (0.0, 1.0) for row in hits for (_, s, _) in row)
             assert_hits_match_oracle(oracle, path, o_path, p, radii)
+
+
+@pytest.mark.parametrize("piece", [
+    Seg(-0.5, 0.0, 0.5, 0.0), Arc(0.5, 0.0, 1.0, math.pi, 2 * math.pi / 3)],
+    ids=["segment", "clockwise-arc"])
+@pytest.mark.parametrize("scan", [
+    lambda path: circle_path_hits((0.0, 0.2), (0.5, 1.0), path),
+    lambda path: circle_path_intersections((0.0, 0.2), 0.5, path),
+    lambda path: boundary_distance(path, (0.0, 0.2))],
+    ids=["hits", "intersections", "distance"])
+def test_scans_refuse_segments_and_clockwise_arcs(scan, piece):
+    # the scans take counterclockwise arcs only, as a cover's upper run is;
+    # the piece table names the first piece it cannot take, on every query
+    path = ArcPath([*r2_upper_path().pieces, piece])
+    for _ in range(2):
+        with pytest.raises(GeometryError,
+                           match="piece 2 is not a counterclockwise arc"):
+            scan(path)
 
 
 def segment_polygon(seed, m):

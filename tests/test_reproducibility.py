@@ -67,6 +67,54 @@ def test_library_never_imports_dataclasses():
     assert imports == []
 
 
+# Functions and methods kept without a caller, each for its reason.
+KEPT_UNCALLED = {
+    "right_arcs": "CoverBundle's run views: the README names them as the "
+                  "one place that knows the boundary layout",
+    "left_arcs": "the other run view, kept with right_arcs",
+    "involute_points": "the smooth cover's involutes, which the ROADMAP's "
+                       "smooth-cover verifier is to call",
+    "ell_squared_antiderivative": "test_smooth's reference for the odd-part "
+                                  "formula of the integral of l^2",
+}
+
+
+def _mentions(path):
+    """Every name, attribute and string in the module at path."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_library_function_has_a_caller():
+    # a top-level function or non-dunder method counts as used when src/,
+    # a script, the benchmark (its tracer's SITES) or the acceptance module
+    # names it, or the package exports it
+    root = SRC.parent.parent
+    used = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for path in [*sorted(SRC.glob("*.py")), *sorted(root.glob("scripts/*.py")),
+                 *sorted(root.glob("perfbench/*.py")),
+                 root / "tests" / "test_acceptance.py"]:
+        used.update(_mentions(path))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if isinstance(member, defs) and not member.name.startswith("__"):
+                    defined[member.name] = f"{path.name}:{member.lineno}"
+    uncalled = {name: where for name, where in defined.items()
+                if name not in used and name not in KEPT_UNCALLED}
+    assert uncalled == {}
+    assert set(KEPT_UNCALLED) <= set(defined)
+
+
 def test_cli_import_adds_neither_dataclasses_nor_inspect():
     # the modules a fresh interpreter gains by importing the CLI
     code = ("import sys; bare = set(sys.modules); "

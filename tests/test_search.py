@@ -294,14 +294,11 @@ def test_small_and_odd_traces_match_pin(edges, step):
 @pytest.mark.parametrize("fracs, turns", [
     ((math.nan,), (0.3,)), ((0.5,), (math.nan,)), ((math.inf,), (0.3,)),
     ((math.nan, 0.25), (0.1, 0.1)), ((0.25, math.nan), (0.1, 0.1)),
-    ((math.inf, 0.25), (0.1, 0.1)), ((0.25, math.inf), (0.1, 0.1))])
+    ((math.inf, 0.25), (0.1, 0.1)), ((0.25, math.inf), (0.1, 0.1)),
+    ((0.25, 0.25), (math.inf, 0.2)), ((0.25, 0.25), (0.2, -math.inf))])
 def test_non_finite_half_chain_is_rejected(fracs, turns):
-    # a non-finite fraction gives no chain; a nan turn gives nan vertices,
-    # which the length test rejects: neither is scored nan
+    # a non-finite fraction or turn gives no chain, so it is not scored nan
     rejections = Counter()
     params = ChainParams(edges=2 * len(fracs), fracs=fracs, turns=turns)
     assert _cover_area(params, rejections) is None
-    if all(map(math.isfinite, fracs)):
-        assert rejections["length"] == 1
-    else:
-        assert rejections == Counter(params=1)
+    assert rejections == Counter(params=1)
