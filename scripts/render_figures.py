@@ -29,7 +29,7 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     for name, bundle in bundles():
         out = outdir / f"{name}.svg"
-        svg.render_svg(bundle.region, out, size=args.size)
+        svg.render_svg(bundle, out, size=args.size)
         print(f"{out}  area={bundle.area:.12f}")
 
 

@@ -16,7 +16,6 @@ from .constructions import (
 from .geometry import (
     Arc,
     ArcPath,
-    Region,
     Seg,
     arc_path_area,
     region_diameter,

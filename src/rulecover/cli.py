@@ -39,7 +39,7 @@ def _emit_json(doc: dict, out):
 
 
 def _cover_doc(bundle, kind: str, angles, closed_form_area=None) -> dict:
-    doc = bundle.region.to_json()
+    doc = {**bundle.boundary.to_json(), "area": bundle.area}
     doc["params"] = {
         "kind": kind,
         "angles": list(angles),
@@ -108,8 +108,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = search.SearchConfig(edges=args.edges, iterations=args.iterations,
-                              seed=args.seed, initial_step=args.step,
-                              step_decay=args.decay, restarts=args.restarts)
+                              seed=args.seed, initial_step=args.step)
     trace = search.local_search(cfg)
     print(f"best area = {_fmt(trace.best_area)}")
     if args.trace:
@@ -127,7 +126,7 @@ def _read_cover(path):
     if not isinstance(doc, dict) or "chain" not in doc:
         raise ValueError("cover JSON lacks a chain block; cannot rebuild")
     bundle = involute_cover(GeneratingChain.from_json(doc["chain"]))
-    pieces, n = doc.get("pieces"), len(bundle.region.boundary)
+    pieces, n = doc.get("pieces"), len(bundle.boundary)
     if not isinstance(pieces, list) or len(pieces) != n:
         raise ValueError(f"cover JSON pieces must list the {n} pieces of "
                          f"the rebuilt boundary, got {pieces!r:.60}")
@@ -156,7 +155,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    svg.render_svg(_read_cover(args.infile).region, args.out, size=args.size,
+    svg.render_svg(_read_cover(args.infile), args.out, size=args.size,
                    stroke=args.stroke)
     print(f"wrote {args.out}")
     return 0
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=20000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--decay", type=float, default=0.999)
-    p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--trace", help="CSV trace path")
     p.add_argument("--out", help="best chain JSON path")
     p.set_defaults(func=cmd_search)

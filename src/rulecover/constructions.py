@@ -19,7 +19,6 @@ import math
 from typing import Callable, NamedTuple
 
 from . import involute, numerics
-from .geometry import Region
 from .highprec import NATIVE, Dual, DualBackend
 
 
@@ -51,10 +50,10 @@ class FourEdgeParams(NamedTuple):
     x3: float
 
 
-def r2_cover() -> Region:
+def r2_cover() -> involute.CoverBundle:
     """Convex baseline: equilateral uvw fattened by two unit 60-degree arcs,
     the involute cover of the one-edge chain uv."""
-    return CONSTRUCTIONS["one"].build()[1].region
+    return CONSTRUCTIONS["one"].build()[1]
 
 
 R2_AREA = math.pi / 3 - math.sqrt(3.0) / 4.0

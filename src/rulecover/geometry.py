@@ -1,13 +1,14 @@
 """Exact circular-arc path geometry.
 
 Boundaries are ordered paths of two piece kinds: straight segments and
-circular arcs.  Points are plain ``(x, y)`` float tuples.  Areas come from
-the exact per-piece antiderivatives of (1/2)∮(x dy - y dx).  The distance
-and circle scans take paths of counterclockwise arcs only, as a cover's
-upper run is (see involute.certify_cap); intersections with circles are
-quadratic solves, one pass for many radii.  There is no general
-point-in-region test: a cover is a convex cap minus a convex pocket, and
-verify decides containment from that shape.
+circular arcs.  Points are plain ``(x, y)`` float tuples; a region is its
+boundary path (a cover's path and area are an involute.CoverBundle).
+Areas come from the exact per-piece antiderivatives of (1/2)∮(x dy -
+y dx).  The distance and circle scans take paths of counterclockwise arcs
+only, as a cover's upper run is (see involute.certify_cap); intersections
+with circles are quadratic solves, one pass for many radii.  There is no
+general point-in-region test: a cover is a convex cap minus a convex
+pocket, and verify decides containment from that shape.
 
 Tolerances (unit-scale geometry): path stitching 1e-9, point dedup 1e-9.
 """
@@ -293,28 +294,6 @@ def path_self_intersects(path: ArcPath) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Region
-
-class Region:
-    """Closed, simple, counterclockwise boundary with cached positive area."""
-
-    __slots__ = ("boundary", "area")
-
-    def __init__(self, boundary: ArcPath, area: float):
-        self.boundary = boundary
-        self.area = area
-
-    @staticmethod
-    def from_path(path: ArcPath) -> "Region":
-        return Region(boundary=path, area=check_ccw(arc_path_area(path)))
-
-    def to_json(self) -> dict:
-        d = self.boundary.to_json()
-        d["area"] = self.area
-        return d
-
-
-# --------------------------------------------------------------------------
 # compiled piece tables for the hot paths
 #
 # The table is a list of blocks (gx, gy, grad, rows): up to BLOCK_SIZE
@@ -572,8 +551,9 @@ def _antipodal_pairs(points):
     yield upper[-1], lower[0]
 
 
-def region_diameter(region: Region, n: int = 4096) -> float:
-    """Max pairwise distance over ~n boundary samples plus path vertices.
+def region_diameter(path: ArcPath, n: int = 4096) -> float:
+    """Max pairwise distance over ~n samples of a region's boundary path
+    plus its vertices.
 
     Only the arcs' samples go to the hull, with every vertex.  A segment's
     interior samples lie between its ends, which are vertices, so they are
@@ -584,7 +564,6 @@ def region_diameter(region: Region, n: int = 4096) -> float:
     """
     if n < 64:
         raise ValueError("need at least 64 samples")
-    path = region.boundary
     is_arc = [isinstance(p, Arc) for p in path.pieces]
     pts = [q for idx, q in path.indexed_samples(n) if is_arc[idx]]
     pts.extend(path.vertices())

@@ -23,7 +23,6 @@ from . import constructions, numerics
 from .geometry import (
     Arc,
     ArcPath,
-    Region,
     Seg,
     TWO_PI,
     arc_term,
@@ -90,11 +89,9 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
     for f in fracs:
         if not 0.0 < f < math.inf:
             raise ValueError("edge fractions must be finite and positive")
-    for t in turns:
-        if not math.isfinite(t):
-            raise ValueError(f"turns must be finite, got {t!r}")
-    # deltas[i]: direction of half edge i below the horizontal, the
-    # sum of the turns from vertex i + 1 to the axis
+    # deltas[i]: direction of half edge i below the horizontal, the sum of
+    # the turns from vertex i + 1 to the axis (inf or nan if a turn is, or
+    # if the sum overflows)
     odd = n % 2
     if odd:
         mid = 1.0 - 2.0 * numerics.ordered_sum(fracs)
@@ -105,6 +102,9 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
         total_half = numerics.ordered_sum(fracs)
         fracs = [f * 0.5 / total_half for f in fracs]
         deltas = list(accumulate(reversed(turns[:-1]), initial=turns[-1] / 2))[::-1]
+    for d in deltas:
+        if not math.isfinite(d):
+            raise ValueError(f"turns must be finite, got {d!r} as a turn sum")
     xs = list(accumulate(map(operator.mul, fracs, map(math.cos, deltas)),
                          initial=0.0))
     ys = list(accumulate(map(operator.mul, fracs, map(math.sin, deltas)),
@@ -344,21 +344,18 @@ class Pocket:
 class CoverBundle:
     """A cover: chain below, two involute arc runs meeting at the apex.
 
-    The region's boundary holds the chain's segments u -> v, then the right
-    run traced v -> w, then the left run traced w -> u.  The left run is
+    The boundary, a closed counterclockwise path, holds the chain's
+    segments u -> v, then the right run traced v -> w, then the left run
+    traced w -> u; area is the positive area it encloses.  The left run is
     the right run's mirror image (_mirror_run builds it so), so the runs
     have the same number of arcs.  Nothing reassigns a field, so the
     cached views below stay valid.
     """
 
-    def __init__(self, chain: GeneratingChain, region: Region, apex: tuple):
+    def __init__(self, chain: GeneratingChain, boundary: ArcPath, area: float):
         self.chain = chain
-        self.region = region
-        self.apex = apex
-
-    @property
-    def area(self) -> float:
-        return self.region.area
+        self.boundary = boundary
+        self.area = area
 
     @cached_property
     def upper_path(self) -> ArcPath:
@@ -367,11 +364,11 @@ class CoverBundle:
         Built once per bundle, so the piece table compiled on it is kept
         across verify and fold calls.
         """
-        return ArcPath(self.region.boundary.pieces[self.chain.n_edges:])
+        return ArcPath(self.boundary.pieces[self.chain.n_edges:])
 
     @cached_property
     def n_right_upper(self) -> int:
-        return (len(self.region.boundary.pieces) - self.chain.n_edges) // 2
+        return (len(self.boundary.pieces) - self.chain.n_edges) // 2
 
     @property
     def right_arcs(self) -> tuple:
@@ -388,12 +385,13 @@ class CoverBundle:
 
 
 def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
-    """(apex, area) of a chain that passed chain_diagnostics, in one walk that
+    """The area of a chain that passed chain_diagnostics, in one walk that
     checks the unwrap radii, the Arc guards, a positive final pivot and the
-    apex distance.  To area, chain_facts' chain term, it adds arc_path_area's
-    terms of the right run, then of the left run in reverse (not yet checked
-    positive).  A list passed as right gets the right run's records (cx, cy,
-    r, t0, t1) traced v -> w, one per turn above 1e-14; see _mirror_run.
+    apex w = (0, v_y + sqrt(1 - v_x^2)) at unit distance from u and v.  To
+    area, chain_facts' chain term, it adds arc_path_area's terms of the
+    right run, then of the left run in reverse (not yet checked positive).
+    A list passed as right gets the right run's records (cx, cy, r, t0, t1)
+    traced v -> w, one per turn above 1e-14; see _mirror_run.
 
     A finite bound > 0 (with no right) bounds the walk: per interior arc it
     sums r^2 theta + r (cx (sin t1 - dy/h) + cy (dx/h - cos t1)), (dx, dy)
@@ -470,7 +468,7 @@ def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
                 else _unwrap(verts, cum, turns, start))
     for term in reversed(left):
         area += term
-    return w, area
+    return area
 
 
 def _mirror_run(right):
@@ -545,14 +543,13 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     if diags:
         raise InadmissibleChainError(diags)
     right = []
-    w, area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
-                      chain.chain_term, right)
+    area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
+                   chain.chain_term, right)
     left = _mirror_run(right)
     path = _boundary(chain, right, left)
     check_closed(path)
     certify_cap(chain, right, left)
-    return CoverBundle(chain=chain, region=Region(boundary=path, area=check_ccw(area)),
-                       apex=w)
+    return CoverBundle(chain=chain, boundary=path, area=check_ccw(area))
 
 
 def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
@@ -574,8 +571,8 @@ def half_chain_area(n: int, fracs, turns, bound=math.inf):
     diags = chain_diagnostics(verts, cum, angles)
     if diags:
         raise InadmissibleChainError(diags)
-    out = _unwrap(verts, cum, angles, term, None, bound)
-    return None if out is None else check_ccw(out[1])
+    area = _unwrap(verts, cum, angles, term, None, bound)
+    return None if area is None else check_ccw(area)
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

@@ -32,6 +32,7 @@ from .involute import (
 )
 
 MIN_FRACTION = 1e-6
+STEP_DECAY = 0.999  # the step shrinks by this factor on each accepted move
 
 
 class SearchConfigError(ValueError):
@@ -39,14 +40,11 @@ class SearchConfigError(ValueError):
 
 
 class SearchConfig:
-    __slots__ = ("edges", "iterations", "seed", "initial_step", "step_decay",
-                 "restarts")
+    __slots__ = ("edges", "iterations", "seed", "initial_step")
 
     def __init__(self, edges: int, iterations: int, seed: int,
-                 initial_step: float = 0.05, step_decay: float = 0.999,
-                 restarts: int = 1):
-        for name, count in (("edges", edges), ("iterations", iterations),
-                            ("restarts", restarts)):
+                 initial_step: float = 0.05):
+        for name, count in (("edges", edges), ("iterations", iterations)):
             if isinstance(count, bool) or not isinstance(count, int):
                 raise SearchConfigError(f"{name} must be an integer, got {count!r}")
         if edges < 1:
@@ -55,16 +53,10 @@ class SearchConfig:
             raise SearchConfigError("iterations must be >= 1")
         if not 0 < initial_step < math.inf:
             raise SearchConfigError("initial step must be finite and positive")
-        if not 0 < step_decay <= 1:
-            raise SearchConfigError("step decay must be in (0, 1]")
-        if restarts < 1:
-            raise SearchConfigError("restarts must be >= 1")
         self.edges = edges
         self.iterations = iterations
         self.seed = seed
         self.initial_step = initial_step
-        self.step_decay = step_decay
-        self.restarts = restarts
 
 
 class ChainParams(NamedTuple):
@@ -169,7 +161,7 @@ def _smooth_optimum():
 
 
 def local_search(cfg: SearchConfig) -> SearchTrace:
-    """Strict-improvement hill climbing with decaying step and restarts."""
+    """Strict-improvement hill climbing, cfg.iterations moves in one run."""
     trace = SearchTrace()
     rng = random.Random(cfg.seed)
     best_params = initial_params(cfg.edges)
@@ -180,19 +172,16 @@ def local_search(cfg: SearchConfig) -> SearchTrace:
     trace.best_areas.append(best_area)
 
     step = None  # one edge has an empty half chain: no move to make
-    per_restart = cfg.iterations // cfg.restarts
-    leftovers = cfg.iterations - per_restart * cfg.restarts
-    for r in range(cfg.restarts if cfg.edges > 1 else 0):
+    if cfg.edges > 1:
         step = cfg.initial_step
-        budget = per_restart + (leftovers if r == 0 else 0)
-        for _ in range(budget):
+        for _ in range(cfg.iterations):
             cand = perturb(best_params, step, rng)
             area = _cover_area(cand, trace.rejections, best_area)
             if area == math.inf:
                 trace.estimated += 1
             elif area is not None and area < best_area:
                 best_area, best_params = area, cand
-                step *= cfg.step_decay
+                step *= STEP_DECAY
                 trace.accepted += 1
             trace.best_areas.append(best_area)
     trace.step = step

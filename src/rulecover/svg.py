@@ -1,4 +1,4 @@
-"""SVG rendering of cover regions, from the `Region` the library built.
+"""SVG rendering of covers, from the boundary and area of a `CoverBundle`.
 
 Arcs are emitted as native elliptical-arc path commands at their exact
 radii (no polyline approximation).  Math coordinates are y-up; SVG is
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import ArcPath, Region, Seg
+from .geometry import ArcPath, Seg
 
 
 def _bbox(path: ArcPath):
@@ -60,9 +60,9 @@ class _Mapper:
                 self.margin + (self.y1 - y) * self.scale)
 
 
-def render_svg(region: Region, out_path=None, size: int = 640,
+def render_svg(cover, out_path=None, size: int = 640,
                stroke: float = 2.0) -> str:
-    """Render a region to an SVG string (and optional file), with its area.
+    """Render a cover to an SVG string (and optional file), with its area.
 
     ValueError, before anything is written, unless size is positive and
     stroke finite and non-negative: either would make an invalid SVG.
@@ -71,13 +71,13 @@ def render_svg(region: Region, out_path=None, size: int = 640,
         raise ValueError(f"size must be positive, got {size!r}")
     if not 0.0 <= stroke < math.inf:
         raise ValueError(f"stroke must be finite and non-negative, got {stroke!r}")
-    path = region.boundary
+    path = cover.boundary
     bbox = _bbox(path)
     margin = size * 0.05
     mapper = _Mapper(bbox, size, margin)
     height = margin * 2 + (bbox[3] - bbox[1]) * mapper.scale
     d = path_d(path, mapper)
-    label = f"area = {region.area:.12f}"
+    label = f"area = {cover.area:.12f}"
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{height:.0f}" viewBox="0 0 {size} {height:.0f}">\n'

@@ -34,8 +34,9 @@ from typing import NamedTuple
 
 from .geometry import (
     ArcPath,
-    Region,
+    arc_path_area,
     boundary_distance,
+    check_ccw,
     circle_path_hits,
     circle_path_intersections,
     region_diameter,
@@ -155,7 +156,7 @@ def verify_reachability(cover: CoverBundle, n_points: int = 256,
                     break
             if not found:
                 failures.append((p, length))
-    diameter = region_diameter(cover.region)
+    diameter = region_diameter(cover.boundary)
     passed = not failures and diameter <= 1.0 + eps
     return VerificationReport(points=len(samples), lengths=n_lengths,
                               failures=failures, diameter=diameter,
@@ -242,8 +243,7 @@ def shrink_cover(cover: CoverBundle, factor: float = 0.95) -> CoverBundle:
     string), which is the point: the verifier must reject it.  Scaling keeps
     the chain's x order and turn angles, which its pocket relies on.
     """
-    path = ArcPath([scale_piece(p, factor) for p in cover.region.boundary.pieces])
+    path = ArcPath([scale_piece(p, factor) for p in cover.boundary.pieces])
     verts = tuple((factor * x, factor * y) for (x, y) in cover.chain.vertices)
-    apex = (factor * cover.apex[0], factor * cover.apex[1])
-    return CoverBundle(chain=GeneratingChain(verts),
-                       region=Region.from_path(path), apex=apex)
+    return CoverBundle(chain=GeneratingChain(verts), boundary=path,
+                       area=check_ccw(arc_path_area(path)))

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from rulecover import smooth
 from rulecover.constructions import CONSTRUCTIONS
-from rulecover.geometry import Arc, ArcPath, Region, Seg
+from rulecover.geometry import Arc, ArcPath, Seg, arc_path_area, check_ccw
 from rulecover.involute import CoverBundle, GeneratingChain, involute_cover
 
 # Property tests draw the same examples on every run and machine.
@@ -113,6 +113,7 @@ def apex_cut_bundle():
     flat = Arc(cx, cy, 100.0, math.atan2(ay - cy, ax - cx),
                math.atan2(by - cy, bx - cx))
     base = Seg(-0.5, 0.0, 0.5, 0.0)
-    region = Region.from_path(ArcPath([base, right, flat, left]))
+    path = ArcPath([base, right, flat, left])
     chain = GeneratingChain(((-0.5, 0.0), (0.5, 0.0)))
-    return CoverBundle(chain=chain, region=region, apex=flat.point_at(0.5))
+    return CoverBundle(chain=chain, boundary=path,
+                       area=check_ccw(arc_path_area(path)))

@@ -222,8 +222,13 @@ class TestVerifyCommand:
         ("chain", {"edges": 4, "halfchain": [{"len": 0.25, "turn": math.inf},
                                              {"len": 0.25, "turn": 0.2}]},
          "turns must be finite, got inf"),
+        # finite turns whose sum overflows once reached math.cos
+        ("chain", {"edges": 6, "halfchain": [{"len": 0.2, "turn": 1e308},
+                                             {"len": 0.2, "turn": 1e308},
+                                             {"len": 0.1, "turn": 1e308}]},
+         "turns must be finite, got inf as a turn sum"),
     ], ids=["string-area", "short-vertex", "no-turn", "empty-halfchain",
-            "zero-edges", "infinite-turn"])
+            "zero-edges", "infinite-turn", "overflowing-turn-sum"])
     def test_malformed_cover_exits_1(self, capsys, tmp_path, field, value,
                                      message):
         # a malformed field is a domain error, not a traceback
@@ -360,6 +365,15 @@ class TestSearchCommand:
         assert code == 1
         assert "best area" not in out
         assert err.startswith("error: ") and "finite and positive" in err
+
+    @pytest.mark.parametrize("flag, value", [("--restarts", "2"),
+                                             ("--decay", "0.5")])
+    def test_removed_flags_exit_2(self, capsys, flag, value):
+        # a search is one run of --iterations moves; these knobs are gone
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--edges", "4", "--iterations", "10", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -47,19 +47,19 @@ def _leading_minors(m):
 
 class TestR2:
     def test_closed_form_area(self):
-        region = r2_cover()
-        assert abs(region.area - (math.pi / 3 - math.sqrt(3) / 4)) <= 1e-12
-        assert abs(arc_path_area(region.boundary) - R2_AREA) <= 1e-12
+        cover = r2_cover()
+        assert abs(cover.area - (math.pi / 3 - math.sqrt(3) / 4)) <= 1e-12
+        assert abs(arc_path_area(cover.boundary) - R2_AREA) <= 1e-12
 
     def test_is_the_one_edge_cover(self):
         # bit for bit: the same pieces and the same area
-        region = CONSTRUCTIONS["one"].build()[1].region
-        assert r2_cover().to_json() == region.to_json()
-        assert r2_cover().area == region.area
+        bundle = CONSTRUCTIONS["one"].build()[1]
+        assert r2_cover().boundary.to_json() == bundle.boundary.to_json()
+        assert r2_cover().area == bundle.area
+        assert r2_cover().chain.vertices == bundle.chain.vertices
 
     def test_equilateral_frame(self):
-        region = r2_cover()
-        verts = region.boundary.vertices()
+        verts = r2_cover().boundary.vertices()
         u, v = verts[0], verts[1]
         assert math.dist(u, (-0.5, 0.0)) <= 1e-15
         assert math.dist(v, (0.5, 0.0)) <= 1e-15
@@ -112,7 +112,7 @@ class TestTwoEdge:
 
     def test_geometric_area_matches(self):
         p, bundle = CONSTRUCTIONS["two"].build((A_OPT_TWO,))
-        assert abs(bundle.region.area - two_edge_area(p)) <= 1e-10
+        assert abs(bundle.area - two_edge_area(p)) <= 1e-10
 
 
 class TestThreeEdge:
@@ -130,7 +130,7 @@ class TestThreeEdge:
 
     def test_geometric_area_matches(self):
         p, bundle = CONSTRUCTIONS["three"].build(THREE_ANGLES)
-        assert abs(bundle.region.area - three_edge_area(*THREE_ANGLES)) <= 1e-10
+        assert abs(bundle.area - three_edge_area(*THREE_ANGLES)) <= 1e-10
 
     def test_flat_restriction_reproduces_prior_bound(self):
         res = numerics.minimize_1d(lambda b: three_edge_area(0.0, b),
@@ -159,7 +159,7 @@ class TestFourEdge:
 
     def test_geometric_area_matches(self):
         p, bundle = CONSTRUCTIONS["four"].build(FOUR_ANGLES)
-        assert abs(bundle.region.area - four_edge_area(*FOUR_ANGLES)) <= 1e-10
+        assert abs(bundle.area - four_edge_area(*FOUR_ANGLES)) <= 1e-10
 
     def test_collapses_to_three_edge(self):
         a, b = THREE_ANGLES
@@ -277,7 +277,7 @@ def test_three_edge_closed_form_matches_geometry(total, frac):
         params, bundle = CONSTRUCTIONS["three"].build((a, b))
     except InfeasibleParamsError:
         assume(False)
-    assert abs(bundle.region.area - three_edge_area(a, b)) <= 1e-10
+    assert abs(bundle.area - three_edge_area(a, b)) <= 1e-10
 
 
 # Differential tests: the backend-threaded closed forms, on floats, against

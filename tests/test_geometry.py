@@ -12,11 +12,11 @@ from rulecover.geometry import (
     BLOCK_SIZE,
     GeometryError,
     OpenPathError,
-    Region,
     Seg,
     TWO_PI,
     arc_path_area,
     boundary_distance,
+    check_ccw,
     circle_path_hits,
     circle_path_intersections,
     path_self_intersects,
@@ -93,7 +93,7 @@ class TestArea:
         cw = ArcPath([Seg(0, 0, 0, 1), Seg(0, 1, 1, 1),
                       Seg(1, 1, 1, 0), Seg(1, 0, 0, 0)])
         with pytest.raises(ValueError):
-            Region.from_path(cw)
+            check_ccw(arc_path_area(cw))
 
     def test_polygonization_oracle(self):
         # closed-form area equals a dense chord approximation
@@ -172,24 +172,22 @@ class TestCircleIntersections:
 
 class TestDiameter:
     def test_r2(self):
-        region = Region.from_path(r2_path())
-        assert abs(region_diameter(region, 4096) - 1.0) <= 1e-9
+        assert abs(region_diameter(r2_path(), 4096) - 1.0) <= 1e-9
 
     def test_unit_disk(self):
-        region = Region.from_path(unit_circle_path())
-        assert abs(region_diameter(region, 4096) - 2.0) <= 1e-6
+        assert abs(region_diameter(unit_circle_path(), 4096) - 2.0) <= 1e-6
 
     def test_monotone_under_doubling(self):
-        region = Region.from_path(r2_path())
+        path = r2_path()
         prev = 0.0
         for n in (64, 128, 256, 512):
-            d = region_diameter(region, n)
+            d = region_diameter(path, n)
             assert d >= prev - 1e-15
             prev = d
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            region_diameter(Region.from_path(r2_path()), 8)
+            region_diameter(r2_path(), 8)
 
 
 class TestTransforms:
@@ -254,11 +252,11 @@ DIFFERENTIAL_COVERS = (["r2", "two", "three", "four", "smooth32", "smooth128",
 @pytest.mark.parametrize("name", DIFFERENTIAL_COVERS)
 def test_indexed_scans_match_oracle(name, differential_covers, oracle):
     bundle = differential_covers[name]
-    region, upper = bundle.region, bundle.upper_path
-    o_region = oracle.Region.from_json(region.to_json(), check=False)
+    boundary, upper = bundle.boundary, bundle.upper_path
+    o_region = oracle.Region.from_json(boundary.to_json(), check=False)
     o_upper = oracle.ArcPath.from_json(upper.to_json())
     rng = random.Random(name)
-    xs, ys = zip(*region.boundary.sample(64))
+    xs, ys = zip(*boundary.sample(64))
 
     def random_point():
         return (rng.uniform(min(xs) - 0.1, max(xs) + 0.1),
@@ -289,7 +287,7 @@ def test_indexed_scans_match_oracle(name, differential_covers, oracle):
         assert (boundary_distance(upper, pt)
                 == oracle.boundary_distance(o_upper, pt))
 
-    assert (path_self_intersects(region.boundary)
+    assert (path_self_intersects(boundary)
             == oracle.path_self_intersects(o_region.boundary))
 
 
@@ -608,21 +606,20 @@ def segment_polygon(seed, m):
     angles = sorted(rng.uniform(0.0, TWO_PI) for _ in range(m))
     rad, cx, cy = rng.uniform(0.3, 2.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
     pts = [(cx + rad * math.cos(a), cy + rad * math.sin(a)) for a in angles]
-    return Region.from_path(ArcPath([Seg(*pts[k], *pts[(k + 1) % m])
-                                     for k in range(m)]))
+    return ArcPath([Seg(*pts[k], *pts[(k + 1) % m]) for k in range(m)])
 
 
 def test_diameter_matches_oracle(hit_covers, oracle):
     # bit for bit, though the hull gets no segment interiors: on covers
     # (whose segments are the chain) and on all-segment polygons
-    regions = {name: bundle.region for name, bundle in hit_covers.items()}
-    regions.update({f"polygon{m}": segment_polygon(m, m) for m in range(3, 13)})
-    regions["square"] = Region.from_path(square_path())
-    regions["disk"] = Region.from_path(unit_circle_path())
-    for name, region in regions.items():
-        o_region = oracle.Region.from_json(region.to_json(), check=False)
+    paths = {name: bundle.boundary for name, bundle in hit_covers.items()}
+    paths.update({f"polygon{m}": segment_polygon(m, m) for m in range(3, 13)})
+    paths["square"] = square_path()
+    paths["disk"] = unit_circle_path()
+    for name, path in paths.items():
+        o_region = oracle.Region.from_json(path.to_json(), check=False)
         for n in (64, 4096):
-            assert (region_diameter(region, n)
+            assert (region_diameter(path, n)
                     == oracle.region_diameter(o_region, n)), (name, n)
 
 

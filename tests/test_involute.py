@@ -13,7 +13,7 @@ from conftest import FOUR_ANGLES, THREE_ANGLES
 from test_geometry import hairpin_chain, unaudited_boundary
 from rulecover import constructions as cons
 from rulecover import geometry, involute, smooth
-from rulecover.geometry import Arc, OpenPathError, path_self_intersects
+from rulecover.geometry import Arc, OpenPathError, arc_path_area, path_self_intersects
 from rulecover.involute import (
     GeneratingChain,
     InadmissibleChainError,
@@ -135,7 +135,7 @@ class TestValidateChain:
 class TestInvoluteCover:
     def test_one_edge_is_r2(self, r2_bundle):
         assert abs(r2_bundle.area - cons.R2_AREA) <= 1e-12
-        assert math.dist(r2_bundle.apex, (0.0, math.sqrt(3) / 2)) <= 1e-12
+        assert math.dist(r2_bundle.right_arcs[-1].end, (0.0, math.sqrt(3) / 2)) <= 1e-12
         assert abs(r2_bundle.right_arcs[-1].sweep - math.pi / 3) <= 1e-12
         assert abs(r2_bundle.area - cons.r2_cover().area) <= 1e-12
 
@@ -163,8 +163,9 @@ class TestInvoluteCover:
         assert abs(four_bundle.right_arcs[-1].sweep - FOUR_ANGLES[0]) <= 1e-9
 
     def test_apex_unit_distance(self, four_bundle):
+        apex = four_bundle.right_arcs[-1].end
         for p in (four_bundle.chain.u, four_bundle.chain.v):
-            assert abs(math.dist(p, four_bundle.apex) - 1.0) <= 1e-9
+            assert abs(math.dist(p, apex) - 1.0) <= 1e-9
 
     def test_sector_sum_identity(self, three_bundle, four_bundle):
         # at every interior vertex, the left and right arc radii sum to 1
@@ -185,12 +186,12 @@ class TestInvoluteCover:
 
     def test_total_boundary_turning(self, two_bundle, four_bundle):
         for bundle in (two_bundle, four_bundle):
-            assert abs(_total_turning(bundle.region.boundary) - 2 * math.pi) <= 1e-6
+            assert abs(_total_turning(bundle.boundary) - 2 * math.pi) <= 1e-6
 
     def test_upper_path_excludes_chain(self, three_bundle):
         upper = three_bundle.upper_path
         n_edges = three_bundle.chain.n_edges
-        assert len(upper.pieces) == len(three_bundle.region.boundary.pieces) - n_edges
+        assert len(upper.pieces) == len(three_bundle.boundary.pieces) - n_edges
         assert all(isinstance(piece, Arc) for piece in upper.pieces)
         # built once, so its compiled piece table is shared by every query
         assert three_bundle.upper_path is upper
@@ -280,8 +281,8 @@ def test_two_edge_family_property(turn):
     except InadmissibleChainError:
         assume(False)
     assert bundle.area > 0
-    assert abs(math.dist(bundle.chain.u, bundle.apex) - 1.0) <= 1e-9
-    dense = bundle.region.boundary.polygonize(max_arc_step=2 * math.pi / 8192)
+    assert abs(math.dist(bundle.chain.u, bundle.right_arcs[-1].end) - 1.0) <= 1e-9
+    dense = bundle.boundary.polygonize(max_arc_step=2 * math.pi / 8192)
     shoelace = 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0, x1, y1, _) in dense)
     assert abs(bundle.area - shoelace) <= 1e-6
 
@@ -501,8 +502,7 @@ def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
     unwrap = involute._unwrap
 
     def negated(*args):
-        w, area = unwrap(*args)
-        return w, -area
+        return -unwrap(*args)
 
     monkeypatch.setattr(involute, "_unwrap", negated)
     params = ChainParams.from_chain(two_bundle.chain)
@@ -596,13 +596,19 @@ INPUTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                      / "inputs.json").read_text())
 
 
-def _assert_runs_are_boundary_pieces(bundle):
+def _closed_form_apex(chain):
+    """The apex w = (0, v_y + sqrt(1 - v_x^2)), at unit distance from u and v."""
+    vx, vy = chain.v
+    return (0.0, vy + math.sqrt(1.0 - vx * vx))
+
+
+def _assert_runs_are_boundary_pieces(bundle, apex):
     right, left = bundle.right_arcs, bundle.left_arcs
     assert len(right) == len(left)
     # right traced v -> w, left traced w -> u, as on the boundary
     for point, want in ((right[0].start, bundle.chain.v),
-                        (right[-1].end, bundle.apex),
-                        (left[0].start, bundle.apex),
+                        (right[-1].end, apex),
+                        (left[0].start, apex),
                         (left[-1].end, bundle.chain.u)):
         assert math.dist(point, want) <= 1e-12
 
@@ -610,8 +616,9 @@ def _assert_runs_are_boundary_pieces(bundle):
 @pytest.mark.parametrize("name", ["r2", "two", "three", "four"])
 def test_runs_are_boundary_pieces(name, request):
     bundle = request.getfixturevalue(f"{name}_bundle")
-    _assert_runs_are_boundary_pieces(bundle)
-    _assert_runs_are_boundary_pieces(shrink_cover(bundle))
+    wx, wy = _closed_form_apex(bundle.chain)
+    _assert_runs_are_boundary_pieces(bundle, (wx, wy))
+    _assert_runs_are_boundary_pieces(shrink_cover(bundle), (0.95 * wx, 0.95 * wy))
 
 
 def _failure(exc):
@@ -636,8 +643,8 @@ def _boundary(chain):
         bundle = involute_cover(chain)
     except ValueError as exc:
         return _failure(exc)
-    assert not path_self_intersects(bundle.region.boundary), chain.vertices
-    return "ok", repr((bundle.region.boundary.to_json(), bundle.area))
+    assert not path_self_intersects(bundle.boundary), chain.vertices
+    return "ok", repr((bundle.boundary.to_json(), bundle.area))
 
 
 @pytest.mark.parametrize("name", ["r2", "one", "two", "three", "four"])
@@ -673,6 +680,27 @@ def test_boundary_matches_oracle_on_perturbed_chains(edges, step,
             chain.vertices
         built += ours[0] == "ok"
     assert built > 0
+
+
+def test_area_is_the_boundary_area_bit_for_bit(apex_cut_bundle):
+    # a bundle's stored area is its boundary's area, as every maker records
+    # it: involute_cover from _unwrap's walk, shrink_cover and the mutant
+    # from arc_path_area itself
+    bundles = [involute_cover(GeneratingChain.from_json(doc))
+               for doc in INPUTS.values()]
+    r2 = cons.r2_cover()
+    bundles += [r2, shrink_cover(r2, 0.95), apex_cut_bundle]
+    for edges in (2, 3, 4, 5, 8, 16, 17, 64):
+        for step in (0.02, 0.3):
+            for chain in perturbed_chains(edges, step):
+                try:
+                    bundles.append(involute_cover(chain))
+                except ValueError:
+                    continue  # rejected: no bundle to compare
+    assert len(bundles) == 456
+    mismatches = [(b.chain.vertices, b.area) for b in bundles
+                  if b.area != arc_path_area(b.boundary)]
+    assert mismatches == []
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from rulecover.constructions import R2_AREA
 from rulecover.involute import validate_chain
 from rulecover.search import (
     ChainParams,
+    STEP_DECAY,
     _cover_area,
     SearchConfig,
     SearchConfigError,
@@ -25,22 +26,28 @@ from rulecover.search import (
 class TestConfig:
     def test_keywords_and_defaults(self):
         cfg = SearchConfig(edges=8, iterations=10, seed=3)
-        assert (cfg.edges, cfg.iterations, cfg.seed, cfg.initial_step,
-                cfg.step_decay, cfg.restarts) == (8, 10, 3, 0.05, 0.999, 1)
-        cfg = SearchConfig(5, 20, 7, 0.1, 0.5, 2)
-        assert (cfg.edges, cfg.iterations, cfg.seed, cfg.initial_step,
-                cfg.step_decay, cfg.restarts) == (5, 20, 7, 0.1, 0.5, 2)
+        assert (cfg.edges, cfg.iterations, cfg.seed,
+                cfg.initial_step) == (8, 10, 3, 0.05)
+        cfg = SearchConfig(5, 20, 7, 0.1)
+        assert (cfg.edges, cfg.iterations, cfg.seed,
+                cfg.initial_step) == (5, 20, 7, 0.1)
+
+    @pytest.mark.parametrize("knob, value", [("restarts", 1),
+                                              ("step_decay", 0.999)])
+    def test_removed_knobs_are_refused(self, knob, value):
+        # a search is one run of `iterations` moves, its step shrunk by
+        # STEP_DECAY on each accepted move
+        with pytest.raises(TypeError):
+            SearchConfig(edges=2, iterations=10, seed=1, **{knob: value})
+        with pytest.raises(TypeError):
+            SearchConfig(2, 10, 1, 0.05, value)
+        assert not hasattr(SearchConfig(2, 10, 1), knob)
 
     def test_validation(self):
         with pytest.raises(SearchConfigError, match="^edges must be >= 1$"):
             SearchConfig(edges=0, iterations=10, seed=1)
         with pytest.raises(SearchConfigError, match="^iterations must be >= 1$"):
             SearchConfig(edges=2, iterations=0, seed=1)
-        with pytest.raises(SearchConfigError,
-                           match=r"^step decay must be in \(0, 1\]$"):
-            SearchConfig(edges=2, iterations=10, seed=1, step_decay=1.5)
-        with pytest.raises(SearchConfigError, match="^restarts must be >= 1$"):
-            SearchConfig(edges=2, iterations=10, seed=1, restarts=0)
         with pytest.raises(SearchConfigError):
             SearchConfig(edges=2, iterations=10, seed=1, initial_step=0.0)
 
@@ -51,12 +58,12 @@ class TestConfig:
         with pytest.raises(SearchConfigError, match="finite and positive"):
             SearchConfig(edges=2, iterations=10, seed=1, initial_step=step)
 
-    @pytest.mark.parametrize("field", ["edges", "iterations", "restarts"])
+    @pytest.mark.parametrize("field", ["edges", "iterations"])
     @pytest.mark.parametrize("value", [4.0, True, "4", None])
     def test_counts_must_be_integers(self, field, value):
         # a float count used to end in range()'s TypeError inside
         # local_search, and edges=True ran a one-edge search
-        counts = dict(edges=4, iterations=10, restarts=2)
+        counts = dict(edges=4, iterations=10)
         counts[field] = value
         with pytest.raises(SearchConfigError,
                            match=f"^{field} must be an integer, got {value!r}$"):
@@ -128,11 +135,6 @@ class TestLocalSearch:
         b = local_search(SearchConfig(edges=3, iterations=400, seed=2))
         assert a.best_areas != b.best_areas
 
-    def test_restarts_preserve_budget(self):
-        cfg = SearchConfig(edges=2, iterations=1001, seed=3, restarts=3)
-        trace = local_search(cfg)
-        assert len(trace.best_areas) == cfg.iterations + 1
-
     def test_best_chain_is_admissible(self):
         trace = local_search(SearchConfig(edges=4, iterations=300, seed=9))
         assert validate_chain(trace.best_chain) == []
@@ -194,7 +196,7 @@ class TestTelemetry:
         assert trace.accepted == sum(b < a for a, b in zip(areas, areas[1:]))
         step = cfg.initial_step
         for _ in range(trace.accepted):
-            step *= cfg.step_decay
+            step *= STEP_DECAY
         assert trace.step == step
         assert set(trace.rejections) <= {
             "params", "geometry", "length", "symmetry", "concavity",
@@ -295,9 +297,12 @@ def test_small_and_odd_traces_match_pin(edges, step):
     ((math.nan,), (0.3,)), ((0.5,), (math.nan,)), ((math.inf,), (0.3,)),
     ((math.nan, 0.25), (0.1, 0.1)), ((0.25, math.nan), (0.1, 0.1)),
     ((math.inf, 0.25), (0.1, 0.1)), ((0.25, math.inf), (0.1, 0.1)),
-    ((0.25, 0.25), (math.inf, 0.2)), ((0.25, 0.25), (0.2, -math.inf))])
+    ((0.25, 0.25), (math.inf, 0.2)), ((0.25, 0.25), (0.2, -math.inf)),
+    ((0.25, 0.25), (math.inf, -math.inf)),
+    ((0.2, 0.2, 0.1), (1e308, 1e308, 1e308))])
 def test_non_finite_half_chain_is_rejected(fracs, turns):
-    # a non-finite fraction or turn gives no chain, so it is not scored nan
+    # a non-finite fraction or turn, or finite turns whose sums overflow,
+    # give no chain, so they are not scored nan
     rejections = Counter()
     params = ChainParams(edges=2 * len(fracs), fracs=fracs, turns=turns)
     assert _cover_area(params, rejections) is None

@@ -162,18 +162,18 @@ class TestMutants:
 
 class TestDiameter:
     def test_r2(self, r2_bundle):
-        assert abs(region_diameter(r2_bundle.region, 4096) - 1.0) <= 1e-9
+        assert abs(region_diameter(r2_bundle.boundary, 4096) - 1.0) <= 1e-9
 
     def test_reference_covers_within_unit(self, three_bundle, four_bundle,
                                       smooth48_bundle):
         for bundle in (three_bundle, four_bundle):
-            assert region_diameter(bundle.region, 4096) <= 1.0 + 1e-9
+            assert region_diameter(bundle.boundary, 4096) <= 1.0 + 1e-9
         # dense pairwise check for the smooth cover
-        assert region_diameter(smooth48_bundle.region, 8192) <= 1.0 + 1e-9
+        assert region_diameter(smooth48_bundle.boundary, 8192) <= 1.0 + 1e-9
 
     def test_oversize_cover_fails(self, r2_bundle):
         grown = shrink_cover(r2_bundle, 1.2)
-        assert region_diameter(grown.region, 256) > 1.0
+        assert region_diameter(grown.boundary, 256) > 1.0
         report = verify_reachability(grown, n_points=16, n_lengths=16)
         assert report.diameter > 1.0 + report.eps
         assert not report.passed
@@ -293,7 +293,7 @@ def pocket_covers(r2_bundle, two_bundle, three_bundle, four_bundle,
 
 def _oracle_region(oracle, bundle):
     """`bundle`'s region rebuilt in the frozen library from its JSON pieces."""
-    return oracle.geometry.Region.from_json(bundle.region.to_json(), check=False)
+    return oracle.geometry.Region.from_json(bundle.boundary.to_json(), check=False)
 
 
 class TestPocket:
@@ -480,8 +480,8 @@ def _oracle_bundle(oracle, bundle):
     pieces = region.boundary.pieces
     return oracle.involute.CoverBundle(
         chain=oracle.involute.GeneratingChain(bundle.chain.vertices),
-        region=region, apex=bundle.apex, left_arcs=pieces[n + k:],
-        right_arcs=pieces[n:n + k], area=bundle.area,
+        region=region, apex=bundle.right_arcs[-1].end,
+        left_arcs=pieces[n + k:], right_arcs=pieces[n:n + k], area=bundle.area,
         final_pivot=bundle.right_arcs[-1].sweep)
 
 
