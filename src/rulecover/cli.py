@@ -115,6 +115,10 @@ def cmd_search(args) -> int:
         search.write_trace_csv(trace, args.trace)
     if args.out:
         _emit_json(trace.best_chain.to_json(), args.out)
+    if args.stats:
+        _emit_json({"iterations": len(trace.best_areas) - 1, "accepted": trace.accepted,
+                    "estimated": trace.estimated, "step": trace.step,
+                    "rejections": dict(sorted(trace.rejections.items()))}, args.stats)
     return 0
 
 
@@ -208,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--trace", help="CSV trace path")
     p.add_argument("--out", help="best chain JSON path")
+    p.add_argument("--stats", help="search counts JSON path")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="check the cover property numerically")

@@ -29,14 +29,13 @@ from .geometry import (
     check_arc,
     check_ccw,
     check_closed,
-    seg_area,
 )
 
 LENGTH_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 TURN_TOL = 1e-9
 CHORD_TOL = 1e-9  # a line this close to both u and v runs along the chord
-ESTIMATE_TOL = 1e-13  # per arc, on _unwrap's area estimate; derived there
+ESTIMATE_TOL = 1e-13  # per arc, on _settles' closed sum; derived there
 
 
 class InadmissibleChainError(ValueError):
@@ -57,20 +56,24 @@ class ChainDiagnostic(NamedTuple):
         return f"{self.kind}: {self.detail} (magnitude {self.magnitude:.3e})"
 
 
-def chain_facts(vertices):
+def chain_facts(vertices, units=None):
     """(edge lengths, cumulative lengths s_0..s_n from u, turn angles, chain
     term) of a vertex tuple in one walk over its edges; a turn angle is
     positive where the chain bends away from the region above it (incoming
-    minus outgoing direction), the chain term sums the edges' seg_area."""
+    minus outgoing direction), the chain term sums the edges' seg_area; a
+    list passed as units gets their unit vectors (dx/h, dy/h) or (0, 0)."""
     lengths, dirs, term = [], [], 0.0
     dist, atan2 = math.dist, math.atan2
     p0 = vertices[0]
     x0, y0 = p0
     for p1 in vertices[1:]:
         x1, y1 = p1
-        lengths.append(dist(p0, p1))
-        dirs.append(atan2(y1 - y0, x1 - x0))
-        term += seg_area(x0, y0, x1, y1)
+        dx, dy, h = x1 - x0, y1 - y0, dist(p0, p1)
+        lengths.append(h)
+        dirs.append(atan2(dy, dx))
+        if units is not None:
+            units.append((dx / h, dy / h) if h else (0.0, 0.0))
+        term += 0.5 * (x0 * y1 - x1 * y0)
         p0, x0, y0 = p1, x1, y1
     return (tuple(lengths), tuple(accumulate(lengths, initial=0.0)),
             tuple(map(operator.sub, dirs, dirs[1:])), term)
@@ -384,7 +387,7 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
+def _unwrap(verts, cum, turns, area, right=None):
     """The area of a chain that passed chain_diagnostics, in one walk that
     checks the unwrap radii, the Arc guards, a positive final pivot and the
     apex w = (0, v_y + sqrt(1 - v_x^2)) at unit distance from u and v.  To
@@ -392,23 +395,10 @@ def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
     right run, then of the left run in reverse (not yet checked positive).
     A list passed as right gets the right run's records (cx, cy, r, t0, t1)
     traced v -> w, one per turn above 1e-14; see _mirror_run.
-
-    A finite bound > 0 (with no right) bounds the walk: per interior arc it
-    sums r^2 theta + r (cx (sin t1 - dy/h) + cy (dx/h - cos t1)), (dx, dy)
-    the string from the pivot and h its length: both runs' terms to 140u,
-    u = 2^-53, where ESTIMATE_TOL is 900u.  (r, |cx|, |cy| <= 1; angles,
-    terms and sums are below 8, so a rounding moves one by 4u: 18u from
-    cos(atan2(dy, dx)) against dx/h and sin, 19u from pi - t in the mirror
-    angles, 8u from theta against t1 - t0, 83u from rounding in the
-    arc_terms and the estimate, 12u in the sum.)  If estimate - ESTIMATE_TOL
-    n >= bound (n >= the arc count), the area is >= bound and it returns
-    None; else it walks again exactly.
     """
-    n = len(verts) - 1
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
-    estimate, start = 0.0 < bound < math.inf, area
 
     # right involute, traced from v: pivot interior vertices from the v side
     # with the still-wrapped radius 1 - s_k, then swing about u to the apex;
@@ -416,12 +406,11 @@ def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
     left = []
     ex, ey = vx, vy
     hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
-    for k in range(n - 1, 0, -1):
+    for k in range(len(verts) - 2, 0, -1):
         cx, cy = verts[k]
         r = 1.0 - cum[k]
         dx, dy = ex - cx, ey - cy
-        h = hypot(dx, dy)
-        gap = abs(h - r)
+        gap = abs(hypot(dx, dy) - r)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
@@ -433,13 +422,10 @@ def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
             if right is not None:
                 right.append((cx, cy, r, t0, t1))
             c1, s1 = cos(t1), sin(t1)
-            if estimate:
-                area += r * r * theta + r * (cx * (s1 - dy / h) + cy * (dx / h - c1))
-            else:
-                area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
-                a0, a1 = pi - t1, pi - t0
-                left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
-                                     cos(a1), sin(a1)))
+            area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
+            a0, a1 = pi - t1, pi - t0
+            left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
+                                 cos(a1), sin(a1)))
             ex, ey = cx + r * c1, cy + r * s1
     gap = abs(hypot(ex - ux, ey - uy) - 1.0)
     if gap > 1e-9:
@@ -463,12 +449,46 @@ def _unwrap(verts, cum, turns, area, right=None, bound=math.inf):
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
-    if estimate:  # left holds the final pivot's exact mirror term only
-        return (None if area + left[0] - ESTIMATE_TOL * n >= bound
-                else _unwrap(verts, cum, turns, start))
     for term in reversed(left):
         area += term
     return area
+
+
+def _settles(verts, cum, turns, units, area, bound):
+    """True only if _unwrap's area of a chain that passed chain_diagnostics
+    is >= bound > 0 and its walk raises nothing, from chain_facts' unit edge
+    vectors (x_j, y_j) and no walk: pivot k's arc, about c = p_k of radius
+    r = 1 - s_k from edge k's direction to edge k - 1's, and its mirror add
+    r^2 theta + r (c_x (y_(k-1) - y_k) + c_y (x_k - x_(k-1))) for every
+    turn (ROADMAP item 12); the final pivot adds its pair likewise.
+
+    Error (u = 2^-53): the walk puts each string end at radius r, so its
+    error delta only turns: delta_(k-1) <= delta_k (1 + delta_k / r) + 27u
+    (+ r theta for a skipped turn).  With neg the negative turns' size,
+    D = (27u + 1e-14) n + neg and radii >= 8 n D (least: 1 - s_(n-1)),
+    delta <= 1.18 D: the walk's gaps |h - r| stay far inside 1e-9, its
+    final pivot within 1.01 delta + 13u of this one (which clears 1e-12 by
+    tol), and its area within 4.9 D + 120u n = 7.7e-14 n + 4.9 neg < tol
+    of this sum (per arc delta |c| |theta|, |c| <= 0.71 and sum |theta| <=
+    pi + 2 neg, as both ends share an angle error; 1.71 delta at the final
+    pivot; 0.11 delta second order; 120u rounding).  The apex checks are
+    the walk's; check_arc and check_ccw (bound > 0) pass.
+    """
+    n, neg = len(verts) - 1, (math.fsum(map(abs, turns)) - math.fsum(turns)) / 2
+    tol = ESTIMATE_TOL * n + 5.0 * neg
+    (ux, uy), (vx, vy), (x0, y0) = verts[0], verts[-1], units[0]
+    w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
+    d = math.dist(verts[0], w)
+    pivot = math.atan2(w[1] - uy, -ux) - math.atan2(y0, x0)
+    if not (1.0 - cum[-2] >= 8 * n * (1.3e-14 * n + neg) and pivot - tol > 1e-12
+            and abs(d - 1.0) <= 1e-9 and abs(math.dist(verts[-1], w) - 1.0) <= 1e-9):
+        return False
+    area += pivot + ux * ((w[1] - uy) / d - y0) + uy * (ux / d + x0)
+    for (cx, cy), s, theta, (xa, ya), (xb, yb) in zip(
+            verts[1:], cum[1:], turns, units, units[1:]):
+        r = 1.0 - s
+        area += r * (r * theta + cx * (ya - yb) + cy * (xb - xa))
+    return area - tol >= bound > 0.0
 
 
 def _mirror_run(right):
@@ -565,14 +585,15 @@ def half_chain_area(n: int, fracs, turns, bound=math.inf):
     """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
     turns)) records, bit for bit: the same layout, facts, checks and
     _unwrap walk, with no chain object, no pieces and no cap certificate;
-    None if _unwrap's estimate settles that it is >= a finite bound > 0."""
-    verts = half_chain_vertices(n, fracs, turns)
-    _, cum, angles, term = chain_facts(verts)
+    None, with no walk, if _settles shows that it is >= a finite bound > 0."""
+    verts, units = half_chain_vertices(n, fracs, turns), []
+    _, cum, angles, term = chain_facts(verts, units)
     diags = chain_diagnostics(verts, cum, angles)
     if diags:
         raise InadmissibleChainError(diags)
-    area = _unwrap(verts, cum, angles, term, None, bound)
-    return None if area is None else check_ccw(area)
+    if _settles(verts, cum, angles, units, term, bound):
+        return None
+    return check_ccw(_unwrap(verts, cum, angles, term))
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

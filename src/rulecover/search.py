@@ -5,12 +5,11 @@ pairs, with the middle edge implied for odd n and mirror symmetry always
 enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
-reason.  A move is scored in one walk from its half parameters by
-`involute.half_chain_area`: a build's layout, facts, checks and unwrap,
-with no chain object, arc records or pieces, its area bounded, then exact
-for contenders (an estimate settles most moves as no better).  Only the
-winner becomes a GeneratingChain, rebuilt once with the boundary
-certificate.  Runs are bit-reproducible for a fixed seed.
+reason.  `involute.half_chain_area` scores a move from its half parameters
+with no chain object; a closed sum over the unit edge vectors settles most
+moves as no better, and only contenders walk the string for the exact
+area.  The winner is rebuilt once, certified.  Runs are bit-reproducible
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class SearchTrace:
     violating several invariants counts under each), "params" for half
     parameters that give no chain and "geometry" for a clockwise boundary
     or a bad arc.  accepted counts improving moves, estimated those the
-    area estimate settled; step is the step size at the end (None when
+    closed sum settled; step is the step size at the end (None when
     there was nothing to search).  local_search fills in a new, empty one.
     """
 

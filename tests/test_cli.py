@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from rulecover import constructions, smooth
 from rulecover.cli import main
 from rulecover.involute import GeneratingChain, involute_cover
+from rulecover.search import SearchConfig, local_search
 
 
 def run(capsys, *argv):
@@ -374,6 +379,33 @@ class TestSearchCommand:
             main(["search", "--edges", "4", "--iterations", "10", flag, value])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_stats_repeat_per_seed(self, capsys, tmp_path):
+        # two interpreters with different string hashes write the same
+        # counts, sorted by rejection kind; stdout is what a run without
+        # --stats prints
+        argv = ["search", "--edges", "8", "--iterations", "300", "--seed", "0",
+                "--step", "1.0"]
+        _, plain, _ = run(capsys, *argv)
+        docs = []
+        for hash_seed in ("1", "2"):
+            path = tmp_path / f"stats{hash_seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+            done = subprocess.run(
+                [sys.executable, "-m", "rulecover.cli", *argv, "--stats", str(path)],
+                env=env, capture_output=True, text=True, check=True)
+            assert done.stdout == plain
+            docs.append(path.read_text())
+        assert docs[0] == docs[1]
+        trace = local_search(SearchConfig(edges=8, iterations=300, seed=0,
+                                          initial_step=1.0))
+        assert json.loads(docs[0]) == {
+            "iterations": 300, "accepted": trace.accepted,
+            "estimated": trace.estimated,
+            "rejections": dict(sorted(trace.rejections.items())),
+            "step": trace.step}
+        assert len(trace.rejections) > 1 and trace.estimated > 0
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

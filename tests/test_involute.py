@@ -413,28 +413,88 @@ def _bounds_around(area, rng):
             rng.uniform(area - 1e-6, area + 1e-6), rng.uniform(0.3, 0.9)]
 
 
+def _assert_bounded_is_the_walk(params, bounds):
+    # None only when the exact area is >= bound, else the same float; the
+    # same exception class and kinds whatever the bound, including the
+    # bounds <= 0 and inf that turn the settle test off; and a bound 1e-9
+    # or more below the area, far outside the sum's tolerance, is settled
+    area, error = _outcome(_half_chain_area, params)
+    for bound in bounds:
+        got, got_error = _outcome(_bounded(bound), params)
+        assert got_error == error, (params, bound)
+        if got is None and error is None:
+            assert area >= bound, (params, bound)
+        else:
+            assert got == area, (params, bound)
+        if error is None and 0.0 < bound <= area - 1e-9:
+            assert got is None, (params, bound)
+
+
 @pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
 @pytest.mark.parametrize("edges", BOUNDED_EDGES)
 def test_bounded_score_settles_only_areas_at_or_above_the_bound(edges, step):
-    # None only when the exact area is >= bound, else the same float; the
-    # same exception class and kinds whatever the bound, including the
-    # bounds <= 0 and inf that turn the estimate off; and a bound 1e-9 or
-    # more below the area, far outside the estimate's band, is settled
     rng = random.Random(7 * edges + round(100 * step))
     for params in perturbed_params(edges, step):
-        area, error = _outcome(_half_chain_area, params)
+        area, _ = _outcome(_half_chain_area, params)
         bounds = [-1.0, 0.0, math.inf, rng.uniform(0.3, 0.9)]
         if area is not None:
             bounds += _bounds_around(area, rng)
-        for bound in bounds:
-            got, got_error = _outcome(_bounded(bound), params)
-            assert got_error == error, (params, bound)
-            if got is None and error is None:
-                assert area >= bound, (params, bound)
-            else:
-                assert got == area, (params, bound)
-            if error is None and 0.0 < bound <= area - 1e-9:
-                assert got is None, (params, bound)
+        _assert_bounded_is_the_walk(params, bounds)
+
+
+# a first edge of 5e-17 leaves s_4 one ulp above 1 (see
+# test_unwrap_radius_guard_fires_from_half_parameters)
+RADIUS_GUARD_PARAMS = ChainParams(5, (5.2477313009977105e-17, 0.21424367676489484),
+                                  (0.114045996568159, 0.35874260759089155))
+TINY_TURNS = [0.0, 1e-14, -1e-14, 5e-15, -5e-15, 2e-14]
+
+
+def tiny_turn_params(edges, tiny):
+    """The warm start with every third turn set to `tiny`: clamped to 0.0,
+    or computed within 1e-14 or so of it, either way.  The walk records no
+    arc for a turn at or below 1e-14; the closed sum keeps every turn."""
+    base = initial_params(edges)
+    turns = [tiny if j % 3 == 0 else t for j, t in enumerate(base.turns)]
+    return base._replace(turns=tuple(turns))
+
+
+def _fixed_bounded_cases():
+    closure = [p for p in perturbed_params(17, 0.3)
+               if _outcome(_half_chain_area, p)[1] == (InadmissibleChainError,
+                                                        frozenset({"closure"}))]
+    assert len(closure) == 7
+    # a fraction of 1e-20 rounds its edge away: a zero-length edge, which
+    # has no unit vector and fails ordering
+    zero_edge = ChainParams(4, (1e-20, 0.3), (0.1, 0.3))
+    return {"radius-guard": [RADIUS_GUARD_PARAMS], "17-edge-closure": closure,
+            "zero-length-edge": [zero_edge],
+            **{f"tiny-{tiny!r}": [tiny_turn_params(n, tiny)
+                                  for n in (4, 5, 16, 17, 64, 512)]
+               for tiny in TINY_TURNS}}
+
+
+@pytest.mark.parametrize("case", ["radius-guard", "17-edge-closure",
+                                  "zero-length-edge",
+                                  *(f"tiny-{t!r}" for t in TINY_TURNS)])
+def test_bounded_score_on_fixed_cases(case):
+    # bounds below every area: the settle test must not hide the walk's
+    # exception, and must settle or hand back the walk's area exactly
+    rng = random.Random(case)
+    for params in _fixed_bounded_cases()[case]:
+        area, error = _outcome(_half_chain_area, params)
+        bounds = [1e-300, 0.05, 0.3, 0.5]
+        if area is not None:
+            bounds += _bounds_around(area, rng) + [area - 1e-12, area / 2]
+        _assert_bounded_is_the_walk(params, bounds)
+        if case == "radius-guard":
+            assert error == (geometry.GeometryError, frozenset())
+        elif case == "17-edge-closure":
+            assert error == (InadmissibleChainError, frozenset({"closure"}))
+        elif case == "zero-length-edge":
+            assert error == (InadmissibleChainError,
+                             frozenset({"concavity", "ordering"}))
+        else:
+            assert error is None, params
 
 
 def _float_key(x):
@@ -446,10 +506,11 @@ def _float_at(key):
     return struct.unpack("<d", struct.pack("<q", key))[0]
 
 
-def _estimate(params, monkeypatch):
-    """The scorer's area estimate: with ESTIMATE_TOL at 0 it settles a bound
-    exactly when the estimate is >= bound, so bisect the positive floats
-    for the largest bound it settles."""
+def _closed_sum(params, monkeypatch):
+    """The sum _settles compares with the bound.  With ESTIMATE_TOL at 0
+    its margin is 5 neg (neg the size of the negative turns), so the
+    largest bound it settles, found by bisecting the positive floats, is
+    the sum minus 5 neg."""
     monkeypatch.setattr(involute, "ESTIMATE_TOL", 0.0)
     lo, hi = _float_key(1e-300), _float_key(16.0)
     assert _bounded(1e-300)(params) is None and _bounded(16.0)(params) is not None
@@ -459,22 +520,26 @@ def _estimate(params, monkeypatch):
             lo = mid
         else:
             hi = mid
-    return _float_at(lo)
+    turns = involute.chain_facts(half_chain_vertices(*params))[2]
+    return _float_at(lo) + 5.0 * (math.fsum(map(abs, turns)) - math.fsum(turns)) / 2
 
 
 @pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
 @pytest.mark.parametrize("edges", BOUNDED_EDGES)
 def test_estimate_error_is_far_inside_its_tolerance(edges, step, monkeypatch):
-    # the measured error per arc (the final pivot and one per turn above
-    # 1e-14) is at most a hundredth of the tolerance the scorer allows
+    # the measured error per arc (the final pivot and one per turn, as the
+    # sum skips none) is at most a hundredth of the tolerance it allows,
+    # also where turns are clamped to 0.0 or within 1e-14 of it
     tol, worst = involute.ESTIMATE_TOL, 0.0
-    for params in perturbed_params(edges, step, count=8):
+    cases = perturbed_params(edges, step, count=8)
+    if step == 0.02:
+        cases += [tiny_turn_params(edges, tiny) for tiny in TINY_TURNS]
+    for params in cases:
         area, error = _outcome(_half_chain_area, params)
         if error is not None:
             continue
-        turns = involute.chain_facts(half_chain_vertices(*params))[2]
-        arcs = 1 + sum(t > 1e-14 for t in turns)
-        worst = max(worst, abs(_estimate(params, monkeypatch) - area) / arcs)
+        arcs = edges  # edges - 1 interior vertices and the final pivot
+        worst = max(worst, abs(_closed_sum(params, monkeypatch) - area) / arcs)
     assert worst <= tol / 100
 
 
@@ -573,8 +638,7 @@ def test_unwrap_radius_guard_fires_from_half_parameters():
     # chain to length 1/2), but a first edge of 5e-17 leaves s_4 one ulp
     # above 1 after rounding: the five-edge chain passes validate_chain,
     # and the build and the scorer stop at the same Arc guard
-    params = ChainParams(5, (5.2477313009977105e-17, 0.21424367676489484),
-                         (0.114045996568159, 0.35874260759089155))
+    params = RADIUS_GUARD_PARAMS
     chain = params.to_chain()
     assert validate_chain(chain) == []
     for build in (lambda p: involute_cover(p.to_chain()), _half_chain_area):
