@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import constructions, search, smooth, svg, verify
@@ -56,6 +57,9 @@ def _construct_bundle(kind: str, angles, edges: int):
             raise ValueError(f"the smooth cut takes 1 angle, got {len(angles)}")
         if angles:
             a = angles[0]
+            if not 0.0 < a < math.pi / 2:
+                raise ValueError(
+                    f"the smooth half-angle must lie in (0, pi/2), got {a!r}")
             co = smooth.solve_coefficients(a)
             area = smooth.smooth_area(co)
         else:

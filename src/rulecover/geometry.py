@@ -200,17 +200,11 @@ def seg_area(x0, y0, x1, y1) -> float:
     return 0.5 * (x0 * y1 - x1 * y0)
 
 
-def arc_term(cx, cy, r, sweep, cos0, sin0, cos1, sin1) -> float:
-    """Green's-theorem term of an arc about (cx, cy) from its start and end
-    angles' cosines and sines, for a caller that holds them already."""
-    # (1/2)∫(x dy - y dx) over x = cx + r cos t, y = cy + r sin t
-    return 0.5 * (r * r * sweep + r * (cx * (sin1 - sin0) + cy * (cos0 - cos1)))
-
-
 def arc_area(cx, cy, r, t0, t1) -> float:
     """Green's-theorem term of the arc from angle t0 to t1 about (cx, cy)."""
-    return arc_term(cx, cy, r, t1 - t0, math.cos(t0), math.sin(t0),
-                    math.cos(t1), math.sin(t1))
+    # (1/2)∫(x dy - y dx) over x = cx + r cos t, y = cy + r sin t
+    cos0, sin0, cos1, sin1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
+    return 0.5 * (r * r * (t1 - t0) + r * (cx * (sin1 - sin0) + cy * (cos0 - cos1)))
 
 
 def check_closed(path: ArcPath):

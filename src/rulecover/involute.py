@@ -25,7 +25,7 @@ from .geometry import (
     ArcPath,
     Seg,
     TWO_PI,
-    arc_term,
+    arc_area,
     check_arc,
     check_ccw,
     check_closed,
@@ -387,25 +387,24 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(verts, cum, turns, area, right=None):
-    """The area of a chain that passed chain_diagnostics, in one walk that
-    checks the unwrap radii, the Arc guards, a positive final pivot and the
-    apex w = (0, v_y + sqrt(1 - v_x^2)) at unit distance from u and v.  To
-    area, chain_facts' chain term, it adds arc_path_area's terms of the
-    right run, then of the left run in reverse (not yet checked positive).
-    A list passed as right gets the right run's records (cx, cy, r, t0, t1)
-    traced v -> w, one per turn above 1e-14; see _mirror_run.
+def _unwrap(verts, cum, turns, area):
+    """The area of a chain that passed chain_diagnostics, and its right run,
+    in one walk that checks the unwrap radii, the Arc guards, a positive
+    final pivot and the apex w = (0, v_y + sqrt(1 - v_x^2)) at unit
+    distance from u and v.  To area, chain_facts' chain term, it adds
+    arc_path_area's terms of the right run, then of its mirror image, the
+    left run (not yet checked positive).  The right run's records
+    (cx, cy, r, t0, t1) are traced v -> w, one per turn above 1e-14.
     """
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
 
     # right involute, traced from v: pivot interior vertices from the v side
-    # with the still-wrapped radius 1 - s_k, then swing about u to the apex;
-    # left holds the terms of their mirror images, as _mirror_run records them
-    left = []
+    # with the still-wrapped radius 1 - s_k, then swing about u to the apex
+    right = []
     ex, ey = vx, vy
-    hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
+    hypot, atan2 = math.hypot, math.atan2
     for k in range(len(verts) - 2, 0, -1):
         cx, cy = verts[k]
         r = 1.0 - cum[k]
@@ -419,39 +418,30 @@ def _unwrap(verts, cum, turns, area, right=None):
             t0 = atan2(dy, dx)
             t1 = t0 + theta
             check_arc(r, t0, t1)
-            if right is not None:
-                right.append((cx, cy, r, t0, t1))
-            c1, s1 = cos(t1), sin(t1)
-            area += arc_term(cx, cy, r, t1 - t0, cos(t0), sin(t0), c1, s1)
-            a0, a1 = pi - t1, pi - t0
-            left.append(arc_term(-cx, cy, r, a1 - a0, cos(a0), sin(a0),
-                                 cos(a1), sin(a1)))
-            ex, ey = cx + r * c1, cy + r * s1
+            right.append((cx, cy, r, t0, t1))
+            area += arc_area(cx, cy, r, t0, t1)
+            ex, ey = cx + r * math.cos(t1), cy + r * math.sin(t1)
     gap = abs(hypot(ex - ux, ey - uy) - 1.0)
     if gap > 1e-9:
         raise InadmissibleChainError([ChainDiagnostic(
             "unwrap", gap, "fully unwrapped string is not unit length")])
     t0 = atan2(ey - uy, ex - ux)
     t1 = atan2(w[1] - uy, w[0] - ux)
-    final_pivot = t1 - t0
-    if final_pivot <= 1e-12:
+    if t1 - t0 <= 1e-12:
         raise InadmissibleChainError([ChainDiagnostic(
-            "closure", -final_pivot, "final pivot angle not positive")])
+            "closure", t0 - t1, "final pivot angle not positive")])
     check_arc(1.0, t0, t1)
-    if right is not None:
-        right.append((ux, uy, 1.0, t0, t1))
-    area += arc_term(ux, uy, 1.0, final_pivot, cos(t0), sin(t0), cos(t1), sin(t1))
-    a0, a1 = pi - t1, pi - t0
-    left.append(arc_term(-ux, uy, 1.0, a1 - a0, cos(a0), sin(a0), cos(a1), sin(a1)))
+    right.append((ux, uy, 1.0, t0, t1))
+    area += arc_area(ux, uy, 1.0, t0, t1)
 
     for p in (verts[0], verts[-1]):
         gap = abs(math.dist(p, w) - 1.0)
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
-    for term in reversed(left):
-        area += term
-    return area
+    for arc in _mirror_run(right):
+        area += arc_area(*arc)
+    return area, right
 
 
 def _settles(verts, cum, turns, units, area, bound):
@@ -562,9 +552,8 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     diags = validate_chain(chain)
     if diags:
         raise InadmissibleChainError(diags)
-    right = []
-    area = _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
-                   chain.chain_term, right)
+    area, right = _unwrap(chain.vertices, chain.cum_lengths,
+                          chain.turn_angles, chain.chain_term)
     left = _mirror_run(right)
     path = _boundary(chain, right, left)
     check_closed(path)
@@ -593,7 +582,7 @@ def half_chain_area(n: int, fracs, turns, bound=math.inf):
         raise InadmissibleChainError(diags)
     if _settles(verts, cum, angles, units, term, bound):
         return None
-    return check_ccw(_unwrap(verts, cum, angles, term))
+    return check_ccw(_unwrap(verts, cum, angles, term)[0])
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

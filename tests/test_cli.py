@@ -61,10 +61,21 @@ class TestConstruct:
         assert "error" in err
 
     def test_smooth_nan_angle_exits_1_before_discretizing(self, capsys):
-        code, _, err = run(capsys, "construct", "--kind", "smooth",
-                           "--angles", "nan")
+        code, out, err = run(capsys, "construct", "--kind", "smooth",
+                             "--angles", "nan")
         assert code == 1
-        assert "speed not positive" in err
+        assert "(0, pi/2)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("angle", ["1e308", "5", "1.5708", "0", "-0.5"])
+    def test_smooth_angle_outside_its_interval_exits_1(self, capsys, angle):
+        # outside (0, pi/2) the closed forms fail late or with no word of
+        # the angle: math.sin(2a) is a domain error at 1e308
+        code, out, err = run(capsys, "construct", "--kind", "smooth",
+                             "--angles", angle)
+        assert code == 1
+        assert "half-angle must lie in (0, pi/2)" in err
+        assert out == ""
 
     @pytest.mark.parametrize("kind, angles, expected", [
         ("two", "0.7,0.3", "takes 1 angle"),

@@ -567,7 +567,8 @@ def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
     unwrap = involute._unwrap
 
     def negated(*args):
-        return -unwrap(*args)
+        area, right = unwrap(*args)
+        return -area, right
 
     monkeypatch.setattr(involute, "_unwrap", negated)
     params = ChainParams.from_chain(two_bundle.chain)
@@ -848,9 +849,8 @@ class TestCertifyCap:
     @pytest.fixture
     def records(self, two_bundle):
         chain = two_bundle.chain
-        right = []
-        _unwrap(chain.vertices, chain.cum_lengths, chain.turn_angles,
-                chain.chain_term, right)
+        _, right = _unwrap(chain.vertices, chain.cum_lengths,
+                           chain.turn_angles, chain.chain_term)
         left = involute._mirror_run(right)
         assert len(right) == len(left) == 2  # one joint in each run
         return chain, right, left

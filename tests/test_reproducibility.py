@@ -93,10 +93,9 @@ def _mentions(path):
 def test_every_library_function_has_a_caller():
     # a top-level function or non-dunder method counts as used when src/,
     # a script, the benchmark (its tracer's SITES) or the acceptance module
-    # names it, or the package exports it
+    # names it
     root = SRC.parent.parent
-    used = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
     for path in [*sorted(SRC.glob("*.py")), *sorted(root.glob("scripts/*.py")),
                  *sorted(root.glob("perfbench/*.py")),
                  root / "tests" / "test_acceptance.py"]:
@@ -115,15 +114,34 @@ def test_every_library_function_has_a_caller():
     assert set(KEPT_UNCALLED) <= set(defined)
 
 
-def test_cli_import_adds_neither_dataclasses_nor_inspect():
-    # the modules a fresh interpreter gains by importing the CLI
+def _fresh_import(module):
+    # the modules a fresh interpreter gains by importing module
     code = ("import sys; bare = set(sys.modules); "
-            f"sys.path.insert(0, {str(SRC.parent)!r}); import rulecover.cli; "
+            f"sys.path.insert(0, {str(SRC.parent)!r}); import {module}; "
             "print(*sorted(set(sys.modules) - bare))")
-    added = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    added = _fresh_import("rulecover.cli")
     assert "rulecover.cli" in added
     assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
+def test_package_import_loads_no_module():
+    added = _fresh_import("rulecover")
+    assert [m for m in added if m.startswith("rulecover.")] == []
+
+
+def test_each_module_imports_on_its_own():
+    # the package init orders no import, so each module, including both
+    # ends of the involute <-> constructions cycle, must load unaided
+    names = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert len(names) == 10
+    failed = [m for m in names
+              if f"rulecover.{m}" not in _fresh_import(f"rulecover.{m}")]
+    assert failed == []
 
 
 if __name__ == "__main__":

@@ -91,6 +91,17 @@ class TestReachability:
         assert report.points == 1025
         assert report.failures == []
 
+    def test_smooth_1024_edges_passes_at_256x256(self, smooth_optimum):
+        # the fine discretization at the reference covers' 256 x 256 grid:
+        # 2,059 points by 256 lengths, about 6 s
+        _, co, _ = smooth_optimum
+        bundle = involute_cover(smooth.discretize_smooth(co, 1024))
+        report = verify_reachability(bundle, n_points=256, n_lengths=256)
+        assert report.points == 2059
+        assert report.failures == []
+        assert report.diameter <= 1.0 + 1e-9
+        assert report.passed
+
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_loose_eps_keeps_short_lengths(self, r2_bundle, eps):
         # eps is the containment tolerance only: a q at distance 1/16 from
