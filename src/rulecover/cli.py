@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import constructions, search, smooth, svg, verify
-from .highprec import NATIVE, DecimalBackend, truncate_digits
+from .highprec import truncate_digits
 from .involute import GeneratingChain, involute_cover
 
 SMOOTH_RENDER_EDGES = 512
@@ -91,8 +91,8 @@ def cmd_construct(args) -> int:
 def cmd_optimize(args) -> int:
     if args.kind == "smooth":
         digits = args.digits or None  # 0 means floats, like no --digits
-        backend = DecimalBackend(digits) if digits else NATIVE
-        a, co, area = smooth.optimize_smooth(backend=backend)
+        a, co, area = (smooth.decimal_optimum(digits) if digits
+                       else smooth.optimize_smooth())
         print(f"a    = {_fmt(a, digits)}")
         print(f"area = {_fmt(area, digits)}")
         if digits:
@@ -200,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[*OPTIMIZABLE, "smooth"])
     p.add_argument("--digits", type=int,
-                   help="--kind smooth only: switch to decimal arithmetic at "
-                        "this precision, print a and the area only and "
-                        "write no cover JSON")
+                   help="--kind smooth only: solve in decimal arithmetic "
+                        "like reproduce-smooth, print a and the area to "
+                        "this many digits less 2 and write no cover JSON")
     p.add_argument("--edges", type=int,
                    help="--kind smooth only: discretization edges of the "
                         f"cover JSON (default {SMOOTH_RENDER_EDGES})")

@@ -120,8 +120,6 @@ def truncate_digits(x, digits: int) -> str:
 class NativeBackend:
     """Float arithmetic: math-module trig, ~15-16 significant digits."""
 
-    digits = None
-
     @staticmethod
     def num(x):
         return float(x)
@@ -138,18 +136,14 @@ class NativeBackend:
     def context():
         return nullcontext()
 
-    def tolerance(self):
-        return 1e-12
-
 
 class DecimalBackend:
     """Decimal arithmetic at a configurable number of significant digits."""
 
-    def __init__(self, digits: int = DEFAULT_DIGITS, guard: int = 0):
+    def __init__(self, digits: int = DEFAULT_DIGITS):
         if digits < 4:
             raise ValueError("need at least 4 significant digits")
-        self.digits = digits + guard
-        self.nominal_digits = digits
+        self.digits = digits
 
     def num(self, x):
         if isinstance(x, float):
@@ -186,10 +180,6 @@ class DecimalBackend:
         with localcontext() as ctx:
             ctx.prec = self.digits
             yield ctx
-
-    def tolerance(self):
-        # one-in-the-last-two-digits default, per precision configuration
-        return Decimal(10) ** (2 - self.nominal_digits)
 
 
 NATIVE = NativeBackend()

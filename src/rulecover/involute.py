@@ -388,13 +388,14 @@ class CoverBundle:
 
 
 def _unwrap(verts, cum, turns, area):
-    """The area of a chain that passed chain_diagnostics, and its right run,
+    """(area, right run, left run) of a chain that passed chain_diagnostics,
     in one walk that checks the unwrap radii, the Arc guards, a positive
     final pivot and the apex w = (0, v_y + sqrt(1 - v_x^2)) at unit
     distance from u and v.  To area, chain_facts' chain term, it adds
     arc_path_area's terms of the right run, then of its mirror image, the
     left run (not yet checked positive).  The right run's records
-    (cx, cy, r, t0, t1) are traced v -> w, one per turn above 1e-14.
+    (cx, cy, r, t0, t1) are traced v -> w, one per turn above 1e-14; the
+    left run is _mirror_run(right), traced w -> u.
     """
     ux, uy = verts[0]
     vx, vy = verts[-1]
@@ -439,9 +440,10 @@ def _unwrap(verts, cum, turns, area):
         if gap > 1e-9:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
-    for arc in _mirror_run(right):
+    left = _mirror_run(right)
+    for arc in left:
         area += arc_area(*arc)
-    return area, right
+    return area, right, left
 
 
 def _settles(verts, cum, turns, units, area, bound):
@@ -552,9 +554,8 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     diags = validate_chain(chain)
     if diags:
         raise InadmissibleChainError(diags)
-    area, right = _unwrap(chain.vertices, chain.cum_lengths,
-                          chain.turn_angles, chain.chain_term)
-    left = _mirror_run(right)
+    area, right, left = _unwrap(chain.vertices, chain.cum_lengths,
+                                chain.turn_angles, chain.chain_term)
     path = _boundary(chain, right, left)
     check_closed(path)
     certify_cap(chain, right, left)

@@ -9,6 +9,7 @@ found from derivatives instead (constructions.optimize_construction).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 
 def ordered_sum(values):
@@ -46,16 +47,11 @@ class IntegrationError(RuntimeError):
         self.error = error
 
 
-class MinimizeResult:
-    def __init__(self, argmin, value, iterations: int, converged: bool):
-        self.argmin = argmin
-        self.value = value
-        self.iterations = iterations
-        self.converged = converged
-
-    def __repr__(self):
-        return (f"MinimizeResult(argmin={self.argmin!r}, value={self.value!r}, "
-                f"iterations={self.iterations!r}, converged={self.converged!r})")
+class MinimizeResult(NamedTuple):
+    argmin: float
+    value: float
+    iterations: int
+    converged: bool
 
 
 def _is_finite(v) -> bool:

@@ -22,7 +22,7 @@ from .highprec import (NATIVE, DecimalBackend, Dual, DualBackend,
 from .involute import GeneratingChain
 
 SMOOTH_BRACKET = (0.8, 1.4)
-SLOPE_GUARD = 10       # digits beyond the nominal ones for the decimal A'(a)
+SLOPE_GUARD = 10       # digits beyond the requested ones for the secant on A'(a)
 MAX_SLOPE_STEPS = 40   # secant steps from the float optimum
 FIRST_STEP = Decimal("1e-10")  # about the float optimum's error, ~4e-11
 
@@ -128,17 +128,12 @@ def curve_point(co: SmoothCoefficients, t, backend=NATIVE):
         return _curve_xy(co, t, *backend.multiples(t, 3))
 
 
-def h_value(co: SmoothCoefficients, t, backend=NATIVE):
-    """Antiderivative of the speed: h(t) = b0 t + b1 sin t + (b2/2) sin 2t."""
+def unwrapped_length(co: SmoothCoefficients, t, backend=NATIVE):
+    """String length unwrapped from the left end up to parameter t: h(t) + b,
+    with h(t) = b0 t + b1 sin t + (b2/2) sin 2t the speed's antiderivative."""
     with backend.context():
         t = backend.num(t)
-        return _h(co, t, backend.multiples(t, 2)[0])
-
-
-def unwrapped_length(co: SmoothCoefficients, t, backend=NATIVE):
-    """String length unwrapped from the left end up to parameter t."""
-    with backend.context():
-        return h_value(co, t, backend) + co.b
+        return _h(co, t, backend.multiples(t, 2)[0]) + co.b
 
 
 def involute_points(co: SmoothCoefficients, t, backend=NATIVE):
@@ -218,46 +213,60 @@ def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
         return int_l2 - a_uvw + a_uv
 
 
-def optimize_smooth(tol=None, backend=NATIVE):
-    """(a, coefficients, area) at the half-angle a that minimizes the area.
-
-    On floats, numerics.minimize_1d minimizes the area on SMOOTH_BRACKET.
-    On a decimal backend with d nominal digits, that float optimum starts
-    a secant on A'(a) = 0 (`_slope_root`), whose slopes the dual backend
-    gives from the same closed forms at d + SLOPE_GUARD digits: a root is
-    well conditioned, where a minimum of the flat area would need ~2d
-    digits in the objective.  The argmin is then rounded to the backend,
-    where the coefficients and the area are evaluated.  tol defaults to
-    backend.tolerance(); on decimals it bounds the secant's last step.
-    Raises numerics.ConvergenceError when the minimizer stops short of tol,
-    when the argmin sits at an end of the bracket (on floats: within tol
-    of it; on decimals: A' keeps one sign on it), where the true minimum
-    may lie outside, or when the secant hits MAX_SLOPE_STEPS.
-    """
-    if tol is None:
-        tol = backend.tolerance()
-    float_tol = tol if backend.digits is None else NATIVE.tolerance()
-
+def _float_argmin(tol):
+    """numerics.minimize_1d's argmin of the float area on SMOOTH_BRACKET;
+    raises numerics.ConvergenceError unless it reached tol."""
     def area(a):  # one NATIVE.multiples call per evaluation
         trig = NATIVE.multiples(a, 6)
         return smooth_area(solve_coefficients(a, trig=trig), trig=trig)
 
     lo, hi = SMOOTH_BRACKET
-    res = numerics.minimize_1d(area, lo, hi, tol=float_tol)
+    res = numerics.minimize_1d(area, lo, hi, tol=tol)
     if not res.converged:
         raise numerics.ConvergenceError(
-            f"smooth-cut minimizer did not reach tol={float_tol} on [{lo}, {hi}] "
+            f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
             f"in {res.iterations} iterations")
-    if backend.digits is None:
-        if res.argmin - lo <= tol or hi - res.argmin <= tol:
-            raise numerics.ConvergenceError(
-                f"smooth-cut argmin {res.argmin} sits at an end of [{lo}, {hi}]")
-        a = res.argmin
-    else:
-        work = DecimalBackend(backend.nominal_digits, guard=SLOPE_GUARD)
-        a = _slope_root(res.argmin, tol, work)
-        with backend.context():
-            a = +a  # round to the backend's precision
+    return res.argmin
+
+
+def optimize_smooth(tol=1e-12):
+    """(a, coefficients, area) on floats at the half-angle a that minimizes
+    the area, from numerics.minimize_1d on SMOOTH_BRACKET.
+
+    Raises numerics.ConvergenceError when the minimizer stops short of tol,
+    or when the argmin sits within tol of an end of the bracket, where the
+    true minimum may lie outside.
+    """
+    a = _float_argmin(tol)
+    lo, hi = SMOOTH_BRACKET
+    if a - lo <= tol or hi - a <= tol:
+        raise numerics.ConvergenceError(
+            f"smooth-cut argmin {a} sits at an end of [{lo}, {hi}]")
+    co = solve_coefficients(a)
+    check_speed_positivity(co)
+    return a, co, smooth_area(co)
+
+
+def decimal_optimum(digits: int):
+    """(a, coefficients, area) at the area-minimizing half-angle, as
+    Decimals to be truncated to `digits` significant digits.
+
+    The float optimum (tol 1e-12) starts a secant on A'(a) = 0
+    (`_slope_root`) at digits + SLOPE_GUARD digits, whose slopes the dual
+    backend gives from the same closed forms: a root is well conditioned,
+    where a minimum of the flat area would need ~2 digits in the objective
+    per digit of the argmin.  The secant stops once a step is at most
+    10^-(digits + 6); the coefficients and the area at its a are evaluated
+    at 2 digits + 12 digits.  Raises numerics.ConvergenceError when the
+    float minimizer stops short of its tol, when A' keeps one sign on
+    SMOOTH_BRACKET (the argmin sits at an end) or when the secant hits
+    MAX_SLOPE_STEPS.
+    """
+    if digits < 4:
+        raise ValueError("need at least 4 significant digits")
+    a = _slope_root(_float_argmin(1e-12), Decimal(10) ** (-digits - 6),
+                    DecimalBackend(digits + SLOPE_GUARD))
+    backend = DecimalBackend(2 * digits + 12)
     co = solve_coefficients(a, backend)
     check_speed_positivity(co)
     return a, co, smooth_area(co, backend)
@@ -374,14 +383,13 @@ class AppendixReport(NamedTuple):
 def reproduce_appendix(digits: int = 30) -> AppendixReport:
     """Re-run the whole pipeline at the requested decimal precision.
 
-    All values are computed with guard digits beyond the request and then
-    truncated (not rounded) to `digits` significant digits, so the output
-    lines up digit for digit with truncating-calculator output.
+    decimal_optimum's values, which carry guard digits beyond the request,
+    are truncated (not rounded) to `digits` significant digits, so the
+    output lines up digit for digit with truncating-calculator output.
     """
     if digits < 20:
         raise ValueError("need at least 20 digits for a faithful reproduction")
-    a, co, area = optimize_smooth(Decimal(10) ** (-digits - 6),
-                                  DecimalBackend(digits, guard=digits + 12))
+    a, co, area = decimal_optimum(digits)
     return AppendixReport(
         digits=digits,
         a=truncate_digits(a, digits),

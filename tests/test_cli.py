@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from rulecover import constructions, smooth
 from rulecover.cli import main
+from rulecover.highprec import truncate_digits
 from rulecover.involute import GeneratingChain, involute_cover
 from rulecover.search import SearchConfig, local_search
 
@@ -111,7 +113,26 @@ class TestOptimize:
         assert code == 0
         # printed at digits - 2 = 23 significant digits
         assert out == ("a    = 1.1107321367714721145845\n"
-                       "area = 0.55536036864662611604816\n")
+                       "area = 0.55536036864662611604817\n")
+
+    def test_smooth_digits_are_the_reproduction_truncated(self, capsys):
+        # every printed digit is a true one: the 400-digit reproduction
+        # truncated to max(N - 2, 4) digits, for each N from 4 to 120
+        ref = smooth.reproduce_appendix(400)
+        for n in range(4, 121):
+            shown = max(n - 2, 4)
+            code, out, _ = run(capsys, "optimize", "--kind", "smooth",
+                               "--digits", str(n))
+            assert (code, out) == (0, (
+                f"a    = {truncate_digits(Decimal(ref.a), shown)}\n"
+                f"area = {truncate_digits(Decimal(ref.area), shown)}\n")), n
+
+    @pytest.mark.parametrize("digits", ["3", "-5"])
+    def test_smooth_too_few_digits_exits_1(self, capsys, digits):
+        code, out, err = run(capsys, "optimize", "--kind", "smooth",
+                             "--digits", digits)
+        assert (code, out) == (1, "")
+        assert err == "error: need at least 4 significant digits\n"
 
     def test_smooth_40_digits_pinned(self, capsys):
         # the decimal optimum is printed only: no cover JSON follows

@@ -351,9 +351,9 @@ def hairpin_chain(seed, edges=20):
 def unaudited_boundary(chain):
     """The boundary involute_cover would assemble for `chain`, built
     without validate_chain and without the cap certificate."""
-    _, right = involute._unwrap(chain.vertices, chain.cum_lengths,
-                                chain.turn_angles, chain.chain_term)
-    return involute._boundary(chain, right, involute._mirror_run(right))
+    _, right, left = involute._unwrap(chain.vertices, chain.cum_lengths,
+                                      chain.turn_angles, chain.chain_term)
+    return involute._boundary(chain, right, left)
 
 
 def crossing_piece_pairs(path, oracle):

@@ -237,9 +237,6 @@ class TestBackends:
     def test_native_ops(self):
         assert NATIVE.num("0.5") == 0.5
 
-    def test_decimal_tolerance(self):
-        assert DecimalBackend(40).tolerance() == Decimal("1E-38")
-
     def test_minimum_digits(self):
         with pytest.raises(ValueError):
             DecimalBackend(2)

@@ -567,8 +567,8 @@ def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
     unwrap = involute._unwrap
 
     def negated(*args):
-        area, right = unwrap(*args)
-        return -area, right
+        area, right, left = unwrap(*args)
+        return -area, right, left
 
     monkeypatch.setattr(involute, "_unwrap", negated)
     params = ChainParams.from_chain(two_bundle.chain)
@@ -849,9 +849,8 @@ class TestCertifyCap:
     @pytest.fixture
     def records(self, two_bundle):
         chain = two_bundle.chain
-        _, right = _unwrap(chain.vertices, chain.cum_lengths,
-                           chain.turn_angles, chain.chain_term)
-        left = involute._mirror_run(right)
+        _, right, left = _unwrap(chain.vertices, chain.cum_lengths,
+                                 chain.turn_angles, chain.chain_term)
         assert len(right) == len(left) == 2  # one joint in each run
         return chain, right, left
 

@@ -15,6 +15,7 @@ from rulecover.smooth import (
     check_speed_positivity,
     curve_point,
     curve_speed,
+    decimal_optimum,
     discretize_smooth,
     ell_squared_antiderivative,
     involute_points,
@@ -215,20 +216,19 @@ class TestOptimize:
             assert abs(a - a_ref) <= 1e-8
 
     def test_default_tol_is_native_tolerance(self, smooth_optimum):
-        # on floats tol defaults to NATIVE.tolerance(), 1e-12, bit for bit
+        # tol defaults to 1e-12, the float optimum's, bit for bit
         # (SmoothCoefficients has no value ==, so compare its fields)
         def fields(a, co, area):
             return a, (co.a, co.b0, co.b1, co.b2, co.b), area
 
         assert fields(*optimize_smooth()) == fields(*smooth_optimum)
 
-    @pytest.mark.parametrize("backend", [None, DecimalBackend(20)])
-    def test_argmin_at_bracket_end_raises(self, backend, monkeypatch):
+    @pytest.mark.parametrize("digits", [None, 20])
+    def test_argmin_at_bracket_end_raises(self, digits, monkeypatch):
         # the optimum (~1.1107) lies outside, so the argmin ends at 1.0
         monkeypatch.setattr(smooth, "SMOOTH_BRACKET", (0.8, 1.0))
-        kwargs = {"backend": backend} if backend else {}
         with pytest.raises(numerics.ConvergenceError):
-            optimize_smooth(**kwargs)
+            decimal_optimum(digits) if digits else optimize_smooth()
 
     def test_unconverged_decimal_minimizer_raises(self, monkeypatch):
         def stalled(f, lo, hi, tol, **kwargs):
@@ -238,14 +238,14 @@ class TestOptimize:
 
         monkeypatch.setattr(numerics, "minimize_1d", stalled)
         with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
-            optimize_smooth(backend=DecimalBackend(20))
+            decimal_optimum(20)
         with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
             reproduce_appendix(20)
 
     def test_stalled_decimal_secant_raises(self, monkeypatch):
         monkeypatch.setattr(smooth, "MAX_SLOPE_STEPS", 1)
         with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
-            optimize_smooth(backend=DecimalBackend(20))
+            decimal_optimum(20)
         with pytest.raises(numerics.ConvergenceError, match=r"\[0\.8, 1\.4\]"):
             reproduce_appendix(20)
 
@@ -263,7 +263,7 @@ class TestOptimize:
         monkeypatch.setattr(numerics, "minimize_1d", poor)
         monkeypatch.setattr(smooth, "_area_slope",
                             lambda a, be: seen.append(a) or slope(a, be))
-        a, _, _ = optimize_smooth(backend=DecimalBackend(200))
+        a, _, _ = decimal_optimum(200)
         assert abs(a - Decimal(reproduce_appendix(120).a)) <= Decimal("1e-118")
         assert all(Decimal("0.8") <= x <= Decimal("1.4") for x in seen)
 
