@@ -83,16 +83,11 @@ def solve_two_edge(a, backend=NATIVE) -> TwoEdgeParams:
     return TwoEdgeParams(a=a, c=c, x0=_sin_cos(c, backend)[1])
 
 
-def two_edge_area(p: TwoEdgeParams, backend=NATIVE):
+def two_edge_area(a, backend=NATIVE):
+    p = solve_two_edge(a, backend)
     # sin(2(a + c)) is sin(2a + 2c) bit for bit: doubling is exact
     return (p.a + p.c / 2 - 0.5 * backend.multiples(p.a + p.c, 2)[0][2]
             + 0.125 * backend.multiples(p.c, 2)[0][2])
-
-
-def _two_edge_chain(p: TwoEdgeParams):
-    d = 0.5 * math.sin(p.c)
-    return involute.GeneratingChain((
-        (-p.x0 / 2, -d), (0.0, 0.0), (p.x0 / 2, -d)))
 
 
 # --------------------------------------------------------------------------
@@ -119,12 +114,6 @@ def three_edge_area(a, b, backend=NATIVE):
     return (b * (p.x1 ** 2 + (1 - p.x1) ** 2) + a
             - p.x0 / 2 * _sin_cos(a + b, backend)[0]
             + (p.x0 + p.x2) / 2 * p.x1 * _sin_cos(b, backend)[0])
-
-
-def _three_edge_chain(p: ThreeEdgeParams):
-    dy = p.x1 * math.sin(p.b)
-    return involute.GeneratingChain((
-        (-p.x0 / 2, -dy), (-p.x2 / 2, 0.0), (p.x2 / 2, 0.0), (p.x0 / 2, -dy)))
 
 
 # --------------------------------------------------------------------------
@@ -158,14 +147,6 @@ def four_edge_area(a, b, c, backend=NATIVE):
             - p.x0 / 2 * _sin_cos(a + b + c, backend)[0]
             + (p.x0 + p.x2) / 2 * p.x1 * _sin_cos(b + c, backend)[0]
             + p.x2 / 2 * p.x3 * _sin_cos(c, backend)[0])
-
-
-def _four_edge_chain(p: FourEdgeParams):
-    yp = p.x3 * math.sin(p.c)
-    yu = yp + p.x1 * math.sin(p.b + p.c)
-    return involute.GeneratingChain((
-        (-p.x0 / 2, -yu), (-p.x2 / 2, -yp), (0.0, 0.0),
-        (p.x2 / 2, -yp), (p.x0 / 2, -yu)))
 
 
 # --------------------------------------------------------------------------
@@ -251,22 +232,31 @@ def optimize_construction(kind: str):
 # the table
 
 class Construction(NamedTuple):
-    """One discrete cut: solver, closed-form area, chain, reference values.
+    """One discrete cut: solver, closed-form area, half chain, reference values.
 
     `solve` and `area` take the free angles and a backend (floats by
-    default), `chain` the solved params.  `ref_angles` and `ref_area` are
-    the paper's values, frozen as literals so that checks against them
-    test the formulas.  `start` is a feasible point, where Newton's method
+    default); `half` maps the solved params to the half chain (fracs,
+    turns) that involute.half_chain_vertices lays out, as it lays out
+    every search move and `halfchain` document.  `ref_angles` and
+    `ref_area` are the paper's values, frozen as literals so that checks
+    against them test the formulas.  `start` is a feasible point, where Newton's method
     in `optimize_construction` starts.
     """
 
     edges: int
     solve: Callable
     area: Callable
-    chain: Callable
+    half: Callable
     ref_angles: tuple
     ref_area: float
     start: tuple = ()
+
+    def chain(self, params=None) -> involute.GeneratingChain:
+        """The chain of solved `params`, of the reference angles by default."""
+        if params is None:
+            params = self.solve(*self.ref_angles)
+        return involute.GeneratingChain.from_half_params(
+            self.edges, *self.half(params))
 
     def build(self, angles=None):
         """(params, CoverBundle) at `angles`, the reference angles by default."""
@@ -282,23 +272,20 @@ class Construction(NamedTuple):
 CONSTRUCTIONS = {
     "one": Construction(
         edges=1, solve=lambda: None, area=lambda: R2_AREA,
-        chain=lambda _: involute.GeneratingChain(((-0.5, 0.0), (0.5, 0.0))),
-        ref_angles=(), ref_area=R2_AREA),
+        half=lambda _: ((), ()), ref_angles=(), ref_area=R2_AREA),
     "two": Construction(
-        edges=2, solve=solve_two_edge,
-        area=lambda a, backend=NATIVE: two_edge_area(
-            solve_two_edge(a, backend), backend),
-        chain=_two_edge_chain,
+        edges=2, solve=solve_two_edge, area=two_edge_area,
+        half=lambda p: ((0.5,), (2 * p.c,)),
         ref_angles=(math.acos(0.75),),  # the optimum: cos a = 3/4
-        ref_area=0.5726988958836958,
-        start=(0.5,)),
+        ref_area=0.5726988958836958, start=(0.5,)),
     "three": Construction(
         edges=3, solve=solve_three_edge, area=three_edge_area,
-        chain=_three_edge_chain, ref_angles=(0.575939, 0.519805),
+        half=lambda p: ((p.x1,), (p.b,)), ref_angles=(0.575939, 0.519805),
         ref_area=0.5635302302808625, start=(0.55, 0.55)),
     "four": Construction(
         edges=4, solve=solve_four_edge, area=four_edge_area,
-        chain=_four_edge_chain, ref_angles=(0.488669, 0.423144, 0.189158),
+        half=lambda p: ((p.x1, p.x3), (p.b, 2 * p.c)),
+        ref_angles=(0.488669, 0.423144, 0.189158),
         ref_area=0.5600945401134869, start=(0.5, 0.4, 0.2)),
 }
 

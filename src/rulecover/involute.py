@@ -587,5 +587,6 @@ def half_chain_area(n: int, fracs, turns, bound=math.inf):
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:
-    """Explicit vertex chain of a closed-form construction (see constructions)."""
+    """Vertex chain of a closed-form construction at its solved params, of
+    its reference angles by default (see constructions.Construction)."""
     return constructions.construction(kind).chain(params)

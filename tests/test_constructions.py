@@ -98,7 +98,7 @@ class TestTwoEdge:
 
     def test_area_formulas_agree(self):
         p = solve_two_edge(A_OPT_TWO)
-        general = two_edge_area(p)
+        general = two_edge_area(A_OPT_TWO)
         reduced = (1.25 * p.a - 0.5 * math.sin(3 * p.a)
                    + 0.125 * math.sin(p.a))
         assert abs(general - reduced) <= 1e-12
@@ -106,13 +106,13 @@ class TestTwoEdge:
 
     def test_stationary_at_optimum(self):
         h = 1e-4
-        hi = two_edge_area(solve_two_edge(A_OPT_TWO + h))
-        lo = two_edge_area(solve_two_edge(A_OPT_TWO - h))
+        hi = two_edge_area(A_OPT_TWO + h)
+        lo = two_edge_area(A_OPT_TWO - h)
         assert abs((hi - lo) / (2 * h)) <= 1e-6
 
     def test_geometric_area_matches(self):
-        p, bundle = CONSTRUCTIONS["two"].build((A_OPT_TWO,))
-        assert abs(bundle.area - two_edge_area(p)) <= 1e-10
+        _, bundle = CONSTRUCTIONS["two"].build((A_OPT_TWO,))
+        assert abs(bundle.area - two_edge_area(A_OPT_TWO)) <= 1e-10
 
 
 class TestThreeEdge:
@@ -268,6 +268,28 @@ class TestOptimize:
         assert TWO_OPT_AREA > THREE_REF_AREA > FOUR_REF_AREA > 0.5553
 
 
+
+@pytest.mark.parametrize("kind", ["two", "three", "four"])
+@pytest.mark.parametrize("where", ["reference", "optimum"])
+def test_chain_has_the_solved_widths_and_lengths(kind, where):
+    # the half chain lays out the widths the cut's solver derives: the
+    # span |v - u| = x0, the inner vertices' span x2 and every edge length
+    cut = CONSTRUCTIONS[kind]
+    p = (cut.solve(*cut.ref_angles) if where == "reference"
+         else optimize_construction(kind)[0])
+    chain = cut.chain(p)
+    verts = chain.vertices
+    assert abs(math.dist(verts[0], verts[-1]) - p.x0) <= 1e-15
+    if kind == "two":
+        want = (0.5, 0.5)
+    else:
+        assert abs(math.dist(verts[1], verts[-2]) - p.x2) <= 1e-15
+        want = ((p.x1, p.x2, p.x1) if kind == "three"
+                else (p.x1, p.x3, p.x3, p.x1))
+    assert len(chain.edge_lengths) == len(want)
+    for got, length in zip(chain.edge_lengths, want):
+        assert abs(got - length) <= 1e-15
+
 @given(total=st.floats(math.pi / 3 + 0.02, math.pi / 2 - 0.02),
        frac=st.floats(0.05, 0.9))
 @settings(max_examples=40, deadline=None)
@@ -340,7 +362,7 @@ def test_two_edge_closed_forms_match_oracle(oracle_package):
         assert ours[0] == theirs[0] == a
         assert abs(ours[1] - theirs[1]) <= 1e-15, a
         assert abs(ours[2] - theirs[2]) <= 1e-15, a
-        assert abs(two_edge_area(solve_two_edge(a))
+        assert abs(two_edge_area(a)
                    - oracle.two_edge_area(oracle.solve_two_edge(a))) <= 1e-15, a
         feasible += 1
     assert feasible > 1000

@@ -69,6 +69,14 @@ class TestChainFromParams:
         with pytest.raises(ValueError):
             chain_from_params("zero")
 
+    @pytest.mark.parametrize("kind", ["one", "two", "three", "four"])
+    def test_params_default_to_the_reference_angles(self, kind):
+        cut = cons.CONSTRUCTIONS[kind]
+        params, bundle = cut.build()
+        assert chain_from_params(kind).vertices == bundle.chain.vertices
+        assert (chain_from_params(kind).vertices
+                == chain_from_params(kind, params).vertices)
+
 
 class TestValidateChain:
     def test_admissible(self):
@@ -141,7 +149,7 @@ class TestInvoluteCover:
 
     def test_two_edge_arc_multiset(self, two_bundle):
         p = cons.solve_two_edge(A_OPT_TWO)
-        assert abs(two_bundle.area - cons.two_edge_area(p)) <= 1e-10
+        assert abs(two_bundle.area - cons.two_edge_area(A_OPT_TWO)) <= 1e-10
         for arcs in (two_bundle.left_arcs, two_bundle.right_arcs):
             radii = sorted(round(a.r, 9) for a in arcs)
             assert radii == [0.5, 1.0]
@@ -151,7 +159,7 @@ class TestInvoluteCover:
 
     def test_matches_closed_forms(self, two_bundle, three_bundle, four_bundle):
         assert abs(two_bundle.area
-                   - cons.two_edge_area(cons.solve_two_edge(A_OPT_TWO))) <= 1e-10
+                   - cons.two_edge_area(A_OPT_TWO)) <= 1e-10
         assert abs(three_bundle.area
                    - cons.three_edge_area(*THREE_ANGLES)) <= 1e-10
         assert abs(four_bundle.area
