@@ -236,7 +236,7 @@ class Construction(NamedTuple):
 
     `solve` and `area` take the free angles and a backend (floats by
     default); `half` maps the solved params to the half chain (fracs,
-    turns) that involute.half_chain_vertices lays out, as it lays out
+    turns) that involute.half_chain_layout lays out, as it lays out
     every search move and `halfchain` document.  `ref_angles` and
     `ref_area` are the paper's values, frozen as literals so that checks
     against them test the formulas.  `start` is a feasible point, where Newton's method

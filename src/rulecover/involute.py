@@ -35,7 +35,7 @@ LENGTH_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 TURN_TOL = 1e-9
 CHORD_TOL = 1e-9  # a line this close to both u and v runs along the chord
-ESTIMATE_TOL = 1e-13  # per arc, on _settles' closed sum; derived there
+SETTLE_TOL = 1e-13  # per edge, on _layout_settles' sum; derived there
 
 
 class InadmissibleChainError(ValueError):
@@ -56,32 +56,29 @@ class ChainDiagnostic(NamedTuple):
         return f"{self.kind}: {self.detail} (magnitude {self.magnitude:.3e})"
 
 
-def chain_facts(vertices, units=None):
+def chain_facts(vertices):
     """(edge lengths, cumulative lengths s_0..s_n from u, turn angles, chain
     term) of a vertex tuple in one walk over its edges; a turn angle is
     positive where the chain bends away from the region above it (incoming
-    minus outgoing direction), the chain term sums the edges' seg_area; a
-    list passed as units gets their unit vectors (dx/h, dy/h) or (0, 0)."""
+    minus outgoing direction), the chain term sums the edges' seg_area."""
     lengths, dirs, term = [], [], 0.0
     dist, atan2 = math.dist, math.atan2
     p0 = vertices[0]
     x0, y0 = p0
     for p1 in vertices[1:]:
         x1, y1 = p1
-        dx, dy, h = x1 - x0, y1 - y0, dist(p0, p1)
-        lengths.append(h)
-        dirs.append(atan2(dy, dx))
-        if units is not None:
-            units.append((dx / h, dy / h) if h else (0.0, 0.0))
+        lengths.append(dist(p0, p1))
+        dirs.append(atan2(y1 - y0, x1 - x0))
         term += 0.5 * (x0 * y1 - x1 * y0)
         p0, x0, y0 = p1, x1, y1
     return (tuple(lengths), tuple(accumulate(lengths, initial=0.0)),
             tuple(map(operator.sub, dirs, dirs[1:])), term)
 
 
-def half_chain_vertices(n: int, fracs, turns) -> tuple:
-    """Vertices of the symmetric n-edge chain with the given half-edge
-    fractions and turns (see GeneratingChain.half_params)."""
+def half_chain_layout(n: int, fracs, turns):
+    """(vertices, (fracs, turns, cosines, sines)) of the symmetric n-edge
+    chain of these half fractions and turns (GeneratingChain.half_params),
+    laid out; an odd chain's half fractions end in half its middle edge."""
     if n < 1:
         raise ValueError(f"a chain needs at least 1 edge, got {n}")
     m = n // 2
@@ -108,15 +105,16 @@ def half_chain_vertices(n: int, fracs, turns) -> tuple:
     for d in deltas:
         if not math.isfinite(d):
             raise ValueError(f"turns must be finite, got {d!r} as a turn sum")
-    xs = list(accumulate(map(operator.mul, fracs, map(math.cos, deltas)),
-                         initial=0.0))
-    ys = list(accumulate(map(operator.mul, fracs, map(math.sin, deltas)),
-                         initial=0.0))
-    # the middle vertex onto the y axis, or the middle edge centered on it
-    shift = -(xs[-1] + mid / 2) if odd else -xs[-1]
+    cos, sin = list(map(math.cos, deltas)), list(map(math.sin, deltas))
+    if odd:
+        fracs, cos, sin = fracs + [mid / 2], cos + [1.0], sin + [0.0]
+    xs = list(accumulate(map(operator.mul, fracs, cos), initial=0.0))
+    ys = list(accumulate(map(operator.mul, fracs, sin), initial=0.0))
     ytop = max(ys)  # the mirror half has the same heights
-    half = [(x + shift, y - ytop) for x, y in zip(xs, ys)]
-    return tuple(half + [(-x, y) for x, y in reversed(half[:m + odd])])
+    # the middle vertex, or the middle edge's midpoint, onto the y axis
+    half = [(x - xs[-1], y - ytop) for x, y in zip(xs[:m + 1], ys)]
+    return (tuple(half + [(-x, y) for x, y in reversed(half[:m + odd])]),
+            (fracs, turns, cos, sin))
 
 
 class GeneratingChain:
@@ -163,7 +161,7 @@ class GeneratingChain:
     @staticmethod
     def from_half_params(n: int, fracs, turns) -> "GeneratingChain":
         """Build the symmetric chain for given half-edge fractions and turns."""
-        return GeneratingChain(half_chain_vertices(n, fracs, turns))
+        return GeneratingChain(half_chain_layout(n, fracs, turns)[0])
 
     # -- serialization ------------------------------------------------------
 
@@ -446,41 +444,58 @@ def _unwrap(verts, cum, turns, area):
     return area, right, left
 
 
-def _settles(verts, cum, turns, units, area, bound):
-    """True only if _unwrap's area of a chain that passed chain_diagnostics
-    is >= bound > 0 and its walk raises nothing, from chain_facts' unit edge
-    vectors (x_j, y_j) and no walk: pivot k's arc, about c = p_k of radius
-    r = 1 - s_k from edge k's direction to edge k - 1's, and its mirror add
-    r^2 theta + r (c_x (y_(k-1) - y_k) + c_y (x_k - x_(k-1))) for every
-    turn (ROADMAP item 12); the final pivot adds its pair likewise.
-
-    Error (u = 2^-53): the walk puts each string end at radius r, so its
-    error delta only turns: delta_(k-1) <= delta_k (1 + delta_k / r) + 27u
-    (+ r theta for a skipped turn).  With neg the negative turns' size,
-    D = (27u + 1e-14) n + neg and radii >= 8 n D (least: 1 - s_(n-1)),
-    delta <= 1.18 D: the walk's gaps |h - r| stay far inside 1e-9, its
-    final pivot within 1.01 delta + 13u of this one (which clears 1e-12 by
-    tol), and its area within 4.9 D + 120u n = 7.7e-14 n + 4.9 neg < tol
-    of this sum (per arc delta |c| |theta|, |c| <= 0.71 and sum |theta| <=
-    pi + 2 neg, as both ends share an angle error; 1.71 delta at the final
-    pivot; 0.11 delta second order; 120u rounding).  The apex checks are
-    the walk's; check_arc and check_ccw (bound > 0) pass.
-    """
-    n, neg = len(verts) - 1, (math.fsum(map(abs, turns)) - math.fsum(turns)) / 2
-    tol = ESTIMATE_TOL * n + 5.0 * neg
-    (ux, uy), (vx, vy), (x0, y0) = verts[0], verts[-1], units[0]
+def _layout_settles(verts, layout, bound):
+    """True only if the exact path (chain_facts, chain_diagnostics, _unwrap)
+    raises nothing and gives an area >= bound > 0, from half_chain_layout.
+    Negation is exact and an even chain's vertex m is at x = 0.0, so the
+    symmetry, end-height and |v - w| = |u - w| checks pass; x increasing
+    gives u_x < 0 < v_x <= s_n / 2.  Rounding moves an edge by H <= 5u (u =
+    2^-53): its length by H (s_k by 8u n), its direction by 1.01 H / f, so
+    the walk's turn is >= 0 where the input's is >= slack, and elsewhere is
+    re-taken.  Pivot k (radius r = 1 - s_k, edge unit vectors e) and its
+    mirror add r^2 theta + r (c_k x (e_(k-1) - e_k)) (ROADMAP item 12) from
+    the layout's s, theta and e; the final pivot adds its pair.  The walk's
+    offset K = r sin g off edge k - 1 keeps across an arc and falls by
+    r theta at a skipped turn (<= 1e-14); with Q_k = r_k + c_k . e_k =
+    r_(k+1) + c_(k+1) . e_k its first-order terms sum by parts to 0, leaving
+    2.6 g^2 (g bounds the offsets and skipped turns' sum; gaps <= g^2 / 8)
+    and 50u a pivot (18u of K, |Q| <= 1.71).  Direction errors sum so to
+    f beta Q <= 1.73 H an edge, the radii's to 2.71 pi 8u n, rounding to 40u
+    a vertex: < 170u n + 2.6 g^2 < SETTLE_TOL n + 3 g^2.  The final pivot is
+    the walk's to 2 g."""
+    fracs, turns, cos, sin = layout
+    n, xs, f = len(verts) - 1, [x for x, _ in verts], min(fracs)
+    (ux, uy), (vx, vy) = verts[0], verts[-1]
+    cum = list(accumulate(fracs, initial=0.0))
+    lag, slack, neg = 2.0 * cum[-1] - 1.0, 1.2e-15 / f + 1.2e-15, 0.0
+    if not (all(map(operator.lt, xs, xs[1:])) and f >= 1e-11 * n  # radii > 0
+            and abs(lag) + 9e-16 * n <= LENGTH_TOL):  # lag: s_n - 1 to 8u n
+        return False
+    for k in (k for k, t in enumerate(turns, start=1) if t < slack):
+        for (xa, ya), (xb, yb), (xc, yc) in {verts[k - 1:k + 2],
+                                             verts[n - k - 1:n - k + 2]}:
+            t = math.atan2(yb - ya, xb - xa) - math.atan2(yc - yb, xc - xb)
+            if t < -TURN_TOL:
+                return False
+            neg -= min(t, 0.0)
+    g = neg + 1e-14 * n + 2e-15 / f
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
     d = math.dist(verts[0], w)
-    pivot = math.atan2(w[1] - uy, -ux) - math.atan2(y0, x0)
-    if not (1.0 - cum[-2] >= 8 * n * (1.3e-14 * n + neg) and pivot - tol > 1e-12
-            and abs(d - 1.0) <= 1e-9 and abs(math.dist(verts[-1], w) - 1.0) <= 1e-9):
+    pivot = math.atan2(w[1] - uy, -ux) - math.atan2(sin[0], cos[0])
+    if not (g <= 1e-5 and pivot - 2.0 * g > 1e-12 and abs(d - 1.0) <= 1e-9):
         return False
-    area += pivot + ux * ((w[1] - uy) / d - y0) + uy * (ux / d + x0)
-    for (cx, cy), s, theta, (xa, ya), (xb, yb) in zip(
-            verts[1:], cum[1:], turns, units, units[1:]):
-        r = 1.0 - s
-        area += r * (r * theta + cx * (ya - yb) + cy * (xb - xa))
-    return area - tol >= bound > 0.0
+    if not n % 2:  # vertex m is its own mirror: half its turn, the mirror edge
+        turns, cos, sin = turns[:-1] + [turns[-1] / 2], cos + cos[-1:], sin + [-sin[-1]]
+    area = pivot + ux * ((w[1] - uy) / d - sin[0]) + uy * (ux / d + cos[0])
+    x0, y0 = verts[0]
+    for (x, y), s, t, ca, sa, cb, sb in zip(verts[1:], cum[1:], turns, cos,
+                                            sin, cos[1:], sin[1:]):
+        r, q = 1.0 - s, s - lag  # the radii at vertex k and at its mirror
+        area += (x0 * y - x * y0 + (r * r + q * q) * t
+                 + (r - q) * (x * (sa - sb) - y * (ca - cb)))
+        x0, y0 = x, y
+    area += x0 * y0  # the middle edge's term, 0.0 if vertex m is on the axis
+    return area - SETTLE_TOL * n - 3.0 * g * g >= bound > 0.0
 
 
 def _mirror_run(right):
@@ -575,14 +590,14 @@ def half_chain_area(n: int, fracs, turns, bound=math.inf):
     """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
     turns)) records, bit for bit: the same layout, facts, checks and
     _unwrap walk, with no chain object, no pieces and no cap certificate;
-    None, with no walk, if _settles shows that it is >= a finite bound > 0."""
-    verts, units = half_chain_vertices(n, fracs, turns), []
-    _, cum, angles, term = chain_facts(verts, units)
+    None, from the layout alone, if _layout_settles shows it >= a bound > 0."""
+    verts, layout = half_chain_layout(n, fracs, turns)
+    if 0.0 < bound < math.inf and _layout_settles(verts, layout, bound):
+        return None
+    _, cum, angles, term = chain_facts(verts)
     diags = chain_diagnostics(verts, cum, angles)
     if diags:
         raise InadmissibleChainError(diags)
-    if _settles(verts, cum, angles, units, term, bound):
-        return None
     return check_ccw(_unwrap(verts, cum, angles, term)[0])
 
 

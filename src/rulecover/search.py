@@ -6,10 +6,10 @@ enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
 reason.  `involute.half_chain_area` scores a move from its half parameters
-with no chain object; a closed sum over the unit edge vectors settles most
-moves as no better, and only contenders walk the string for the exact
-area.  The winner is rebuilt once, certified.  Runs are bit-reproducible
-for a fixed seed.
+with no chain object; a closed sum over the layout's own data settles most
+moves as no better, and only the rest take the chain's facts and checks
+and, as contenders, walk the string for the exact area.  The winner is
+rebuilt once, certified.  Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class SearchTrace:
     violating several invariants counts under each), "params" for half
     parameters that give no chain and "geometry" for a clockwise boundary
     or a bad arc.  accepted counts improving moves, estimated those the
-    closed sum settled; step is the step size at the end (None when
-    there was nothing to search).  local_search fills in a new, empty one.
+    layout's settle test settled; step is the step size at the end (None
+    when there was nothing to search).  local_search fills in a new one.
     """
 
     def __init__(self):

@@ -21,11 +21,17 @@ from rulecover.involute import (
     certify_cap,
     chain_from_params,
     half_chain_area,
-    half_chain_vertices,
+    half_chain_layout,
     involute_cover,
     validate_chain,
 )
-from rulecover.search import ChainParams, _cover_area, initial_params, perturb
+from rulecover.search import (
+    MIN_FRACTION,
+    ChainParams,
+    _cover_area,
+    initial_params,
+    perturb,
+)
 from rulecover.verify import shrink_cover
 
 A_OPT_TWO = math.acos(0.75)
@@ -263,9 +269,9 @@ class TestHalfParams:
             GeneratingChain.from_half_params(3, (0.5,), (0.1,))  # no middle left
         for n in (0, -2):  # no edge to index
             with pytest.raises(ValueError, match="at least 1 edge"):
-                half_chain_vertices(n, [], [])
+                half_chain_layout(n, [], [])
         with pytest.raises(ValueError, match="need 0 fractions"):
-            half_chain_vertices(1, (0.2,), (0.1,))  # one edge has no half
+            half_chain_layout(1, (0.2,), (0.1,))  # one edge has no half
 
     @pytest.mark.parametrize("edges", [4, 5])
     @pytest.mark.parametrize("position", [0, 1])
@@ -274,7 +280,7 @@ class TestHalfParams:
         fracs = [0.2, 0.2]
         fracs[position] = bad
         with pytest.raises(ValueError, match="finite and positive"):
-            half_chain_vertices(edges, fracs, (0.1, 0.1))
+            half_chain_layout(edges, fracs, (0.1, 0.1))
 
 
 @given(turn=st.floats(0.05, 1.2))
@@ -322,8 +328,8 @@ def _scored_area(chain, monkeypatch):
     """The scorer run on `chain`'s own vertices: its layout is replaced, so
     the facts, checks and walk after it see a chain that no half
     parameters give (a closed form, a non-finite or a negative-radius one)."""
-    monkeypatch.setattr(involute, "half_chain_vertices",
-                        lambda n, fracs, turns: chain.vertices)
+    monkeypatch.setattr(involute, "half_chain_layout",
+                        lambda n, fracs, turns: (chain.vertices, None))
     return half_chain_area(chain.n_edges, (), ())
 
 
@@ -466,43 +472,97 @@ def tiny_turn_params(edges, tiny):
     return base._replace(turns=tuple(turns))
 
 
+def min_fraction_params(edges):
+    """The warm start with the first half edge and one near the middle at
+    MIN_FRACTION, each next to an edge four times its old length."""
+    fracs = list(initial_params(edges).fracs)
+    for j in (0, len(fracs) // 2):
+        fracs[j], fracs[j + 1] = MIN_FRACTION, 4 * fracs[j + 1]
+    return initial_params(edges)._replace(fracs=tuple(fracs))
+
+
+# input turns at and around the concavity gate, every third one: just past
+# it (inadmissible), just inside it, and halfway to it
+GATE_TURNS = [-involute.TURN_TOL * (1 + 1e-3), -involute.TURN_TOL * (1 - 1e-3),
+              -involute.TURN_TOL / 2]
+
+
 def _fixed_bounded_cases():
     closure = [p for p in perturbed_params(17, 0.3)
                if _outcome(_half_chain_area, p)[1] == (InadmissibleChainError,
                                                         frozenset({"closure"}))]
     assert len(closure) == 7
     # a fraction of 1e-20 rounds its edge away: a zero-length edge, which
-    # has no unit vector and fails ordering
+    # fails ordering
     zero_edge = ChainParams(4, (1e-20, 0.3), (0.1, 0.3))
     return {"radius-guard": [RADIUS_GUARD_PARAMS], "17-edge-closure": closure,
             "zero-length-edge": [zero_edge],
+            "min-fraction": [min_fraction_params(n) for n in (64, 512)],
+            "length-edge": [initial_params(512)],
             **{f"tiny-{tiny!r}": [tiny_turn_params(n, tiny)
                                   for n in (4, 5, 16, 17, 64, 512)]
-               for tiny in TINY_TURNS}}
+               for tiny in TINY_TURNS + GATE_TURNS}}
+
+
+def _length_tols(params, monkeypatch):
+    """LENGTH_TOL values within 1e-13 of its two edges on params' chain:
+    just under |s_n - 1| (about 2.4e-15 for the 512-edge warm start), where
+    the walk's length check fails, and at and just over the least value at
+    which the settle test passes, found by bisection.  That one sits above
+    the walk's edge by the test's margin on the fraction sum (8u n, 4.6e-13
+    at 512 edges) at most.  No half parameters give a chain off length 1 by
+    more than a few ulps an edge, so the edges are moved to the chain."""
+    walk_edge = abs(involute.chain_facts(half_chain_layout(*params)[0])[1][-1] - 1.0)
+    settled = _bounded(_half_chain_area(params) - 1e-9)
+
+    def settles(key):
+        monkeypatch.setattr(involute, "LENGTH_TOL", _float_at(key))
+        return settled(params) is None
+
+    lo, hi = _float_key(walk_edge), _float_key(1e-12)
+    assert 1e-16 < walk_edge and not settles(lo) and settles(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if settles(mid):
+            hi = mid
+        else:
+            lo = mid
+    settle_edge = _float_at(hi)
+    assert settle_edge - walk_edge < 5e-13
+    return ([math.nextafter(walk_edge, 0.0)]
+            + [settle_edge + k * 1e-14 for k in range(11)])
 
 
 @pytest.mark.parametrize("case", ["radius-guard", "17-edge-closure",
-                                  "zero-length-edge",
-                                  *(f"tiny-{t!r}" for t in TINY_TURNS)])
-def test_bounded_score_on_fixed_cases(case):
+                                  "zero-length-edge", "min-fraction", "length-edge",
+                                  *(f"tiny-{t!r}" for t in TINY_TURNS + GATE_TURNS)])
+def test_bounded_score_on_fixed_cases(case, monkeypatch):
     # bounds below every area: the settle test must not hide the walk's
     # exception, and must settle or hand back the walk's area exactly
     rng = random.Random(case)
     for params in _fixed_bounded_cases()[case]:
-        area, error = _outcome(_half_chain_area, params)
-        bounds = [1e-300, 0.05, 0.3, 0.5]
-        if area is not None:
-            bounds += _bounds_around(area, rng) + [area - 1e-12, area / 2]
-        _assert_bounded_is_the_walk(params, bounds)
-        if case == "radius-guard":
-            assert error == (geometry.GeometryError, frozenset())
-        elif case == "17-edge-closure":
-            assert error == (InadmissibleChainError, frozenset({"closure"}))
-        elif case == "zero-length-edge":
-            assert error == (InadmissibleChainError,
-                             frozenset({"concavity", "ordering"}))
-        else:
-            assert error is None, params
+        tols = ([involute.LENGTH_TOL] if case != "length-edge"
+                else _length_tols(params, monkeypatch))
+        for tol in tols:
+            monkeypatch.setattr(involute, "LENGTH_TOL", tol)
+            area, error = _outcome(_half_chain_area, params)
+            bounds = [1e-300, 0.05, 0.3, 0.5]
+            if area is not None:
+                bounds += _bounds_around(area, rng) + [area - 1e-12, area / 2]
+            _assert_bounded_is_the_walk(params, bounds)
+            if case == "radius-guard":
+                assert error == (geometry.GeometryError, frozenset())
+            elif case == "17-edge-closure":
+                assert error == (InadmissibleChainError, frozenset({"closure"}))
+            elif case == "zero-length-edge":
+                assert error == (InadmissibleChainError,
+                                 frozenset({"concavity", "ordering"}))
+            elif case == "length-edge" and tol < tols[1]:
+                assert error == (InadmissibleChainError, frozenset({"length"}))
+            elif case == f"tiny-{GATE_TURNS[0]!r}":
+                assert error == (InadmissibleChainError, frozenset({"concavity"}))
+            else:
+                assert error is None, (params, tol)
 
 
 def _float_key(x):
@@ -515,11 +575,12 @@ def _float_at(key):
 
 
 def _closed_sum(params, monkeypatch):
-    """The sum _settles compares with the bound.  With ESTIMATE_TOL at 0
-    its margin is 5 neg (neg the size of the negative turns), so the
+    """The sum _layout_settles compares with the bound.  With SETTLE_TOL at
+    0 its margin is 3 g^2 (g = neg + 1e-14 n + 2e-15 / f, with neg the size
+    of the walk's negative turns and f the least fraction laid out), so the
     largest bound it settles, found by bisecting the positive floats, is
-    the sum minus 5 neg."""
-    monkeypatch.setattr(involute, "ESTIMATE_TOL", 0.0)
+    the sum minus 3 g^2."""
+    monkeypatch.setattr(involute, "SETTLE_TOL", 0.0)
     lo, hi = _float_key(1e-300), _float_key(16.0)
     assert _bounded(1e-300)(params) is None and _bounded(16.0)(params) is not None
     while hi - lo > 1:
@@ -528,8 +589,10 @@ def _closed_sum(params, monkeypatch):
             lo = mid
         else:
             hi = mid
-    turns = involute.chain_facts(half_chain_vertices(*params))[2]
-    return _float_at(lo) + 5.0 * (math.fsum(map(abs, turns)) - math.fsum(turns)) / 2
+    verts, (fracs, *_) = half_chain_layout(*params)
+    neg = -math.fsum(min(t, 0.0) for t in involute.chain_facts(verts)[2])
+    g = neg + 1e-14 * params.edges + 2e-15 / min(fracs)
+    return _float_at(lo) + 3.0 * g * g
 
 
 @pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
@@ -538,7 +601,7 @@ def test_estimate_error_is_far_inside_its_tolerance(edges, step, monkeypatch):
     # the measured error per arc (the final pivot and one per turn, as the
     # sum skips none) is at most a hundredth of the tolerance it allows,
     # also where turns are clamped to 0.0 or within 1e-14 of it
-    tol, worst = involute.ESTIMATE_TOL, 0.0
+    tol, worst = involute.SETTLE_TOL, 0.0
     cases = perturbed_params(edges, step, count=8)
     if step == 0.02:
         cases += [tiny_turn_params(edges, tiny) for tiny in TINY_TURNS]

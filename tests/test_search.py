@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import TWO_OPT_AREA
-from rulecover import cli
+from rulecover import cli, involute
 from rulecover.constructions import R2_AREA
 from rulecover.involute import validate_chain
 from rulecover.search import (
@@ -188,6 +188,18 @@ class TestTelemetry:
         assert t1.accepted == 73
         assert t1.estimated + t1.accepted <= cfg.iterations
         assert SearchTrace().estimated == 0
+
+    def test_settled_moves_take_no_chain_facts(self, monkeypatch):
+        # the benchmark's search: chain_facts runs once per move the layout
+        # does not settle, and three times more (the warm start's chain,
+        # its score and the winner's rebuild)
+        calls, facts = [], involute.chain_facts
+        monkeypatch.setattr(involute, "chain_facts",
+                            lambda *args: calls.append(1) or facts(*args))
+        cfg = SearchConfig(edges=16, iterations=4000, seed=0)
+        trace = local_search(cfg)
+        assert trace.estimated == 3927
+        assert len(calls) == cfg.iterations - trace.estimated + 3 == 76
 
     def test_counts_match_the_trace(self):
         cfg = SearchConfig(edges=8, iterations=600, seed=2, initial_step=0.3)
