@@ -58,9 +58,10 @@ class ChainDiagnostic(NamedTuple):
 
 def chain_facts(vertices):
     """(edge lengths, cumulative lengths s_0..s_n from u, turn angles, chain
-    term) of a vertex tuple in one walk over its edges; a turn angle is
-    positive where the chain bends away from the region above it (incoming
-    minus outgoing direction), the chain term sums the edges' seg_area."""
+    term, edge directions) of a vertex tuple in one walk over its edges; a
+    turn angle is positive where the chain bends away from the region above
+    it (incoming minus outgoing direction), the chain term sums the edges'
+    seg_area and an edge's direction is its atan2 angle."""
     lengths, dirs, term = [], [], 0.0
     dist, atan2 = math.dist, math.atan2
     p0 = vertices[0]
@@ -72,7 +73,7 @@ def chain_facts(vertices):
         term += 0.5 * (x0 * y1 - x1 * y0)
         p0, x0, y0 = p1, x1, y1
     return (tuple(lengths), tuple(accumulate(lengths, initial=0.0)),
-            tuple(map(operator.sub, dirs, dirs[1:])), term)
+            tuple(map(operator.sub, dirs, dirs[1:])), term, tuple(dirs))
 
 
 def half_chain_layout(n: int, fracs, turns):
@@ -119,12 +120,12 @@ def half_chain_layout(n: int, fracs, turns):
 
 class GeneratingChain:
     """Vertex chain u = p0 ... pn = v with its chain_facts as fields
-    edge_lengths, cum_lengths, turn_angles and chain_term.  Construction
-    performs no validation; see validate_chain.
+    edge_lengths, cum_lengths, turn_angles, chain_term and edge_dirs.
+    Construction performs no validation; see validate_chain.
     """
 
     __slots__ = ("vertices", "edge_lengths", "cum_lengths", "turn_angles",
-                 "chain_term")
+                 "chain_term", "edge_dirs")
 
     def __init__(self, vertices: tuple):
         verts = tuple((float(x), float(y)) for (x, y) in vertices)
@@ -132,7 +133,7 @@ class GeneratingChain:
             raise ValueError("chain needs at least 2 vertices")
         self.vertices = verts
         (self.edge_lengths, self.cum_lengths, self.turn_angles,
-         self.chain_term) = chain_facts(verts)
+         self.chain_term, self.edge_dirs) = chain_facts(verts)
 
     @property
     def u(self):
@@ -213,15 +214,10 @@ def _json_numbers(value, name: str) -> tuple:
 
 
 def validate_chain(chain: GeneratingChain):
-    """All admissibility violations (empty list means admissible)."""
-    return chain_diagnostics(chain.vertices, chain.cum_lengths, chain.turn_angles)
-
-
-def chain_diagnostics(verts, cum, turns):
-    """validate_chain's list from a vertex tuple and its chain_facts; a
+    """All admissibility violations (empty list means admissible); a
     non-finite coordinate makes a non-finite length, which fails."""
-    out = []
-    L = cum[-1]
+    verts, out = chain.vertices, []
+    L = chain.cum_lengths[-1]
     if not abs(L - 1.0) <= LENGTH_TOL:
         out.append(ChainDiagnostic("length", abs(L - 1.0),
                                    f"total length {L!r} != 1"))
@@ -238,7 +234,7 @@ def chain_diagnostics(verts, cum, turns):
     if worst > SYMMETRY_TOL:
         out.append(ChainDiagnostic("symmetry", worst,
                                    "not mirror-symmetric about the y axis"))
-    for j, theta in enumerate(turns, start=1):
+    for j, theta in enumerate(chain.turn_angles, start=1):
         if theta < -TURN_TOL:
             out.append(ChainDiagnostic(
                 "concavity", -theta,
@@ -269,7 +265,7 @@ class Pocket:
 
     The upper run v -> w -> u has only counterclockwise arcs with G1 joints
     and a convex corner at the apex (_unwrap checks the positive sweeps and
-    the positive final pivot), so with the chord uv it bounds a convex cap
+    the final pivot's sign), so with the chord uv it bounds a convex cap
     H.  The chain turns one way only, so with the same chord it bounds a
     convex set P inside H, and the cover is H minus the interior of P.
     For p and q on the upper run the line pq meets H only in the segment
@@ -294,8 +290,7 @@ class Pocket:
         self.top = max(ys)
         n = len(xs) - 1
         # non-increasing edge angles, negated so that bisect sees them ascending
-        self.keys = tuple(-math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
-                          for j in range(n))
+        self.keys = tuple(-d for d in chain.edge_dirs)
         cx, cy = xs[n] - xs[0], ys[n] - ys[0]
         chord = math.hypot(cx, cy)
         # the largest distance of the chain from the chord
@@ -385,16 +380,18 @@ class CoverBundle:
         return Pocket(self.chain)
 
 
-def _unwrap(verts, cum, turns, area):
-    """(area, right run, left run) of a chain that passed chain_diagnostics,
-    in one walk that checks the unwrap radii, the Arc guards, a positive
-    final pivot and the apex w = (0, v_y + sqrt(1 - v_x^2)) at unit
-    distance from u and v.  To area, chain_facts' chain term, it adds
-    arc_path_area's terms of the right run, then of its mirror image, the
-    left run (not yet checked positive).  The right run's records
-    (cx, cy, r, t0, t1) are traced v -> w, one per turn above 1e-14; the
-    left run is _mirror_run(right), traced w -> u.
+def _unwrap(chain: GeneratingChain):
+    """(area, right run, left run) of a chain its caller has validated, in
+    one walk that checks the unwrap radii, the Arc guards, a final pivot
+    not below -1e-12 and the apex w = (0, v_y + sqrt(1 - v_x^2)) at unit
+    distance from u and v.  To the chain term it adds arc_path_area's terms
+    of the right run, then of its mirror image, the left run (not yet
+    checked positive).  The right run's records (cx, cy, r, t0, t1) are
+    traced v -> w, one per turn above 1e-14 and per final pivot above
+    1e-12; the left run is _mirror_run(right), traced w -> u.
     """
+    verts, cum, turns = chain.vertices, chain.cum_lengths, chain.turn_angles
+    area = chain.chain_term
     ux, uy = verts[0]
     vx, vy = verts[-1]
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
@@ -426,12 +423,13 @@ def _unwrap(verts, cum, turns, area):
             "unwrap", gap, "fully unwrapped string is not unit length")])
     t0 = atan2(ey - uy, ex - ux)
     t1 = atan2(w[1] - uy, w[0] - ux)
-    if t1 - t0 <= 1e-12:
+    if t1 - t0 < -1e-12:
         raise InadmissibleChainError([ChainDiagnostic(
-            "closure", t0 - t1, "final pivot angle not positive")])
-    check_arc(1.0, t0, t1)
-    right.append((ux, uy, 1.0, t0, t1))
-    area += arc_area(ux, uy, 1.0, t0, t1)
+            "closure", t0 - t1, "final pivot angle negative")])
+    if t1 - t0 > 1e-12:  # the string end already at w swings no arc
+        check_arc(1.0, t0, t1)
+        right.append((ux, uy, 1.0, t0, t1))
+        area += arc_area(ux, uy, 1.0, t0, t1)
 
     for p in (verts[0], verts[-1]):
         gap = abs(math.dist(p, w) - 1.0)
@@ -445,24 +443,24 @@ def _unwrap(verts, cum, turns, area):
 
 
 def _layout_settles(verts, layout, bound):
-    """True only if the exact path (chain_facts, chain_diagnostics, _unwrap)
-    raises nothing and gives an area >= bound > 0, from half_chain_layout.
-    Negation is exact and an even chain's vertex m is at x = 0.0, so the
-    symmetry, end-height and |v - w| = |u - w| checks pass; x increasing
-    gives u_x < 0 < v_x <= s_n / 2.  Rounding moves an edge by H <= 5u (u =
-    2^-53): its length by H (s_k by 8u n), its direction by 1.01 H / f, so
-    the walk's turn is >= 0 where the input's is >= slack, and elsewhere is
-    re-taken.  Pivot k (radius r = 1 - s_k, edge unit vectors e) and its
-    mirror add r^2 theta + r (c_k x (e_(k-1) - e_k)) (ROADMAP item 12) from
-    the layout's s, theta and e; the final pivot adds its pair.  The walk's
-    offset K = r sin g off edge k - 1 keeps across an arc and falls by
-    r theta at a skipped turn (<= 1e-14); with Q_k = r_k + c_k . e_k =
-    r_(k+1) + c_(k+1) . e_k its first-order terms sum by parts to 0, leaving
-    2.6 g^2 (g bounds the offsets and skipped turns' sum; gaps <= g^2 / 8)
-    and 50u a pivot (18u of K, |Q| <= 1.71).  Direction errors sum so to
-    f beta Q <= 1.73 H an edge, the radii's to 2.71 pi 8u n, rounding to 40u
-    a vertex: < 170u n + 2.6 g^2 < SETTLE_TOL n + 3 g^2.  The final pivot is
-    the walk's to 2 g."""
+    """True only if the exact path (validate_chain and _unwrap on
+    GeneratingChain(verts)) raises nothing and gives an area >= bound > 0,
+    from half_chain_layout.  Negation is exact and an even chain's vertex m
+    is at x = 0.0, so the symmetry, end-height and |v - w| = |u - w| checks
+    pass; x increasing gives u_x < 0 < v_x <= s_n / 2.  Rounding moves an
+    edge by H <= 5u (u = 2^-53): its length by H (s_k by 8u n), its
+    direction by 1.01 H / f, so the walk's turn is >= 0 where the input's is
+    >= slack, and elsewhere is re-taken.  Pivot k (radius r = 1 - s_k, edge
+    unit vectors e) and its mirror add r^2 theta + r (c_k x (e_(k-1) - e_k))
+    (ROADMAP item 12) from the layout's s, theta and e; the final pivot adds
+    its pair.  The walk's offset K = r sin g off edge k - 1 keeps across an
+    arc and falls by r theta at a skipped turn (<= 1e-14); with Q_k = r_k +
+    c_k . e_k = r_(k+1) + c_(k+1) . e_k its first-order terms sum by parts
+    to 0, leaving 2.6 g^2 (g bounds the offsets and skipped turns' sum; gaps
+    <= g^2 / 8) and 50u a pivot (18u of K, |Q| <= 1.71).  Direction errors
+    sum so to f beta Q <= 1.73 H an edge, the radii's to 2.71 pi 8u n,
+    rounding to 40u a vertex: < 170u n + 2.6 g^2 < SETTLE_TOL n + 3 g^2.
+    The final pivot is the walk's to 2 g."""
     fracs, turns, cos, sin = layout
     n, xs, f = len(verts) - 1, [x for x, _ in verts], min(fracs)
     (ux, uy), (vx, vy) = verts[0], verts[-1]
@@ -569,8 +567,7 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
     diags = validate_chain(chain)
     if diags:
         raise InadmissibleChainError(diags)
-    area, right, left = _unwrap(chain.vertices, chain.cum_lengths,
-                                chain.turn_angles, chain.chain_term)
+    area, right, left = _unwrap(chain)
     path = _boundary(chain, right, left)
     check_closed(path)
     certify_cap(chain, right, left)
@@ -588,17 +585,17 @@ def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
 
 def half_chain_area(n: int, fracs, turns, bound=math.inf):
     """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
-    turns)) records, bit for bit: the same layout, facts, checks and
-    _unwrap walk, with no chain object, no pieces and no cap certificate;
-    None, from the layout alone, if _layout_settles shows it >= a bound > 0."""
+    turns)) records, bit for bit: the same layout, chain, validate_chain
+    and _unwrap walk, with no pieces and no cap certificate; None, from the
+    layout alone, if _layout_settles shows it >= a bound > 0."""
     verts, layout = half_chain_layout(n, fracs, turns)
     if 0.0 < bound < math.inf and _layout_settles(verts, layout, bound):
         return None
-    _, cum, angles, term = chain_facts(verts)
-    diags = chain_diagnostics(verts, cum, angles)
+    chain = GeneratingChain(verts)
+    diags = validate_chain(chain)
     if diags:
         raise InadmissibleChainError(diags)
-    return check_ccw(_unwrap(verts, cum, angles, term)[0])
+    return check_ccw(_unwrap(chain)[0])
 
 
 def chain_from_params(kind: str, params=None) -> GeneratingChain:

@@ -5,9 +5,9 @@ pairs, with the middle edge implied for odd n and mirror symmetry always
 enforced by construction.  Moves perturb one coordinate, renormalize the
 fractions, clamp turns nonnegative, and are accepted only on strict area
 improvement; inadmissible candidates are rejected outright and counted by
-reason.  `involute.half_chain_area` scores a move from its half parameters
-with no chain object; a closed sum over the layout's own data settles most
-moves as no better, and only the rest take the chain's facts and checks
+reason.  `involute.half_chain_area` scores a move from its half parameters:
+a closed sum over the layout's own data settles most moves as no better
+with no chain object, and only the rest build the chain, take its checks
 and, as contenders, walk the string for the exact area.  The winner is
 rebuilt once, certified.  Runs are bit-reproducible for a fixed seed.
 """
@@ -30,7 +30,7 @@ from .involute import (
     involute_cover,
 )
 
-MIN_FRACTION = 1e-6
+MIN_FRACTION = 1e-6  # a moved fraction's floor before the fractions rescale
 STEP_DECAY = 0.999  # the step shrinks by this factor on each accepted move
 
 
@@ -95,7 +95,9 @@ class SearchTrace:
 
 
 def perturb(params: ChainParams, step: float, rng: random.Random) -> ChainParams:
-    """Move one coordinate by uniform(+-step); renormalize and clamp."""
+    """Move one coordinate by uniform(+-step); renormalize and clamp.  The
+    moved fraction is clamped to MIN_FRACTION before the rescale, which
+    may take fractions below it; any positive fraction lays out."""
     if not 0 <= step < math.inf:
         raise ValueError(f"step must be finite and nonnegative, got {step!r}")
     fracs, turns = params.fracs, params.turns

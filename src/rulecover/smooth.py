@@ -36,31 +36,33 @@ class SpeedPositivityError(ValueError):
 
 
 class SmoothCoefficients:
-    """Half-angle a, speed coefficients (b0, b1, b2), and b = h(a)."""
+    """Half-angle a, speed coefficients (b0, b1, b2), b = h(a), and trig,
+    the backend's multiples(a, 6) that solving took."""
 
-    __slots__ = ("a", "b0", "b1", "b2", "b")
+    __slots__ = ("a", "b0", "b1", "b2", "b", "trig")
 
-    def __init__(self, a, b0, b1, b2, b):
+    def __init__(self, a, b0, b1, b2, b, trig):
         self.a = a
         self.b0 = b0
         self.b1 = b1
         self.b2 = b2
         self.b = b
+        self.trig = trig
 
 
-def solve_coefficients(a, backend=NATIVE, trig=None) -> SmoothCoefficients:
+def solve_coefficients(a, backend=NATIVE) -> SmoothCoefficients:
     """Coefficients enforcing unit length, endpoint tangency, zero curvature.
 
     Evaluates the closed forms in dependency order (b2, then b1, then b0)
     and b = h(a).  The constraints hold for any a in (0, pi/2), but the
     result describes an actual curve only where the speed g stays positive
     strictly inside [-a, a] (a window around the optimal a); call
-    check_speed_positivity to enforce that.  `trig` may carry
-    backend.multiples(a, k) for some k >= 2, computed once by the caller.
+    check_speed_positivity to enforce that.  The result keeps
+    backend.multiples(a, 6), which smooth_area_parts reads.
     """
     with backend.context():
         a = backend.num(a)
-        S, C = trig or backend.multiples(a, 2)
+        S, C = trig = backend.multiples(a, 6)
         s, c, s2, c2 = S[1], C[1], S[2], C[2]
         den = (12 * a * a * c2 - 2 * a * s2 * (7 - c2)
                + (1 - c2) * (11 - 5 * c2))
@@ -71,7 +73,7 @@ def solve_coefficients(a, backend=NATIVE, trig=None) -> SmoothCoefficients:
         b1 = (1 - b2 * (s2 - 2 * a * c2)) / (2 * (s - a * c))
         b0 = -b1 * c - b2 * c2
         b = b0 * a + b1 * s + b2 * s2 / 2
-        return SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
+        return SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b, trig=trig)
 
 
 def check_speed_positivity(co: SmoothCoefficients):
@@ -192,14 +194,12 @@ def _cap_288(co: SmoothCoefficients, t, S, C):
                              + 3 * b1 * C[2] + 2 * b2 * C[3]))
 
 
-def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE, trig=None):
-    """(integral of ell^2, apex triangle area, cap area) in closed form.
-
-    `trig` may carry backend.multiples(co.a, 6), computed once by the caller.
-    """
+def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE):
+    """(integral of ell^2, apex triangle area, cap area) in closed form,
+    from co.trig."""
     with backend.context():
         a = co.a
-        S, C = trig or backend.multiples(a, 6)
+        S, C = co.trig
         # F(a) - F(-a) for F = ell_squared_antiderivative: its odd part, twice
         int_l2 = _ell_squared_odd_96(co, a, S, C) / 48
         a_uvw = C[1] * S[1]
@@ -207,8 +207,8 @@ def smooth_area_parts(co: SmoothCoefficients, backend=NATIVE, trig=None):
         return int_l2, a_uvw, a_uv
 
 
-def smooth_area(co: SmoothCoefficients, backend=NATIVE, trig=None):
-    int_l2, a_uvw, a_uv = smooth_area_parts(co, backend, trig)
+def smooth_area(co: SmoothCoefficients, backend=NATIVE):
+    int_l2, a_uvw, a_uv = smooth_area_parts(co, backend)
     with backend.context():
         return int_l2 - a_uvw + a_uv
 
@@ -217,8 +217,7 @@ def _float_argmin(tol):
     """numerics.minimize_1d's argmin of the float area on SMOOTH_BRACKET;
     raises numerics.ConvergenceError unless it reached tol."""
     def area(a):  # one NATIVE.multiples call per evaluation
-        trig = NATIVE.multiples(a, 6)
-        return smooth_area(solve_coefficients(a, trig=trig), trig=trig)
+        return smooth_area(solve_coefficients(a))
 
     lo, hi = SMOOTH_BRACKET
     res = numerics.minimize_1d(area, lo, hi, tol=tol)
@@ -274,10 +273,8 @@ def decimal_optimum(digits: int):
 
 def _area_slope(a, backend):
     """A'(a), from the area's closed forms at Dual(a, 1)."""
-    dual, x = DualBackend(backend), Dual(a, 1)
-    trig = dual.multiples(x, 6)
-    co = solve_coefficients(x, dual, trig=trig)
-    return smooth_area(co, dual, trig).deriv
+    dual = DualBackend(backend)
+    return smooth_area(solve_coefficients(Dual(a, 1), dual), dual).deriv
 
 
 def _slope_root(a, tol, work):
@@ -339,7 +336,8 @@ def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:
     def ell(t):
         return b0 * t + b1 * math.sin(t) + b2 * math.sin(2 * t) / 2 + b
 
-    co_f = SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b)
+    co_f = SmoothCoefficients(a=a, b0=b0, b1=b1, b2=b2, b=b,
+                              trig=tuple(list(map(float, m)) for m in co.trig))
     ts = []
     for k in range(n + 1):
         target = k / n

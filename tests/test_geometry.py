@@ -351,8 +351,7 @@ def hairpin_chain(seed, edges=20):
 def unaudited_boundary(chain):
     """The boundary involute_cover would assemble for `chain`, built
     without validate_chain and without the cap certificate."""
-    _, right, left = involute._unwrap(chain.vertices, chain.cum_lengths,
-                                      chain.turn_angles, chain.chain_term)
+    _, right, left = involute._unwrap(chain)
     return involute._boundary(chain, right, left)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import FOUR_ANGLES, THREE_ANGLES
 from test_geometry import hairpin_chain, unaudited_boundary
 from rulecover import constructions as cons
-from rulecover import geometry, involute, smooth
+from rulecover import geometry, involute, numerics, smooth
 from rulecover.geometry import Arc, OpenPathError, arc_path_area, path_self_intersects
 from rulecover.involute import (
     GeneratingChain,
@@ -32,7 +32,7 @@ from rulecover.search import (
     initial_params,
     perturb,
 )
-from rulecover.verify import shrink_cover
+from rulecover.verify import shrink_cover, verify_reachability
 
 A_OPT_TWO = math.acos(0.75)
 
@@ -175,6 +175,30 @@ class TestInvoluteCover:
         # the final pivot is the right run's last arc, about u
         assert abs(three_bundle.right_arcs[-1].sweep - THREE_ANGLES[0]) <= 1e-9
         assert abs(four_bundle.right_arcs[-1].sweep - FOUR_ANGLES[0]) <= 1e-9
+
+    def test_three_edge_cut_at_a_zero(self):
+        # Chen and Dumitrescu's 0.583 cover: the string end reaches the apex
+        # with the last turn, so the final pivot about u sweeps no arc
+        b = numerics.minimize_1d(lambda x: cons.three_edge_area(0.0, x),
+                                 1.05, 1.5).argmin
+        params, bundle = cons.CONSTRUCTIONS["three"].build((0.0, b))
+        assert len(bundle.right_arcs) == len(bundle.left_arcs) == 2
+        assert abs(bundle.area - cons.three_edge_area(0.0, b)) <= 1e-10
+        assert half_chain_area(3, *cons.CONSTRUCTIONS["three"].half(params)) \
+            == bundle.area
+        report = verify_reachability(bundle, 64, 64)
+        assert report.failures == [] and report.passed
+
+    def test_negative_final_pivot_is_closure(self):
+        # the a = 0 chain with its turn 2.4e-12 larger: the final pivot is
+        # about -2e-12, beyond the 1e-12 band that sweeps no arc
+        p = cons.solve_three_edge(0.0, 1.1581737222120763)
+        chain = GeneratingChain.from_half_params(3, (p.x1,), (p.b + 2.4e-12,))
+        assert validate_chain(chain) == []
+        with pytest.raises(InadmissibleChainError) as err:
+            involute_cover(chain)
+        [diag] = err.value.diagnostics
+        assert diag.kind == "closure" and 1.5e-12 < diag.magnitude < 2.5e-12
 
     def test_apex_unit_distance(self, four_bundle):
         apex = four_bundle.right_arcs[-1].end
@@ -651,13 +675,13 @@ def test_clockwise_boundary_is_rejected(build, monkeypatch, two_bundle):
 
 
 class TestBuildChecks:
-    """Checks of the shared unwrap that chain_diagnostics does not make,
-    each reached by the build and by the scorer with chain_diagnostics
-    (validate_chain's checks) switched off."""
+    """Checks of the shared unwrap that validate_chain does not make,
+    each reached by the build and by the scorer with validate_chain
+    switched off."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        monkeypatch.setattr(involute, "chain_diagnostics", lambda *facts: [])
+        monkeypatch.setattr(involute, "validate_chain", lambda chain: [])
         return involute_cover, lambda chain: _scored_area(chain, monkeypatch)
 
     def test_short_string_unwraps_short(self, builds):
@@ -920,8 +944,7 @@ class TestCertifyCap:
     @pytest.fixture
     def records(self, two_bundle):
         chain = two_bundle.chain
-        _, right, left = _unwrap(chain.vertices, chain.cum_lengths,
-                                 chain.turn_angles, chain.chain_term)
+        _, right, left = _unwrap(chain)
         assert len(right) == len(left) == 2  # one joint in each run
         return chain, right, left
 

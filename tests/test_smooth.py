@@ -191,6 +191,33 @@ class TestArea:
         _, a_uvw, _ = smooth_area_parts(co)
         assert abs(a_uvw - math.cos(co.a) * math.sin(co.a)) <= 1e-15
 
+    @pytest.mark.parametrize("backend, a", [
+        (NATIVE, 1.1),
+        (DecimalBackend(40), Decimal("1.1")),
+        (DualBackend(DecimalBackend(30)), Dual(Decimal("1.1"), 1)),
+    ], ids=["native", "decimal", "dual"])
+    def test_coefficients_carry_their_multiples(self, backend, a):
+        # solving takes multiples(a, 6) once, and the area reads them back
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(backend, name)
+
+            def multiples(self, t, k):
+                calls.append(k)
+                return backend.multiples(t, k)
+
+        def plain(trig):
+            return [[(x.value, x.deriv) if isinstance(x, Dual) else x
+                     for x in row] for row in trig]
+
+        co = solve_coefficients(a, Counting())
+        assert plain(co.trig) == plain(backend.multiples(a, 6))
+        assert calls == [6]
+        smooth_area(co, Counting())
+        assert calls == [6]
+
 
 class TestOptimize:
     def test_native_recovers_reference(self, smooth_optimum):
