@@ -90,12 +90,12 @@ def cmd_construct(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.kind == "smooth":
-        digits = args.digits or None  # 0 means floats, like no --digits
-        a, co, area = (smooth.decimal_optimum(digits) if digits
-                       else smooth.optimize_smooth())
+        digits = args.digits
+        a, co, area = (smooth.optimize_smooth() if digits is None
+                       else smooth.decimal_optimum(digits))
         print(f"a    = {_fmt(a, digits)}")
         print(f"area = {_fmt(area, digits)}")
-        if digits:
+        if digits is not None:
             return 0  # a decimal optimum is printed only, no cover JSON
         chain = smooth.discretize_smooth(co, args.edges)
         bundle = involute_cover(chain)
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int,
                    help="--kind smooth only: solve in decimal arithmetic "
                         "like reproduce-smooth, print a and the area to "
-                        "this many digits less 2 and write no cover JSON")
+                        "this many digits less 2 and write no cover JSON "
+                        "(no --out or --edges)")
     p.add_argument("--edges", type=int,
                    help="--kind smooth only: discretization edges of the "
                         f"cover JSON (default {SMOOTH_RENDER_EDGES})")
@@ -246,9 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "optimize" and args.kind != "smooth"
-            and args.digits is not None):
-        parser.error("--digits applies only to --kind smooth")
+    if args.command == "optimize" and args.digits is not None:
+        if args.kind != "smooth":
+            parser.error("--digits applies only to --kind smooth")
+        if args.out is not None or args.edges is not None:
+            parser.error("--digits writes no cover JSON: it takes no --out "
+                         "or --edges")
     if args.command in ("construct", "optimize"):
         if args.kind != "smooth" and args.edges is not None:
             parser.error("--edges applies only to --kind smooth")

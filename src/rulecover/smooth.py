@@ -213,9 +213,14 @@ def smooth_area(co: SmoothCoefficients, backend=NATIVE):
         return int_l2 - a_uvw + a_uv
 
 
-def _float_argmin(tol):
-    """numerics.minimize_1d's argmin of the float area on SMOOTH_BRACKET;
-    raises numerics.ConvergenceError unless it reached tol."""
+def optimize_smooth(tol=1e-12):
+    """(a, coefficients, area) on floats at the half-angle a that minimizes
+    the area, from numerics.minimize_1d on SMOOTH_BRACKET.
+
+    Raises numerics.ConvergenceError when the minimizer stops short of tol,
+    or when the argmin sits within tol of an end of the bracket, where the
+    true minimum may lie outside.
+    """
     def area(a):  # one NATIVE.multiples call per evaluation
         return smooth_area(solve_coefficients(a))
 
@@ -225,19 +230,7 @@ def _float_argmin(tol):
         raise numerics.ConvergenceError(
             f"smooth-cut minimizer did not reach tol={tol} on [{lo}, {hi}] "
             f"in {res.iterations} iterations")
-    return res.argmin
-
-
-def optimize_smooth(tol=1e-12):
-    """(a, coefficients, area) on floats at the half-angle a that minimizes
-    the area, from numerics.minimize_1d on SMOOTH_BRACKET.
-
-    Raises numerics.ConvergenceError when the minimizer stops short of tol,
-    or when the argmin sits within tol of an end of the bracket, where the
-    true minimum may lie outside.
-    """
-    a = _float_argmin(tol)
-    lo, hi = SMOOTH_BRACKET
+    a = res.argmin
     if a - lo <= tol or hi - a <= tol:
         raise numerics.ConvergenceError(
             f"smooth-cut argmin {a} sits at an end of [{lo}, {hi}]")
@@ -246,78 +239,49 @@ def optimize_smooth(tol=1e-12):
     return a, co, smooth_area(co)
 
 
-def decimal_optimum(digits: int):
-    """(a, coefficients, area) at the area-minimizing half-angle, as
-    Decimals to be truncated to `digits` significant digits.
-
-    The float optimum (tol 1e-12) starts a secant on A'(a) = 0
-    (`_slope_root`) at digits + SLOPE_GUARD digits, whose slopes the dual
-    backend gives from the same closed forms: a root is well conditioned,
-    where a minimum of the flat area would need ~2 digits in the objective
-    per digit of the argmin.  The secant stops once a step is at most
-    10^-(digits + 6); the coefficients and the area at its a are evaluated
-    at 2 digits + 12 digits.  Raises numerics.ConvergenceError when the
-    float minimizer stops short of its tol, when A' keeps one sign on
-    SMOOTH_BRACKET (the argmin sits at an end) or when the secant hits
-    MAX_SLOPE_STEPS.
-    """
-    if digits < 4:
-        raise ValueError("need at least 4 significant digits")
-    a = _slope_root(_float_argmin(1e-12), Decimal(10) ** (-digits - 6),
-                    DecimalBackend(digits + SLOPE_GUARD))
-    backend = DecimalBackend(2 * digits + 12)
-    co = solve_coefficients(a, backend)
-    check_speed_positivity(co)
-    return a, co, smooth_area(co, backend)
-
-
 def _area_slope(a, backend):
     """A'(a), from the area's closed forms at Dual(a, 1)."""
     dual = DualBackend(backend)
     return smooth_area(solve_coefficients(Dual(a, 1), dual), dual).deriv
 
 
-def _slope_root(a, tol, work):
-    """Root of A' in SMOOTH_BRACKET: a secant from a, safeguarded by bisection.
+def decimal_optimum(digits: int):
+    """(a, coefficients, area) at the area-minimizing half-angle, as
+    Decimals to be truncated to `digits` significant digits.
 
-    Every slope shrinks [lo, hi], on which A' goes from - to +, and a
-    secant step that would leave it is replaced by its midpoint.  Stops
-    once a step is <= tol; the error of the point it returns is then
-    far smaller, since it converges superlinearly.
+    A secant on A'(a) = 0 from optimize_smooth's a, at digits + SLOPE_GUARD
+    digits, whose slopes the dual backend gives from the same closed forms:
+    a root is well conditioned, where a minimum of the flat area would need
+    ~2 digits in the objective per digit of the argmin.  The secant stops
+    once a step is at most 10^-(digits + 6); it converges superlinearly, so
+    the error of its a is then far smaller.  The coefficients and the area
+    at that a are evaluated at 2 digits + 12 digits.  Raises whatever
+    optimize_smooth raises, and numerics.ConvergenceError when the secant
+    hits MAX_SLOPE_STEPS.
     """
+    if digits < 4:
+        raise ValueError("need at least 4 significant digits")
+    tol, work = Decimal(10) ** (-digits - 6), DecimalBackend(digits + SLOPE_GUARD)
     with work.context():
-        # from the shortest repr, so 0.8 is 0.8 and not its binary value
-        lo, hi = (work.num(str(end)) for end in SMOOTH_BRACKET)
-        ends = f"[{lo}, {hi}]"
-        if not _area_slope(lo, work) < 0 < _area_slope(hi, work):
-            raise numerics.ConvergenceError(
-                f"A' keeps one sign on {ends}: the smooth-cut argmin sits at "
-                f"an end")
-        x, x_prev, f_prev = work.num(a), None, None
+        x, x_prev, f_prev = work.num(optimize_smooth()[0]), None, None
         for _ in range(MAX_SLOPE_STEPS):
             f = _area_slope(x, work)
-            if f == 0:
-                return x
-            if f < 0:
-                lo = x
-            else:
-                hi = x
             if f_prev is None:
                 step = FIRST_STEP if f < 0 else -FIRST_STEP
-            elif f == f_prev:
-                step = (lo + hi) / 2 - x
             else:
                 step = -f * (x - x_prev) / (f - f_prev)
-            # before the safeguard: a step below x's last digit leaves
-            # x + step == x, which is lo or hi and would read as outside
             if abs(step) <= tol:
-                return x + step
-            if not lo < x + step < hi:
-                step = (lo + hi) / 2 - x
+                break
             x_prev, f_prev, x = x, f, x + step
-    raise numerics.ConvergenceError(
-        f"smooth-cut secant on A' did not reach tol={tol} on {ends} "
-        f"in {MAX_SLOPE_STEPS} steps")
+        else:
+            raise numerics.ConvergenceError(
+                f"smooth-cut secant on A' did not reach tol={tol} from the "
+                f"argmin on {list(SMOOTH_BRACKET)} in {MAX_SLOPE_STEPS} steps")
+        a = x + step  # in work's context, not the default 28 digits
+    backend = DecimalBackend(2 * digits + 12)
+    co = solve_coefficients(a, backend)
+    check_speed_positivity(co)
+    return a, co, smooth_area(co, backend)
 
 
 def discretize_smooth(co: SmoothCoefficients, n: int) -> GeneratingChain:

@@ -127,7 +127,7 @@ class TestOptimize:
                 f"a    = {truncate_digits(Decimal(ref.a), shown)}\n"
                 f"area = {truncate_digits(Decimal(ref.area), shown)}\n")), n
 
-    @pytest.mark.parametrize("digits", ["3", "-5"])
+    @pytest.mark.parametrize("digits", ["0", "3", "-5"])
     def test_smooth_too_few_digits_exits_1(self, capsys, digits):
         code, out, err = run(capsys, "optimize", "--kind", "smooth",
                              "--digits", digits)
@@ -153,6 +153,23 @@ class TestOptimize:
         assert code == 0
         assert out.splitlines()[0] == "angles = " + ", ".join(
             f"{getattr(params, name):.15g}" for name in names)
+
+    @pytest.mark.parametrize("flags", [
+        ("--out", "x.json"), ("--edges", "64"),
+        ("--edges", "64", "--out", "x.json"), ("--out", "-"),
+    ], ids=["out", "edges", "both", "stdout"])
+    def test_digits_takes_no_cover_flags(self, capsys, tmp_path, flags,
+                                         monkeypatch):
+        # a decimal optimum writes no cover JSON, so --out and --edges
+        # are usage errors, refused before any work and with no file written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["optimize", "--kind", "smooth", "--digits", "30", *flags])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--digits writes no cover JSON" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["two", "three", "four"])
     def test_digits_is_for_smooth_only(self, capsys, kind):

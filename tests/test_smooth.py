@@ -277,11 +277,10 @@ class TestOptimize:
             reproduce_appendix(20)
 
     @pytest.mark.parametrize("start", [0.81, 1.39])
-    def test_decimal_secant_stays_in_bracket(self, monkeypatch, start):
-        # from a poor start the secant steps past the bracket; the safeguard
-        # bisects instead, and every slope is taken inside [0.8, 1.4]; at
-        # 200 digits the last step falls below the last digit of a bracket
-        # end, which must end the solve, not read as a step outside
+    def test_poor_float_start_raises_before_any_slope(self, monkeypatch,
+                                                      start):
+        # the secant starts from optimize_smooth's a, which refuses a
+        # half-angle whose curve speed is not positive: no slope is taken
         def poor(f, lo, hi, tol, **kwargs):
             return numerics.MinimizeResult(argmin=start, value=f(start),
                                            iterations=1, converged=True)
@@ -290,9 +289,21 @@ class TestOptimize:
         monkeypatch.setattr(numerics, "minimize_1d", poor)
         monkeypatch.setattr(smooth, "_area_slope",
                             lambda a, be: seen.append(a) or slope(a, be))
-        a, _, _ = decimal_optimum(200)
-        assert abs(a - Decimal(reproduce_appendix(120).a)) <= Decimal("1e-118")
-        assert all(Decimal("0.8") <= x <= Decimal("1.4") for x in seen)
+        with pytest.raises(SpeedPositivityError):
+            decimal_optimum(200)
+        assert seen == []
+
+    @pytest.mark.parametrize("digits, calls", [(30, 5), (60, 6)])
+    def test_decimal_secant_slopes_near_its_root(self, monkeypatch, digits,
+                                                 calls):
+        # a plain secant from the float argmin: every slope is taken within
+        # the float optimum's error of the root, none at a bracket end
+        seen, slope = [], smooth._area_slope
+        monkeypatch.setattr(smooth, "_area_slope",
+                            lambda a, be: seen.append(a) or slope(a, be))
+        a, _, _ = decimal_optimum(digits)
+        assert len(seen) == calls
+        assert all(abs(x - a) <= Decimal("1e-9") for x in seen)
 
     @pytest.mark.parametrize("a", ["0.9", "1.1107", "1.3"])
     def test_dual_slope_matches_central_difference(self, a):
