@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--kind smooth only: discretization edges "
                         f"(default {SMOOTH_RENDER_EDGES})")
     p.add_argument("--out", help="cover JSON path (stdout default)")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, usage=p.error)
 
     p = sub.add_parser("optimize", help="minimize cover area over the angles")
     p.add_argument("--kind", required=True,
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--kind smooth only: discretization edges of the "
                         f"cover JSON (default {SMOOTH_RENDER_EDGES})")
     p.add_argument("--out", help="cover JSON path (stdout default)")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, usage=p.error)
 
     p = sub.add_parser("search", help="local search over n-edge chains")
     p.add_argument("--edges", type=int, required=True)
@@ -249,13 +249,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "optimize" and args.digits is not None:
         if args.kind != "smooth":
-            parser.error("--digits applies only to --kind smooth")
+            args.usage("--digits applies only to --kind smooth")
         if args.out is not None or args.edges is not None:
-            parser.error("--digits writes no cover JSON: it takes no --out "
-                         "or --edges")
+            args.usage("--digits writes no cover JSON: it takes no --out "
+                       "or --edges")
     if args.command in ("construct", "optimize"):
         if args.kind != "smooth" and args.edges is not None:
-            parser.error("--edges applies only to --kind smooth")
+            args.usage("--edges applies only to --kind smooth")
         if args.edges is None:
             args.edges = SMOOTH_RENDER_EDGES
         if args.edges < 2:  # --kind smooth; refused before any work

@@ -26,7 +26,6 @@ from .geometry import (
     Seg,
     TWO_PI,
     arc_area,
-    check_arc,
     check_ccw,
     check_closed,
 )
@@ -36,6 +35,9 @@ SYMMETRY_TOL = 1e-9
 TURN_TOL = 1e-9
 CHORD_TOL = 1e-9  # a line this close to both u and v runs along the chord
 SETTLE_TOL = 1e-13  # per edge, on _layout_settles' sum; derived there
+WALK_GAP = 1e-9  # string end off its pivot circle, unit string, apex distance
+PIVOT_TOL = 1e-12  # a final pivot below -PIVOT_TOL raises, above swings an arc
+SKIP_TURN = 1e-14  # a turn at or below it swings no arc
 
 
 class InadmissibleChainError(ValueError):
@@ -341,11 +343,10 @@ class CoverBundle:
     """A cover: chain below, two involute arc runs meeting at the apex.
 
     The boundary, a closed counterclockwise path, holds the chain's
-    segments u -> v, then the right run traced v -> w, then the left run
-    traced w -> u; area is the positive area it encloses.  The left run is
-    the right run's mirror image (_mirror_run builds it so), so the runs
-    have the same number of arcs.  Nothing reassigns a field, so the
-    cached views below stay valid.
+    segments u -> v, then the Arc pieces _unwrap's walk built: the right
+    run traced v -> w, then its mirror image (_mirror_run), the left run
+    traced w -> u, with as many arcs.  area is the positive area it
+    encloses.  Nothing reassigns a field, so the cached views stay valid.
     """
 
     def __init__(self, chain: GeneratingChain, boundary: ArcPath, area: float):
@@ -383,12 +384,12 @@ class CoverBundle:
 def _unwrap(chain: GeneratingChain):
     """(area, right run, left run) of a chain its caller has validated, in
     one walk that checks the unwrap radii, the Arc guards, a final pivot
-    not below -1e-12 and the apex w = (0, v_y + sqrt(1 - v_x^2)) at unit
-    distance from u and v.  To the chain term it adds arc_path_area's terms
-    of the right run, then of its mirror image, the left run (not yet
-    checked positive).  The right run's records (cx, cy, r, t0, t1) are
-    traced v -> w, one per turn above 1e-14 and per final pivot above
-    1e-12; the left run is _mirror_run(right), traced w -> u.
+    not below -PIVOT_TOL and the apex w = (0, v_y + sqrt(1 - v_x^2)) at
+    unit distance from u and v.  To the chain term it adds arc_path_area's
+    terms of the right run, then of its mirror image, the left run (not
+    yet checked positive).  The runs are the cover's own Arc pieces: the
+    right run traced v -> w, one Arc per turn above SKIP_TURN and per final
+    pivot above PIVOT_TOL, the left run _mirror_run(right), traced w -> u.
     """
     verts, cum, turns = chain.vertices, chain.cum_lengths, chain.turn_angles
     area = chain.chain_term
@@ -406,39 +407,37 @@ def _unwrap(chain: GeneratingChain):
         r = 1.0 - cum[k]
         dx, dy = ex - cx, ey - cy
         gap = abs(hypot(dx, dy) - r)
-        if gap > 1e-9:
+        if gap > WALK_GAP:
             raise InadmissibleChainError([ChainDiagnostic(
                 "unwrap", gap, f"string end not at pivot radius at vertex {k}")])
         theta = turns[k - 1]
-        if theta > 1e-14:
+        if theta > SKIP_TURN:
             t0 = atan2(dy, dx)
-            t1 = t0 + theta
-            check_arc(r, t0, t1)
-            right.append((cx, cy, r, t0, t1))
-            area += arc_area(cx, cy, r, t0, t1)
-            ex, ey = cx + r * math.cos(t1), cy + r * math.sin(t1)
+            arc = Arc(cx, cy, r, t0, t0 + theta)
+            right.append(arc)
+            area += arc_area(cx, cy, r, t0, arc.t1)
+            ex, ey = arc.end
     gap = abs(hypot(ex - ux, ey - uy) - 1.0)
-    if gap > 1e-9:
+    if gap > WALK_GAP:
         raise InadmissibleChainError([ChainDiagnostic(
             "unwrap", gap, "fully unwrapped string is not unit length")])
     t0 = atan2(ey - uy, ex - ux)
     t1 = atan2(w[1] - uy, w[0] - ux)
-    if t1 - t0 < -1e-12:
+    if t1 - t0 < -PIVOT_TOL:
         raise InadmissibleChainError([ChainDiagnostic(
             "closure", t0 - t1, "final pivot angle negative")])
-    if t1 - t0 > 1e-12:  # the string end already at w swings no arc
-        check_arc(1.0, t0, t1)
-        right.append((ux, uy, 1.0, t0, t1))
+    if t1 - t0 > PIVOT_TOL:  # the string end already at w swings no arc
+        right.append(Arc(ux, uy, 1.0, t0, t1))
         area += arc_area(ux, uy, 1.0, t0, t1)
 
     for p in (verts[0], verts[-1]):
         gap = abs(math.dist(p, w) - 1.0)
-        if gap > 1e-9:
+        if gap > WALK_GAP:
             raise InadmissibleChainError([ChainDiagnostic(
                 "closure", gap, "apex not at unit distance from chain endpoints")])
     left = _mirror_run(right)
     for arc in left:
-        area += arc_area(*arc)
+        area += arc_area(arc.cx, arc.cy, arc.r, arc.t0, arc.t1)
     return area, right, left
 
 
@@ -454,13 +453,13 @@ def _layout_settles(verts, layout, bound):
     unit vectors e) and its mirror add r^2 theta + r (c_k x (e_(k-1) - e_k))
     (ROADMAP item 12) from the layout's s, theta and e; the final pivot adds
     its pair.  The walk's offset K = r sin g off edge k - 1 keeps across an
-    arc and falls by r theta at a skipped turn (<= 1e-14); with Q_k = r_k +
-    c_k . e_k = r_(k+1) + c_(k+1) . e_k its first-order terms sum by parts
-    to 0, leaving 2.6 g^2 (g bounds the offsets and skipped turns' sum; gaps
-    <= g^2 / 8) and 50u a pivot (18u of K, |Q| <= 1.71).  Direction errors
-    sum so to f beta Q <= 1.73 H an edge, the radii's to 2.71 pi 8u n,
-    rounding to 40u a vertex: < 170u n + 2.6 g^2 < SETTLE_TOL n + 3 g^2.
-    The final pivot is the walk's to 2 g."""
+    arc and falls by r theta at a skipped turn (<= SKIP_TURN); with Q_k =
+    r_k + c_k . e_k = r_(k+1) + c_(k+1) . e_k its first-order terms sum by
+    parts to 0, leaving 2.6 g^2 (g bounds the offsets and skipped turns'
+    sum; gaps <= g^2 / 8) and 50u a pivot (18u of K, |Q| <= 1.71).
+    Direction errors sum so to f beta Q <= 1.73 H an edge, the radii's to
+    2.71 pi 8u n, rounding to 40u a vertex: < 170u n + 2.6 g^2 <
+    SETTLE_TOL n + 3 g^2.  The final pivot is the walk's to 2 g."""
     fracs, turns, cos, sin = layout
     n, xs, f = len(verts) - 1, [x for x, _ in verts], min(fracs)
     (ux, uy), (vx, vy) = verts[0], verts[-1]
@@ -476,11 +475,12 @@ def _layout_settles(verts, layout, bound):
             if t < -TURN_TOL:
                 return False
             neg -= min(t, 0.0)
-    g = neg + 1e-14 * n + 2e-15 / f
+    g = neg + SKIP_TURN * n + 2e-15 / f
     w = (0.0, vy + math.sqrt(max(0.0, 1.0 - vx * vx)))
     d = math.dist(verts[0], w)
     pivot = math.atan2(w[1] - uy, -ux) - math.atan2(sin[0], cos[0])
-    if not (g <= 1e-5 and pivot - 2.0 * g > 1e-12 and abs(d - 1.0) <= 1e-9):
+    if not (g <= 1e-5 and pivot - 2.0 * g > PIVOT_TOL
+            and abs(d - 1.0) <= WALK_GAP):
         return False
     if not n % 2:  # vertex m is its own mirror: half its turn, the mirror edge
         turns, cos, sin = turns[:-1] + [turns[-1] / 2], cos + cos[-1:], sin + [-sin[-1]]
@@ -497,10 +497,10 @@ def _layout_settles(verts, layout, bound):
 
 
 def _mirror_run(right):
-    """The left run: the right run's mirror image about the y axis (angle
-    t -> pi - t), traced w -> u."""
-    return [(-cx, cy, r, math.pi - t1, math.pi - t0)
-            for cx, cy, r, t0, t1 in reversed(right)]
+    """The left run's Arcs: the right run's mirror image about the y axis
+    (angle t -> pi - t), traced w -> u."""
+    return [Arc(-a.cx, a.cy, a.r, math.pi - a.t1, math.pi - a.t0)
+            for a in reversed(right)]
 
 
 def _not_simple(detail):
@@ -508,8 +508,8 @@ def _not_simple(detail):
 
 
 def certify_cap(chain: GeneratingChain, right, left):
-    """Raise InadmissibleChainError unless _unwrap's runs bound a convex cap;
-    O(n).  See involute_cover for the argument.
+    """Raise InadmissibleChainError unless _unwrap's runs, the cover's Arc
+    pieces, bound a convex cap; O(n).  See involute_cover for the argument.
 
     Walks the cap curve (the chord u -> v, the right run, the left run) by
     each piece's outward normal angle: every arc sweeps forward, the arcs
@@ -524,7 +524,8 @@ def certify_cap(chain: GeneratingChain, right, left):
     # the chord's outward normal; an arc's normal turns from t0 to t1
     chord = math.atan2(vy - uy, vx - ux) - math.pi / 2
     normal, total, apex = chord, 0.0, len(right)
-    for i, (_, _, _, t0, t1) in enumerate(right + left):
+    for i, arc in enumerate(right + left):
+        t0, t1 = arc.t0, arc.t1
         turn = math.remainder(t0 - normal, TWO_PI)
         if i == 0 or i == apex:
             if not 0.0 < turn < math.pi:
@@ -558,7 +559,7 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
       only, so with the chord it bounds a convex pocket P on the same side;
     - each right-run point lies on a supporting line of P, beyond its
       contact vertex by the string's free length (_unwrap pins each
-      radius to within 1e-9), so the run never enters the interior of P;
+      radius to within WALK_GAP), so the run never enters the interior of P;
       nor does the left run, the mirror image, since validate_chain leaves
       P symmetric;
     - so P lies in H (a path inside P from the chord out of H would cross
@@ -575,22 +576,19 @@ def involute_cover(chain: GeneratingChain) -> CoverBundle:
 
 
 def _boundary(chain: GeneratingChain, right, left) -> ArcPath:
-    """The chain's segments, then the arcs of _unwrap's right and left runs."""
+    """The chain's segments, then _unwrap's right and left runs as they are."""
     verts = chain.vertices
-    pieces = [Seg(*a, *b) for a, b in zip(verts, verts[1:])]
-    pieces.extend(Arc(*a) for a in right)
-    pieces.extend(Arc(*a) for a in left)
-    return ArcPath(pieces)
+    return ArcPath([Seg(*a, *b) for a, b in zip(verts, verts[1:])] + right + left)
 
 
 def half_chain_area(n: int, fracs, turns, bound=math.inf):
     """The area involute_cover(GeneratingChain.from_half_params(n, fracs,
     turns)) records, bit for bit: the same layout, chain, validate_chain
-    and _unwrap walk, with no pieces and no cap certificate; None, from the
-    layout alone, if _layout_settles shows it >= a bound > 0."""
+    and _unwrap walk, with no boundary path and no cap certificate; inf,
+    from the layout alone, if _layout_settles shows it >= a bound > 0."""
     verts, layout = half_chain_layout(n, fracs, turns)
     if 0.0 < bound < math.inf and _layout_settles(verts, layout, bound):
-        return None
+        return math.inf
     chain = GeneratingChain(verts)
     diags = validate_chain(chain)
     if diags:

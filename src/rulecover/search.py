@@ -128,8 +128,7 @@ def _cover_area(params: ChainParams, rejections: Counter, bound=math.inf):
     settled as >= bound, or None when inadmissible, counted into
     `rejections` by kind (see SearchTrace)."""
     try:
-        area = half_chain_area(params.edges, params.fracs, params.turns, bound)
-        return math.inf if area is None else area
+        return half_chain_area(params.edges, params.fracs, params.turns, bound)
     except InadmissibleChainError as exc:
         rejections.update({d.kind for d in exc.diagnostics})
     except GeometryError:  # a clockwise boundary or a bad arc

@@ -180,6 +180,28 @@ class TestOptimize:
         assert "--digits applies only to --kind smooth" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("construct --kind two --edges 8", "--edges applies only to --kind smooth"),
+    ("optimize --kind two --digits 30", "--digits applies only to --kind smooth"),
+    ("optimize --kind smooth --digits 30 --out x.json",
+     "--digits writes no cover JSON"),
+], ids=["construct-edges", "optimize-digits", "optimize-digits-out"])
+def test_usage_errors_print_the_subcommand_usage(capsys, tmp_path, monkeypatch,
+                                                 argv, message):
+    # the flags a usage error names are the subcommand's, so its usage line
+    # is the one printed; exit 2, nothing on stdout, no file written
+    monkeypatch.chdir(tmp_path)
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split())
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: cover {command} [-h] --kind ")
+    assert f"cover {command}: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEdgesFlag:
     @pytest.mark.parametrize("command, kind", [
         ("construct", "r2"), ("construct", "two"), ("construct", "four"),

@@ -452,7 +452,7 @@ def _bounds_around(area, rng):
 
 
 def _assert_bounded_is_the_walk(params, bounds):
-    # None only when the exact area is >= bound, else the same float; the
+    # inf only when the exact area is >= bound, else the same float; the
     # same exception class and kinds whatever the bound, including the
     # bounds <= 0 and inf that turn the settle test off; and a bound 1e-9
     # or more below the area, far outside the sum's tolerance, is settled
@@ -460,12 +460,12 @@ def _assert_bounded_is_the_walk(params, bounds):
     for bound in bounds:
         got, got_error = _outcome(_bounded(bound), params)
         assert got_error == error, (params, bound)
-        if got is None and error is None:
+        if got == math.inf:
             assert area >= bound, (params, bound)
         else:
             assert got == area, (params, bound)
         if error is None and 0.0 < bound <= area - 1e-9:
-            assert got is None, (params, bound)
+            assert got == math.inf, (params, bound)
 
 
 @pytest.mark.parametrize("step", [0.02, 0.3, 1.0])
@@ -541,7 +541,7 @@ def _length_tols(params, monkeypatch):
 
     def settles(key):
         monkeypatch.setattr(involute, "LENGTH_TOL", _float_at(key))
-        return settled(params) is None
+        return settled(params) == math.inf
 
     lo, hi = _float_key(walk_edge), _float_key(1e-12)
     assert 1e-16 < walk_edge and not settles(lo) and settles(hi)
@@ -600,22 +600,22 @@ def _float_at(key):
 
 def _closed_sum(params, monkeypatch):
     """The sum _layout_settles compares with the bound.  With SETTLE_TOL at
-    0 its margin is 3 g^2 (g = neg + 1e-14 n + 2e-15 / f, with neg the size
-    of the walk's negative turns and f the least fraction laid out), so the
-    largest bound it settles, found by bisecting the positive floats, is
+    0 its margin is 3 g^2 (g = neg + SKIP_TURN n + 2e-15 / f, with neg the
+    size of the walk's negative turns and f the least fraction laid out), so
+    the largest bound it settles, found by bisecting the positive floats, is
     the sum minus 3 g^2."""
     monkeypatch.setattr(involute, "SETTLE_TOL", 0.0)
     lo, hi = _float_key(1e-300), _float_key(16.0)
-    assert _bounded(1e-300)(params) is None and _bounded(16.0)(params) is not None
+    assert _bounded(1e-300)(params) == math.inf and _bounded(16.0)(params) < math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _bounded(_float_at(mid))(params) is None:
+        if _bounded(_float_at(mid))(params) == math.inf:
             lo = mid
         else:
             hi = mid
     verts, (fracs, *_) = half_chain_layout(*params)
     neg = -math.fsum(min(t, 0.0) for t in involute.chain_facts(verts)[2])
-    g = neg + 1e-14 * params.edges + 2e-15 / min(fracs)
+    g = neg + involute.SKIP_TURN * params.edges + 2e-15 / min(fracs)
     return _float_at(lo) + 3.0 * g * g
 
 
@@ -924,13 +924,41 @@ def test_audited_build_runs_no_crossing_test(monkeypatch, smooth_optimum):
     assert involute_cover(chain).area == _scored_area(chain, monkeypatch)
 
 
+def test_cover_pieces_are_the_walks_arcs(monkeypatch, two_bundle, smooth_optimum):
+    # the boundary lists the very Arc objects _unwrap built, and an audited
+    # build checks each arc once, in Arc.__init__
+    unwrap, runs, checked = involute._unwrap, [], Counter()
+    check_arc = geometry.check_arc
+
+    def recorded(chain):
+        area, right, left = unwrap(chain)
+        runs.append(right + left)
+        return area, right, left
+
+    def counted(r, t0, t1):
+        checked["arcs"] += 1
+        return check_arc(r, t0, t1)
+
+    monkeypatch.setattr(involute, "_unwrap", recorded)
+    monkeypatch.setattr(geometry, "check_arc", counted)
+    assert not hasattr(involute, "check_arc")
+    for chain in (two_bundle.chain, smooth.discretize_smooth(smooth_optimum[1], 64)):
+        runs.clear()
+        checked.clear()
+        bundle = involute_cover(chain)
+        (arcs,) = runs
+        pieces = bundle.upper_path.pieces
+        assert len(pieces) == len(arcs) == checked["arcs"]
+        assert all(p is a for p, a in zip(pieces, arcs))
+
+
 def test_open_boundary_raises(monkeypatch, two_bundle):
     # the left run moved aside by 1e-6: every angle fact still holds, and
     # only the closure check sees that the pieces no longer stitch
     mirror = involute._mirror_run
 
     def shifted(right):
-        return [(cx + 1e-6, cy, r, t0, t1) for cx, cy, r, t0, t1 in mirror(right)]
+        return [Arc(a.cx + 1e-6, a.cy, a.r, a.t0, a.t1) for a in mirror(right)]
 
     monkeypatch.setattr(involute, "_mirror_run", shifted)
     with pytest.raises(OpenPathError):
@@ -949,9 +977,9 @@ class TestCertifyCap:
         return chain, right, left
 
     @staticmethod
-    def moved(record, t0=None, t1=None):
-        cx, cy, r, a0, a1 = record
-        return (cx, cy, r, a0 if t0 is None else t0, a1 if t1 is None else t1)
+    def moved(arc, t0=None, t1=None):
+        return Arc(arc.cx, arc.cy, arc.r, arc.t0 if t0 is None else t0,
+                   arc.t1 if t1 is None else t1)
 
     def assert_not_simple(self, chain, right, left, match):
         with pytest.raises(InadmissibleChainError, match=match) as err:
@@ -963,7 +991,7 @@ class TestCertifyCap:
 
     def test_broken_joint(self, records):
         chain, right, left = records
-        shifted = self.moved(right[1], right[1][3] + 1e-6, right[1][4] + 1e-6)
+        shifted = self.moved(right[1], right[1].t0 + 1e-6, right[1].t1 + 1e-6)
         self.assert_not_simple(chain, [right[0], shifted], left,
                                "arcs 0 and 1 meet at an angle")
 
@@ -976,21 +1004,25 @@ class TestCertifyCap:
         if corner == "v":
             right[0] = self.moved(right[0], t0=-math.pi / 2 - 0.1)
         elif corner == "apex":
-            left[0] = self.moved(left[0], t0=right[-1][4] - 0.1)
+            left[0] = self.moved(left[0], t0=right[-1].t1 - 0.1)
         else:
             left[-1] = self.moved(left[-1], t1=1.5 * math.pi + 0.1)
         self.assert_not_simple(chain, right, left, f"corner at (the )?{corner}")
 
     def test_winds_twice(self, records):
+        # an Arc sweeps at most a full turn: a full circle, then the first
+        # arc a turn on
         chain, right, left = records
-        looped = self.moved(right[0], t1=right[0][4] + 2 * math.pi)
-        self.assert_not_simple(chain, [looped, right[1]], left,
+        t0, t1 = right[0].t0, right[0].t1
+        looped = [self.moved(right[0], t1=t0 + 2 * math.pi),
+                  self.moved(right[0], t0=t0 + 2 * math.pi, t1=t1 + 2 * math.pi)]
+        self.assert_not_simple(chain, looped + right[1:], left,
                                "cap curve turns by")
 
     def test_backward_sweep(self, records):
         # an arc turning back by 0.1 between two that sweep on by 0.1 more
         chain, right, left = records
-        t1 = right[0][4]
+        t1 = right[0].t1
         split = [self.moved(right[0], t1=t1 + 0.1),
                  self.moved(right[0], t0=t1 + 0.1, t1=t1)]
         self.assert_not_simple(chain, split + right[1:], left,
